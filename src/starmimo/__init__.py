@@ -55,7 +55,7 @@ from .optimizer import (
     project_theta,
     round_to_ms,
 )
-from .rate import RateReport, interference_term, signal_term, sum_se
+from .rate import Evaluation, RateReport, evaluate, sum_se
 
 __version__ = "0.1.0"
 
@@ -65,6 +65,7 @@ __all__ = [
     "CorrelationPair",
     "DegenerateInterferenceError",
     "EstimationStats",
+    "Evaluation",
     "GradientPair",
     "GradientWorkspace",
     "LinkGains",
@@ -86,9 +87,9 @@ __all__ = [
     "eigendecompose_bs",
     "error_covariance_trace",
     "estimate_realization",
+    "evaluate",
     "finite_difference_gradient",
     "grad_objective",
-    "interference_term",
     "lmmse_stats",
     "mc_covariance_check",
     "mc_sinr",
@@ -100,6 +101,5 @@ __all__ = [
     "project_theta",
     "round_to_ms",
     "sample_realization",
-    "signal_term",
     "sum_se",
 ]

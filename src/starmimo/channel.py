@@ -11,6 +11,7 @@ scalar and samples channel realizations for the Monte Carlo oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,17 @@ class StarConfig:
     def phi(self, mode: str) -> np.ndarray:
         """Diagonal of the passive beamforming matrix for one region."""
         return self.amplitudes(mode) * self.phases(mode)
+
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Phases and amplitudes of both regions as two (2N,) vectors, t first."""
+        return (np.concatenate([self.theta_t, self.theta_r]),
+                np.concatenate([self.beta_t, self.beta_r]))
+
+    @classmethod
+    def from_stacked(cls, theta: np.ndarray, beta: np.ndarray) -> "StarConfig":
+        """Inverse of :meth:`stacked`; the four vectors are views of the inputs."""
+        n = theta.shape[0] // 2
+        return cls(theta_t=theta[:n], theta_r=theta[n:], beta_t=beta[:n], beta_r=beta[n:])
 
     def copy(self) -> "StarConfig":
         return replace(
@@ -199,6 +211,16 @@ class SystemModel:
         """Effective estimation-noise variance sigma^2 / (tau * P)."""
         return self.sigma2 / (self.dims.tau * self.pilot_power)
 
+    @property
+    def noise_lift(self) -> float:
+        """K sigma^2 / rho, the weight of sum_i tr(Psi_i) in every interference term."""
+        return self.dims.k * self.sigma2 / self.rho
+
+    @cached_property
+    def region_mask(self) -> np.ndarray:
+        """(K, 2) one-hot rows: column 0 marks t-region users, column 1 r-region."""
+        return (np.asarray(self.modes)[:, None] == np.array(["t", "r"])).astype(float)
+
     def user(self, k: int) -> UserMeta:
         return UserMeta(
             mode=self.modes[k],
@@ -251,18 +273,27 @@ def aggregated_covariance(user: UserMeta, config: StarConfig,
     return AggregatedCovariance(alpha=user.beta_bar + user.beta_hat * trace, corr=corr)
 
 
-def covariance_scalars(system: SystemModel, config: StarConfig) -> np.ndarray:
-    """All per-user covariance scalars, reusing one trace per region."""
-    ris_abs2 = system.corr.ris_abs2
-    traces = {}
-    for mode in ("t", "r"):
-        phi = config.phi(mode)
-        traces[mode] = float(np.vdot(phi, ris_abs2 @ phi).real)
-    beta_hat = system.gains.beta_hat
-    return np.array([
-        system.gains.beta_bar[k] + beta_hat[k] * traces[system.modes[k]]
-        for k in range(system.dims.k)
-    ])
+def covariance_scalars(system: SystemModel, config: StarConfig,
+                       diagonals: np.ndarray | None = None) -> np.ndarray:
+    """All per-user covariance scalars, from one product for both regions.
+
+    ``alpha_k = beta_bar_k + beta_hat_k * phi_u^H |R_RIS|^2 phi_u`` with u
+    the region of user k.  One real product of ``|R_RIS|^2`` with the (N, 4)
+    block [Re phi_t, Re phi_r, Im phi_t, Im phi_r] gives both traces without
+    upcasting the kernel to complex (it is real symmetric).  If
+    ``diagonals``, a (2, N) complex array, is given, the product's
+    ``diag(R_RIS Phi_u R_RIS) = |R_RIS|^2 phi_u`` of both regions, t first,
+    is written into it; the gradient reads them.
+    """
+    phi = np.stack([config.phi("t"), config.phi("r")])
+    block = np.concatenate([phi.real, phi.imag]).T
+    prod = system.corr.ris_abs2 @ block
+    traces = (block * prod).sum(axis=0)
+    if diagonals is not None:
+        diagonals.real = prod[:, :2].T
+        diagonals.imag = prod[:, 2:].T
+    return system.gains.beta_bar + system.gains.beta_hat * (
+        system.region_mask @ (traces[:2] + traces[2:]))
 
 
 @dataclass

@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -342,24 +342,24 @@ def derive_seed(*entropy) -> int:
 
 
 def run_protocol(protocol: str, cfg: ScenarioConfig, system: SystemModel,
-                 opt_seed: int) -> ProtocolResult:
+                 opt_seed: int, cache: dict | None = None) -> ProtocolResult:
     """One scenario label at one sweep point; the seed is shared across
-    protocols so cross-label comparisons see identical starting points."""
-    options = PgamOptions(
-        mu_init=cfg.optimizer.mu_init, kappa=cfg.optimizer.kappa,
-        tol=cfg.optimizer.tol, max_iters=cfg.optimizer.max_iters,
-        max_backtracks=cfg.optimizer.max_backtracks,
-        n_starts=cfg.optimizer.n_starts, seed=opt_seed,
-    )
+    protocols so cross-label comparisons see identical starting points.
+
+    ``cache`` is a dict that lives for one sweep point.  With it, "es" and
+    "ms" on the same ``system`` object share one ``multi_start`` (the
+    runner passes one per sweep point); without it every call runs its own.
+    """
+    options = replace(cfg.optimizer, seed=opt_seed)
     n = system.dims.n
 
     if protocol in ("es", "es-no-direct"):
-        trace = multi_start(system, options)
+        trace = _multi_start(system, options, cache)
         best = canonicalize_signs(trace.final_config)
         return ProtocolResult(best, sum_se(best, system).sum_se, trace.iterations)
 
     if protocol == "ms":
-        trace = multi_start(system, options)
+        trace = _multi_start(system, options, cache)
         rounded = round_to_ms(trace.final_config)
         return ProtocolResult(rounded, sum_se(rounded, system).sum_se, trace.iterations)
 
@@ -368,11 +368,7 @@ def run_protocol(protocol: str, cfg: ScenarioConfig, system: SystemModel,
         beta_t = np.zeros(n)
         beta_t[:n_t] = 1.0
         beta_r = 1.0 - beta_t
-        frozen = PgamOptions(
-            mu_init=options.mu_init, kappa=options.kappa, tol=options.tol,
-            max_iters=options.max_iters, max_backtracks=options.max_backtracks,
-            n_starts=options.n_starts, seed=options.seed, freeze_amplitudes=True,
-        )
+        frozen = replace(options, freeze_amplitudes=True)
         best = None
         for stream in np.random.SeedSequence(opt_seed).spawn(options.n_starts):
             rng = np.random.default_rng(stream)
@@ -400,6 +396,17 @@ def run_protocol(protocol: str, cfg: ScenarioConfig, system: SystemModel,
         return ProtocolResult(config, value, 0)
 
     raise ConfigError("protocols", f"unknown protocol {protocol!r}")
+
+
+def _multi_start(system: SystemModel, options: PgamOptions, cache: dict | None):
+    """``multi_start``, run once per (system object, options) while ``cache`` lives."""
+    if cache is None:
+        return multi_start(system, options)
+    key = (id(system), options)
+    if key not in cache:
+        # holding the system keeps its id from being reused by another object
+        cache[key] = (system, multi_start(system, options))
+    return cache[key][1]
 
 
 def _mc_columns(cfg: ScenarioConfig, system: SystemModel, result: ProtocolResult,
@@ -435,11 +442,16 @@ def run_experiment(cfg: ScenarioConfig, writer=None) -> list[dict]:
         # one optimizer seed per sweep point, shared across protocols so
         # comparisons between scenario labels see identical starting points
         opt_seed = derive_seed(cfg.seed, sweep_idx)
+        # one system model per direct-link variant and one multi-start cache
+        # per sweep point, shared by every protocol there
+        systems, cache = {}, {}
         for proto_idx, protocol in enumerate(cfg.protocols):
-            system = build_system(cfg, no_direct=(protocol == "es-no-direct"),
-                                  **overrides)
+            no_direct = protocol == "es-no-direct"
+            if no_direct not in systems:
+                systems[no_direct] = build_system(cfg, no_direct=no_direct, **overrides)
+            system = systems[no_direct]
             start = time.perf_counter()
-            result = run_protocol(protocol, cfg, system, opt_seed)
+            result = run_protocol(protocol, cfg, system, opt_seed, cache)
             mc_se, mc_err = ("", "")
             if cfg.mc_enabled:
                 mc_seed = derive_seed(cfg.seed, sweep_idx, proto_idx, 1)

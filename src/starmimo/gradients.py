@@ -2,19 +2,22 @@
 
 Gradient convention: derivative with respect to the conjugated phase vector
 (for real objectives this is the direction of steepest ascent after the
-2*[Re, Im] pairing with real coordinates).  Every trace scalar reduces to an
-O(M) sum over the shared BS eigenvalues; a dense-matrix evaluation of the
-same scalars is kept behind ``method='dense'`` for verification, and a
-central finite-difference oracle adjudicates the whole assembly.
+2*[Re, Im] pairing with real coordinates).  The gradient is built from the
+objective kernel's cached evaluation (:func:`rate.evaluate`), so a point the
+optimizer has already evaluated costs only the trace scalars, each an O(M)
+sum over the shared BS eigenvalues.  A dense-matrix evaluation of the same
+scalars is kept behind ``method='dense'`` for verification, and a central
+finite-difference oracle adjudicates the whole assembly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import StarConfig, SystemModel, covariance_scalars, pbm_quadratic_diag
+from .channel import StarConfig, SystemModel, pbm_quadratic_diag
+from .rate import Evaluation, dense_covariance_scalars, evaluate, sum_se
 
 LN2 = np.log(2.0)
 
@@ -37,86 +40,52 @@ class GradientPair:
 
 @dataclass
 class GradientWorkspace:
-    """Everything the gradient assembly reads, recomputed per configuration.
+    """Everything the gradient assembly reads at one point.
 
-    ``a_t``/``a_r`` are the diagonals of R_RIS Phi_u R_RIS (the only part of
-    those products ever needed).  ``nu``, ``nu_bar``, ``nu_tilde`` are the
-    real trace scalars weighting the signal and interference directions.
+    ``point`` is the objective kernel's cached evaluation; ``nu``,
+    ``nu_bar``, ``nu_tilde`` are the real trace scalars weighting the signal
+    and interference directions.
     """
 
-    config: StarConfig
+    point: Evaluation
     system: SystemModel
-    a_t: np.ndarray          # (N,) diag of A_t
-    a_r: np.ndarray          # (N,) diag of A_r
-    alphas: np.ndarray       # (K,)
-    psi: np.ndarray          # (K, M) estimate-covariance eigenvalues
-    qr_gain: np.ndarray      # (K, M) eigenvalues of Q_k R_k
-    s: np.ndarray            # (K,) signal terms
-    i_tilde: np.ndarray      # (K,) interference terms
-    gamma: np.ndarray        # (K,)
     nu: np.ndarray           # (K,)
     nu_bar: np.ndarray       # (K,)
     nu_tilde: np.ndarray     # (K, K), entry (k, i)
 
-    def interference_coefficient(self, k: int, region: str) -> float:
-        """Scalar multiplying diag(A_u) in the interference gradient of user k."""
-        members = self.system.users_in(region)
-        coef = float(np.sum(self.nu_tilde[k, members]))
-        if self.system.modes[k] == region:
-            coef += float(self.nu_bar[k])
-        return coef
 
-
-def build_workspace(config: StarConfig, system: SystemModel,
+def build_workspace(point: Evaluation, system: SystemModel,
                     method: str = "eig") -> GradientWorkspace:
-    """Assemble all shared intermediates for one configuration.
+    """Gradient scalars at a point the objective kernel has evaluated (the
+    optimizer passes its accepted trial's evaluation).
 
-    ``method='dense'`` recomputes the nu scalars from explicit matrix
-    products instead of eigenvalue sums; results agree to roundoff and the
-    dense route exists only to validate the fast algebra.
+    ``method='dense'`` recomputes the covariance scalars, the objective's
+    terms and the nu scalars from explicit matrices, and the surface
+    diagonals from R_RIS itself, using nothing of the kernel's cache but the
+    point; results agree to roundoff and the dense route exists only to
+    validate the fast algebra.
     """
     if method not in ("eig", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    dims = system.dims
-    sigma = system.corr.bs_eigvals                      # (M,)
-    eps = system.epsilon
-    noise_lift = dims.k * system.sigma2 / system.rho    # added to R_k inside R_bar
-
-    a_t = pbm_quadratic_diag(system.corr.r_ris, config.phi("t"))
-    a_r = pbm_quadratic_diag(system.corr.r_ris, config.phi("r"))
-    alphas = covariance_scalars(system, config)
-
-    scaled = alphas[:, None] * sigma[None, :]           # (K, M) alpha_k s_m
-    denom = scaled + eps
-    psi = scaled**2 / denom
-    qr_gain = scaled / denom
-
-    s = psi.sum(axis=1) ** 2
-    psi_bar = psi.sum(axis=0)
-    i_tilde = (
-        alphas * np.sum(sigma * psi_bar)
-        - np.sum(psi**2, axis=1)
-        + noise_lift * psi_bar.sum()
-    )
-    gamma = np.where(i_tilde > 0, s / np.maximum(i_tilde, 1e-300), 0.0)
-
-    beta_hat = system.gains.beta_hat
     if method == "eig":
-        nu, nu_bar, nu_tilde = _nu_scalars_eig(
-            sigma, alphas, psi, qr_gain, beta_hat, noise_lift
-        )
+        nu, nu_bar, nu_tilde = _nu_scalars_eig(point, system)
     else:
-        nu, nu_bar, nu_tilde = _nu_scalars_dense(system, alphas, eps, noise_lift)
+        config = StarConfig.from_stacked(point.theta.ravel(), point.beta.ravel())
+        point = replace(
+            point,
+            a=np.array([pbm_quadratic_diag(system.corr.r_ris, config.phi(u)) for u in "tr"]),
+            alphas=dense_covariance_scalars(config, system),
+            report=sum_se(config, system, method="dense"),
+        )
+        nu, nu_bar, nu_tilde = _nu_scalars_dense(point.alphas, system)
+    return GradientWorkspace(point=point, system=system, nu=nu, nu_bar=nu_bar,
+                             nu_tilde=nu_tilde)
 
-    return GradientWorkspace(
-        config=config, system=system, a_t=a_t, a_r=a_r, alphas=alphas,
-        psi=psi, qr_gain=qr_gain, s=s, i_tilde=i_tilde, gamma=gamma,
-        nu=nu, nu_bar=nu_bar, nu_tilde=nu_tilde,
-    )
 
-
-def _nu_scalars_eig(sigma, alphas, psi, qr_gain, beta_hat, noise_lift):
-    """All trace scalars as O(M) eigenvalue sums."""
+def _nu_scalars_eig(point, system):
+    """All trace scalars as O(M) eigenvalue sums over the kernel's cache."""
+    sigma, psi, qr_gain = system.corr.bs_eigvals, point.psi, point.qr_gain
+    beta_hat = system.gains.beta_hat
     # nu_k = 2 bhat_k tr(Psi_k) tr((QR + RQ - Q R^2 Q) R_BS)
     t_lin = np.sum(qr_gain * sigma, axis=1)             # tr(Q_k R_k R_BS)
     t_quad = np.sum(qr_gain**2 * sigma, axis=1)         # tr(Q_k R_k^2 Q_k R_BS)
@@ -125,18 +94,20 @@ def _nu_scalars_eig(sigma, alphas, psi, qr_gain, beta_hat, noise_lift):
     # nu_bar_k = bhat_k tr(Psi_check_k R_BS) with
     # Psi_check = sum_i Psi_i - 2 (QR Psi + Psi RQ - QR Psi RQ)
     trace_psi_rbs = np.sum(sigma * psi.sum(axis=0))
-    correction = np.sum(sigma * psi * (2.0 * qr_gain - qr_gain**2), axis=1)
+    damped = 2.0 * qr_gain - qr_gain**2                         # (K, M)
+    correction = np.sum(sigma * psi * damped, axis=1)
     nu_bar = beta_hat * (trace_psi_rbs - 2.0 * correction)
 
     # nu_tilde[k, i] = bhat_i tr(R_tilde_ki R_BS); R_bar_k = R_k + noise_lift I
-    r_bar = alphas[:, None] * sigma[None, :] + noise_lift       # (K, M)
-    mix = (2.0 * qr_gain - qr_gain**2) * sigma                  # (K=i, M)
+    r_bar = point.alphas[:, None] * sigma[None, :] + system.noise_lift  # (K, M)
+    mix = damped * sigma                                        # (K=i, M)
     nu_tilde = beta_hat[None, :] * (r_bar @ mix.T)              # (k, i)
     return nu, nu_bar, nu_tilde
 
 
-def _nu_scalars_dense(system, alphas, eps, noise_lift):
+def _nu_scalars_dense(alphas, system):
     """Verification route: the same scalars from materialized matrices."""
+    eps, noise_lift = system.epsilon, system.noise_lift
     m = system.dims.m
     k_users = system.dims.k
     r_bs = system.corr.r_bs
@@ -174,54 +145,6 @@ def _nu_scalars_dense(system, alphas, eps, noise_lift):
     return nu, nu_bar, nu_tilde
 
 
-def grad_signal_theta(k: int, workspace: GradientWorkspace, region: str) -> np.ndarray:
-    """Phase gradient of the signal term: nonzero only in the user's region."""
-    if workspace.system.modes[k] != region:
-        return np.zeros(workspace.config.n, dtype=complex)
-    a_diag = workspace.a_t if region == "t" else workspace.a_r
-    beta = workspace.config.amplitudes(region)
-    return workspace.nu[k] * a_diag * beta
-
-
-def grad_interference_theta(k: int, workspace: GradientWorkspace, region: str) -> np.ndarray:
-    """Phase gradient of the interference term, via the region coefficient."""
-    a_diag = workspace.a_t if region == "t" else workspace.a_r
-    beta = workspace.config.amplitudes(region)
-    return workspace.interference_coefficient(k, region) * a_diag * beta
-
-
-def grad_signal_beta(k: int, workspace: GradientWorkspace, region: str) -> np.ndarray:
-    if workspace.system.modes[k] != region:
-        return np.zeros(workspace.config.n)
-    a_diag = workspace.a_t if region == "t" else workspace.a_r
-    theta = workspace.config.phases(region)
-    return 2.0 * workspace.nu[k] * np.real(np.conj(a_diag) * theta)
-
-
-def grad_interference_beta(k: int, workspace: GradientWorkspace, region: str) -> np.ndarray:
-    a_diag = workspace.a_t if region == "t" else workspace.a_r
-    theta = workspace.config.phases(region)
-    coef = workspace.interference_coefficient(k, region)
-    return 2.0 * coef * np.real(np.conj(a_diag) * theta)
-
-
-def grad_beta(k: int, workspace: GradientWorkspace) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude gradients (t-region, r-region) of user k's SINR pair,
-    assembled by the same quotient rule as the objective."""
-    out = []
-    for region in ("t", "r"):
-        ds = grad_signal_beta(k, workspace, region)
-        di = grad_interference_beta(k, workspace, region)
-        out.append(_quotient_weight(workspace, k, ds, di))
-    return out[0], out[1]
-
-
-def _quotient_weight(workspace: GradientWorkspace, k: int,
-                     d_s: np.ndarray, d_i: np.ndarray) -> np.ndarray:
-    i_k = workspace.i_tilde[k]
-    return (i_k * d_s - workspace.s[k] * d_i) / ((1.0 + workspace.gamma[k]) * i_k**2)
-
-
 def grad_objective(config: StarConfig, system: SystemModel,
                    method: str = "eig") -> GradientPair:
     """Full stacked gradient of the sum-SE objective.
@@ -229,40 +152,34 @@ def grad_objective(config: StarConfig, system: SystemModel,
     Raises :class:`DegenerateInterferenceError` if any user has a zero
     interference term (the quotient rule is undefined there).
     """
-    ws = build_workspace(config, system, method=method)
-    return grad_objective_from_workspace(ws)
+    point = evaluate(*config.stacked(), system)
+    return grad_objective_from_workspace(build_workspace(point, system, method=method))
 
 
 def grad_objective_from_workspace(ws: GradientWorkspace) -> GradientPair:
-    if np.any(ws.i_tilde <= 0):
-        bad = int(np.argmin(ws.i_tilde))
+    report = ws.point.report
+    if np.any(report.i_tilde <= 0):
+        bad = int(np.argmin(report.i_tilde))
         raise DegenerateInterferenceError(
-            f"user {bad} has non-positive interference term {ws.i_tilde[bad]:.3e}"
+            f"user {bad} has non-positive interference term {report.i_tilde[bad]:.3e}"
         )
-    dims = ws.system.dims
-    prefactor = dims.prelog / LN2
-    n = ws.config.n
-
-    d_theta = np.zeros(2 * n, dtype=complex)
-    d_beta = np.zeros(2 * n)
-    for offset, region in ((0, "t"), (n, "r")):
-        a_diag = ws.a_t if region == "t" else ws.a_r
-        beta = ws.config.amplitudes(region)
-        theta = ws.config.phases(region)
-        theta_dir = a_diag * beta
-        beta_dir = 2.0 * np.real(np.conj(a_diag) * theta)
-        # Every per-user term is a scalar multiple of the same direction, so
-        # the user sum collapses to one weight per block.
-        weight = 0.0
-        for k in range(dims.k):
-            nu_s = ws.nu[k] if ws.system.modes[k] == region else 0.0
-            coef_i = ws.interference_coefficient(k, region)
-            weight += (ws.i_tilde[k] * nu_s - ws.s[k] * coef_i) / (
-                (1.0 + ws.gamma[k]) * ws.i_tilde[k] ** 2
-            )
-        d_theta[offset:offset + n] = prefactor * weight * theta_dir
-        d_beta[offset:offset + n] = prefactor * weight * beta_dir
-    return GradientPair(d_theta=d_theta, d_beta=d_beta)
+    # Every per-user term is a scalar multiple of its region's direction, so
+    # the user sum collapses to one quotient-rule weight per region.  Column
+    # u of ``coef`` is the interference coefficient of region u: nu_tilde
+    # summed over the region's users, plus nu_bar for a user of that region.
+    mask = ws.system.region_mask                            # (K, 2)
+    coef = ws.nu_tilde @ mask + ws.nu_bar[:, None] * mask
+    i_k = report.i_tilde[:, None]
+    weight = np.sum(
+        (i_k * ws.nu[:, None] * mask - report.s[:, None] * coef)
+        / ((1.0 + report.gamma[:, None]) * i_k**2),
+        axis=0,
+    )
+    scale = (ws.system.dims.prelog / LN2 * weight)[:, None]
+    a, theta, beta = ws.point.a, ws.point.theta, ws.point.beta
+    d_theta = scale * (a * beta)
+    d_beta = scale * (2.0 * np.real(np.conj(a) * theta))
+    return GradientPair(d_theta=d_theta.ravel(), d_beta=d_beta.ravel())
 
 
 def finite_difference_gradient(config: StarConfig, system: SystemModel,
@@ -274,8 +191,6 @@ def finite_difference_gradient(config: StarConfig, system: SystemModel,
     conjugate-derivative convention of the closed form.  Stays independent of
     the analytic gradient path: only the objective is evaluated.
     """
-    from .rate import sum_se  # local import keeps module load order flat
-
     n = config.n
 
     def objective(theta: np.ndarray, beta: np.ndarray) -> float:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import MS, StarConfig, SystemModel
-from .gradients import GradientPair, grad_objective_from_workspace, build_workspace
-from .rate import sum_se
+from .gradients import GradientPair, build_workspace, grad_objective_from_workspace
+from .rate import evaluate
 
 
 class PgamFailure(RuntimeError):
@@ -120,18 +120,6 @@ def armijo_condition(f_new: float, f_old: float, grad: GradientPair,
     return f_new > q
 
 
-def _stack(config: StarConfig) -> tuple[np.ndarray, np.ndarray]:
-    theta = np.concatenate([config.theta_t, config.theta_r])
-    beta = np.concatenate([config.beta_t, config.beta_r])
-    return theta, beta
-
-
-def _unstack(theta: np.ndarray, beta: np.ndarray) -> StarConfig:
-    n = theta.shape[0] // 2
-    return StarConfig(theta_t=theta[:n], theta_r=theta[n:],
-                      beta_t=beta[:n], beta_r=beta[n:])
-
-
 def pgam(system: SystemModel, options: PgamOptions, init: StarConfig,
          callback=None) -> PgamTrace:
     """Run the ascent from one starting point until tolerance, the iteration
@@ -143,21 +131,23 @@ def pgam(system: SystemModel, options: PgamOptions, init: StarConfig,
     if given, is invoked as ``callback(iteration, config, objective)`` after
     every accepted iteration.
     """
-    theta, beta = _stack(init)
+    theta, beta = init.stacked()
     theta = project_theta(theta)
     if not options.freeze_amplitudes:
         beta = project_beta(beta)
 
     trace = PgamTrace()
-    f_cur = sum_se(_unstack(theta, beta), system).sum_se
+    # one kernel evaluation per trial point; the accepted trial's cached
+    # intermediates feed the next gradient
+    point = evaluate(theta, beta, system)
+    f_cur = point.report.sum_se
     if not np.isfinite(f_cur):
         raise PgamFailure("non-finite objective at the starting point", 0)
     trace.objectives.append(f_cur)
 
     mu = options.mu_init
     for iteration in range(1, options.max_iters + 1):
-        ws = build_workspace(_unstack(theta, beta), system)
-        grad = grad_objective_from_workspace(ws)
+        grad = grad_objective_from_workspace(build_workspace(point, system))
         if options.freeze_amplitudes:
             grad = GradientPair(d_theta=grad.d_theta, d_beta=np.zeros_like(grad.d_beta))
         if not (np.all(np.isfinite(grad.d_theta)) and np.all(np.isfinite(grad.d_beta))):
@@ -174,10 +164,11 @@ def pgam(system: SystemModel, options: PgamOptions, init: StarConfig,
             if np.array_equal(theta_new, theta) and np.array_equal(beta_new, beta):
                 # exact fixed point: no step can move the iterate, so accept
                 # the zero-gain iteration and let the tolerance stop the run
-                f_new = f_cur
+                trial, f_new = point, f_cur
                 accepted = True
                 break
-            f_new = sum_se(_unstack(theta_new, beta_new), system).sum_se
+            trial = evaluate(theta_new, beta_new, system)
+            f_new = trial.report.sum_se
             if not np.isfinite(f_new):
                 raise PgamFailure("non-finite objective during line search", iteration)
             if armijo_condition(f_new, f_cur, grad, theta_new, beta_new,
@@ -194,14 +185,14 @@ def pgam(system: SystemModel, options: PgamOptions, init: StarConfig,
             trace.reason = "line-search stall"
             break
 
-        theta, beta = theta_new, beta_new
+        theta, beta, point = theta_new, beta_new, trial
         gain = f_new - f_cur
         f_cur = f_new
         trace.objectives.append(f_cur)
         trace.step_sizes.append(mu)
         trace.backtrack_counts.append(backtracks)
         if callback is not None:
-            callback(iteration, _unstack(theta, beta), f_cur)
+            callback(iteration, StarConfig.from_stacked(theta, beta), f_cur)
         if gain < options.tol:
             trace.converged = True
             trace.reason = "objective tolerance"
@@ -210,7 +201,7 @@ def pgam(system: SystemModel, options: PgamOptions, init: StarConfig,
         trace.converged = False
         trace.reason = "max iterations"
 
-    trace.final_config = _unstack(theta, beta)
+    trace.final_config = StarConfig.from_stacked(theta, beta)
     return trace
 
 

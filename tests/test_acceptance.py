@@ -16,7 +16,7 @@ from starmimo.estimation import PilotSpec, estimate_realization, lmmse_stats
 from starmimo.gradients import build_workspace, finite_difference_gradient, grad_objective
 from starmimo.montecarlo import mc_sinr
 from starmimo.optimizer import PgamOptions, pgam
-from starmimo.rate import sum_se
+from starmimo.rate import evaluate, sum_se
 
 VI_SETUP = {
     "name": "acceptance",
@@ -91,8 +91,9 @@ def test_criterion_3_fast_path_equivalence():
         config = StarConfig.random(n, rng)
         fast = sum_se(config, system, method="eig")
         dense = sum_se(config, system, method="dense")
-        ws_fast = build_workspace(config, system, method="eig")
-        ws_dense = build_workspace(config, system, method="dense")
+        point = evaluate(*config.stacked(), system)
+        ws_fast = build_workspace(point, system, method="eig")
+        ws_dense = build_workspace(point, system, method="dense")
         for a, b in ((fast.s, dense.s), (fast.i_tilde, dense.i_tilde),
                      (ws_fast.nu, ws_dense.nu), (ws_fast.nu_bar, ws_dense.nu_bar),
                      (ws_fast.nu_tilde.ravel(), ws_dense.nu_tilde.ravel())):

@@ -164,6 +164,23 @@ class TestAggregatedCovariance:
         user = UserMeta(mode="t", beta_bar=0.4, beta_hat=5.0)
         assert aggregated_covariance(user, config, system.corr).alpha == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("k_t, k_r", [(2, 1), (0, 3), (3, 0)])
+    def test_fused_product_matches_per_region_helpers(self, rng, k_t, k_r):
+        # one real product for both regions against one complex matvec per
+        # region (the diagonals) and one trace per user (the scalars)
+        system = random_system(rng, n=7, k_t=k_t, k_r=k_r)
+        config = StarConfig.random(7, rng)
+        diag = np.empty((2, 7), dtype=complex)
+        alphas = covariance_scalars(system, config, diag)
+        for u, region in enumerate(("t", "r")):
+            np.testing.assert_allclose(
+                diag[u], pbm_quadratic_diag(system.corr.r_ris, config.phi(region)),
+                rtol=1e-12)
+        expected = [aggregated_covariance(system.user(k), config, system.corr).alpha
+                    for k in range(system.dims.k)]
+        np.testing.assert_allclose(alphas, expected, rtol=1e-12)
+        np.testing.assert_array_equal(covariance_scalars(system, config), alphas)
+
     def test_phase_independence_without_ris_correlation(self, rng):
         system = uncorrelated_ris_system(rng)
         beta = StarConfig.random(system.dims.n, rng)

@@ -209,6 +209,57 @@ class TestRunExperiment:
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # schema comment + header + first row
 
+    def test_one_system_and_multi_start_per_sweep_point(self, monkeypatch):
+        import dataclasses
+
+        import starmimo.cli as cli_module
+        from starmimo.optimizer import multi_start, round_to_ms
+        from starmimo.rate import sum_se
+
+        raw = json.loads(json.dumps(DESK))
+        raw["sweep"] = {"parameter": "m", "values": [4, 8]}
+        raw["protocols"] = ["es", "ms", "es-no-direct"]
+        cfg = ScenarioConfig.from_dict(raw)
+
+        counts = {"build_system": 0, "multi_start": 0}
+        ms_calls = []
+
+        def counting(name):
+            original = getattr(cli_module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cli_module, name, wrapper)
+
+        counting("build_system")
+        counting("multi_start")
+        run_protocol = cli_module.run_protocol
+
+        def capture(protocol, cfg, system, opt_seed, *rest):
+            result = run_protocol(protocol, cfg, system, opt_seed, *rest)
+            if protocol == "ms":
+                ms_calls.append((system, opt_seed, result))
+            return result
+
+        monkeypatch.setattr(cli_module, "run_protocol", capture)
+        rows = run_experiment(cfg)
+
+        # one build per (sweep point, direct-link variant); es and ms share
+        # one multi-start, es-no-direct runs its own
+        assert counts == {"build_system": 4, "multi_start": 4}
+        assert len(ms_calls) == 2
+        ms_rows = [r for r in rows if r["scenario"] == "ms"]
+        for (system, opt_seed, result), row in zip(ms_calls, ms_rows):
+            options = dataclasses.replace(cfg.optimizer, seed=opt_seed)
+            expected = round_to_ms(multi_start(system, options).final_config)
+            for name in ("theta_t", "theta_r", "beta_t", "beta_r"):
+                np.testing.assert_array_equal(getattr(result.config, name),
+                                              getattr(expected, name))
+            assert result.sum_se == sum_se(expected, system).sum_se
+            assert row["sum_se"] == f"{result.sum_se:.10g}"
+
     def test_convergence_kind_rows(self):
         raw = json.loads(json.dumps(DESK))
         raw["kind"] = "convergence"

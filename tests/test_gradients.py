@@ -9,102 +9,133 @@ from starmimo.gradients import (
     DegenerateInterferenceError,
     build_workspace,
     finite_difference_gradient,
-    grad_beta,
-    grad_interference_theta,
     grad_objective,
-    grad_signal_beta,
-    grad_signal_theta,
+    grad_objective_from_workspace,
 )
-from starmimo.rate import sum_se, user_stats
+from starmimo.rate import evaluate, sum_se
 
 FD_STEP = 1e-6
+REGIONS = ("t", "r")
 
 
-def fd_scalar_theta(system, config, term, k, region, step=FD_STEP):
-    """Central differences of one user's S_k or I_k in one region's phases,
-    conjugate-derivative convention."""
+def fd_user_term(system, config, term, k, region, block="theta", step=FD_STEP):
+    """Central differences of one user's S_k or I_k (``term`` 's' or 'i') in
+    one region's phases or amplitudes, conjugate-derivative convention for
+    the phases."""
     n = config.n
+    attr = f"{block}_{region}"
 
-    def evaluate(theta_region):
+    def term_value(values):
         trial = config.copy()
-        if region == "t":
-            trial.theta_t = theta_region
-        else:
-            trial.theta_r = theta_region
-        stats = user_stats(system, trial)
-        if term == "s":
-            return stats[k].trace_psi ** 2
-        from starmimo.rate import interference_term
-        return interference_term(k, stats, system.corr.bs_eigvals,
-                                 system.rho, system.sigma2)
+        setattr(trial, attr, values)
+        report = sum_se(trial, system)
+        return report.s[k] if term == "s" else report.i_tilde[k]
 
-    theta0 = config.phases(region).copy()
-    grad = np.zeros(n, dtype=complex)
+    base = getattr(config, attr).copy()
+    units = ((1.0, 0.5), (1.0j, 0.5j)) if block == "theta" else ((1.0, 1.0),)
+    grad = np.zeros(n, dtype=complex if block == "theta" else float)
     for j in range(n):
-        for unit, weight in ((1.0, 1.0), (1.0j, 1.0j)):
-            plus = theta0.copy()
-            minus = theta0.copy()
+        for unit, weight in units:
+            plus = base.copy()
+            minus = base.copy()
             plus[j] += step * unit
             minus[j] -= step * unit
-            deriv = (evaluate(plus) - evaluate(minus)) / (2 * step)
-            grad[j] += 0.5 * deriv * weight
+            grad[j] += weight * (term_value(plus) - term_value(minus)) / (2 * step)
     return grad
+
+
+# Loop-form references for the per-user pieces that the production gradient
+# sums in one vectorized weight per region.
+
+def signal_coefficient(ws, k, region):
+    """Scalar multiplying region ``region``'s direction in dS_k."""
+    return ws.nu[k] if ws.system.modes[k] == region else 0.0
+
+
+def interference_coefficient(ws, k, region):
+    """Scalar multiplying region ``region``'s direction in dI_k."""
+    coef = float(np.sum(ws.nu_tilde[k, ws.system.users_in(region)]))
+    if ws.system.modes[k] == region:
+        coef += float(ws.nu_bar[k])
+    return coef
+
+
+def phase_direction(ws, region):
+    u = REGIONS.index(region)
+    return ws.point.a[u] * ws.point.beta[u]
+
+
+def amplitude_direction(ws, region):
+    u = REGIONS.index(region)
+    return 2.0 * np.real(np.conj(ws.point.a[u]) * ws.point.theta[u])
+
+
+def workspace(config, system, method="eig"):
+    return build_workspace(evaluate(*config.stacked(), system), system, method)
+
+
+def rel_err(closed, numeric):
+    return np.linalg.norm(closed - numeric) / max(np.linalg.norm(numeric), 1e-12)
 
 
 class TestSignalGradient:
     def test_zero_for_other_region(self, rng):
-        system = random_system(rng)
-        ws = build_workspace(StarConfig.random(system.dims.n, rng), system)
-        r_user = system.users_in("r")[0]
-        np.testing.assert_array_equal(
-            grad_signal_theta(int(r_user), ws, "t"),
-            np.zeros(system.dims.n, dtype=complex),
-        )
+        # an r-user's signal term does not depend on the t-region at all
+        system = random_system(rng, n=4)
+        config = StarConfig.random(system.dims.n, rng)
+        r_user = int(system.users_in("r")[0])
+        np.testing.assert_array_equal(fd_user_term(system, config, "s", r_user, "t"),
+                                      np.zeros(system.dims.n, dtype=complex))
 
     def test_radial_without_ris_correlation(self, rng):
-        # with R_RIS = I the gradient is a real multiple of theta elementwise
+        # with R_RIS = I the surface product is phi itself, so every phase
+        # gradient is a real multiple of theta elementwise
         system = uncorrelated_ris_system(rng)
         config = StarConfig.random(system.dims.n, rng)
-        ws = build_workspace(config, system)
+        ws = workspace(config, system)
+        np.testing.assert_array_equal(ws.point.a[0], config.beta_t * config.theta_t)
+        np.testing.assert_array_equal(ws.point.a[1], config.beta_r * config.theta_r)
         t_user = int(system.users_in("t")[0])
-        grad = grad_signal_theta(t_user, ws, "t")
-        ratio = grad / config.theta_t
-        assert np.max(np.abs(ratio.imag)) < 1e-12
-        expected = ws.nu[t_user] * config.beta_t**2 * config.theta_t
-        np.testing.assert_allclose(grad, expected, rtol=1e-12)
+        signal = ws.nu[t_user] * phase_direction(ws, "t")
+        np.testing.assert_allclose(signal, ws.nu[t_user] * config.beta_t**2 * config.theta_t,
+                                   rtol=1e-12)
+        grad = grad_objective(config, system)
+        ratio = grad.d_theta / np.concatenate([config.theta_t, config.theta_r])
+        assert np.max(np.abs(ratio.imag)) < 1e-12 * np.max(np.abs(ratio))
 
     def test_matches_finite_differences(self, rng):
         system = random_system(rng, m=6, n=8, k_t=2, k_r=2)
         config = StarConfig.random(8, rng)
-        ws = build_workspace(config, system)
+        ws = workspace(config, system)
         for k in range(4):
             region = system.modes[k]
-            closed = grad_signal_theta(k, ws, region)
-            numeric = fd_scalar_theta(system, config, "s", k, region)
-            assert np.linalg.norm(closed - numeric) / np.linalg.norm(numeric) < 1e-6
+            closed = signal_coefficient(ws, k, region) * phase_direction(ws, region)
+            numeric = fd_user_term(system, config, "s", k, region)
+            assert rel_err(closed, numeric) < 1e-6
 
 
 class TestInterferenceGradient:
     def test_empty_region_sum_is_zero(self, rng):
-        # all users reflect: the t-phase interference gradient of an r-user
-        # has no contributing terms
-        system = random_system(rng, k_t=0, k_r=3)
-        ws = build_workspace(StarConfig.random(system.dims.n, rng), system)
-        np.testing.assert_array_equal(
-            grad_interference_theta(0, ws, "t"),
-            np.zeros(system.dims.n, dtype=complex),
-        )
+        # all users reflect: no interference term depends on the t-region,
+        # and the objective gradient's t-blocks are exactly zero
+        system = random_system(rng, k_t=0, k_r=3, n=4)
+        config = StarConfig.random(system.dims.n, rng)
+        for k in range(3):
+            np.testing.assert_array_equal(fd_user_term(system, config, "i", k, "t"),
+                                          np.zeros(system.dims.n, dtype=complex))
+        grad = grad_objective(config, system)
+        assert np.all(grad.d_theta[:4] == 0)
+        assert np.all(grad.d_beta[:4] == 0)
 
     def test_matches_finite_differences(self, rng):
         system = random_system(rng, m=8, n=8, k_t=2, k_r=1)
         config = StarConfig.random(8, rng)
-        ws = build_workspace(config, system)
+        ws = workspace(config, system)
         for k in range(3):
-            for region in ("t", "r"):
-                closed = grad_interference_theta(k, ws, region)
-                numeric = fd_scalar_theta(system, config, "i", k, region)
-                scale = max(np.linalg.norm(numeric), 1e-12)
-                assert np.linalg.norm(closed - numeric) / scale < 1e-6
+            for region in REGIONS:
+                closed = interference_coefficient(ws, k, region) * phase_direction(ws, region)
+                numeric = fd_user_term(system, config, "i", k, region)
+                assert rel_err(closed, numeric) < 1e-6
 
     def test_vanishes_without_cascaded_gains(self, rng):
         system = random_system(rng)
@@ -114,7 +145,7 @@ class TestInterferenceGradient:
             dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
             rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
         )
-        ws = build_workspace(StarConfig.random(system.dims.n, rng), system)
+        ws = workspace(StarConfig.random(system.dims.n, rng), system)
         assert np.all(ws.nu == 0)
         assert np.all(ws.nu_bar == 0)
         assert np.all(ws.nu_tilde == 0)
@@ -145,28 +176,47 @@ class TestAmplitudeGradient:
         )
 
     def test_signal_part_zero_for_other_region(self, rng):
-        system = random_system(rng)
-        ws = build_workspace(StarConfig.random(system.dims.n, rng), system)
+        system = random_system(rng, n=4)
+        config = StarConfig.random(system.dims.n, rng)
         r_user = int(system.users_in("r")[0])
-        np.testing.assert_array_equal(grad_signal_beta(r_user, ws, "t"),
-                                      np.zeros(system.dims.n))
+        np.testing.assert_array_equal(
+            fd_user_term(system, config, "s", r_user, "t", block="beta"),
+            np.zeros(system.dims.n))
 
     def test_per_user_pieces_sum_to_objective_gradient(self, rng):
-        # grad_beta gives user k's quotient-rule contribution; the prefactor
-        # times their sum is the full amplitude gradient
+        # loop reference: user k's quotient-rule piece per region, summed
+        # over users and scaled by the prefactor, is the vectorized gradient
         system = random_system(rng, m=5, n=6, k_t=2, k_r=1)
         config = StarConfig.random(6, rng)
-        ws = build_workspace(config, system)
-        total_t = np.zeros(6)
-        total_r = np.zeros(6)
-        for k in range(3):
-            part_t, part_r = grad_beta(k, ws)
-            total_t += part_t
-            total_r += part_r
+        ws = workspace(config, system)
+        report = ws.point.report
         prefactor = system.dims.prelog / LN2
         full = grad_objective(config, system)
-        np.testing.assert_allclose(prefactor * total_t, full.d_beta[:6], rtol=1e-12)
-        np.testing.assert_allclose(prefactor * total_r, full.d_beta[6:], rtol=1e-12)
+        for u, region in enumerate(REGIONS):
+            d_beta = np.zeros(6)
+            d_theta = np.zeros(6, dtype=complex)
+            for k in range(3):
+                i_k = report.i_tilde[k]
+                weight = (i_k * signal_coefficient(ws, k, region)
+                          - report.s[k] * interference_coefficient(ws, k, region)) / (
+                    (1.0 + report.gamma[k]) * i_k**2)
+                d_beta += weight * amplitude_direction(ws, region)
+                d_theta += weight * phase_direction(ws, region)
+            np.testing.assert_allclose(prefactor * d_beta, full.d_beta[6 * u:6 * u + 6],
+                                       rtol=1e-12)
+            np.testing.assert_allclose(prefactor * d_theta, full.d_theta[6 * u:6 * u + 6],
+                                       rtol=1e-12)
+
+    def test_per_user_amplitude_pieces_match_finite_differences(self, rng):
+        system = random_system(rng, m=6, n=5, k_t=1, k_r=2)
+        config = StarConfig.random(5, rng)
+        ws = workspace(config, system)
+        for k in range(3):
+            for region in REGIONS:
+                for term, coef in (("s", signal_coefficient), ("i", interference_coefficient)):
+                    closed = coef(ws, k, region) * amplitude_direction(ws, region)
+                    numeric = fd_user_term(system, config, term, k, region, block="beta")
+                    assert rel_err(closed, numeric) < 1e-6
 
 
 class TestObjectiveGradient:
@@ -231,6 +281,76 @@ class TestObjectiveGradient:
             grad_objective(StarConfig.equal_split(4, rng), system)
 
 
+def kernel_case(name, rng):
+    """(system, config) pairs covering every shape of region occupancy."""
+    if name == "both-regions":
+        system = random_system(rng, m=6, n=5, k_t=2, k_r=2)
+    elif name == "t-only":
+        system = random_system(rng, m=5, n=6, k_t=3, k_r=0)
+    elif name == "r-only":
+        system = random_system(rng, m=7, n=4, k_t=0, k_r=2)
+    else:
+        system = random_system(rng, m=6, n=6, k_t=1, k_r=2)
+    config = StarConfig.random(system.dims.n, rng)
+    if name == "no-direct":
+        gains = LinkGains(beta_g=system.gains.beta_g, beta_bar=np.zeros(3),
+                          beta_tilde=system.gains.beta_tilde)
+        system = SystemModel(
+            dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
+            rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
+        )
+    if name == "frozen-binary":
+        # the split-surface baseline: binary amplitudes held fixed, so only
+        # the phase blocks reach the optimizer
+        config.beta_t = (rng.uniform(size=6) < 0.5).astype(float)
+        config.beta_r = 1.0 - config.beta_t
+    return system, config
+
+
+BLOCKS = (("theta", "t"), ("theta", "r"), ("beta", "t"), ("beta", "r"))
+
+
+def block(grad, kind, region, n):
+    values = grad.d_theta if kind == "theta" else grad.d_beta
+    return values[:n] if region == "t" else values[n:]
+
+
+@pytest.mark.parametrize("case", ["both-regions", "t-only", "r-only", "no-direct",
+                                  "frozen-binary"])
+class TestKernelAgreement:
+    """The objective kernel and the gradient built from its cache, as pgam
+    calls them, against the dense referee and the finite-difference oracle,
+    per region and per block."""
+
+    def test_objective_matches_dense(self, case, rng):
+        system, config = kernel_case(case, rng)
+        point = evaluate(*config.stacked(), system)
+        dense = sum_se(config, system, method="dense")
+        assert point.report.sum_se == pytest.approx(dense.sum_se, rel=1e-9)
+        np.testing.assert_allclose(point.report.i_tilde, dense.i_tilde, rtol=1e-9)
+
+    def test_gradient_blocks_match_oracles(self, case, rng):
+        system, config = kernel_case(case, rng)
+        n = system.dims.n
+        point = evaluate(*config.stacked(), system)
+        closed = grad_objective_from_workspace(build_workspace(point, system))
+        numeric = finite_difference_gradient(config, system)
+        dense = grad_objective(config, system, method="dense")
+        total = np.sqrt(np.linalg.norm(closed.d_theta - numeric.d_theta) ** 2
+                        + np.linalg.norm(closed.d_beta - numeric.d_beta) ** 2)
+        assert total / numeric.norm() < 1e-6
+        for kind, region in BLOCKS:
+            ours = block(closed, kind, region, n)
+            if not system.users_in(region).size:
+                # nothing depends on an empty region
+                assert np.all(ours == 0)
+                assert np.all(block(numeric, kind, region, n) == 0)
+                continue
+            assert rel_err(ours, block(numeric, kind, region, n)) < 1e-6, (kind, region)
+            np.testing.assert_allclose(ours, block(dense, kind, region, n), rtol=1e-9,
+                                       atol=1e-9 * np.max(np.abs(ours)))
+
+
 class TestWorkspaceScalars:
     def test_eig_matches_dense(self, rng):
         for _ in range(3):
@@ -238,8 +358,8 @@ class TestWorkspaceScalars:
                                    n=int(rng.integers(3, 9)),
                                    complex_bs=bool(rng.integers(0, 2)))
             config = StarConfig.random(system.dims.n, rng)
-            fast = build_workspace(config, system, method="eig")
-            dense = build_workspace(config, system, method="dense")
+            fast = workspace(config, system, method="eig")
+            dense = workspace(config, system, method="dense")
             np.testing.assert_allclose(fast.nu, dense.nu, rtol=1e-9)
             np.testing.assert_allclose(fast.nu_bar, dense.nu_bar, rtol=1e-9)
             np.testing.assert_allclose(fast.nu_tilde, dense.nu_tilde, rtol=1e-9)
@@ -266,4 +386,4 @@ class TestWorkspaceScalars:
     def test_rejects_unknown_method(self, rng):
         system = random_system(rng)
         with pytest.raises(ValueError):
-            build_workspace(StarConfig.random(system.dims.n, rng), system, "auto")
+            workspace(StarConfig.random(system.dims.n, rng), system, "auto")

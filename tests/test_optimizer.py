@@ -180,6 +180,50 @@ class TestPgam:
         assert options.n_starts == 5
 
 
+class TestKernelEvaluations:
+    """pgam evaluates the objective kernel once per trial point and feeds the
+    accepted trial's cache to the next gradient."""
+
+    @staticmethod
+    def count_evaluations(monkeypatch):
+        import starmimo.optimizer as optimizer_module
+
+        calls = []
+        original = optimizer_module.evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer_module, "evaluate", counted)
+        return calls
+
+    def test_one_evaluation_per_trial(self, rng, monkeypatch):
+        system = random_system(rng, m=6, n=8, k_t=2, k_r=2, complex_bs=False)
+        init = StarConfig.random(8, rng)
+        calls = self.count_evaluations(monkeypatch)
+        trace = pgam(system, PgamOptions(mu_init=1e3, max_iters=40), init)
+        assert trace.reason != "line-search stall"
+        assert sum(trace.backtrack_counts) > 0
+        assert len(calls) == 1 + sum(1 + b for b in trace.backtrack_counts)
+
+    def test_fixed_point_accept_evaluates_nothing(self, rng, monkeypatch):
+        # no cascaded gain: the gradient is exactly zero, so from unit phases
+        # with frozen amplitudes the step cannot move the iterate
+        system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
+        gains = LinkGains(beta_g=0.0, beta_bar=system.gains.beta_bar,
+                          beta_tilde=np.zeros(2))
+        system = SystemModel(
+            dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
+            rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
+        )
+        calls = self.count_evaluations(monkeypatch)
+        trace = pgam(system, PgamOptions(freeze_amplitudes=True), StarConfig.equal_split(4))
+        assert trace.converged
+        assert trace.iterations == 1
+        assert len(calls) == 1  # the starting point only
+
+
 class TestMultiStart:
     def test_single_start_matches_canonical_run(self, rng):
         system = random_system(rng, complex_bs=False)

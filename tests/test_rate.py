@@ -3,61 +3,69 @@ import pytest
 
 from conftest import random_system, uncorrelated_ris_system
 from starmimo.channel import StarConfig, SystemDims, SystemModel
-from starmimo.estimation import EstimationStats, PilotSpec, lmmse_stats
-from starmimo.rate import (
-    _assemble_report,
-    interference_term,
-    signal_term,
-    sinr_from_terms,
-    sum_se,
-)
+from starmimo.correlation import CorrelationPair, LinkGains
+from starmimo.rate import _assemble_report, sinr_from_terms, sum_se
 
 
-def stats_from_psi(alpha, psi):
-    psi = np.asarray(psi, dtype=float)
-    return EstimationStats(alpha=alpha, eigvals_q=np.zeros_like(psi), eigvals_psi=psi)
+def scalar_system(alpha, eps, noise_lift, m):
+    """One user whose covariance scalar is ``alpha`` whatever the surface does
+    (no cascaded gain), unit BS eigenvalues, estimation noise ``eps`` and
+    noise weight K sigma^2 / rho = ``noise_lift``; so Psi has eigenvalues
+    alpha^2 / (alpha + eps)."""
+    return SystemModel(
+        dims=SystemDims(m=m, n=1, k_t=1, k_r=0, tau_c=200, tau=1),
+        corr=CorrelationPair.from_matrices(np.eye(m), np.eye(1)),
+        gains=LinkGains(beta_g=0.0, beta_bar=[alpha], beta_tilde=[1.0]),
+        modes=("t",), rho=1.0 / noise_lift, pilot_power=1.0 / eps, sigma2=1.0,
+    )
+
+
+def report_of(system):
+    return sum_se(StarConfig.equal_split(system.dims.n), system)
 
 
 class TestSignalTerm:
     def test_half_identity(self):
-        assert signal_term(stats_from_psi(1.0, 0.5 * np.ones(4))) == pytest.approx(4.0)
+        # psi = 1 / (1 + 1) = 0.5 on four unit eigenvalues
+        assert report_of(scalar_system(1.0, 1.0, 1.0, 4)).s[0] == pytest.approx(4.0)
 
     def test_zero(self):
-        assert signal_term(stats_from_psi(0.0, np.zeros(4))) == 0.0
+        assert report_of(scalar_system(0.0, 1.0, 1.0, 4)).s[0] == 0.0
 
     def test_identity(self):
-        assert signal_term(stats_from_psi(1.0, np.ones(8))) == pytest.approx(64.0)
+        # noiseless pilots: psi = alpha on eight unit eigenvalues
+        assert report_of(scalar_system(1.0, 1e-15, 1.0, 8)).s[0] == pytest.approx(64.0)
 
 
 class TestInterferenceTerm:
     def test_single_user_example(self):
         # K=1, M=4, alpha=1, unit BS eigenvalues, psi = 0.5, K sigma^2/rho = 0.5
-        stats = [stats_from_psi(1.0, 0.5 * np.ones(4))]
-        value = interference_term(0, stats, np.ones(4), rho=2.0, sigma2=1.0)
+        system = scalar_system(1.0, 1.0, 0.5, 4)
+        value = report_of(system).i_tilde[0]
         assert value == pytest.approx(4 * 0.5 - 4 * 0.25 + 0.5 * 4 * 0.5)
         assert value == pytest.approx(2.0)
+        assert sum_se(StarConfig.equal_split(1), system, method="dense").i_tilde[0] \
+            == pytest.approx(2.0)
 
     def test_all_zero_estimates(self):
-        stats = [stats_from_psi(0.0, np.zeros(4))]
-        value = interference_term(0, stats, np.ones(4), rho=1.0, sigma2=1.0)
-        assert value == 0.0
+        report = report_of(scalar_system(0.0, 1.0, 1.0, 4))
+        assert report.i_tilde[0] == 0.0
+        assert report.gamma[0] == 0.0
         assert sinr_from_terms(np.zeros(1), np.zeros(1))[0] == 0.0
 
     def test_vanishing_noise_stays_nonnegative(self, rng):
         # rho -> infinity leaves sum tr(R_k Psi_i) - tr(Psi_k^2) >= 0
-        sigma = rng.uniform(0.1, 2.0, 6)
-        stats = []
-        pilot = PilotSpec(tau=4, p=1.0, sigma2=0.2)
         for _ in range(3):
-            stats.append(lmmse_stats(rng.uniform(0.1, 2.0), sigma, pilot))
-        for k in range(3):
-            value = interference_term(k, stats, sigma, rho=1e12, sigma2=0.2)
-            assert value >= -1e-12
+            system = random_system(rng, m=6, k_t=2, k_r=1, rho=1e12, sigma2=0.2)
+            report = sum_se(StarConfig.random(system.dims.n, rng), system)
+            assert np.all(report.i_tilde >= -1e-12)
 
-    def test_rejects_bad_power(self):
+    def test_rejects_bad_power(self, rng):
+        system = random_system(rng)
         with pytest.raises(ValueError):
-            interference_term(0, [stats_from_psi(1.0, np.ones(2))], np.ones(2),
-                              rho=0.0, sigma2=1.0)
+            SystemModel(dims=system.dims, corr=system.corr, gains=system.gains,
+                        modes=system.modes, rho=0.0, pilot_power=system.pilot_power,
+                        sigma2=system.sigma2)
 
 
 class TestSumSe:
