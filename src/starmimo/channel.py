@@ -298,9 +298,12 @@ def covariance_scalars(system: SystemModel, config: StarConfig,
 
 @dataclass
 class ChannelRealization:
-    """One draw of all fast-fading links plus the assembled aggregated channels."""
+    """One draw of the fast-fading user links plus the assembled aggregated channels.
 
-    g: np.ndarray  # (M, N) BS-surface channel
+    The BS-surface channel G is never formed; only its products with the
+    surface-weighted user links enter ``h``.
+    """
+
     q: np.ndarray  # (K, N) surface-user channels
     d: np.ndarray  # (K, M) direct channels
     h: np.ndarray  # (K, M) aggregated channels
@@ -310,7 +313,17 @@ class ChannelRealization:
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """CN(0, 1) entries: variance 1/2 per real and imaginary part."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= np.sqrt(2.0)
+    return out
+
+
+def _real_left_product(real: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``real @ x`` for a real matrix and a C-contiguous complex (N, K) block,
+    as one real product on the interleaved float view (no complex upcast)."""
+    return (real @ x.view(float)).view(complex)
 
 
 def sample_realization(system: SystemModel, config: StarConfig,
@@ -318,24 +331,27 @@ def sample_realization(system: SystemModel, config: StarConfig,
     """Draw one correlated-Rayleigh realization of every link.
 
     ``G = sqrt(beta_g) R_BS^{1/2} D R_RIS^{1/2}`` with iid CN(0,1) entries in
-    ``D``; user links analogous.  The aggregated channel is assembled with
-    the passive beamforming matrix of each user's region.
+    ``D``; user links analogous.  The generator is consumed in the order D
+    (M x N), c (K x N), c_bar (K x M).  G is only ever applied to
+    ``phi_u * q_k``, so the aggregated channels are assembled right to left
+    for all users at once, ``h = d + sqrt(beta_g) R_BS^{1/2} (D v)`` with
+    ``v = R_RIS^{1/2} (phi_u * q_k)``: no M x N x N product is made.
     """
     m, n, k = system.dims.m, system.dims.n, system.dims.k
     bs_sqrt = system.corr.bs_sqrt
     ris_sqrt = system.corr.ris_sqrt
 
     d_fast = complex_normal(rng, (m, n))
-    g = np.sqrt(system.gains.beta_g) * (bs_sqrt @ d_fast @ ris_sqrt)
-
     c = complex_normal(rng, (k, n))
-    q = np.sqrt(system.gains.beta_tilde)[:, None] * (c @ ris_sqrt.T)
-
     c_bar = complex_normal(rng, (k, m))
-    d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_sqrt.T)
 
-    h = np.empty((k, m), dtype=complex)
-    for i in range(k):
-        phi = config.phi(system.modes[i])
-        h[i] = d[i] + g @ (phi * q[i])
-    return ChannelRealization(g=g, q=q, d=d, h=h, modes=tuple(system.modes))
+    # (N, K) columns: q_k, then phi_u * q_k
+    q_cols = _real_left_product(ris_sqrt, np.ascontiguousarray(c.T))
+    q_cols *= np.sqrt(system.gains.beta_tilde)
+    phi_cols = np.where(system.region_mask[:, 0] > 0,
+                        config.phi("t")[:, None], config.phi("r")[:, None])
+    v = _real_left_product(ris_sqrt, phi_cols * q_cols)
+
+    d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_sqrt.T)
+    h = d + np.sqrt(system.gains.beta_g) * (bs_sqrt @ (d_fast @ v)).T
+    return ChannelRealization(q=q_cols.T, d=d, h=h, modes=tuple(system.modes))

@@ -139,6 +139,10 @@ class CorrelationPair:
         for name, mat in (("r_bs", r_bs), ("r_ris", r_ris)):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"{name} must be square, got shape {mat.shape}")
+        # the surface kernel and its square root enter real products only
+        if np.iscomplexobj(r_ris) and np.any(r_ris.imag != 0):
+            raise ValueError("r_ris must be real (its imaginary part is not zero)")
+        r_ris = np.asarray(r_ris.real, dtype=np.float64)
         if np.max(np.abs(r_ris - r_ris.conj().T)) > 1e-10:
             raise ValueError("r_ris must be Hermitian")
         if np.max(np.abs(np.diag(r_ris) - 1.0)) > 1e-8:

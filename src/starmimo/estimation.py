@@ -95,10 +95,14 @@ def estimate_realization(h: np.ndarray, pilot: PilotSpec, alpha: float,
     return h_hat, r
 
 
-def apply_wiener_filter(r: np.ndarray, alpha: float, corr: CorrelationPair,
-                        eps: float) -> np.ndarray:
-    """R_k Q_k r in the eigenbasis; works on a single vector or a batch of rows."""
-    scaled = alpha * corr.bs_eigvals
+def apply_wiener_filter(r: np.ndarray, alpha: float | np.ndarray,
+                        corr: CorrelationPair, eps: float) -> np.ndarray:
+    """R_k Q_k r in the eigenbasis; works on a single vector or a batch of rows.
+
+    For a (K, M) batch, ``alpha`` may be a scalar shared by every row or a
+    (K,) vector giving each row its own covariance scalar.
+    """
+    scaled = np.multiply.outer(alpha, corr.bs_eigvals)
     gain = scaled / (scaled + eps)
     u = corr.bs_eigvecs
     if r.ndim == 1:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import StarConfig, SystemModel, covariance_scalars, sample_realization
+from .channel import (StarConfig, SystemModel, complex_normal, covariance_scalars,
+                      sample_realization)
 from .estimation import apply_wiener_filter
 from .rate import sinr_from_terms
 
@@ -98,14 +99,8 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
     for trial, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         real = sample_realization(system, config, rng)
-        noise = np.sqrt(eps) * (
-            rng.standard_normal((k_users, system.dims.m))
-            + 1j * rng.standard_normal((k_users, system.dims.m))
-        ) / np.sqrt(2.0)
-        h_hat = np.empty_like(real.h)
-        for i in range(k_users):
-            h_hat[i] = apply_wiener_filter(real.h[i] + noise[i], alphas[i],
-                                           system.corr, eps)
+        noise = np.sqrt(eps) * complex_normal(rng, real.h.shape)
+        h_hat = apply_wiener_filter(real.h + noise, alphas, system.corr, eps)
 
         inner = real.h.conj() @ h_hat.T  # (k, i) = h_k^H hhat_i
         if not np.all(np.isfinite(inner)):

@@ -10,12 +10,46 @@ from starmimo.channel import (
     SystemModel,
     UserMeta,
     aggregated_covariance,
+    complex_normal,
     covariance_scalars,
     pbm_quadratic_diag,
     phase_dependent_trace,
     sample_realization,
 )
 from starmimo.correlation import CorrelationPair, LinkGains
+
+
+def explicit_draw(system, config, seed):
+    """Reference draw that forms G: D, c and c_bar from the generator in that
+    order, then G = sqrt(beta_g) R_BS^{1/2} D R_RIS^{1/2} and h_k = d_k + G
+    (phi_u * q_k), one user at a time."""
+    rng = np.random.default_rng(seed)
+    m, n, k = system.dims.m, system.dims.n, system.dims.k
+
+    def cn(shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    d_fast, c, c_bar = cn((m, n)), cn((k, n)), cn((k, m))
+    bs_sqrt, ris_sqrt = system.corr.bs_sqrt, system.corr.ris_sqrt
+    g = np.sqrt(system.gains.beta_g) * (bs_sqrt @ d_fast @ ris_sqrt)
+    q = np.sqrt(system.gains.beta_tilde)[:, None] * (c @ ris_sqrt.T)
+    d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_sqrt.T)
+    h = np.array([d[i] + g @ (config.phi(mode) * q[i])
+                  for i, mode in enumerate(system.modes)])
+    return g, q, d, h
+
+
+def assert_rows_close(actual, expected, rtol):
+    """Each row within ``rtol`` of its expected row in 2-norm (zero rows exact)."""
+    gap = np.linalg.norm(actual - expected, axis=-1)
+    assert np.all(gap <= rtol * np.linalg.norm(expected, axis=-1)), gap
+
+
+def with_gains(system, gains):
+    return SystemModel(
+        dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
+        rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
+    )
 
 
 def dense_trace(r_ris, amplitudes, phases):
@@ -197,11 +231,8 @@ class TestAggregatedCovariance:
 class TestSampleRealization:
     def test_zero_gains_give_zero_channel(self, rng):
         system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
-        gains = LinkGains(beta_g=0.0, beta_bar=np.zeros(2), beta_tilde=np.zeros(2))
-        system = SystemModel(
-            dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
-            rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
-        )
+        system = with_gains(system, LinkGains(beta_g=0.0, beta_bar=np.zeros(2),
+                                              beta_tilde=np.zeros(2)))
         real = sample_realization(system, StarConfig.equal_split(4, rng), rng)
         np.testing.assert_array_equal(real.h, np.zeros((2, 4)))
 
@@ -238,10 +269,39 @@ class TestSampleRealization:
             assert err < 0.05
 
     def test_assembly_identity(self, rng):
-        # h_k must equal d_k + G Phi q_k exactly as constructed
+        # h_k = d_k + G Phi q_k with G formed in the test from the same draw
         system = random_system(rng, m=5, n=6, k_t=1, k_r=2)
         config = StarConfig.random(6, rng)
-        real = sample_realization(system, config, rng)
-        for k, mode in enumerate(system.modes):
-            expected = real.d[k] + real.g @ (config.phi(mode) * real.q[k])
-            np.testing.assert_allclose(real.h[k], expected, atol=1e-14)
+        g, _, _, _ = explicit_draw(system, config, seed=21)
+        real = sample_realization(system, config, np.random.default_rng(21))
+        expected = np.array([real.d[k] + g @ (config.phi(mode) * real.q[k])
+                             for k, mode in enumerate(system.modes)])
+        assert_rows_close(real.h, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", ["complex_bs", "no_t_users", "zero_gains"])
+    def test_same_sample_path_as_explicit_g(self, case, rng):
+        # the G-free draw consumes the generator like the draw that forms G
+        if case == "complex_bs":
+            system = random_system(rng, m=6, n=7, k_t=2, k_r=2, complex_bs=True)
+        elif case == "no_t_users":
+            system = random_system(rng, m=5, n=8, k_t=0, k_r=3)
+        else:
+            system = with_gains(
+                random_system(rng, m=4, n=6, k_t=1, k_r=1),
+                LinkGains(beta_g=0.0, beta_bar=np.array([0.0, 0.7]),
+                          beta_tilde=np.array([0.5, 0.0])),
+            )
+        config = StarConfig.random(system.dims.n, rng)
+        _, q, d, h = explicit_draw(system, config, seed=8)
+        real = sample_realization(system, config, np.random.default_rng(8))
+        assert real.q.shape == q.shape and real.h.shape == h.shape
+        assert_rows_close(real.q, q, rtol=1e-12)
+        assert_rows_close(real.d, d, rtol=1e-12)
+        assert_rows_close(real.h, h, rtol=1e-12)
+
+    def test_complex_normal_matches_explicit_formula(self):
+        first = complex_normal(np.random.default_rng(4), (3, 5))
+        rng = np.random.default_rng(4)
+        expected = (rng.standard_normal((3, 5))
+                    + 1j * rng.standard_normal((3, 5))) / np.sqrt(2.0)
+        np.testing.assert_array_equal(first, expected)

@@ -186,6 +186,18 @@ class TestCorrelationPair:
         with pytest.raises(ValueError, match="unit diagonal"):
             CorrelationPair.from_matrices(np.eye(3), 2.0 * np.eye(4))
 
+    def test_rejects_complex_surface_correlation(self):
+        # Hermitian with unit diagonal, but not real
+        r_ris = np.array([[1.0, 0.3j], [-0.3j, 1.0]])
+        with pytest.raises(ValueError, match="r_ris"):
+            CorrelationPair.from_matrices(np.eye(2), r_ris)
+
+    def test_surface_correlation_stored_real(self):
+        for r_ris in (np.eye(3, dtype=complex), np.eye(3, dtype=int)):
+            pair = CorrelationPair.from_matrices(np.eye(2), r_ris)
+            assert pair.r_ris.dtype == np.float64
+            assert pair.ris_sqrt.dtype == np.float64
+
     def test_rejects_non_hermitian_surface_correlation(self):
         lopsided = np.eye(3)
         lopsided[0, 1] = 0.5

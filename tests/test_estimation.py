@@ -6,6 +6,7 @@ from starmimo.channel import covariance_scalars, sample_realization, StarConfig
 from starmimo.correlation import CorrelationPair, build_bs_correlation
 from starmimo.estimation import (
     PilotSpec,
+    apply_wiener_filter,
     error_covariance_trace,
     estimate_realization,
     lmmse_stats,
@@ -106,6 +107,27 @@ class TestErrorCovariance:
             eps = rng.uniform(0.01, 2.0)
             stats = lmmse_stats(alpha, sigma, PilotSpec(tau=1, p=1.0 / eps, sigma2=1.0))
             assert error_covariance_trace(alpha, sigma, stats) >= -1e-12
+
+
+class TestWienerFilter:
+    def test_batch_with_per_row_alpha_equals_row_calls(self, rng):
+        system = random_system(rng, m=6, n=4, k_t=2, k_r=2)
+        r = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        alphas = np.array([0.3, 1.7, 0.0, 4.2])
+        eps = system.epsilon
+        batch = apply_wiener_filter(r, alphas, system.corr, eps)
+        rows = np.array([apply_wiener_filter(r[i], alphas[i], system.corr, eps)
+                         for i in range(4)])
+        np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(batch[2], np.zeros(6))
+
+    def test_batch_with_shared_alpha_equals_row_calls(self, rng):
+        system = random_system(rng, m=5, n=4)
+        r = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        batch = apply_wiener_filter(r, 0.8, system.corr, system.epsilon)
+        rows = np.array([apply_wiener_filter(row, 0.8, system.corr, system.epsilon)
+                         for row in r])
+        np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-14)
 
 
 class TestEstimateRealization:

@@ -63,6 +63,14 @@ class TestMcSinr:
         np.testing.assert_array_equal(first.std_err, second.std_err)
         assert first.sum_se_hat == second.sum_se_hat
 
+    def test_independent_of_batching(self, rng):
+        # per-trial streams: the batch split changes only the standard errors
+        system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
+        config = StarConfig.random(4, rng)
+        twenty = mc_sinr(system, config, 140, seed=9, n_batches=20)
+        seven = mc_sinr(system, config, 140, seed=9, n_batches=7)
+        np.testing.assert_allclose(twenty.gamma_hat, seven.gamma_hat, rtol=1e-12)
+
     def test_moments_positive(self, rng):
         system = random_system(rng, m=6, n=5, k_t=2, k_r=1)
         config = StarConfig.random(5, rng)
