@@ -236,7 +236,9 @@ def pbm_quadratic_diag(r_ris: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """diag(R_RIS diag(phi) R_RIS) in O(N^2).
 
     For Hermitian R the (n, n) entry is sum_m |R[n, m]|^2 phi[m], i.e. a
-    matvec with the elementwise squared-magnitude kernel.
+    matvec with the elementwise squared-magnitude kernel.  The kernel is one
+    real N x N array, applied to the real and imaginary parts of ``phi`` as
+    real products (no complex upcast of the kernel).
     """
     r_ris = np.asarray(r_ris)
     phi = np.asarray(phi)
@@ -244,7 +246,11 @@ def pbm_quadratic_diag(r_ris: np.ndarray, phi: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: R_RIS {r_ris.shape} vs phi {phi.shape}"
         )
-    return (np.abs(r_ris) ** 2) @ phi
+    kernel = np.abs(r_ris)
+    np.square(kernel, out=kernel)
+    if np.iscomplexobj(phi):
+        return _real_left_product(kernel, np.ascontiguousarray(phi)[:, None])[:, 0]
+    return kernel @ phi
 
 
 def phase_dependent_trace(r_ris: np.ndarray, amplitudes: np.ndarray,

@@ -215,9 +215,13 @@ class ScenarioConfig:
         _square_side(self.n, "dims.n")
         if (self.rho_dbm is None) == (self.snr_db is None):
             raise ConfigError("powers", "set exactly one of rho_dbm or snr_db")
+        _check_spacing(self.ris_spacing, "correlation.ris_spacing")
         if self.kind == "sweep" and self.sweep_parameter == "n":
             for value in self.sweep_values:
                 _square_side(int(value), "sweep.values")
+        if self.kind == "sweep" and self.sweep_parameter == "ris_spacing":
+            for value in self.sweep_values:
+                _check_spacing(value, "sweep.values")
         if not 0.0 <= self.conventional_t_fraction <= 1.0:
             raise ConfigError("conventional.t_fraction", "must lie in [0, 1]")
         if self.mc_trials < 2:
@@ -240,6 +244,16 @@ def _square_side(n: int, fld: str) -> int:
     if side * side != n:
         raise ConfigError(fld, f"surface is a square array; {n} is not a perfect square")
     return side
+
+
+def _check_spacing(value, fld: str) -> None:
+    try:
+        spacing = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(fld, f"expected number, got {value!r}") from None
+    # the comparisons are False for NaN
+    if not 0.0 < spacing < math.inf:
+        raise ConfigError(fld, f"element spacing must be finite and positive, got {value!r}")
 
 
 def user_positions(cfg: ScenarioConfig) -> np.ndarray:

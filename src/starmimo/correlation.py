@@ -13,11 +13,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = -1e-10
 
 BS_CORRELATION_MODELS = ("exponential", "uncorrelated")
+
+# Side of the square tiles of the surface-correlation symmetry check: the
+# fastest of 32-256 at N = 4096 (two 32 KB tiles), and within 30% of the
+# fastest at N = 1024.
+SYMMETRY_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -40,35 +46,36 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.n_h < 1 or self.n_v < 1:
             raise ValueError(f"element counts must be >= 1, got ({self.n_h}, {self.n_v})")
-        if self.spacing_h <= 0 or self.spacing_v <= 0:
-            raise ValueError("element spacings must be strictly positive")
+        # the comparisons are False for NaN
+        if not (0.0 < self.spacing_h < np.inf and 0.0 < self.spacing_v < np.inf):
+            raise ValueError("element spacings must be finite and strictly positive")
 
     @property
     def n(self) -> int:
         return self.n_h * self.n_v
-
-    def positions(self) -> np.ndarray:
-        """(N, 2) element positions in wavelengths, horizontal index fastest."""
-        h = np.arange(self.n_h) * self.spacing_h
-        v = np.arange(self.n_v) * self.spacing_v
-        hh, vv = np.meshgrid(h, v)  # row-major over vertical rows
-        return np.column_stack([hh.ravel(), vv.ravel()])
 
 
 def build_ris_correlation(geom: ArrayGeometry) -> np.ndarray:
     """Sinc-kernel correlation over the planar-array element grid.
 
     Entry (n, m) is sinc(2 d_nm) with d_nm the element distance in
-    wavelengths and sinc(x) = sin(pi x) / (pi x).  Real symmetric with unit
-    diagonal; sinc(0) = 1 covers coincident elements by continuity.
+    wavelengths and sinc(x) = sin(pi x) / (pi x); elements are ordered
+    horizontal index fastest.  On the uniform grid the entry depends only on
+    the index offsets (|dv|, |dh|), so the sinc is evaluated once per offset
+    pair and the matrix, block Toeplitz with Toeplitz blocks, is one strided
+    copy out of that table.  Real, exactly symmetric, with unit diagonal.
     """
-    pos = geom.positions()
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    r = np.sinc(2.0 * dist)
-    # exact unit diagonal / symmetry regardless of roundoff in the norm
-    np.fill_diagonal(r, 1.0)
-    return (r + r.T) / 2.0
+    n_v, n_h = geom.n_v, geom.n_h
+    dv = np.arange(n_v) * geom.spacing_v
+    dh = np.arange(n_h) * geom.spacing_h
+    # sinc(0) = 1 exactly, for coincident elements
+    table = np.sinc(2.0 * np.sqrt(dh[None, :] ** 2 + dv[:, None] ** 2))
+    # mirrored[n_v - 1 + a, n_h - 1 + b] = table[|a|, |b|]
+    mirrored = np.concatenate([table[:0:-1], table])
+    mirrored = np.concatenate([mirrored[:, :0:-1], mirrored], axis=1)
+    # window[v1, h1, v2, h2] = mirrored[n_v - 1 + v1 - v2, n_h - 1 + h1 - h2]
+    window = sliding_window_view(mirrored, (n_v, n_h))[:, :, ::-1, ::-1]
+    return np.array(window, order="C").reshape(geom.n, geom.n)
 
 
 def build_bs_correlation(m: int, model: str = "exponential", param: float = 0.5) -> np.ndarray:
@@ -122,6 +129,24 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     return (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
 
 
+def _check_symmetric(r: np.ndarray, name: str, tol: float) -> None:
+    """Raise unless every entry is finite and ``max |R - R^T| <= tol``.
+
+    Compares one tile with its mirror tile at a time, so no N x N temporary
+    is made.  A non-finite entry makes its tile's difference NaN or inf,
+    which fails the same comparison.
+    """
+    n, t = r.shape[0], SYMMETRY_TILE
+    with np.errstate(invalid="ignore"):
+        for i in range(0, n, t):
+            for j in range(i, n, t):
+                gap = r[i:i + t, j:j + t] - r[j:j + t, i:i + t].T
+                worst = np.max(np.abs(gap, out=gap))
+                if not worst <= tol:
+                    raise ValueError(f"{name} must be finite and Hermitian "
+                                     f"(|R - R^T| reaches {worst:.3g})")
+
+
 @dataclass(frozen=True)
 class CorrelationPair:
     """Correlation matrices of the BS array and the surface, with the cached
@@ -139,12 +164,13 @@ class CorrelationPair:
         for name, mat in (("r_bs", r_bs), ("r_ris", r_ris)):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"{name} must be square, got shape {mat.shape}")
+        if not np.all(np.isfinite(r_bs)):
+            raise ValueError("r_bs has non-finite entries")
         # the surface kernel and its square root enter real products only
         if np.iscomplexobj(r_ris) and np.any(r_ris.imag != 0):
             raise ValueError("r_ris must be real (its imaginary part is not zero)")
         r_ris = np.asarray(r_ris.real, dtype=np.float64)
-        if np.max(np.abs(r_ris - r_ris.conj().T)) > 1e-10:
-            raise ValueError("r_ris must be Hermitian")
+        _check_symmetric(r_ris, "r_ris", 1e-10)
         if np.max(np.abs(np.diag(r_ris) - 1.0)) > 1e-8:
             raise ValueError("r_ris must have unit diagonal (scale belongs in the path gains)")
         eigvecs, eigvals = eigendecompose_bs(r_bs)
@@ -169,7 +195,7 @@ class CorrelationPair:
     @cached_property
     def ris_abs2(self) -> np.ndarray:
         """Elementwise |R_RIS|^2; the quadratic kernel of the phase-dependent trace."""
-        return np.abs(self.r_ris) ** 2
+        return np.square(self.r_ris)
 
 
 @dataclass(frozen=True)

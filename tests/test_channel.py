@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,24 @@ class TestPhaseDependentTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             pbm_quadratic_diag(np.eye(3), np.ones(4))
+
+    @pytest.mark.parametrize("complex_phi", [False, True])
+    def test_kernel_is_one_real_temporary(self, complex_phi, rng):
+        # the kernel is never upcast to complex, and |R|^2 is formed in place
+        n = 512
+        b = rng.standard_normal((n, n))
+        r = (b + b.T) / 2
+        phi = rng.uniform(-1, 1, n)
+        if complex_phi:
+            phi = phi * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        tracemalloc.start()
+        try:
+            diag = pbm_quadratic_diag(r, phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8
+        np.testing.assert_allclose(diag, (r * r) @ phi, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))

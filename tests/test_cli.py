@@ -82,6 +82,23 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="sweep.values"):
             ScenarioConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -0.25])
+    def test_bad_ris_spacing_names_field(self, bad):
+        raw = json.loads(json.dumps(DESK))
+        raw["correlation"] = {"ris_spacing": bad}
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.field == "correlation.ris_spacing"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -0.25,
+                                     "wide"])
+    def test_bad_ris_spacing_sweep_value_names_field(self, bad):
+        raw = json.loads(json.dumps(DESK))
+        raw["sweep"] = {"parameter": "ris_spacing", "values": [0.25, bad]}
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.field == "sweep.values"
+
     def test_unknown_sweep_parameter(self):
         raw = json.loads(json.dumps(DESK))
         raw["sweep"] = {"parameter": "k", "values": [1, 2]}

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starmimo.correlation import (
+    SYMMETRY_TILE,
     ArrayGeometry,
     CorrelationPair,
     LinkGains,
@@ -16,6 +19,19 @@ from starmimo.correlation import (
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = -1e-10
+GRIDS = [(4, 3), (1, 7), (7, 1), (5, 2)]
+
+
+def pairwise_reference(geom):
+    """Sinc of every element pair's distance, horizontal index fastest."""
+    h = np.arange(geom.n_h) * geom.spacing_h
+    v = np.arange(geom.n_v) * geom.spacing_v
+    hh, vv = np.meshgrid(h, v)
+    pos = np.column_stack([hh.ravel(), vv.ravel()])
+    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    r = np.sinc(2.0 * dist)
+    np.fill_diagonal(r, 1.0)
+    return (r + r.T) / 2.0
 
 
 class TestRisCorrelation:
@@ -66,6 +82,52 @@ class TestRisCorrelation:
             ArrayGeometry(0, 1, 0.25, 0.25)
         with pytest.raises(ValueError):
             ArrayGeometry(2, 2, 0.0, 0.25)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_spacing(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ArrayGeometry(2, 2, bad, 0.25)
+        with pytest.raises(ValueError, match="finite"):
+            ArrayGeometry(2, 2, 0.25, bad)
+
+    # (i - j) s and i s - j s round alike when s is a power of two, so the
+    # offset-table build must then reproduce the pairwise build bit for bit
+    @pytest.mark.parametrize("spacings", [(0.25, 0.25), (0.5, 0.5), (1.0, 1.0),
+                                          (0.25, 0.5), (1.0, 0.25)])
+    @pytest.mark.parametrize("n_h,n_v", GRIDS + [(8, 8)])
+    def test_matches_pairwise_build_exactly(self, n_h, n_v, spacings):
+        geom = ArrayGeometry(n_h, n_v, *spacings)
+        np.testing.assert_array_equal(build_ris_correlation(geom), pairwise_reference(geom))
+
+    @pytest.mark.parametrize("spacings", [(0.1, 0.1), (0.1, 0.3)])
+    @pytest.mark.parametrize("n_h,n_v", GRIDS + [(16, 16)])
+    def test_matches_pairwise_build_at_inexact_spacing(self, n_h, n_v, spacings):
+        geom = ArrayGeometry(n_h, n_v, *spacings)
+        gap = np.abs(build_ris_correlation(geom) - pairwise_reference(geom))
+        assert gap.max() <= 1e-14
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_h=st.integers(1, 6),
+        n_v=st.integers(1, 6),
+        sp_h=st.floats(0.05, 2.0, allow_nan=False),
+        sp_v=st.floats(0.05, 2.0, allow_nan=False),
+    )
+    def test_always_matches_pairwise_build(self, n_h, n_v, sp_h, sp_v):
+        geom = ArrayGeometry(n_h, n_v, sp_h, sp_v)
+        gap = np.abs(build_ris_correlation(geom) - pairwise_reference(geom))
+        assert gap.max() <= 1e-14
+
+    def test_build_and_check_make_no_square_temporary(self):
+        geom = ArrayGeometry(32, 32, 0.25, 0.25)
+        tracemalloc.start()
+        try:
+            CorrelationPair.from_matrices(np.eye(2), build_ris_correlation(geom))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the result itself is one N x N float64 array
+        assert peak < 1.25 * geom.n ** 2 * 8
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -203,6 +265,36 @@ class TestCorrelationPair:
         lopsided[0, 1] = 0.5
         with pytest.raises(ValueError, match="Hermitian"):
             CorrelationPair.from_matrices(np.eye(2), lopsided)
+
+    # 600 is not a multiple of the tile, so the last tile row and column are
+    # ragged; (520, 590) and (590, 520) lie in the last off-diagonal tile pair
+    @pytest.mark.parametrize("where", [(520, 590), (590, 520)])
+    @pytest.mark.parametrize("value,accepted", [
+        (1e-11, True), (1e-9, False), (np.nan, False), (np.inf, False)])
+    def test_tiled_symmetry_check_reaches_last_tile(self, where, value, accepted):
+        n = 600
+        assert n % SYMMETRY_TILE != 0
+        r_ris = np.eye(n)
+        r_ris[where] += value
+        if accepted:
+            CorrelationPair.from_matrices(np.eye(2), r_ris)
+        else:
+            with pytest.raises(ValueError, match="r_ris"):
+                CorrelationPair.from_matrices(np.eye(2), r_ris)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_surface_diagonal(self, bad):
+        r_ris = np.eye(600)
+        r_ris[599, 599] = bad
+        with pytest.raises(ValueError, match="r_ris"):
+            CorrelationPair.from_matrices(np.eye(2), r_ris)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_bs_correlation(self, bad):
+        r_bs = np.eye(3)
+        r_bs[0, 2] = r_bs[2, 0] = bad
+        with pytest.raises(ValueError, match="r_bs"):
+            CorrelationPair.from_matrices(r_bs, np.eye(2))
 
 
 class TestLinkGains:
