@@ -45,12 +45,15 @@ from .gradients import (
 )
 from .montecarlo import McEstimate, mc_covariance_check, mc_sinr
 from .optimizer import (
+    OptionError,
     PgamFailure,
     PgamOptions,
     PgamTrace,
     canonicalize_signs,
+    initial_points,
     multi_start,
     pgam,
+    pgam_lockstep,
     project_beta,
     project_theta,
     round_to_ms,
@@ -70,6 +73,7 @@ __all__ = [
     "GradientWorkspace",
     "LinkGains",
     "McEstimate",
+    "OptionError",
     "PgamFailure",
     "PgamOptions",
     "PgamTrace",
@@ -90,12 +94,14 @@ __all__ = [
     "evaluate",
     "finite_difference_gradient",
     "grad_objective",
+    "initial_points",
     "lmmse_stats",
     "mc_covariance_check",
     "mc_sinr",
     "multi_start",
     "path_gain",
     "pgam",
+    "pgam_lockstep",
     "phase_dependent_trace",
     "project_beta",
     "project_theta",

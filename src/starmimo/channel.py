@@ -32,7 +32,9 @@ class StarConfig:
     ``beta_r`` real amplitudes with ``beta_t**2 + beta_r**2 = 1`` per element.
     Amplitudes may be negative while an optimizer is running (a sign flip of
     amplitude and phase together does not change any rate); finalized MS
-    configurations are exactly binary.
+    configurations are exactly binary.  The vectors may carry a leading
+    start axis, one row per start of a multi-start (the optimizer's batched
+    kernel reads such a configuration through :meth:`phi`).
     """
 
     theta_t: np.ndarray
@@ -53,7 +55,7 @@ class StarConfig:
 
     @property
     def n(self) -> int:
-        return self.theta_t.shape[0]
+        return self.theta_t.shape[-1]
 
     def validate(self):
         """Check unit modulus, energy conservation, and MS binarity."""
@@ -87,9 +89,11 @@ class StarConfig:
 
     @classmethod
     def from_stacked(cls, theta: np.ndarray, beta: np.ndarray) -> "StarConfig":
-        """Inverse of :meth:`stacked`; the four vectors are views of the inputs."""
-        n = theta.shape[0] // 2
-        return cls(theta_t=theta[:n], theta_r=theta[n:], beta_t=beta[:n], beta_r=beta[n:])
+        """Inverse of :meth:`stacked`, along the last axis of (2N,) or (P, 2N)
+        inputs; the four vectors are views of the inputs."""
+        n = theta.shape[-1] // 2
+        return cls(theta_t=theta[..., :n], theta_r=theta[..., n:],
+                   beta_t=beta[..., :n], beta_r=beta[..., n:])
 
     def copy(self) -> "StarConfig":
         return replace(
@@ -290,16 +294,20 @@ def covariance_scalars(system: SystemModel, config: StarConfig,
     ``diagonals``, a (2, N) complex array, is given, the product's
     ``diag(R_RIS Phi_u R_RIS) = |R_RIS|^2 phi_u`` of both regions, t first,
     is written into it; the gradient reads them.
+
+    A configuration with a leading start axis gives (P, K) scalars from one
+    stacked (N, N) x (P, N, 4) product, one gemm per start, and ``diagonals``
+    is then (P, 2, N).
     """
-    phi = np.stack([config.phi("t"), config.phi("r")])
-    block = np.concatenate([phi.real, phi.imag]).T
+    phi = np.stack([config.phi("t"), config.phi("r")], axis=-2)
+    block = np.swapaxes(np.concatenate([phi.real, phi.imag], axis=-2), -1, -2)
     prod = system.corr.ris_abs2 @ block
-    traces = (block * prod).sum(axis=0)
+    traces = (block * prod).sum(axis=-2)
     if diagonals is not None:
-        diagonals.real = prod[:, :2].T
-        diagonals.imag = prod[:, 2:].T
+        diagonals.real = np.swapaxes(prod[..., :2], -1, -2)
+        diagonals.imag = np.swapaxes(prod[..., 2:], -1, -2)
     return system.gains.beta_bar + system.gains.beta_hat * (
-        system.region_mask @ (traces[:2] + traces[2:]))
+        (traces[..., :2] + traces[..., 2:]) @ system.region_mask.T)
 
 
 @dataclass

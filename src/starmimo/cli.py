@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -35,7 +36,15 @@ from .correlation import (
     path_gain,
 )
 from .montecarlo import mc_sinr
-from .optimizer import PgamOptions, canonicalize_signs, multi_start, pgam, round_to_ms
+from .optimizer import (
+    OptionError,
+    PgamOptions,
+    canonicalize_signs,
+    initial_points,
+    multi_start,
+    pgam_lockstep,
+    round_to_ms,
+)
 from .rate import sum_se
 
 CSV_SCHEMA = 1
@@ -124,20 +133,22 @@ class ScenarioConfig:
         mc = section("mc")
         sweep = section("sweep")
 
-        def require(sec, sec_name, key, kind):
+        def number(sec, fld, kind=float, default=None):
+            key = fld.rsplit(".", 1)[-1]
             if key not in sec:
-                raise ConfigError(f"{sec_name}.{key}", "missing required field")
-            try:
-                return kind(sec[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{sec_name}.{key}",
-                                  f"expected {kind.__name__}, got {sec[key]!r}") from None
+                if default is None:
+                    raise ConfigError(fld, "missing required field")
+                return default
+            return _convert(sec[key], fld, kind)
 
         kind = raw.get("kind", "sweep")
         if kind not in ("sweep", "convergence"):
             raise ConfigError("kind", f"must be 'sweep' or 'convergence', got {kind!r}")
 
-        protocols = tuple(raw.get("protocols", ["es"]))
+        protocols = raw.get("protocols", ["es"])
+        if not isinstance(protocols, list):
+            raise ConfigError("protocols", f"expected a list of protocol names, got {protocols!r}")
+        protocols = tuple(protocols)
         for proto in protocols:
             if proto not in PROTOCOLS:
                 raise ConfigError("protocols", f"unknown protocol {proto!r}; "
@@ -153,50 +164,62 @@ class ScenarioConfig:
                     raise ConfigError("sweep.parameter",
                                       f"must be one of {SWEEP_PARAMETERS}")
                 values = sweep.get("values")
-                if not values:
-                    raise ConfigError("sweep.values", "missing or empty")
-                in_vals = tuple(values)
+                if not isinstance(values, list) or not values:
+                    raise ConfigError("sweep.values", "expected a non-empty list")
+                value_kind = int if sweep_parameter in ("n", "m") else float
+                in_vals = tuple(_convert(value, "sweep.values", value_kind)
+                                for value in values)
+
+        def optimizer_options():
+            try:
+                return PgamOptions(
+                    mu_init=number(opt, "optimizer.mu_init", float, 1.0),
+                    kappa=number(opt, "optimizer.kappa", float, 0.5),
+                    tol=number(opt, "optimizer.tol", float, 1e-5),
+                    max_iters=number(opt, "optimizer.max_iters", int, 200),
+                    max_backtracks=number(opt, "optimizer.max_backtracks", int, 60),
+                    n_starts=number(opt, "optimizer.n_starts", int, 5),
+                )
+            except OptionError as exc:
+                raise ConfigError(f"optimizer.{exc.field}", str(exc)) from None
+
+        # fields are converted in declaration order, so the first bad one is named
+        m, n = number(dims, "dims.m", int), number(dims, "dims.n", int)
+        k_t, k_r = number(dims, "dims.k_t", int), number(dims, "dims.k_r", int)
         cfg = cls(
             name=str(raw.get("name", "scenario")),
             kind=kind,
-            m=require(dims, "dims", "m", int),
-            n=require(dims, "dims", "n", int),
-            k_t=require(dims, "dims", "k_t", int),
-            k_r=require(dims, "dims", "k_r", int),
-            tau_c=int(dims.get("tau_c", 200)),
-            tau=int(dims.get("tau", dims.get("k_t", 0) + dims.get("k_r", 0))),
-            bs_xy=tuple(geometry.get("bs_xy", (0.0, 0.0))),
-            ris_xy=tuple(geometry.get("ris_xy", (50.0, 10.0))),
-            d0=float(geometry.get("d0", 20.0)),
+            m=m,
+            n=n,
+            k_t=k_t,
+            k_r=k_r,
+            tau_c=number(dims, "dims.tau_c", int, 200),
+            tau=number(dims, "dims.tau", int, k_t + k_r),
+            bs_xy=_point(geometry, "geometry", "bs_xy", (0.0, 0.0)),
+            ris_xy=_point(geometry, "geometry", "ris_xy", (50.0, 10.0)),
+            d0=number(geometry, "geometry.d0", float, 20.0),
             rho_dbm=_optional_float(powers, "powers", "rho_dbm"),
             snr_db=(100.0 if "rho_dbm" not in powers and "snr_db" not in powers
                     else _optional_float(powers, "powers", "snr_db")),
             pilot_power_dbm=_optional_float(powers, "powers", "pilot_power_dbm"),
-            bandwidth_hz=float(powers.get("bandwidth_hz", 200e3)),
-            ris_exponent=float(pathloss.get("ris_exponent", 2.2)),
-            direct_exponent=float(pathloss.get("direct_exponent", 3.5)),
-            penetration_db=float(pathloss.get("penetration_db", 15.0)),
-            wavelength_m=float(pathloss.get("wavelength_m", 0.1)),
+            bandwidth_hz=number(powers, "powers.bandwidth_hz", float, 200e3),
+            ris_exponent=number(pathloss, "pathloss.ris_exponent", float, 2.2),
+            direct_exponent=number(pathloss, "pathloss.direct_exponent", float, 3.5),
+            penetration_db=number(pathloss, "pathloss.penetration_db", float, 15.0),
+            wavelength_m=number(pathloss, "pathloss.wavelength_m", float, 0.1),
             element_area=_optional_float(pathloss, "pathloss", "element_area"),
             bs_model=str(correlation.get("bs_model", "exponential")),
-            bs_param=float(correlation.get("bs_param", 0.5)),
-            ris_spacing=float(correlation.get("ris_spacing", 0.25)),
+            bs_param=number(correlation, "correlation.bs_param", float, 0.5),
+            ris_spacing=number(correlation, "correlation.ris_spacing", float, 0.25),
             protocols=protocols,
-            conventional_t_fraction=float(
-                section("conventional", {}).get("t_fraction", 0.5)),
-            optimizer=PgamOptions(
-                mu_init=float(opt.get("mu_init", 1.0)),
-                kappa=float(opt.get("kappa", 0.5)),
-                tol=float(opt.get("tol", 1e-5)),
-                max_iters=int(opt.get("max_iters", 200)),
-                max_backtracks=int(opt.get("max_backtracks", 60)),
-                n_starts=int(opt.get("n_starts", 5)),
-            ),
+            conventional_t_fraction=number(section("conventional"),
+                                           "conventional.t_fraction", float, 0.5),
+            optimizer=optimizer_options(),
             mc_enabled=bool(mc.get("enabled", False)),
-            mc_trials=int(mc.get("trials", 1000)),
+            mc_trials=number(mc, "mc.trials", int, 1000),
             sweep_parameter=sweep_parameter,
             sweep_values=in_vals,
-            seed=int(raw.get("seed", 0)),
+            seed=number(raw, "seed", int, 0),
             out=str(raw.get("out", "results.csv")),
             timings=bool(raw.get("timings", False)),
         )
@@ -216,27 +239,52 @@ class ScenarioConfig:
         if (self.rho_dbm is None) == (self.snr_db is None):
             raise ConfigError("powers", "set exactly one of rho_dbm or snr_db")
         _check_spacing(self.ris_spacing, "correlation.ris_spacing")
-        if self.kind == "sweep" and self.sweep_parameter == "n":
+        if self.kind == "sweep" and self.sweep_parameter is not None:
             for value in self.sweep_values:
-                _square_side(int(value), "sweep.values")
-        if self.kind == "sweep" and self.sweep_parameter == "ris_spacing":
-            for value in self.sweep_values:
-                _check_spacing(value, "sweep.values")
+                if self.sweep_parameter == "n":
+                    _square_side(value, "sweep.values")
+                if self.sweep_parameter == "m" and value < 1:
+                    raise ConfigError("sweep.values", f"antenna count must be >= 1, got {value!r}")
+                if self.sweep_parameter == "ris_spacing":
+                    _check_spacing(value, "sweep.values")
         if not 0.0 <= self.conventional_t_fraction <= 1.0:
             raise ConfigError("conventional.t_fraction", "must lie in [0, 1]")
         if self.mc_trials < 2:
             raise ConfigError("mc.trials", "needs at least 2 trials")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be non-negative")
         return self
+
+
+def _convert(value, fld: str, kind=float):
+    """The number ``value`` as ``kind`` (float or int) for the config field
+    ``fld``.  A string, a bool, a non-finite number or, for an int, a number
+    with a fractional part is a ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(fld, f"expected a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(fld, f"expected a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ConfigError(fld, f"expected an integer, got {value!r}")
+    return kind(value)
 
 
 def _optional_float(sec: dict, sec_name: str, key: str) -> float | None:
     value = sec.get(key)
-    if value is None:
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{sec_name}.{key}", f"expected number, got {value!r}") from None
+    return None if value is None else _convert(value, f"{sec_name}.{key}")
+
+
+def _point(sec: dict, sec_name: str, key: str, default: tuple) -> tuple:
+    """An (x, y) coordinate pair of finite numbers."""
+    value = sec.get(key, default)
+    fld = f"{sec_name}.{key}"
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(fld, f"expected an [x, y] pair, got {value!r}")
+    return tuple(_convert(coord, fld) for coord in value)
 
 
 def _square_side(n: int, fld: str) -> int:
@@ -246,14 +294,10 @@ def _square_side(n: int, fld: str) -> int:
     return side
 
 
-def _check_spacing(value, fld: str) -> None:
-    try:
-        spacing = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(fld, f"expected number, got {value!r}") from None
+def _check_spacing(spacing: float, fld: str) -> None:
     # the comparisons are False for NaN
     if not 0.0 < spacing < math.inf:
-        raise ConfigError(fld, f"element spacing must be finite and positive, got {value!r}")
+        raise ConfigError(fld, f"element spacing must be finite and positive, got {spacing!r}")
 
 
 def user_positions(cfg: ScenarioConfig) -> np.ndarray:
@@ -381,19 +425,15 @@ def run_protocol(protocol: str, cfg: ScenarioConfig, system: SystemModel,
         n_t = int(round(cfg.conventional_t_fraction * n))
         beta_t = np.zeros(n)
         beta_t[:n_t] = 1.0
-        beta_r = 1.0 - beta_t
-        frozen = replace(options, freeze_amplitudes=True)
-        best = None
-        for stream in np.random.SeedSequence(opt_seed).spawn(options.n_starts):
-            rng = np.random.default_rng(stream)
-            init = StarConfig(
+
+        def split_start(idx, rng):
+            return StarConfig(
                 theta_t=np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)),
                 theta_r=np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)),
-                beta_t=beta_t.copy(), beta_r=beta_r.copy(),
+                beta_t=beta_t.copy(), beta_r=1.0 - beta_t,
             )
-            trace = pgam(system, frozen, init)
-            if best is None or trace.final_objective > best.final_objective:
-                best = trace
+
+        best = multi_start(system, replace(options, freeze_amplitudes=True), split_start)
         final = best.final_config
         return ProtocolResult(final, sum_se(final, system).sum_se, best.iterations)
 
@@ -491,13 +531,9 @@ def run_experiment(cfg: ScenarioConfig, writer=None) -> list[dict]:
 def _run_convergence(cfg: ScenarioConfig, emit):
     """Objective-versus-iteration rows, one scenario label per start."""
     system = build_system(cfg)
-    options = cfg.optimizer
-    for start_idx, stream in enumerate(
-            np.random.SeedSequence(derive_seed(cfg.seed, 0)).spawn(options.n_starts)):
-        rng = np.random.default_rng(stream)
-        init = StarConfig.equal_split(system.dims.n, rng) if start_idx == 0 \
-            else StarConfig.random(system.dims.n, rng)
-        trace = pgam(system, options, init)
+    options = replace(cfg.optimizer, seed=derive_seed(cfg.seed, 0))
+    traces = pgam_lockstep(system, options, initial_points(system.dims.n, options))
+    for start_idx, trace in enumerate(traces):
         for iteration, objective in enumerate(trace.objectives):
             emit({
                 "sweep_parameter": "iteration",
@@ -563,7 +599,7 @@ def main(argv=None) -> int:
         cfg.timings = True
 
     try:
-        rows = write_csv(cfg, cfg.out)
+        rows = write_csv(cfg.validate(), cfg.out)  # the flags are checked too
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

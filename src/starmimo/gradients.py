@@ -31,8 +31,8 @@ class DegenerateInterferenceError(ValueError):
 class GradientPair:
     """Stacked gradients: phases of both regions, then amplitudes of both."""
 
-    d_theta: np.ndarray  # (2N,) complex, [t-region; r-region]
-    d_beta: np.ndarray   # (2N,) real
+    d_theta: np.ndarray  # (2N,) complex, [t-region; r-region]; (P, 2N) batched
+    d_beta: np.ndarray   # (2N,) real; (P, 2N) batched
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.d_theta) ** 2) + np.sum(self.d_beta**2)))
@@ -44,7 +44,8 @@ class GradientWorkspace:
 
     ``point`` is the objective kernel's cached evaluation; ``nu``,
     ``nu_bar``, ``nu_tilde`` are the real trace scalars weighting the signal
-    and interference directions.
+    and interference directions (with a leading start axis for a batched
+    point).
     """
 
     point: Evaluation
@@ -83,25 +84,26 @@ def build_workspace(point: Evaluation, system: SystemModel,
 
 
 def _nu_scalars_eig(point, system):
-    """All trace scalars as O(M) eigenvalue sums over the kernel's cache."""
+    """All trace scalars as O(M) eigenvalue sums over the kernel's cache,
+    per start for a batched evaluation."""
     sigma, psi, qr_gain = system.corr.bs_eigvals, point.psi, point.qr_gain
     beta_hat = system.gains.beta_hat
     # nu_k = 2 bhat_k tr(Psi_k) tr((QR + RQ - Q R^2 Q) R_BS)
-    t_lin = np.sum(qr_gain * sigma, axis=1)             # tr(Q_k R_k R_BS)
-    t_quad = np.sum(qr_gain**2 * sigma, axis=1)         # tr(Q_k R_k^2 Q_k R_BS)
-    nu = 2.0 * beta_hat * psi.sum(axis=1) * (2.0 * t_lin - t_quad)
+    t_lin = np.sum(qr_gain * sigma, axis=-1)            # tr(Q_k R_k R_BS)
+    t_quad = np.sum(qr_gain**2 * sigma, axis=-1)        # tr(Q_k R_k^2 Q_k R_BS)
+    nu = 2.0 * beta_hat * psi.sum(axis=-1) * (2.0 * t_lin - t_quad)
 
     # nu_bar_k = bhat_k tr(Psi_check_k R_BS) with
     # Psi_check = sum_i Psi_i - 2 (QR Psi + Psi RQ - QR Psi RQ)
-    trace_psi_rbs = np.sum(sigma * psi.sum(axis=0))
+    trace_psi_rbs = np.sum(sigma * psi.sum(axis=-2), axis=-1)[..., None]
     damped = 2.0 * qr_gain - qr_gain**2                         # (K, M)
-    correction = np.sum(sigma * psi * damped, axis=1)
+    correction = np.sum(sigma * psi * damped, axis=-1)
     nu_bar = beta_hat * (trace_psi_rbs - 2.0 * correction)
 
     # nu_tilde[k, i] = bhat_i tr(R_tilde_ki R_BS); R_bar_k = R_k + noise_lift I
-    r_bar = point.alphas[:, None] * sigma[None, :] + system.noise_lift  # (K, M)
+    r_bar = point.alphas[..., None] * sigma + system.noise_lift  # (K, M)
     mix = damped * sigma                                        # (K=i, M)
-    nu_tilde = beta_hat[None, :] * (r_bar @ mix.T)              # (k, i)
+    nu_tilde = beta_hat * (r_bar @ np.swapaxes(mix, -1, -2))    # (k, i)
     return nu, nu_bar, nu_tilde
 
 
@@ -157,29 +159,32 @@ def grad_objective(config: StarConfig, system: SystemModel,
 
 
 def grad_objective_from_workspace(ws: GradientWorkspace) -> GradientPair:
+    """The stacked gradient at the workspace's point; (P, 2N) blocks, one
+    row per start, for a batched evaluation."""
     report = ws.point.report
     if np.any(report.i_tilde <= 0):
-        bad = int(np.argmin(report.i_tilde))
+        bad = np.unravel_index(np.argmin(report.i_tilde), report.i_tilde.shape)
         raise DegenerateInterferenceError(
-            f"user {bad} has non-positive interference term {report.i_tilde[bad]:.3e}"
+            f"user {bad[-1]} has non-positive interference term {report.i_tilde[bad]:.3e}"
         )
     # Every per-user term is a scalar multiple of its region's direction, so
     # the user sum collapses to one quotient-rule weight per region.  Column
     # u of ``coef`` is the interference coefficient of region u: nu_tilde
     # summed over the region's users, plus nu_bar for a user of that region.
     mask = ws.system.region_mask                            # (K, 2)
-    coef = ws.nu_tilde @ mask + ws.nu_bar[:, None] * mask
-    i_k = report.i_tilde[:, None]
+    coef = ws.nu_tilde @ mask + ws.nu_bar[..., None] * mask
+    i_k = report.i_tilde[..., None]
     weight = np.sum(
-        (i_k * ws.nu[:, None] * mask - report.s[:, None] * coef)
-        / ((1.0 + report.gamma[:, None]) * i_k**2),
-        axis=0,
+        (i_k * ws.nu[..., None] * mask - report.s[..., None] * coef)
+        / ((1.0 + report.gamma[..., None]) * i_k**2),
+        axis=-2,
     )
-    scale = (ws.system.dims.prelog / LN2 * weight)[:, None]
+    scale = (ws.system.dims.prelog / LN2 * weight)[..., None]
     a, theta, beta = ws.point.a, ws.point.theta, ws.point.beta
     d_theta = scale * (a * beta)
     d_beta = scale * (2.0 * np.real(np.conj(a) * theta))
-    return GradientPair(d_theta=d_theta.ravel(), d_beta=d_beta.ravel())
+    stacked = a.shape[:-2] + (-1,)
+    return GradientPair(d_theta=d_theta.reshape(stacked), d_beta=d_beta.reshape(stacked))
 
 
 def finite_difference_gradient(config: StarConfig, system: SystemModel,

@@ -7,17 +7,25 @@ unit circle elementwise, amplitude pairs onto the energy-conservation circle
 (signed values allowed while iterating - a joint sign flip of amplitude and
 phase is objective-neutral, so the quarter-circle constraint is recovered at
 the end by canonicalizing signs).
+
+All starts of a multi-start run in lockstep through one loop,
+:func:`pgam_lockstep`: each line-search round makes one batched kernel call
+for every start still searching, while every start keeps its own step size,
+backtracks and stopping state.  Every reduction runs along one start's row,
+so a start's trace is bit for bit the one it has when run alone
+(:func:`pgam`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import MS, StarConfig, SystemModel
 from .gradients import GradientPair, build_workspace, grad_objective_from_workspace
-from .rate import evaluate
+from .rate import evaluate, take_rows
 
 
 class PgamFailure(RuntimeError):
@@ -26,6 +34,14 @@ class PgamFailure(RuntimeError):
     def __init__(self, message: str, iteration: int):
         super().__init__(f"iteration {iteration}: {message}")
         self.iteration = iteration
+
+
+class OptionError(ValueError):
+    """An out-of-range :class:`PgamOptions` field; ``field`` names it."""
+
+    def __init__(self, fld: str, message: str):
+        super().__init__(f"{fld}: {message}")
+        self.field = fld
 
 
 @dataclass(frozen=True)
@@ -46,22 +62,35 @@ class PgamOptions:
     freeze_amplitudes: bool = False
 
     def __post_init__(self):
-        if self.mu_init <= 0:
-            raise ValueError("initial step size must be positive")
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError("backtracking factor must lie in (0, 1)")
-        if self.n_starts < 1:
-            raise ValueError("need at least one start")
+        for name, ok, message in (
+            ("mu_init", 0.0 < self.mu_init < math.inf,
+             "initial step size must be finite and positive"),
+            ("kappa", 0.0 < self.kappa < 1.0, "backtracking factor must lie in (0, 1)"),
+            ("tol", 0.0 <= self.tol < math.inf, "tolerance must be finite and non-negative"),
+            ("max_iters", self.max_iters >= 1, "need at least one iteration"),
+            ("max_backtracks", self.max_backtracks >= 0,
+             "backtrack limit must be non-negative"),
+            ("n_starts", self.n_starts >= 1, "need at least one start"),
+        ):
+            if not ok:
+                raise OptionError(name, message)
 
 
 @dataclass
 class PgamTrace:
     """Objective history and bookkeeping of one run; objectives include the
-    starting point and are non-decreasing across accepted iterations."""
+    starting point and are non-decreasing across accepted iterations.
+
+    ``stationarity`` holds ||x+ - x|| / mu of every accepted step, over the
+    phases (complex) and amplitudes of both regions: the norm of the
+    projected-gradient map at the step size used (0 for a fixed-point
+    accept).
+    """
 
     objectives: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
     backtrack_counts: list = field(default_factory=list)
+    stationarity: list = field(default_factory=list)
     final_config: StarConfig | None = None
     converged: bool = False
     reason: str = ""
@@ -85,142 +114,206 @@ def project_theta(v: np.ndarray) -> np.ndarray:
 
 
 def project_beta(v: np.ndarray) -> np.ndarray:
-    """Pairwise projection of (v_i, v_{i+N}) onto the unit circle, signs kept.
+    """Pairwise projection of (v_i, v_{i+N}) onto the unit circle, signs kept,
+    along the last axis of (2N,) or (P, 2N) input.
 
     The zero pair maps to the equal split (sqrt(1/2), sqrt(1/2)).
     """
     v = np.asarray(v, dtype=float)
-    n = v.shape[0] // 2
-    head, tail = v[:n], v[n:]
+    n = v.shape[-1] // 2
+    head, tail = v[..., :n], v[..., n:]
     norm = np.hypot(head, tail)
     safe = np.where(norm > 0, norm, 1.0)
-    out = np.concatenate([head / safe, tail / safe])
-    zero = np.concatenate([norm, norm]) == 0
+    out = np.concatenate([head / safe, tail / safe], axis=-1)
+    zero = np.concatenate([norm, norm], axis=-1) == 0
     out[zero] = np.sqrt(0.5)
     return out
 
 
-def armijo_condition(f_new: float, f_old: float, grad: GradientPair,
-                     theta_new: np.ndarray, beta_new: np.ndarray,
-                     theta_old: np.ndarray, beta_old: np.ndarray,
-                     mu: float) -> bool:
+def armijo_condition(f_new, f_old, grad, theta_new: np.ndarray, beta_new: np.ndarray,
+                     theta_old: np.ndarray, beta_old: np.ndarray, mu):
     """True iff the trial point beats the proximal quadratic model.
 
     The model value is ``f_old + <g, dx> - ||dx||^2 / mu`` per block with the
     pairing 2 Re{x^H y} on the complex phase block and x^T y on the real
-    amplitude block.
+    amplitude block.  With a leading start axis on the points and the
+    gradient (and one ``f_new``, ``f_old``, ``mu`` per start) the result is
+    one verdict per start.
     """
     d_theta = theta_new - theta_old
     d_beta = beta_new - beta_old
-    q = f_old
-    q += 2.0 * np.real(np.vdot(grad.d_theta, d_theta))
-    q -= np.sum(np.abs(d_theta) ** 2) / mu
-    q += float(grad.d_beta @ d_beta)
-    q -= float(d_beta @ d_beta) / mu
+    # np.vecdot (numpy >= 2.0) makes the BLAS dot of np.vdot (complex) and
+    # of ``@`` (real) once per row, so a start's verdict does not depend on
+    # its batch
+    q = f_old + 2.0 * np.real(np.vecdot(grad.d_theta, d_theta))
+    q = q - np.sum(np.abs(d_theta) ** 2, axis=-1) / mu
+    q = q + np.vecdot(grad.d_beta, d_beta)
+    q = q - np.vecdot(d_beta, d_beta) / mu
     return f_new > q
 
 
 def pgam(system: SystemModel, options: PgamOptions, init: StarConfig,
          callback=None) -> PgamTrace:
     """Run the ascent from one starting point until tolerance, the iteration
-    cap, or a stalled line search.
+    cap, or a stalled line search: the one-start call of
+    :func:`pgam_lockstep`.
+
+    ``callback``, if given, is invoked as ``callback(iteration, config,
+    objective)`` after every accepted iteration.
+    """
+    per_start = None if callback is None else (lambda start, *step: callback(*step))
+    return pgam_lockstep(system, options, [init], per_start)[0]
+
+
+def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
+                  callback=None) -> list[PgamTrace]:
+    """Run the ascent from every starting point in ``inits`` in lockstep and
+    return one trace per start, in order.
 
     Arbitrary starting points are projected feasible first.  With
     ``freeze_amplitudes`` the amplitude block is held fixed (used by the
-    split-surface baseline where only phases are tunable).  ``callback``,
-    if given, is invoked as ``callback(iteration, config, objective)`` after
-    every accepted iteration.
+    split-surface baseline where only phases are tunable).  Each start has
+    its own step size, Armijo test, backtrack count, fixed-point accept and
+    stop; a start leaves the batch when it stops.  Per iteration the
+    gradient is one batched call over the starts still running, and each
+    line-search round one batched kernel evaluation of the starts still
+    searching.  ``callback``, if given, is invoked as ``callback(start,
+    iteration, config, objective)`` after every accepted iteration.
     """
-    theta, beta = init.stacked()
-    theta = project_theta(theta)
-    if not options.freeze_amplitudes:
+    frozen = options.freeze_amplitudes
+    stacked = [init.stacked() for init in inits]
+    theta = project_theta(np.stack([theta for theta, _ in stacked]))
+    beta = np.stack([beta for _, beta in stacked])
+    if not frozen:
         beta = project_beta(beta)
 
-    trace = PgamTrace()
     # one kernel evaluation per trial point; the accepted trial's cached
     # intermediates feed the next gradient
     point = evaluate(theta, beta, system)
     f_cur = point.report.sum_se
-    if not np.isfinite(f_cur):
+    if not np.all(np.isfinite(f_cur)):
         raise PgamFailure("non-finite objective at the starting point", 0)
-    trace.objectives.append(f_cur)
+    traces = [PgamTrace(objectives=[f]) for f in f_cur.tolist()]
+    mu = np.full(len(inits), float(options.mu_init))
+    active = np.arange(len(inits))  # start index of every row of the state
 
-    mu = options.mu_init
+    def finish(rows, theta_rows, beta_rows, converged, reason):
+        for row in rows:
+            trace = traces[active[row]]
+            trace.final_config = StarConfig.from_stacked(theta_rows[row].copy(),
+                                                         beta_rows[row].copy())
+            trace.converged, trace.reason = converged, reason
+
     for iteration in range(1, options.max_iters + 1):
         grad = grad_objective_from_workspace(build_workspace(point, system))
-        if options.freeze_amplitudes:
-            grad = GradientPair(d_theta=grad.d_theta, d_beta=np.zeros_like(grad.d_beta))
-        if not (np.all(np.isfinite(grad.d_theta)) and np.all(np.isfinite(grad.d_beta))):
+        if frozen:
+            grad.d_beta = np.zeros_like(grad.d_beta)
+        if not (np.isfinite(grad.d_theta).all() and np.isfinite(grad.d_beta).all()):
             raise PgamFailure("non-finite gradient", iteration)
 
-        backtracks = 0
-        accepted = False
-        while True:
-            theta_new = project_theta(theta + mu * grad.d_theta)
-            if options.freeze_amplitudes:
-                beta_new = beta
-            else:
-                beta_new = project_beta(beta + mu * grad.d_beta)
-            if np.array_equal(theta_new, theta) and np.array_equal(beta_new, beta):
-                # exact fixed point: no step can move the iterate, so accept
-                # the zero-gain iteration and let the tolerance stop the run
-                trial, f_new = point, f_cur
-                accepted = True
-                break
-            trial = evaluate(theta_new, beta_new, system)
-            f_new = trial.report.sum_se
-            if not np.isfinite(f_new):
+        rows = len(active)
+        theta_new = np.empty_like(theta)
+        beta_new = beta if frozen else np.empty_like(beta)
+        f_new = f_cur.copy()
+        backtracks = np.zeros(rows, dtype=int)
+        accepted = np.zeros(rows, dtype=bool)
+        # each row's point among the evaluations of ``rounds`` stacked:
+        # ``point`` itself (a fixed-point accept) or its accepted trial; a
+        # trial no row accepted is dropped, so at most one batch is kept per
+        # accepting round
+        rounds, taken, offset = [point], np.arange(rows), rows
+        searching = np.arange(rows)
+        while searching.size:
+            theta_new[searching] = project_theta(
+                theta[searching] + mu[searching, None] * grad.d_theta[searching])
+            if not frozen:
+                beta_new[searching] = project_beta(
+                    beta[searching] + mu[searching, None] * grad.d_beta[searching])
+            # exact fixed point: no step can move the iterate, so accept the
+            # zero-gain iteration and let the tolerance stop the run
+            fixed = ((theta_new[searching] == theta[searching]).all(axis=1)
+                     & (beta_new[searching] == beta[searching]).all(axis=1))
+            if fixed.any():
+                accepted[searching[fixed]] = True
+                searching = searching[~fixed]
+                if not searching.size:
+                    break
+            trial = evaluate(theta_new[searching], beta_new[searching], system)
+            f_trial = trial.report.sum_se
+            if not np.isfinite(f_trial).all():
                 raise PgamFailure("non-finite objective during line search", iteration)
-            if armijo_condition(f_new, f_cur, grad, theta_new, beta_new,
-                                theta, beta, mu):
-                accepted = True
-                break
-            if backtracks >= options.max_backtracks:
-                break
-            mu *= options.kappa
-            backtracks += 1
+            ok = armijo_condition(f_trial, f_cur[searching],
+                                  GradientPair(grad.d_theta[searching], grad.d_beta[searching]),
+                                  theta_new[searching], beta_new[searching],
+                                  theta[searching], beta[searching], mu[searching])
+            if ok.any():
+                won = searching[ok]
+                accepted[won] = True
+                f_new[won] = f_trial[ok]
+                taken[won] = offset + np.flatnonzero(ok)
+                rounds.append(trial)
+                offset += len(f_trial)
+            lost = searching[~ok]
+            searching = lost[backtracks[lost] < options.max_backtracks]
+            mu[searching] *= options.kappa
+            backtracks[searching] += 1
 
-        if not accepted:
-            trace.converged = False
-            trace.reason = "line-search stall"
-            break
-
-        theta, beta, point = theta_new, beta_new, trial
-        gain = f_new - f_cur
-        f_cur = f_new
-        trace.objectives.append(f_cur)
-        trace.step_sizes.append(mu)
-        trace.backtrack_counts.append(backtracks)
-        if callback is not None:
-            callback(iteration, StarConfig.from_stacked(theta, beta), f_cur)
-        if gain < options.tol:
-            trace.converged = True
-            trace.reason = "objective tolerance"
-            break
-    else:
-        trace.converged = False
-        trace.reason = "max iterations"
-
-    trace.final_config = StarConfig.from_stacked(theta, beta)
-    return trace
-
-
-def multi_start(system: SystemModel, options: PgamOptions) -> PgamTrace:
-    """Best trace over ``n_starts`` runs: the canonical equal-split start with
-    random phases first, fully random feasible points after; ties broken by
-    start index.  Fully deterministic given the seed."""
-    streams = np.random.SeedSequence(options.seed).spawn(options.n_starts)
-    best: PgamTrace | None = None
-    for idx, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        if idx == 0:
-            init = StarConfig.equal_split(system.dims.n, rng)
+        stationarity = np.sqrt(np.sum(np.abs(theta_new - theta) ** 2, axis=1)
+                               + np.sum((beta_new - beta) ** 2, axis=1)) / mu
+        done = accepted & (f_new - f_cur < options.tol)
+        finish(np.flatnonzero(~accepted), theta, beta, False, "line-search stall")
+        finish(np.flatnonzero(done), theta_new, beta_new, True, "objective tolerance")
+        objectives, steps, counts = f_new.tolist(), mu.tolist(), backtracks.tolist()
+        stationarity = stationarity.tolist()
+        for row in np.flatnonzero(accepted).tolist():
+            trace = traces[active[row]]
+            trace.objectives.append(objectives[row])
+            trace.step_sizes.append(steps[row])
+            trace.backtrack_counts.append(counts[row])
+            trace.stationarity.append(stationarity[row])
+            if callback is not None:
+                callback(int(active[row]), iteration,
+                         StarConfig.from_stacked(theta_new[row], beta_new[row]), objectives[row])
+        keep = accepted & ~done
+        if not keep.any():
+            return traces
+        if keep.all() and len(rounds) == 2 and offset == 2 * rows:
+            # every start took its row of the one accepted trial batch, in
+            # order, so that batch is the next point as it is: the common
+            # case (all but 1 of 2700 continuing iterations in three
+            # sweep-small passes), where the gather's per-field overhead
+            # would be a large share of the iteration
+            point = rounds[1]
         else:
-            init = StarConfig.random(system.dims.n, rng)
-        trace = pgam(system, options, init)
-        if best is None or trace.final_objective > best.final_objective:
-            best = trace
-    return best
+            point = take_rows(rounds, taken[keep])
+        if not keep.all():
+            theta_new, beta_new = theta_new[keep], beta_new[keep]
+            f_new, mu, active = f_new[keep], mu[keep], active[keep]
+        theta, beta, f_cur = theta_new, beta_new, f_new
+
+    finish(range(len(active)), theta, beta, False, "max iterations")
+    return traces
+
+
+def initial_points(n: int, options: PgamOptions, start=None) -> list[StarConfig]:
+    """The ``n_starts`` starting points of a multi-start, start ``idx`` drawn
+    by ``start(idx, rng)`` from its own stream of
+    ``SeedSequence(options.seed)``.  By default the canonical equal-split
+    start with random phases comes first and fully random feasible points
+    after."""
+    if start is None:
+        def start(idx, rng):
+            return StarConfig.equal_split(n, rng) if idx == 0 else StarConfig.random(n, rng)
+    streams = np.random.SeedSequence(options.seed).spawn(options.n_starts)
+    return [start(idx, np.random.default_rng(stream)) for idx, stream in enumerate(streams)]
+
+
+def multi_start(system: SystemModel, options: PgamOptions, start=None) -> PgamTrace:
+    """Best trace over the ``n_starts`` runs from :func:`initial_points`
+    (``start`` as there), all in one :func:`pgam_lockstep` batch; ties
+    broken by start index.  Fully deterministic given the seed."""
+    traces = pgam_lockstep(system, options, initial_points(system.dims.n, options, start))
+    return max(traces, key=lambda trace: trace.final_objective)
 
 
 def canonicalize_signs(config: StarConfig) -> StarConfig:

@@ -13,7 +13,7 @@ retained for verification of the eigenbasis algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -22,7 +22,11 @@ from .channel import StarConfig, SystemModel, aggregated_covariance, covariance_
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-user signal/interference/SINR terms and the pre-log weighted sum SE."""
+    """Per-user signal/interference/SINR terms and the pre-log weighted sum SE.
+
+    For a batch of points every field but ``prelog`` carries the leading
+    start axis, and ``sum_se`` is one value per start.
+    """
 
     s: np.ndarray
     i_tilde: np.ndarray
@@ -40,7 +44,9 @@ class Evaluation:
     """The objective at one point, with every intermediate the gradient reuses.
 
     ``theta``/``beta`` are the (2, N) phases and amplitudes, t-region first;
-    ``a`` holds the diagonals of R_RIS Phi_u R_RIS for both regions.
+    ``a`` holds the diagonals of R_RIS Phi_u R_RIS for both regions.  An
+    evaluation of a batch of points carries a leading start axis on every
+    array (shapes below are per start).
     """
 
     theta: np.ndarray    # (2, N) complex
@@ -50,6 +56,21 @@ class Evaluation:
     psi: np.ndarray      # (K, M) estimate-covariance eigenvalues
     qr_gain: np.ndarray  # (K, M) eigenvalues of Q_k R_k
     report: RateReport
+
+
+def take_rows(batches: list, index: np.ndarray):
+    """Rows ``index`` of the batched evaluations (or reports) ``batches``
+    stacked along their start axis; scalar fields come from the first."""
+    values = {}
+    for fld in fields(batches[0]):
+        parts = [getattr(batch, fld.name) for batch in batches]
+        if is_dataclass(parts[0]):
+            values[fld.name] = take_rows(parts, index)
+        elif np.ndim(parts[0]):
+            values[fld.name] = np.concatenate(parts)[index]
+        else:
+            values[fld.name] = parts[0]
+    return type(batches[0])(**values)
 
 
 def sinr_from_terms(s: np.ndarray, i_tilde: np.ndarray) -> np.ndarray:
@@ -63,26 +84,27 @@ def sinr_from_terms(s: np.ndarray, i_tilde: np.ndarray) -> np.ndarray:
 def evaluate(theta: np.ndarray, beta: np.ndarray, system: SystemModel) -> Evaluation:
     """The objective kernel: sum SE at the stacked point ``(theta, beta)``.
 
-    ``theta`` and ``beta`` hold both regions, t-region first, either as
-    (2, N) arrays or as the (2N,) vectors of :meth:`StarConfig.stacked`.
-    Costs one real (N, N) x (N, 4) product plus O(KM) vectorized work.
+    ``theta`` and ``beta`` are the (2N,) vectors of :meth:`StarConfig.stacked`
+    (both regions, t-region first), or (P, 2N) batches of them, one row per
+    start.  Costs one real (N, N) x (N, 4) product per start plus O(KM)
+    vectorized work; every reduction runs along one start's own row, so a
+    start's values do not depend on the batch it is evaluated in.
     """
-    theta = theta.reshape(2, -1)
-    beta = beta.reshape(2, -1)
-    a = np.empty(theta.shape, dtype=complex)
-    alphas = covariance_scalars(
-        system, StarConfig.from_stacked(theta.ravel(), beta.ravel()), a)
+    a = np.empty(theta.shape[:-1] + (2, theta.shape[-1] // 2), dtype=complex)
+    alphas = covariance_scalars(system, StarConfig.from_stacked(theta, beta), a)
     sigma = system.corr.bs_eigvals
-    scaled = alphas[:, None] * sigma[None, :]           # (K, M) alpha_k s_m
+    scaled = alphas[..., None] * sigma                  # (K, M) alpha_k s_m
     denom = scaled + system.epsilon
     psi = scaled**2 / denom
-    psi_bar = psi.sum(axis=0)
+    psi_bar = psi.sum(axis=-2)
     i_tilde = (
-        alphas * (sigma * psi_bar).sum()
-        - (psi**2).sum(axis=1)
-        + system.noise_lift * psi_bar.sum()
+        alphas * (sigma * psi_bar).sum(axis=-1)[..., None]
+        - (psi**2).sum(axis=-1)
+        + system.noise_lift * psi_bar.sum(axis=-1)[..., None]
     )
-    report = _assemble_report(psi.sum(axis=1) ** 2, i_tilde, system.dims.prelog)
+    report = _assemble_report(psi.sum(axis=-1) ** 2, i_tilde, system.dims.prelog)
+    theta = theta.reshape(a.shape)
+    beta = beta.reshape(a.shape)
     return Evaluation(theta=theta, beta=beta, a=a, alphas=alphas, psi=psi,
                       qr_gain=scaled / denom, report=report)
 
@@ -107,7 +129,7 @@ def _assemble_report(s: np.ndarray, i_tilde: np.ndarray, prelog: float) -> RateR
         s=s,
         i_tilde=i_tilde,
         gamma=gamma,
-        sum_se=float(prelog * np.sum(np.log2(1.0 + gamma))),
+        sum_se=prelog * np.sum(np.log2(1.0 + gamma), axis=-1),
         prelog=prelog,
     )
 

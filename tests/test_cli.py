@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from starmimo.cli import (
     user_positions,
     write_csv,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 DESK = {
     "name": "desk",
@@ -76,6 +82,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="protocols"):
             ScenarioConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("bad", [5, None, {"es": 1}, "es"])
+    def test_protocols_must_be_a_list(self, bad):
+        raw = json.loads(json.dumps(DESK))
+        raw["protocols"] = bad
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.field == "protocols"
+
     def test_sweep_values_validated(self):
         raw = json.loads(json.dumps(DESK))
         raw["sweep"] = {"parameter": "n", "values": [9, 12]}
@@ -98,6 +112,85 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(raw)
         assert err.value.field == "sweep.values"
+
+    @pytest.mark.parametrize("section, key, bad", [
+        ("dims", "m", "eight"), ("dims", "n", [9]), ("dims", "k_t", None),
+        ("dims", "k_r", 1.5e400), ("dims", "tau_c", "long"), ("dims", "tau", {}),
+        ("geometry", "d0", "far"), ("geometry", "d0", float("nan")),
+        ("geometry", "bs_xy", [0.0]), ("geometry", "ris_xy", ["x", 1.0]),
+        ("geometry", "ris_xy", 5.0),
+        ("powers", "bandwidth_hz", "wide"), ("powers", "snr_db", float("nan")),
+        ("pathloss", "ris_exponent", "steep"), ("pathloss", "direct_exponent", float("inf")),
+        ("pathloss", "penetration_db", [15]), ("pathloss", "wavelength_m", "short"),
+        ("pathloss", "element_area", "big"),
+        ("correlation", "bs_param", "half"), ("correlation", "ris_spacing", "wide"),
+        ("conventional", "t_fraction", "half"),
+        ("optimizer", "mu_init", "big"), ("optimizer", "kappa", "half"),
+        ("optimizer", "tol", "small"), ("optimizer", "max_iters", "many"),
+        ("optimizer", "max_backtracks", 2.5e308 * 10), ("optimizer", "n_starts", "five"),
+        ("mc", "trials", "lots"),
+        (None, "seed", "lucky"), (None, "seed", -1), (None, "seed", True),
+        (None, "seed", 10 ** 400),
+        # counts must be integers, and numbers must not be strings
+        ("optimizer", "n_starts", 2.9), ("optimizer", "max_iters", 100.5),
+        ("dims", "m", 8.5), ("mc", "trials", "1000"), ("optimizer", "mu_init", "1.0"),
+        ("powers", "snr_db", "3"),
+    ])
+    def test_non_numeric_field_names_field(self, section, key, bad):
+        raw = json.loads(json.dumps(DESK))
+        target = raw if section is None else raw.setdefault(section, {})
+        if section == "powers":
+            target.clear()
+        target[key] = bad
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.field == (key if section is None else f"{section}.{key}")
+
+    @pytest.mark.parametrize("key, bad", [
+        ("max_iters", 0), ("tol", -1e-6), ("tol", float("nan")), ("tol", float("inf")),
+        ("max_backtracks", -1), ("mu_init", 0.0), ("kappa", 1.0), ("n_starts", 0),
+    ])
+    def test_out_of_range_optimizer_field_names_field(self, key, bad):
+        raw = json.loads(json.dumps(DESK))
+        raw["optimizer"] = {key: bad}
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.field == f"optimizer.{key}"
+
+    @pytest.mark.parametrize("parameter, bad", [
+        ("n", "x"), ("n", None), ("m", "x"), ("m", 0), ("m", float("inf")),
+        ("snr_db", "loud"), ("rho_dbm", float("nan")),
+        ("snr_db", "3"), ("n", "16"), ("n", 16.7), ("m", 8.5), ("m", True),
+    ])
+    def test_bad_sweep_value_names_field(self, parameter, bad):
+        raw = json.loads(json.dumps(DESK))
+        raw["sweep"] = {"parameter": parameter, "values": [bad]}
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.field == "sweep.values"
+
+    @pytest.mark.parametrize("values", [5, "16", {}, []])
+    def test_sweep_values_must_be_a_non_empty_list(self, values):
+        raw = json.loads(json.dumps(DESK))
+        raw["sweep"] = {"parameter": "n", "values": values}
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.field == "sweep.values"
+
+    def test_numbers_are_converted_once(self):
+        # integral floats are accepted as counts; the converted values are
+        # what the run and its CSV see
+        raw = json.loads(json.dumps(DESK))
+        raw["optimizer"] = {"n_starts": 3.0}
+        raw["sweep"] = {"parameter": "m", "values": [8.0, 16]}
+        cfg = ScenarioConfig.from_dict(raw)
+        assert cfg.optimizer.n_starts == 3 and type(cfg.optimizer.n_starts) is int
+        assert cfg.sweep_values == (8, 16)
+        assert all(type(value) is int for value in cfg.sweep_values)
+        raw["sweep"] = {"parameter": "snr_db", "values": [3, 4.5]}
+        cfg = ScenarioConfig.from_dict(raw)
+        assert cfg.sweep_values == (3.0, 4.5)
+        assert all(type(value) is float for value in cfg.sweep_values)
 
     def test_unknown_sweep_parameter(self):
         raw = json.loads(json.dumps(DESK))
@@ -277,6 +370,64 @@ class TestRunExperiment:
             assert result.sum_se == sum_se(expected, system).sum_se
             assert row["sum_se"] == f"{result.sum_se:.10g}"
 
+    def test_conventional_row_equals_one_start_runs(self):
+        import dataclasses
+
+        from starmimo.channel import StarConfig
+        from starmimo.cli import derive_seed
+        from starmimo.optimizer import pgam
+        from starmimo.rate import sum_se
+
+        raw = json.loads(json.dumps(DESK))
+        raw["dims"] = {"m": 6, "n": 16, "k_t": 1, "k_r": 2, "tau_c": 200, "tau": 4}
+        raw["optimizer"] = {"n_starts": 4, "max_iters": 40}
+        raw["conventional"] = {"t_fraction": 0.25}
+        raw["protocols"] = ["conventional"]
+        cfg = ScenarioConfig.from_dict(raw)
+        [row] = run_experiment(cfg)
+
+        # reference: the split-surface starts run one at a time, best kept
+        system = build_system(cfg)
+        opt_seed = derive_seed(cfg.seed, 0)
+        options = dataclasses.replace(cfg.optimizer, seed=opt_seed, freeze_amplitudes=True)
+        beta_t = np.array([1.0] * 4 + [0.0] * 12)
+        best = None
+        for stream in np.random.SeedSequence(opt_seed).spawn(4):
+            local = np.random.default_rng(stream)
+            init = StarConfig(theta_t=np.exp(1j * local.uniform(0.0, 2.0 * np.pi, 16)),
+                              theta_r=np.exp(1j * local.uniform(0.0, 2.0 * np.pi, 16)),
+                              beta_t=beta_t, beta_r=1.0 - beta_t)
+            trace = pgam(system, options, init)
+            if best is None or trace.final_objective > best.final_objective:
+                best = trace
+        np.testing.assert_array_equal(best.final_config.beta_t, beta_t)
+        assert row["sum_se"] == f"{sum_se(best.final_config, system).sum_se:.10g}"
+        assert row["iterations"] == best.iterations
+
+    def test_convergence_rows_equal_one_start_runs(self):
+        from starmimo.channel import StarConfig
+        from starmimo.cli import derive_seed
+        from starmimo.optimizer import pgam
+
+        raw = json.loads(json.dumps(DESK))
+        raw["kind"] = "convergence"
+        raw["optimizer"] = {"n_starts": 3, "max_iters": 30, "mu_init": 100.0}
+        cfg = ScenarioConfig.from_dict(raw)
+        rows = run_experiment(cfg)
+
+        system = build_system(cfg)
+        expected = []
+        streams = np.random.SeedSequence(derive_seed(cfg.seed, 0)).spawn(3)
+        for idx, stream in enumerate(streams):
+            local = np.random.default_rng(stream)
+            init = (StarConfig.equal_split(9, local) if idx == 0
+                    else StarConfig.random(9, local))
+            trace = pgam(system, cfg.optimizer, init)
+            expected += [(f"start{idx}", it, f"{value:.10g}", trace.iterations)
+                         for it, value in enumerate(trace.objectives)]
+        assert [(r["scenario"], r["sweep_value"], r["sum_se"], r["iterations"])
+                for r in rows] == expected
+
     def test_convergence_kind_rows(self):
         raw = json.loads(json.dumps(DESK))
         raw["kind"] = "convergence"
@@ -298,6 +449,39 @@ class TestMain:
         path.write_text("{\"dims\": {}}")
         assert main(["--config", str(path)]) == 2
         assert "dims.m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, bad", [
+        ("geometry", "d0", "far"), ("powers", "bandwidth_hz", "wide"),
+        ("optimizer", "max_iters", 0), ("sweep", "values", ["x"]),
+    ])
+    def test_bad_field_exits_with_its_name_and_no_traceback(self, tmp_path, section, key,
+                                                            bad):
+        raw = json.loads(json.dumps(DESK))
+        raw.setdefault(section, {})[key] = bad
+        if section == "sweep":
+            raw["sweep"]["parameter"] = "n"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        proc = subprocess.run(
+            [sys.executable, "-m", "starmimo.cli", "--config", str(path),
+             "--out", str(tmp_path / "out.csv")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert f"{section}.{key}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, fld", [("--seed", "-1", "seed"),
+                                                  ("--mc-trials", "1", "mc.trials")])
+    def test_bad_flag_value_names_field(self, tmp_path, capsys, flag, value, fld):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(DESK))
+        out = tmp_path / "out.csv"
+        assert main(["--config", str(path), "--out", str(out), flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {fld}:")
+        assert not out.exists()
 
     def test_full_run_with_overrides(self, tmp_path, capsys):
         raw = json.loads(json.dumps(DESK))

@@ -6,18 +6,31 @@ from hypothesis import strategies as st
 from conftest import random_system, uncorrelated_ris_system
 from starmimo.channel import StarConfig, SystemModel
 from starmimo.correlation import LinkGains
-from starmimo.gradients import GradientPair
+from starmimo.gradients import GradientPair, grad_objective
 from starmimo.optimizer import (
+    OptionError,
     PgamOptions,
     armijo_condition,
     canonicalize_signs,
+    initial_points,
     multi_start,
     pgam,
+    pgam_lockstep,
     project_beta,
     project_theta,
     round_to_ms,
 )
 from starmimo.rate import sum_se
+
+
+def zero_cascade(system):
+    """The same system without cascaded gain: the objective cannot move."""
+    gains = LinkGains(beta_g=0.0, beta_bar=system.gains.beta_bar,
+                      beta_tilde=np.zeros(system.dims.k))
+    return SystemModel(
+        dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
+        rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
+    )
 
 
 class TestProjections:
@@ -105,13 +118,7 @@ class TestPgam:
     def test_constant_objective_stops_immediately(self, rng):
         # no cascaded gain: the objective cannot move, the first iteration
         # reports zero gain and the tolerance stops the run
-        system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
-        gains = LinkGains(beta_g=0.0, beta_bar=system.gains.beta_bar,
-                          beta_tilde=np.zeros(2))
-        system = SystemModel(
-            dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
-            rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
-        )
+        system = zero_cascade(random_system(rng, m=4, n=4, k_t=1, k_r=1))
         trace = pgam(system, PgamOptions(), StarConfig.equal_split(4, rng))
         assert trace.converged
         assert trace.reason == "objective tolerance"
@@ -171,6 +178,20 @@ class TestPgam:
         with pytest.raises(ValueError):
             PgamOptions(n_starts=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_iters", 0), ("max_iters", -3), ("tol", -1e-9), ("tol", float("nan")),
+        ("tol", float("inf")), ("max_backtracks", -1), ("mu_init", float("inf")),
+        ("mu_init", float("nan")),
+    ])
+    def test_out_of_range_option_names_field(self, name, value):
+        with pytest.raises(OptionError) as err:
+            PgamOptions(**{name: value})
+        assert err.value.field == name
+
+    def test_boundary_options_accepted(self):
+        options = PgamOptions(max_iters=1, tol=0.0, max_backtracks=0)
+        assert (options.max_iters, options.tol, options.max_backtracks) == (1, 0.0, 0)
+
     def test_stopping_defaults_pinned(self):
         # the documented operating defaults: stop below 1e-5 objective gain
         # or at 200 iterations, best of 5 starts
@@ -207,21 +228,144 @@ class TestKernelEvaluations:
         assert sum(trace.backtrack_counts) > 0
         assert len(calls) == 1 + sum(1 + b for b in trace.backtrack_counts)
 
+    def test_rejected_trials_are_not_kept(self, rng, monkeypatch):
+        # a one-start run holds only its accepted trial, however many it
+        # rejected on the way, so its next point needs no gather
+        import starmimo.optimizer as optimizer_module
+
+        system = random_system(rng, m=6, n=8, k_t=2, k_r=2, complex_bs=False)
+        gathers = []
+        monkeypatch.setattr(optimizer_module, "take_rows",
+                            lambda batches, index: gathers.append(len(batches)))
+        trace = pgam(system, PgamOptions(mu_init=1e3, max_iters=40), StarConfig.random(8, rng))
+        assert sum(trace.backtrack_counts) > 0
+        assert gathers == []
+
     def test_fixed_point_accept_evaluates_nothing(self, rng, monkeypatch):
         # no cascaded gain: the gradient is exactly zero, so from unit phases
         # with frozen amplitudes the step cannot move the iterate
-        system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
-        gains = LinkGains(beta_g=0.0, beta_bar=system.gains.beta_bar,
-                          beta_tilde=np.zeros(2))
-        system = SystemModel(
-            dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
-            rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
-        )
+        system = zero_cascade(random_system(rng, m=4, n=4, k_t=1, k_r=1))
         calls = self.count_evaluations(monkeypatch)
         trace = pgam(system, PgamOptions(freeze_amplitudes=True), StarConfig.equal_split(4))
         assert trace.converged
         assert trace.iterations == 1
         assert len(calls) == 1  # the starting point only
+
+
+class TestLockstep:
+    """All starts in one batch give, bit for bit, the traces of one-start runs."""
+
+    CASES = {
+        "backtracking": dict(mu_init=1e3, max_iters=40),
+        "frozen-amplitudes": dict(mu_init=1e2, max_iters=40, freeze_amplitudes=True),
+        "unequal-stops": dict(tol=1e-3, max_iters=200),
+        "stall": dict(mu_init=1e12, max_backtracks=0, max_iters=30),
+        "stall-and-cap": dict(mu_init=1e2, max_backtracks=2, max_iters=30),
+    }
+
+    @staticmethod
+    def assert_same_traces(batch, alone):
+        assert len(batch) == len(alone)
+        for got, want in zip(batch, alone):
+            assert got.objectives == want.objectives
+            assert got.step_sizes == want.step_sizes
+            assert got.backtrack_counts == want.backtrack_counts
+            assert got.stationarity == want.stationarity
+            assert (got.reason, got.converged) == (want.reason, want.converged)
+            for name in ("theta_t", "theta_r", "beta_t", "beta_r"):
+                np.testing.assert_array_equal(getattr(got.final_config, name),
+                                              getattr(want.final_config, name))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_batch_equals_one_start_runs(self, case):
+        system = random_system(np.random.default_rng(12345), m=6, n=8, k_t=2, k_r=2,
+                               complex_bs=False)
+        options = PgamOptions(seed=1, **self.CASES[case])
+        inits = initial_points(system.dims.n, options)
+        alone = [pgam(system, options, init) for init in inits]
+        self.assert_same_traces(pgam_lockstep(system, options, inits), alone)
+        # each case exercises what it is named for
+        reasons = {trace.reason for trace in alone}
+        if case == "backtracking":
+            assert len({tuple(trace.backtrack_counts) for trace in alone}) > 1
+        if case in ("unequal-stops", "frozen-amplitudes"):
+            assert len({trace.iterations for trace in alone}) > 1
+        if case == "stall":
+            assert reasons == {"line-search stall"}
+            assert len({trace.iterations for trace in alone}) > 1
+        if case == "stall-and-cap":
+            assert reasons == {"line-search stall", "max iterations"}
+            assert sum(map(sum, (trace.backtrack_counts for trace in alone))) > 0
+
+    def test_fixed_point_rows_beside_moving_rows(self, rng):
+        # no cascaded gain: from unit phases the frozen step cannot move the
+        # iterate (a fixed-point accept), from random phases the projection
+        # may still move it by roundoff; with tol=0 nothing stops early
+        system = zero_cascade(random_system(rng, m=4, n=4, k_t=1, k_r=1))
+        options = PgamOptions(freeze_amplitudes=True, tol=0.0, max_iters=4)
+        inits = [StarConfig.equal_split(4), StarConfig.random(4, rng),
+                 StarConfig.equal_split(4), StarConfig.random(4, rng)]
+        alone = [pgam(system, options, init) for init in inits]
+        self.assert_same_traces(pgam_lockstep(system, options, inits), alone)
+        assert alone[0].stationarity == [0.0] * 4
+
+    def test_one_evaluation_per_line_search_round(self, monkeypatch):
+        import starmimo.optimizer as optimizer_module
+
+        system = random_system(np.random.default_rng(12345), m=6, n=8, k_t=2, k_r=2,
+                               complex_bs=False)
+        options = PgamOptions(mu_init=1e3, max_iters=30, seed=1)
+        inits = initial_points(system.dims.n, options)
+        batch_sizes = []
+        original = optimizer_module.evaluate
+
+        def counted(theta, beta, system):
+            batch_sizes.append(theta.shape[0])
+            return original(theta, beta, system)
+
+        monkeypatch.setattr(optimizer_module, "evaluate", counted)
+        traces = pgam_lockstep(system, options, inits)
+        assert all(trace.reason != "line-search stall" for trace in traces)
+        # iteration i runs as many rounds as its most backtracking start; a
+        # start is evaluated once per round it searches in
+        rounds = [max(1 + trace.backtrack_counts[i] for trace in traces
+                      if trace.iterations > i)
+                  for i in range(max(trace.iterations for trace in traces))]
+        assert batch_sizes[0] == len(inits)
+        assert len(batch_sizes) == 1 + sum(rounds)
+        assert sum(batch_sizes) == len(inits) + sum(
+            1 + b for trace in traces for b in trace.backtrack_counts)
+
+
+class TestStationarity:
+    def test_matches_hand_computation(self, rng):
+        system = random_system(rng, m=4, n=4, k_t=1, k_r=1, complex_bs=False)
+        init = StarConfig.random(4, rng)
+        trace = pgam(system, PgamOptions(mu_init=0.3, max_iters=1), init)
+        mu = trace.step_sizes[0]
+        assert mu == 0.3
+        grad = grad_objective(init, system)
+        theta, beta = init.stacked()
+        step = 0.0
+        for j in range(8):
+            moved = theta[j] + mu * grad.d_theta[j]
+            step += abs(moved / abs(moved) - theta[j]) ** 2
+        for j in range(4):
+            a, b = beta[j] + mu * grad.d_beta[j], beta[j + 4] + mu * grad.d_beta[j + 4]
+            norm = np.hypot(a, b)
+            step += (a / norm - beta[j]) ** 2 + (b / norm - beta[j + 4]) ** 2
+        assert trace.stationarity == [pytest.approx(np.sqrt(step) / mu, rel=1e-9)]
+        final_theta, final_beta = trace.final_config.stacked()
+        moved = np.sqrt(np.sum(np.abs(final_theta - theta) ** 2)
+                        + np.sum((final_beta - beta) ** 2))
+        assert trace.stationarity[0] == pytest.approx(moved / mu, rel=1e-9)
+
+    def test_one_value_per_accepted_step(self, rng):
+        system = random_system(rng, m=6, n=8, k_t=2, k_r=2, complex_bs=False)
+        trace = pgam(system, PgamOptions(mu_init=1e3, max_iters=25),
+                     StarConfig.random(8, rng))
+        assert len(trace.stationarity) == trace.iterations
+        assert all(value > 0 for value in trace.stationarity)
 
 
 class TestMultiStart:
@@ -233,6 +377,15 @@ class TestMultiStart:
         init = StarConfig.equal_split(system.dims.n, np.random.default_rng(stream))
         direct = pgam(system, options, init)
         assert best.objectives == direct.objectives
+
+    def test_ties_go_to_the_lower_start(self, rng):
+        # no cascaded gain: every start ends at the same objective
+        system = zero_cascade(random_system(rng, m=4, n=4, k_t=1, k_r=1))
+        options = PgamOptions(n_starts=4, seed=11)
+        best = multi_start(system, options)
+        first = pgam(system, options, initial_points(4, options)[0])
+        assert best.objectives == first.objectives
+        np.testing.assert_array_equal(best.final_config.theta_t, first.final_config.theta_t)
 
     def test_best_of_runs(self, rng):
         system = random_system(rng, complex_bs=False)
