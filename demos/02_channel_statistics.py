@@ -8,20 +8,37 @@ amplitude energy and the phases disappear from the problem.
 
 import numpy as np
 
-from starmimo import StarConfig, phase_dependent_trace
+from starmimo import CorrelationPair, LinkGains, StarConfig, SystemDims, SystemModel
 from starmimo.channel import covariance_scalars, sample_realization
 from starmimo.cli import ScenarioConfig, build_system
+from starmimo.rate import dense_covariance_scalars
 
 rng = np.random.default_rng(1)
 
+
+def region_trace(r_ris, theta):
+    """tr(R Phi R Phi^H) for unit amplitudes and phases ``theta``: the
+    covariance scalar of a lone t-region user with only the cascaded link,
+    at unit gain."""
+    n = len(theta)
+    system = SystemModel(
+        dims=SystemDims(m=1, n=n, k_t=1, k_r=0, tau_c=10, tau=1),
+        corr=CorrelationPair.from_matrices(np.eye(1), r_ris),
+        gains=LinkGains(beta_g=1.0, beta_bar=[0.0], beta_tilde=[1.0]),
+        modes=("t",), rho=1.0, pilot_power=1.0, sigma2=1.0,
+    )
+    config = StarConfig(theta_t=theta, theta_r=theta, beta_t=np.ones(n), beta_r=np.zeros(n))
+    return covariance_scalars(system, config)[0]
+
+
 print("=== phase dependence of the configuration trace ===")
 r_corr = np.array([[1.0, 0.5], [0.5, 1.0]])
-aligned = phase_dependent_trace(r_corr, np.ones(2), np.ones(2, dtype=complex))
-opposed = phase_dependent_trace(r_corr, np.ones(2), np.array([1.0, -1.0 + 0j]))
+aligned = region_trace(r_corr, np.ones(2, dtype=complex))
+opposed = region_trace(r_corr, np.array([1.0, -1.0 + 0j]))
 print(f"two correlated elements, aligned phases : {aligned:.3f}")
 print(f"two correlated elements, opposed phases : {opposed:.3f}")
 print(f"two independent elements, any phases    : "
-      f"{phase_dependent_trace(np.eye(2), np.ones(2), np.ones(2, dtype=complex)):.3f}")
+      f"{region_trace(np.eye(2), np.ones(2, dtype=complex)):.3f}")
 
 print("\n=== per-user covariance scalars at the default deployment ===")
 cfg = ScenarioConfig.from_dict({
@@ -35,6 +52,8 @@ alphas = covariance_scalars(system, config)
 for k, (mode, alpha) in enumerate(zip(system.modes, alphas)):
     direct = system.gains.beta_bar[k]
     print(f"user {k} ({mode} region): alpha {alpha:.3e}, direct share {direct / alpha:5.1%}")
+referee = dense_covariance_scalars(config, system)
+print(f"largest relative gap to the dense referee: {np.max(np.abs(alphas / referee - 1)):.1e}")
 
 print("\n=== empirical covariance against the closed form (20k draws) ===")
 n_draws = 20_000

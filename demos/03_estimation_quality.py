@@ -2,27 +2,44 @@
 
 The estimator never materializes a matrix inverse: in the base-station
 eigenbasis every estimate eigenvalue is (alpha s)^2 / (alpha s + eps) with
-eps the effective pilot noise.  More pilot power means eigenvalues closer to
-the channel covariance and a smaller residual error.
+eps the effective pilot noise, the spectrum ``rate.from_alphas`` returns.
+More pilot power means eigenvalues closer to the channel covariance and a
+smaller residual error.
 """
 
+from dataclasses import replace
 
-from starmimo import PilotSpec, error_covariance_trace, lmmse_stats
-from starmimo.correlation import build_bs_correlation, eigendecompose_bs
+import numpy as np
 
-_, sigma = eigendecompose_bs(build_bs_correlation(8, "exponential", 0.7))
-alpha = 1.0
+from starmimo import CorrelationPair, LinkGains, SystemDims, SystemModel, from_alphas
+from starmimo.correlation import build_bs_correlation
+
+# one user with only the direct link at unit gain, so its covariance scalar is 1
+base = SystemModel(
+    dims=SystemDims(m=8, n=1, k_t=1, k_r=0, tau_c=200, tau=1),
+    corr=CorrelationPair.from_matrices(build_bs_correlation(8, "exponential", 0.7), np.eye(1)),
+    gains=LinkGains(beta_g=1.0, beta_bar=[1.0], beta_tilde=[0.0]),
+    modes=("t",), rho=1.0, pilot_power=1.0, sigma2=1.0,
+)
+sigma = base.corr.bs_eigvals
+alpha = np.array([1.0])
+
+
+def estimate_spectrum(eps):
+    """Estimate-covariance eigenvalues at effective pilot noise ``eps``."""
+    psi, _, _ = from_alphas(alpha, replace(base, pilot_power=1.0 / eps))
+    return psi[0]
+
 
 print("pilot quality sweep (alpha = 1, exponential BS correlation 0.7, M = 8)")
 print(f"{'eps':>8} {'tr(estimate cov)':>18} {'tr(error cov)':>15} {'capture':>9}")
+total = alpha[0] * sigma.sum()
 for eps in (10.0, 1.0, 0.1, 0.01, 1e-4):
-    stats = lmmse_stats(alpha, sigma, PilotSpec(tau=1, p=1.0 / eps, sigma2=1.0))
-    err = error_covariance_trace(alpha, sigma, stats)
-    total = alpha * sigma.sum()
-    print(f"{eps:8.0e} {stats.trace_psi:18.4f} {err:15.4f} {stats.trace_psi / total:9.1%}")
+    psi = estimate_spectrum(eps)
+    err = np.sum(alpha[0] * sigma - psi)
+    print(f"{eps:8.0e} {psi.sum():18.4f} {err:15.4f} {psi.sum() / total:9.1%}")
 
-print("\nthe two traces always add up to the channel power", alpha * sigma.sum())
+print("\nthe two traces always add up to the channel power", total)
 print("and the estimate eigenvalues never exceed the channel eigenvalues:")
-stats = lmmse_stats(alpha, sigma, PilotSpec(tau=1, p=10.0, sigma2=1.0))
-for s, p in zip(sigma, stats.eigvals_psi):
+for s, p in zip(sigma, estimate_spectrum(0.1)):
     print(f"  channel {s:6.3f}  estimate {p:6.3f}")

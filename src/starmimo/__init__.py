@@ -14,9 +14,6 @@ from .channel import (
     StarConfig,
     SystemDims,
     SystemModel,
-    UserMeta,
-    aggregated_covariance,
-    phase_dependent_trace,
     sample_realization,
 )
 from .correlation import (
@@ -27,13 +24,6 @@ from .correlation import (
     build_ris_correlation,
     eigendecompose_bs,
     path_gain,
-)
-from .estimation import (
-    EstimationStats,
-    PilotSpec,
-    error_covariance_trace,
-    estimate_realization,
-    lmmse_stats,
 )
 from .gradients import (
     DegenerateInterferenceError,
@@ -58,7 +48,7 @@ from .optimizer import (
     project_theta,
     round_to_ms,
 )
-from .rate import Evaluation, RateReport, evaluate, sum_se
+from .rate import Evaluation, RateReport, evaluate, from_alphas, sum_se
 
 __version__ = "0.1.0"
 
@@ -67,7 +57,6 @@ __all__ = [
     "ChannelRealization",
     "CorrelationPair",
     "DegenerateInterferenceError",
-    "EstimationStats",
     "Evaluation",
     "GradientPair",
     "GradientWorkspace",
@@ -77,32 +66,26 @@ __all__ = [
     "PgamFailure",
     "PgamOptions",
     "PgamTrace",
-    "PilotSpec",
     "RateReport",
     "StarConfig",
     "SystemDims",
     "SystemModel",
-    "UserMeta",
-    "aggregated_covariance",
     "build_bs_correlation",
     "build_ris_correlation",
     "build_workspace",
     "canonicalize_signs",
     "eigendecompose_bs",
-    "error_covariance_trace",
-    "estimate_realization",
     "evaluate",
     "finite_difference_gradient",
+    "from_alphas",
     "grad_objective",
     "initial_points",
-    "lmmse_stats",
     "mc_covariance_check",
     "mc_sinr",
     "multi_start",
     "path_gain",
     "pgam",
     "pgam_lockstep",
-    "phase_dependent_trace",
     "project_beta",
     "project_theta",
     "round_to_ms",

@@ -10,7 +10,7 @@ scalar and samples channel realizations for the Monte Carlo oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -72,15 +72,9 @@ class StarConfig:
                     raise ValueError(f"MS protocol requires binary amplitudes in {name}")
         return self
 
-    def amplitudes(self, mode: str) -> np.ndarray:
-        return self.beta_t if mode == "t" else self.beta_r
-
-    def phases(self, mode: str) -> np.ndarray:
-        return self.theta_t if mode == "t" else self.theta_r
-
     def phi(self, mode: str) -> np.ndarray:
         """Diagonal of the passive beamforming matrix for one region."""
-        return self.amplitudes(mode) * self.phases(mode)
+        return self.beta_t * self.theta_t if mode == "t" else self.beta_r * self.theta_r
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """Phases and amplitudes of both regions as two (2N,) vectors, t first."""
@@ -157,30 +151,6 @@ class SystemDims:
 
 
 @dataclass(frozen=True)
-class UserMeta:
-    """Per-user view: region tag and the two large-scale gains."""
-
-    mode: str
-    beta_bar: float
-    beta_hat: float
-
-
-@dataclass(frozen=True)
-class AggregatedCovariance:
-    """Covariance of the aggregated channel, stored as (scalar, shared R_BS).
-
-    The full matrix ``alpha * r_bs`` is never materialized on the fast path;
-    everything downstream works on ``alpha`` and the cached eigenvalues.
-    """
-
-    alpha: float
-    corr: CorrelationPair
-
-    def materialize(self) -> np.ndarray:
-        return self.alpha * self.corr.r_bs
-
-
-@dataclass(frozen=True)
 class SystemModel:
     """Immutable bundle of everything the rate expressions need besides the
     surface configuration: dimensions, correlation, gains, region tags,
@@ -225,16 +195,6 @@ class SystemModel:
         """(K, 2) one-hot rows: column 0 marks t-region users, column 1 r-region."""
         return (np.asarray(self.modes)[:, None] == np.array(["t", "r"])).astype(float)
 
-    def user(self, k: int) -> UserMeta:
-        return UserMeta(
-            mode=self.modes[k],
-            beta_bar=float(self.gains.beta_bar[k]),
-            beta_hat=float(self.gains.beta_hat[k]),
-        )
-
-    def users_in(self, mode: str) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.modes) == mode)
-
 
 def pbm_quadratic_diag(r_ris: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """diag(R_RIS diag(phi) R_RIS) in O(N^2).
@@ -255,32 +215,6 @@ def pbm_quadratic_diag(r_ris: np.ndarray, phi: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(phi):
         return _real_left_product(kernel, np.ascontiguousarray(phi)[:, None])[:, 0]
     return kernel @ phi
-
-
-def phase_dependent_trace(r_ris: np.ndarray, amplitudes: np.ndarray,
-                          phases: np.ndarray) -> float:
-    """tr(R_RIS Phi R_RIS Phi^H) for the diagonal Phi = diag(amplitudes * phases).
-
-    Real and non-negative (it is a squared Frobenius norm); computed in
-    O(N^2) without forming any matrix product.
-    """
-    phi = np.asarray(amplitudes) * np.asarray(phases)
-    value = np.vdot(phi, pbm_quadratic_diag(r_ris, phi))
-    return float(value.real)
-
-
-def aggregated_covariance(user: UserMeta, config: StarConfig,
-                          corr: CorrelationPair) -> AggregatedCovariance:
-    """Covariance scalar of the aggregated channel for one user.
-
-    ``alpha = beta_bar + beta_hat * tr(R_RIS Phi R_RIS Phi^H)`` with the
-    passive beamforming matrix of the user's own region; the direct-link term
-    is included so that ``R_k = alpha * R_BS`` holds exactly.
-    """
-    trace = phase_dependent_trace(
-        corr.r_ris, config.amplitudes(user.mode), config.phases(user.mode)
-    )
-    return AggregatedCovariance(alpha=user.beta_bar + user.beta_hat * trace, corr=corr)
 
 
 def covariance_scalars(system: SystemModel, config: StarConfig,
@@ -321,8 +255,6 @@ class ChannelRealization:
     q: np.ndarray  # (K, N) surface-user channels
     d: np.ndarray  # (K, M) direct channels
     h: np.ndarray  # (K, M) aggregated channels
-
-    modes: tuple = field(default=())
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -368,4 +300,4 @@ def sample_realization(system: SystemModel, config: StarConfig,
 
     d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_sqrt.T)
     h = d + np.sqrt(system.gains.beta_g) * (bs_sqrt @ (d_fast @ v)).T
-    return ChannelRealization(q=q_cols.T, d=d, h=h, modes=tuple(system.modes))
+    return ChannelRealization(q=q_cols.T, d=d, h=h)

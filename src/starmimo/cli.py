@@ -28,6 +28,7 @@ import numpy as np
 
 from .channel import StarConfig, SystemDims, SystemModel
 from .correlation import (
+    BS_CORRELATION_MODELS,
     ArrayGeometry,
     CorrelationPair,
     LinkGains,
@@ -54,6 +55,20 @@ CSV_COLUMNS = (
 )
 PROTOCOLS = ("es", "ms", "conventional", "random-phase", "es-no-direct")
 SWEEP_PARAMETERS = ("n", "m", "snr_db", "rho_dbm", "ris_spacing")
+SECTION_KEYS = {
+    "dims": ("m", "n", "k_t", "k_r", "tau_c", "tau"),
+    "geometry": ("bs_xy", "ris_xy", "d0"),
+    "powers": ("rho_dbm", "snr_db", "pilot_power_dbm", "bandwidth_hz"),
+    "pathloss": ("ris_exponent", "direct_exponent", "penetration_db", "wavelength_m",
+                 "element_area"),
+    "correlation": ("bs_model", "bs_param", "ris_spacing"),
+    "conventional": ("t_fraction",),
+    "optimizer": ("mu_init", "kappa", "tol", "max_iters", "max_backtracks", "n_starts"),
+    "mc": ("enabled", "trials"),
+    "sweep": ("parameter", "values"),
+}
+TOP_LEVEL_KEYS = ("name", "kind", "protocols", "seed", "out", "timings", *SECTION_KEYS)
+_REQUIRED = object()  # the default of a config field that must be given
 LN2 = math.log(2.0)
 
 
@@ -118,10 +133,16 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        def section(key, default=None):
-            value = raw.get(key, {} if default is None else default)
+        if not isinstance(raw, dict):
+            raise ConfigError("config", f"expected a mapping at the top level, "
+                              f"got {type(raw).__name__}")
+        _reject_unknown_keys(raw, TOP_LEVEL_KEYS, "")
+
+        def section(key):
+            value = raw.get(key, {})
             if not isinstance(value, dict):
                 raise ConfigError(key, "must be a mapping")
+            _reject_unknown_keys(value, SECTION_KEYS[key], f"{key}.")
             return value
 
         dims = section("dims")
@@ -132,14 +153,6 @@ class ScenarioConfig:
         opt = section("optimizer")
         mc = section("mc")
         sweep = section("sweep")
-
-        def number(sec, fld, kind=float, default=None):
-            key = fld.rsplit(".", 1)[-1]
-            if key not in sec:
-                if default is None:
-                    raise ConfigError(fld, "missing required field")
-                return default
-            return _convert(sec[key], fld, kind)
 
         kind = raw.get("kind", "sweep")
         if kind not in ("sweep", "convergence"):
@@ -173,55 +186,55 @@ class ScenarioConfig:
         def optimizer_options():
             try:
                 return PgamOptions(
-                    mu_init=number(opt, "optimizer.mu_init", float, 1.0),
-                    kappa=number(opt, "optimizer.kappa", float, 0.5),
-                    tol=number(opt, "optimizer.tol", float, 1e-5),
-                    max_iters=number(opt, "optimizer.max_iters", int, 200),
-                    max_backtracks=number(opt, "optimizer.max_backtracks", int, 60),
-                    n_starts=number(opt, "optimizer.n_starts", int, 5),
+                    mu_init=_field(opt, "optimizer.mu_init", float, 1.0),
+                    kappa=_field(opt, "optimizer.kappa", float, 0.5),
+                    tol=_field(opt, "optimizer.tol", float, 1e-5),
+                    max_iters=_field(opt, "optimizer.max_iters", int, 200),
+                    max_backtracks=_field(opt, "optimizer.max_backtracks", int, 60),
+                    n_starts=_field(opt, "optimizer.n_starts", int, 5),
                 )
             except OptionError as exc:
                 raise ConfigError(f"optimizer.{exc.field}", str(exc)) from None
 
         # fields are converted in declaration order, so the first bad one is named
-        m, n = number(dims, "dims.m", int), number(dims, "dims.n", int)
-        k_t, k_r = number(dims, "dims.k_t", int), number(dims, "dims.k_r", int)
+        m, n = _field(dims, "dims.m", int), _field(dims, "dims.n", int)
+        k_t, k_r = _field(dims, "dims.k_t", int), _field(dims, "dims.k_r", int)
         cfg = cls(
-            name=str(raw.get("name", "scenario")),
+            name=_field(raw, "name", str, "scenario"),
             kind=kind,
             m=m,
             n=n,
             k_t=k_t,
             k_r=k_r,
-            tau_c=number(dims, "dims.tau_c", int, 200),
-            tau=number(dims, "dims.tau", int, k_t + k_r),
+            tau_c=_field(dims, "dims.tau_c", int, 200),
+            tau=_field(dims, "dims.tau", int, k_t + k_r),
             bs_xy=_point(geometry, "geometry", "bs_xy", (0.0, 0.0)),
             ris_xy=_point(geometry, "geometry", "ris_xy", (50.0, 10.0)),
-            d0=number(geometry, "geometry.d0", float, 20.0),
-            rho_dbm=_optional_float(powers, "powers", "rho_dbm"),
+            d0=_field(geometry, "geometry.d0", float, 20.0),
+            rho_dbm=_field(powers, "powers.rho_dbm", float, None),
             snr_db=(100.0 if "rho_dbm" not in powers and "snr_db" not in powers
-                    else _optional_float(powers, "powers", "snr_db")),
-            pilot_power_dbm=_optional_float(powers, "powers", "pilot_power_dbm"),
-            bandwidth_hz=number(powers, "powers.bandwidth_hz", float, 200e3),
-            ris_exponent=number(pathloss, "pathloss.ris_exponent", float, 2.2),
-            direct_exponent=number(pathloss, "pathloss.direct_exponent", float, 3.5),
-            penetration_db=number(pathloss, "pathloss.penetration_db", float, 15.0),
-            wavelength_m=number(pathloss, "pathloss.wavelength_m", float, 0.1),
-            element_area=_optional_float(pathloss, "pathloss", "element_area"),
-            bs_model=str(correlation.get("bs_model", "exponential")),
-            bs_param=number(correlation, "correlation.bs_param", float, 0.5),
-            ris_spacing=number(correlation, "correlation.ris_spacing", float, 0.25),
+                    else _field(powers, "powers.snr_db", float, None)),
+            pilot_power_dbm=_field(powers, "powers.pilot_power_dbm", float, None),
+            bandwidth_hz=_field(powers, "powers.bandwidth_hz", float, 200e3),
+            ris_exponent=_field(pathloss, "pathloss.ris_exponent", float, 2.2),
+            direct_exponent=_field(pathloss, "pathloss.direct_exponent", float, 3.5),
+            penetration_db=_field(pathloss, "pathloss.penetration_db", float, 15.0),
+            wavelength_m=_field(pathloss, "pathloss.wavelength_m", float, 0.1),
+            element_area=_field(pathloss, "pathloss.element_area", float, None),
+            bs_model=_field(correlation, "correlation.bs_model", str, "exponential"),
+            bs_param=_field(correlation, "correlation.bs_param", float, 0.5),
+            ris_spacing=_field(correlation, "correlation.ris_spacing", float, 0.25),
             protocols=protocols,
-            conventional_t_fraction=number(section("conventional"),
+            conventional_t_fraction=_field(section("conventional"),
                                            "conventional.t_fraction", float, 0.5),
             optimizer=optimizer_options(),
-            mc_enabled=bool(mc.get("enabled", False)),
-            mc_trials=number(mc, "mc.trials", int, 1000),
+            mc_enabled=_field(mc, "mc.enabled", bool, False),
+            mc_trials=_field(mc, "mc.trials", int, 1000),
             sweep_parameter=sweep_parameter,
             sweep_values=in_vals,
-            seed=number(raw, "seed", int, 0),
-            out=str(raw.get("out", "results.csv")),
-            timings=bool(raw.get("timings", False)),
+            seed=_field(raw, "seed", int, 0),
+            out=_field(raw, "out", str, "results.csv"),
+            timings=_field(raw, "timings", bool, False),
         )
         cfg.validate()
         return cfg
@@ -238,7 +251,23 @@ class ScenarioConfig:
         _square_side(self.n, "dims.n")
         if (self.rho_dbm is None) == (self.snr_db is None):
             raise ConfigError("powers", "set exactly one of rho_dbm or snr_db")
-        _check_spacing(self.ris_spacing, "correlation.ris_spacing")
+        for fld, value in (("geometry.d0", self.d0), ("powers.bandwidth_hz", self.bandwidth_hz),
+                           ("pathloss.wavelength_m", self.wavelength_m),
+                           ("pathloss.element_area", self.element_area),
+                           ("correlation.ris_spacing", self.ris_spacing)):
+            if value is not None:
+                _check_positive(value, fld)
+        if self.bs_model not in BS_CORRELATION_MODELS:
+            raise ConfigError("correlation.bs_model",
+                              f"must be one of {BS_CORRELATION_MODELS}, got {self.bs_model!r}")
+        if self.bs_model == "exponential" and not 0.0 <= self.bs_param < 1.0:
+            raise ConfigError("correlation.bs_param", "exponential correlation needs a "
+                              f"value in [0, 1), got {self.bs_param!r}")
+        bs = np.asarray(self.bs_xy)
+        if np.linalg.norm(np.asarray(self.ris_xy) - bs) == 0.0:
+            raise ConfigError("geometry.bs_xy", "the BS sits on the surface")
+        if np.any(np.linalg.norm(user_positions(self) - bs, axis=1) == 0.0):
+            raise ConfigError("geometry.bs_xy", "the BS sits on a user position")
         if self.kind == "sweep" and self.sweep_parameter is not None:
             for value in self.sweep_values:
                 if self.sweep_parameter == "n":
@@ -246,7 +275,7 @@ class ScenarioConfig:
                 if self.sweep_parameter == "m" and value < 1:
                     raise ConfigError("sweep.values", f"antenna count must be >= 1, got {value!r}")
                 if self.sweep_parameter == "ris_spacing":
-                    _check_spacing(value, "sweep.values")
+                    _check_positive(value, "sweep.values")
         if not 0.0 <= self.conventional_t_fraction <= 1.0:
             raise ConfigError("conventional.t_fraction", "must lie in [0, 1]")
         if self.mc_trials < 2:
@@ -273,9 +302,27 @@ def _convert(value, fld: str, kind=float):
     return kind(value)
 
 
-def _optional_float(sec: dict, sec_name: str, key: str) -> float | None:
-    value = sec.get(key)
-    return None if value is None else _convert(value, f"{sec_name}.{key}")
+def _reject_unknown_keys(sec: dict, allowed: tuple, prefix: str) -> None:
+    for key in sec:
+        if key not in allowed:
+            raise ConfigError(f"{prefix}{key}", f"unknown key; expected one of {allowed}")
+
+
+def _field(sec: dict, fld: str, kind: type, default=_REQUIRED):
+    """The field ``fld`` of the section ``sec`` as a ``kind``, or ``default``
+    if it is absent.  A number (``kind`` int or float) goes through
+    :func:`_convert`; any other value must be a ``kind``.  A field without a
+    default is required; one whose default is None may also be null."""
+    value = sec.get(fld.rsplit(".", 1)[-1], default)
+    if value is _REQUIRED:
+        raise ConfigError(fld, "missing required field")
+    if value is None and default is None:
+        return None
+    if kind in (int, float):
+        return _convert(value, fld, kind)
+    if not isinstance(value, kind):
+        raise ConfigError(fld, f"expected a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _point(sec: dict, sec_name: str, key: str, default: tuple) -> tuple:
@@ -288,16 +335,18 @@ def _point(sec: dict, sec_name: str, key: str, default: tuple) -> tuple:
 
 
 def _square_side(n: int, fld: str) -> int:
+    if n < 1:
+        raise ConfigError(fld, f"surface needs at least one element, got {n}")
     side = math.isqrt(int(n))
     if side * side != n:
         raise ConfigError(fld, f"surface is a square array; {n} is not a perfect square")
     return side
 
 
-def _check_spacing(spacing: float, fld: str) -> None:
+def _check_positive(value: float, fld: str) -> None:
     # the comparisons are False for NaN
-    if not 0.0 < spacing < math.inf:
-        raise ConfigError(fld, f"element spacing must be finite and positive, got {spacing!r}")
+    if not 0.0 < value < math.inf:
+        raise ConfigError(fld, f"must be finite and positive, got {value!r}")
 
 
 def user_positions(cfg: ScenarioConfig) -> np.ndarray:
@@ -583,7 +632,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = ScenarioConfig.from_file(args.config)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

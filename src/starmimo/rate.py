@@ -7,8 +7,10 @@ Signal term ``S_k = tr(Psi_k)^2``; interference term
 with the precoder normalization folded in.  The production path is one
 vectorized kernel, :func:`evaluate`, that evaluates every trace as an O(M)
 sum over the shared BS eigenvalues and keeps the intermediates the gradient
-reuses; a naive dense-matrix path (explicit R_k, Q_k, Psi_k products) is
-retained for verification of the eigenbasis algebra.
+reuses.  It splits at the covariance scalars: ``covariance_scalars`` reads
+the surface, :func:`from_alphas` is the one LMMSE/rate formula.  A naive
+dense-matrix path (explicit R_k, Q_k, Psi_k products) is retained for
+verification of the eigenbasis algebra.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .channel import StarConfig, SystemModel, aggregated_covariance, covariance_scalars
+from .channel import StarConfig, SystemModel, covariance_scalars, pbm_quadratic_diag
 
 
 @dataclass(frozen=True)
@@ -33,10 +35,6 @@ class RateReport:
     gamma: np.ndarray
     sum_se: float
     prelog: float
-
-    @property
-    def se_per_user(self) -> np.ndarray:
-        return self.prelog * np.log2(1.0 + self.gamma)
 
 
 @dataclass(frozen=True)
@@ -92,6 +90,22 @@ def evaluate(theta: np.ndarray, beta: np.ndarray, system: SystemModel) -> Evalua
     """
     a = np.empty(theta.shape[:-1] + (2, theta.shape[-1] // 2), dtype=complex)
     alphas = covariance_scalars(system, StarConfig.from_stacked(theta, beta), a)
+    psi, qr_gain, report = from_alphas(alphas, system)
+    return Evaluation(theta=theta.reshape(a.shape), beta=beta.reshape(a.shape), a=a,
+                      alphas=alphas, psi=psi, qr_gain=qr_gain, report=report)
+
+
+def from_alphas(alphas: np.ndarray,
+                system: SystemModel) -> tuple[np.ndarray, np.ndarray, RateReport]:
+    """The LMMSE spectra and the rate report at the covariance scalars.
+
+    ``alphas`` is (..., K), any leading axes.  Returns ``(psi, qr_gain,
+    report)``: ``psi = (alpha s)^2 / (alpha s + eps)`` are the eigenvalues of
+    each estimate covariance Psi_k on the BS eigenvalues ``s`` and
+    ``qr_gain = alpha s / (alpha s + eps)`` those of Q_k R_k, both
+    (..., K, M); the error covariance has eigenvalues ``alpha s - psi``.
+    ``alpha = 0`` gives an exactly zero estimate (nothing divides by alpha).
+    """
     sigma = system.corr.bs_eigvals
     scaled = alphas[..., None] * sigma                  # (K, M) alpha_k s_m
     denom = scaled + system.epsilon
@@ -103,10 +117,7 @@ def evaluate(theta: np.ndarray, beta: np.ndarray, system: SystemModel) -> Evalua
         + system.noise_lift * psi_bar.sum(axis=-1)[..., None]
     )
     report = _assemble_report(psi.sum(axis=-1) ** 2, i_tilde, system.dims.prelog)
-    theta = theta.reshape(a.shape)
-    beta = beta.reshape(a.shape)
-    return Evaluation(theta=theta, beta=beta, a=a, alphas=alphas, psi=psi,
-                      qr_gain=scaled / denom, report=report)
+    return psi, scaled / denom, report
 
 
 def sum_se(config: StarConfig, system: SystemModel, method: str = "eig") -> RateReport:
@@ -162,7 +173,13 @@ def _sum_se_dense(config: StarConfig, system: SystemModel) -> RateReport:
 
 
 def dense_covariance_scalars(config: StarConfig, system: SystemModel) -> np.ndarray:
-    """Per-user covariance scalars, one complex trace per user from R_RIS
-    itself; the referee's route, independent of :func:`covariance_scalars`."""
-    return np.array([aggregated_covariance(system.user(k), config, system.corr).alpha
-                     for k in range(system.dims.k)])
+    """Per-user covariance scalars from R_RIS itself: one complex trace
+    ``phi_u^H diag(R_RIS Phi_u R_RIS) = tr(R_RIS Phi_u R_RIS Phi_u^H)`` per
+    region u, given to the users of that region; the referee's route,
+    independent of :func:`covariance_scalars`."""
+    traces = {}
+    for u in "tr":
+        phi = config.phi(u)
+        traces[u] = np.vdot(phi, pbm_quadratic_diag(system.corr.r_ris, phi)).real
+    return system.gains.beta_bar + system.gains.beta_hat * np.array(
+        [traces[mode] for mode in system.modes])

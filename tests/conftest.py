@@ -47,6 +47,24 @@ def uncorrelated_ris_system(rng, m=6, n=8, k_t=2, k_r=2):
     )
 
 
+def one_user_system(r_bs=None, r_ris=None, mode="t", beta_bar=0.0, beta_hat=1.0,
+                    tau=1, pilot_power=1.0, sigma2=1.0):
+    """A lone user in region ``mode``; R_BS = I_2 and a one-element surface
+    unless given.  Its covariance scalar is beta_bar + beta_hat *
+    tr(R_RIS Phi_u R_RIS Phi_u^H), and ``rate.from_alphas`` at this system
+    gives the LMMSE spectra on the eigenvalues of R_BS with pilot noise
+    sigma2 / (tau pilot_power)."""
+    r_bs = np.eye(2) if r_bs is None else r_bs
+    r_ris = np.eye(1) if r_ris is None else r_ris
+    return SystemModel(
+        dims=SystemDims(m=r_bs.shape[0], n=r_ris.shape[0], k_t=int(mode == "t"),
+                        k_r=int(mode == "r"), tau_c=max(tau, 10), tau=tau),
+        corr=CorrelationPair.from_matrices(r_bs, r_ris),
+        gains=LinkGains(beta_g=1.0, beta_bar=[beta_bar], beta_tilde=[beta_hat]),
+        modes=(mode,), rho=1.0, pilot_power=pilot_power, sigma2=sigma2,
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

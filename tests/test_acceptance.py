@@ -9,14 +9,14 @@ defaults; every tolerance below is fixed here, not tuned at runtime.
 import numpy as np
 
 
-from conftest import random_system, uncorrelated_ris_system
-from starmimo.channel import StarConfig, covariance_scalars, sample_realization
+from conftest import one_user_system, random_system, uncorrelated_ris_system
+from starmimo.channel import StarConfig, complex_normal, covariance_scalars, sample_realization
 from starmimo.cli import ScenarioConfig, build_system, run_protocol, derive_seed
-from starmimo.estimation import PilotSpec, estimate_realization, lmmse_stats
+from starmimo.estimation import apply_wiener_filter
 from starmimo.gradients import build_workspace, finite_difference_gradient, grad_objective
 from starmimo.montecarlo import mc_sinr
 from starmimo.optimizer import PgamOptions, pgam
-from starmimo.rate import evaluate, sum_se
+from starmimo.rate import evaluate, from_alphas, sum_se
 
 VI_SETUP = {
     "name": "acceptance",
@@ -198,7 +198,6 @@ def test_criterion_7_estimation_sanity():
     config = StarConfig.random(4, rng)
     alpha = covariance_scalars(system, config)[0]
     eps = system.epsilon
-    pilot = PilotSpec(tau=system.dims.tau, p=system.pilot_power, sigma2=system.sigma2)
 
     n_draws = 50_000
     cov_hat = np.zeros((4, 4), dtype=complex)
@@ -206,7 +205,8 @@ def test_criterion_7_estimation_sanity():
     cross_sq = np.zeros((4, 4))
     for _ in range(n_draws):
         h = sample_realization(system, config, rng).h[0]
-        h_hat, _ = estimate_realization(h, pilot, alpha, system.corr, rng)
+        r = h + np.sqrt(eps) * complex_normal(rng, h.shape)
+        h_hat = apply_wiener_filter(r, alpha, system.corr, eps)
         err = h - h_hat
         cov_hat += h_hat[:, None] * h_hat.conj()[None, :]
         outer = err[:, None] * h_hat.conj()[None, :]
@@ -247,11 +247,11 @@ def test_criterion_8_monotonicity_suites():
         assert value >= previous - 1e-12
         previous = value
 
-    sigma = rng.uniform(0.1, 3.0, 10)
+    r_bs = np.diag(rng.uniform(0.1, 3.0, 10))
     last = None
     for eps in np.logspace(1, -6, 15):
-        stats = lmmse_stats(0.8, sigma, PilotSpec(tau=1, p=1.0 / eps, sigma2=1.0))
+        psi, _, _ = from_alphas(np.array([0.8]), one_user_system(r_bs, pilot_power=1.0 / eps))
         if last is not None:
-            assert np.all(stats.eigvals_psi >= last - 1e-15)
-        last = stats.eigvals_psi
+            assert np.all(psi >= last - 1e-15)
+        last = psi
     report(8, "sum SE monotone in power budget; estimate spectrum monotone in pilot quality")

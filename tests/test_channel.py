@@ -5,20 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_system, uncorrelated_ris_system
+from conftest import one_user_system, random_system, uncorrelated_ris_system
 from starmimo.channel import (
     StarConfig,
     SystemDims,
     SystemModel,
-    UserMeta,
-    aggregated_covariance,
     complex_normal,
     covariance_scalars,
     pbm_quadratic_diag,
-    phase_dependent_trace,
     sample_realization,
 )
 from starmimo.correlation import CorrelationPair, LinkGains
+from starmimo.rate import dense_covariance_scalars
 
 
 def explicit_draw(system, config, seed):
@@ -103,24 +101,33 @@ class TestStarConfig:
                        beta_t=np.ones(3), beta_r=np.ones(3))
 
 
-class TestPhaseDependentTrace:
+def t_region_alphas(r_ris, beta, theta):
+    """A t-region user's alpha, with beta_bar = 0 and beta_hat = 1 (so the
+    region trace itself), from the kernel and from the referee."""
+    system = one_user_system(r_ris=r_ris)
+    config = StarConfig(theta_t=theta, theta_r=np.ones_like(theta),
+                        beta_t=beta, beta_r=np.zeros_like(beta))
+    return covariance_scalars(system, config)[0], dense_covariance_scalars(config, system)[0]
+
+
+class TestRegionTrace:
     def test_identity_correlation_gives_energy_sum(self, rng):
         # with uncorrelated elements the trace is just the amplitude energy
         beta = rng.uniform(-1, 1, 6)
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
-        value = phase_dependent_trace(np.eye(6), beta, theta)
-        assert value == pytest.approx(np.sum(beta**2), rel=1e-12)
+        for value in t_region_alphas(np.eye(6), beta, theta):
+            assert value == pytest.approx(np.sum(beta**2), rel=1e-12)
 
     def test_two_element_example_aligned(self):
         r = np.array([[1.0, 0.5], [0.5, 1.0]])
-        value = phase_dependent_trace(r, np.ones(2), np.ones(2, dtype=complex))
-        assert value == pytest.approx(2.5, rel=1e-12)
+        for value in t_region_alphas(r, np.ones(2), np.ones(2, dtype=complex)):
+            assert value == pytest.approx(2.5, rel=1e-12)
 
     def test_two_element_example_opposed(self):
         r = np.array([[1.0, 0.5], [0.5, 1.0]])
         theta = np.array([1.0, np.exp(1j * np.pi)])
-        value = phase_dependent_trace(r, np.ones(2), theta)
-        assert value == pytest.approx(1.5, rel=1e-12)
+        for value in t_region_alphas(r, np.ones(2), theta):
+            assert value == pytest.approx(1.5, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 7, 16, 32])
     def test_matches_dense_product(self, n, rng):
@@ -130,17 +137,19 @@ class TestPhaseDependentTrace:
         r /= np.outer(d, d)
         beta = rng.uniform(-1, 1, n)
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-        fast = phase_dependent_trace(r, beta, theta)
         ref = dense_trace(r, beta, theta)
         assert abs(ref.imag) < 1e-10
-        assert fast == pytest.approx(ref.real, rel=1e-10)
+        for fast in t_region_alphas(r, beta, theta):
+            assert fast == pytest.approx(ref.real, rel=1e-10)
 
     def test_matches_dense_complex_hermitian(self, rng):
+        # the referee's surface product also holds for a complex Hermitian R
         a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         r = a @ a.conj().T
         beta = rng.uniform(0, 1, 9)
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 9))
-        fast = phase_dependent_trace(r, beta, theta)
+        phi = beta * theta
+        fast = np.vdot(phi, pbm_quadratic_diag(r, phi)).real
         assert fast == pytest.approx(dense_trace(r, beta, theta).real, rel=1e-10)
 
     def test_common_rotation_invariance(self, rng):
@@ -149,9 +158,10 @@ class TestPhaseDependentTrace:
         np.fill_diagonal(r, 1.0)
         beta = rng.uniform(0, 1, 5)
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
-        base = phase_dependent_trace(r, beta, theta)
-        rotated = phase_dependent_trace(r, beta, theta * np.exp(1j * 0.73))
-        assert rotated == pytest.approx(base, rel=1e-12)
+        base = t_region_alphas(r, beta, theta)
+        rotated = t_region_alphas(r, beta, theta * np.exp(1j * 0.73))
+        for after, before in zip(rotated, base):
+            assert after == pytest.approx(before, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -179,49 +189,54 @@ class TestPhaseDependentTrace:
     @given(seed=st.integers(0, 2**31 - 1))
     def test_non_negative_for_any_configuration(self, seed):
         # squared Frobenius norm of R^(1/2) Phi R^(1/2), so >= 0 even with
-        # signed amplitudes
+        # signed amplitudes; R = B B^T scaled to unit diagonal
         local = np.random.default_rng(seed)
         n = local.integers(1, 9)
         b = local.standard_normal((n, n))
         r = b @ b.T
+        d = np.sqrt(np.diag(r))
+        r /= np.outer(d, d)
         beta = local.uniform(-2, 2, n)
         theta = np.exp(1j * local.uniform(0, 2 * np.pi, n))
-        assert phase_dependent_trace(r, beta, theta) >= -1e-10
+        for value in t_region_alphas(r, beta, theta):
+            assert value >= -1e-10
 
 
-class TestAggregatedCovariance:
+class TestCovarianceScalars:
     def test_single_active_element(self):
-        corr = CorrelationPair.from_matrices(np.eye(3), np.eye(4))
         beta_t = np.zeros(4)
         beta_t[0] = 1.0
         config = StarConfig(
             theta_t=np.ones(4, dtype=complex), theta_r=np.ones(4, dtype=complex),
             beta_t=beta_t, beta_r=np.sqrt(1 - beta_t**2),
         )
-        user = UserMeta(mode="t", beta_bar=0.5, beta_hat=0.25)
-        cov = aggregated_covariance(user, config, corr)
-        assert cov.alpha == pytest.approx(0.75, rel=1e-12)
-        np.testing.assert_allclose(cov.materialize(), 0.75 * np.eye(3))
+        system = one_user_system(np.eye(3), np.eye(4), "t", beta_bar=0.5, beta_hat=0.25)
+        for alpha in (covariance_scalars(system, config)[0],
+                      dense_covariance_scalars(config, system)[0]):
+            assert alpha == pytest.approx(0.75, rel=1e-12)
+            np.testing.assert_allclose(alpha * system.corr.r_bs, 0.75 * np.eye(3))
 
     def test_zero_cascaded_gain(self, rng):
-        system = random_system(rng)
-        corr = system.corr
-        config = StarConfig.random(system.dims.n, rng)
-        user = UserMeta(mode="r", beta_bar=0.3, beta_hat=0.0)
-        assert aggregated_covariance(user, config, corr).alpha == pytest.approx(0.3)
+        r_ris = random_system(rng).corr.r_ris
+        config = StarConfig.random(r_ris.shape[0], rng)
+        system = one_user_system(r_ris=r_ris, mode="r", beta_bar=0.3, beta_hat=0.0)
+        assert covariance_scalars(system, config)[0] == pytest.approx(0.3)
+        assert dense_covariance_scalars(config, system)[0] == pytest.approx(0.3)
 
     def test_dark_region_contributes_nothing(self, rng):
-        system = random_system(rng)
-        config = StarConfig.random(system.dims.n, rng)
+        r_ris = random_system(rng).corr.r_ris
+        config = StarConfig.random(r_ris.shape[0], rng)
         config.beta_t[:] = 0.0
         config.beta_r[:] = 1.0
-        user = UserMeta(mode="t", beta_bar=0.4, beta_hat=5.0)
-        assert aggregated_covariance(user, config, system.corr).alpha == pytest.approx(0.4)
+        system = one_user_system(r_ris=r_ris, mode="t", beta_bar=0.4, beta_hat=5.0)
+        assert covariance_scalars(system, config)[0] == pytest.approx(0.4)
+        assert dense_covariance_scalars(config, system)[0] == pytest.approx(0.4)
 
     @pytest.mark.parametrize("k_t, k_r", [(2, 1), (0, 3), (3, 0)])
-    def test_fused_product_matches_per_region_helpers(self, rng, k_t, k_r):
+    def test_fused_product_matches_referee(self, rng, k_t, k_r):
         # one real product for both regions against one complex matvec per
-        # region (the diagonals) and one trace per user (the scalars)
+        # region (the diagonals) and one complex trace per region (the
+        # referee's scalars)
         system = random_system(rng, n=7, k_t=k_t, k_r=k_r)
         config = StarConfig.random(7, rng)
         diag = np.empty((2, 7), dtype=complex)
@@ -230,9 +245,7 @@ class TestAggregatedCovariance:
             np.testing.assert_allclose(
                 diag[u], pbm_quadratic_diag(system.corr.r_ris, config.phi(region)),
                 rtol=1e-12)
-        expected = [aggregated_covariance(system.user(k), config, system.corr).alpha
-                    for k in range(system.dims.k)]
-        np.testing.assert_allclose(alphas, expected, rtol=1e-12)
+        np.testing.assert_allclose(alphas, dense_covariance_scalars(config, system), rtol=1e-12)
         np.testing.assert_array_equal(covariance_scalars(system, config), alphas)
 
     def test_phase_independence_without_ris_correlation(self, rng):

@@ -473,6 +473,47 @@ class TestMain:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out.csv").exists()
 
+    def test_undecodable_config_returns_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        assert main(["--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("fld, edit", [
+        ("optimzer", lambda raw: raw.update(optimzer={"n_starts": 1})),
+        ("dims.tua", lambda raw: raw["dims"].update(tua=4)),
+        ("config", lambda raw: [raw]),
+        ("mc.enabled", lambda raw: raw.update(mc={"enabled": "no"})),
+        ("timings", lambda raw: raw.update(timings=1)),
+        ("name", lambda raw: raw.update(name=5)),
+        ("out", lambda raw: raw.update(out=["a.csv"])),
+        ("correlation.bs_model", lambda raw: raw.update(correlation={"bs_model": None})),
+        ("correlation.bs_model", lambda raw: raw.update(correlation={"bs_model": "foo"})),
+        ("correlation.bs_param", lambda raw: raw.update(correlation={"bs_param": 1.5})),
+        ("geometry.d0", lambda raw: raw.update(geometry={"d0": -20.0})),
+        ("geometry.d0", lambda raw: raw.update(geometry={"d0": 0})),
+        ("pathloss.wavelength_m", lambda raw: raw.update(pathloss={"wavelength_m": -0.1})),
+        ("pathloss.element_area", lambda raw: raw.update(pathloss={"element_area": -1})),
+        ("powers.bandwidth_hz", lambda raw: raw["powers"].update(bandwidth_hz=-1e3)),
+        ("dims.n", lambda raw: raw["dims"].update(n=-4)),
+        ("dims.n", lambda raw: raw["dims"].update(n=0)),
+        ("geometry.bs_xy", lambda raw: raw.update(geometry={"bs_xy": [50.0, 10.0]})),
+        # the lone t-region user sits d0 / 2 above the surface
+        ("geometry.bs_xy", lambda raw: raw.update(geometry={"bs_xy": [50.0, 20.0]})),
+    ])
+    def test_rejected_at_parse_with_field_and_status_2(self, tmp_path, capsys, fld, edit):
+        raw = json.loads(json.dumps(DESK))
+        raw = edit(raw) or raw
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.field == fld
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out.csv"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {fld}:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, fld", [("--seed", "-1", "seed"),
                                                   ("--mc-trials", "1", "mc.trials")])
     def test_bad_flag_value_names_field(self, tmp_path, capsys, flag, value, fld):

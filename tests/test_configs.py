@@ -1,4 +1,5 @@
-"""Every shipped scenario config parses and validates.
+"""Every shipped scenario config parses and validates, and nothing else
+gets past the parser but a ConfigError.
 
 Covers the checked-in ``configs/*.json`` and the benchmark's workload
 configs in ``perfbench/workloads.py`` (read, never written), so a stricter
@@ -6,12 +7,15 @@ config parser cannot break either without a failing test.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starmimo.cli import ScenarioConfig
+from starmimo.cli import SECTION_KEYS, TOP_LEVEL_KEYS, ConfigError, ScenarioConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -46,3 +50,36 @@ def test_benchmark_workload_config_validates(name, seed):
     cfg = ScenarioConfig.from_dict(WORKLOADS[name].scenario(seed))
     assert cfg.seed == seed
     assert cfg.validate() is cfg
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_json_value_parses_or_is_a_config_error(data):
+    # a value in place of the whole config, of a section or of one field of
+    # a checked-in config: a ScenarioConfig or a ConfigError, never another
+    # exception (parsing only; no system is built)
+    raw = json.loads(data.draw(st.sampled_from(CONFIGS)).read_text())
+    value = data.draw(JSON_VALUES)
+    where = data.draw(st.sampled_from(["top", "section", "field"]))
+    if where == "top":
+        raw = value
+    elif where == "section":
+        raw[data.draw(st.sampled_from(sorted(SECTION_KEYS) + ["new"]))] = value
+    else:
+        name = data.draw(st.sampled_from(sorted(SECTION_KEYS) + [None]))
+        keys = TOP_LEVEL_KEYS if name is None else SECTION_KEYS[name] + ("new",)
+        target = raw if name is None else raw.setdefault(name, {})
+        target[data.draw(st.sampled_from(sorted(keys)))] = value
+    try:
+        cfg = ScenarioConfig.from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ScenarioConfig)

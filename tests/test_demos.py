@@ -1,8 +1,8 @@
-"""Smoke runs of two demos as tier-1 tests.
+"""Smoke runs of every demo as tier-1 tests.
 
-``01_correlation_and_gains.py`` builds surface correlations at several
-spacings and ``07_experiment_runner.py`` drives ``cli.run_experiment`` with
-Monte Carlo on; together they take about two seconds and write no files.
+Each script in ``demos/`` runs in a fresh interpreter against this
+checkout's ``src`` and must exit cleanly; all seven together take about ten
+seconds and write no files.
 """
 
 import os
@@ -13,11 +13,16 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", ["01_correlation_and_gains.py", "07_experiment_runner.py"])
+def test_demos_are_present():
+    assert len(DEMOS) == 7
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]

@@ -1,112 +1,125 @@
 import numpy as np
 import pytest
 
-from conftest import random_system
-from starmimo.channel import covariance_scalars, sample_realization, StarConfig
-from starmimo.correlation import CorrelationPair, build_bs_correlation
-from starmimo.estimation import (
-    PilotSpec,
-    apply_wiener_filter,
-    error_covariance_trace,
-    estimate_realization,
-    lmmse_stats,
-)
+from conftest import one_user_system, random_system
+from starmimo.channel import (SystemDims, StarConfig, complex_normal, covariance_scalars,
+                              sample_realization)
+from starmimo.correlation import LinkGains, build_bs_correlation
+from starmimo.estimation import apply_wiener_filter
+from starmimo.rate import from_alphas
 
 
-class TestPilotSpec:
+def spectrum(alpha, system):
+    """The one user's estimate-covariance eigenvalues at covariance scalar ``alpha``."""
+    psi, _, _ = from_alphas(np.array([alpha]), system)
+    return psi[0]
+
+
+class TestPilotNoise:
     def test_effective_noise(self):
-        assert PilotSpec(tau=4, p=0.5, sigma2=0.2).epsilon == pytest.approx(0.1)
+        system = one_user_system(np.eye(2), tau=4, pilot_power=0.5, sigma2=0.2)
+        assert system.epsilon == pytest.approx(0.1)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            PilotSpec(tau=0, p=1.0, sigma2=1.0)
+            SystemDims(m=2, n=1, k_t=1, k_r=0, tau_c=10, tau=0)
         with pytest.raises(ValueError):
-            PilotSpec(tau=4, p=0.0, sigma2=1.0)
+            one_user_system(np.eye(2), tau=4, pilot_power=0.0)
 
 
 class TestLmmseStats:
     def test_unit_case(self):
         # alpha = 1, R_BS = I, eps = 1: each estimate eigenvalue is
         # 1^2 / (1 + 1) = 0.5
-        pilot = PilotSpec(tau=1, p=1.0, sigma2=1.0)
-        stats = lmmse_stats(1.0, np.ones(4), pilot)
-        np.testing.assert_allclose(stats.eigvals_psi, 0.5 * np.ones(4))
-        assert stats.trace_psi == pytest.approx(2.0)
+        psi = spectrum(1.0, one_user_system(np.eye(4)))
+        np.testing.assert_allclose(psi, 0.5 * np.ones(4))
+        assert psi.sum() == pytest.approx(2.0)
 
     def test_noiseless_limit_recovers_channel_covariance(self):
-        sigma = np.array([3.0, 1.0, 0.5])
-        pilot = PilotSpec(tau=10, p=1e9, sigma2=1.0)
-        stats = lmmse_stats(0.7, sigma, pilot)
-        np.testing.assert_allclose(stats.eigvals_psi, 0.7 * sigma, rtol=1e-9)
+        system = one_user_system(np.diag([3.0, 1.0, 0.5]), tau=10, pilot_power=1e9)
+        np.testing.assert_allclose(spectrum(0.7, system), 0.7 * system.corr.bs_eigvals,
+                                   rtol=1e-9)
 
     def test_zero_alpha(self):
-        pilot = PilotSpec(tau=4, p=1.0, sigma2=0.5)
-        stats = lmmse_stats(0.0, np.array([2.0, 1.0]), pilot)
-        np.testing.assert_array_equal(stats.eigvals_psi, np.zeros(2))
+        system = one_user_system(np.diag([2.0, 1.0]), tau=4, sigma2=0.5)
+        np.testing.assert_array_equal(spectrum(0.0, system), np.zeros(2))
 
     def test_rejects_negative_alpha(self):
+        # alpha = beta_bar + beta_hat * T with T >= 0, so a negative alpha
+        # needs a negative gain, which the gains reject
         with pytest.raises(ValueError):
-            lmmse_stats(-0.1, np.ones(2), PilotSpec(tau=1, p=1.0, sigma2=1.0))
+            LinkGains(beta_g=1.0, beta_bar=[-0.1], beta_tilde=[0.0])
 
     def test_estimate_below_channel_covariance(self, rng):
-        sigma = rng.uniform(0.1, 3.0, 8)
-        stats = lmmse_stats(0.9, sigma, PilotSpec(tau=4, p=1.0, sigma2=0.3))
-        assert np.all(stats.eigvals_psi >= 0)
-        assert np.all(stats.eigvals_psi <= 0.9 * sigma + 1e-15)
+        system = one_user_system(np.diag(rng.uniform(0.1, 3.0, 8)), tau=4, sigma2=0.3)
+        psi = spectrum(0.9, system)
+        assert np.all(psi >= 0)
+        assert np.all(psi <= 0.9 * system.corr.bs_eigvals + 1e-15)
 
     def test_monotone_in_pilot_quality(self):
         # smaller effective noise => larger estimate eigenvalues, elementwise
-        sigma = np.array([2.0, 1.0, 0.25])
+        r_bs = np.diag([2.0, 1.0, 0.25])
         previous = None
         for eps in (2.0, 1.0, 0.5, 0.1, 0.01):
-            stats = lmmse_stats(1.3, sigma, PilotSpec(tau=1, p=1.0 / eps, sigma2=1.0))
+            psi = spectrum(1.3, one_user_system(r_bs, pilot_power=1.0 / eps))
             if previous is not None:
-                assert np.all(stats.eigvals_psi >= previous)
-            previous = stats.eigvals_psi
+                assert np.all(psi >= previous)
+            previous = psi
 
     @pytest.mark.parametrize("m", [2, 5, 16])
     def test_matches_dense_inverse(self, m, rng):
         # eigenbasis path against the naive (R + eps I)^{-1} route
         r_bs = build_bs_correlation(m, "exponential", 0.7)
-        pair = CorrelationPair.from_matrices(r_bs, np.eye(2))
         alpha = rng.uniform(0.2, 2.0)
         eps = rng.uniform(0.05, 1.0)
-        pilot = PilotSpec(tau=1, p=1.0 / eps, sigma2=1.0)
-        stats = lmmse_stats(alpha, pair.bs_eigvals, pilot)
+        system = one_user_system(r_bs, pilot_power=1.0 / eps)
+        psi = spectrum(alpha, system)
 
         r_k = alpha * r_bs
         q_k = np.linalg.inv(r_k + eps * np.eye(m))
         psi_dense = r_k @ q_k @ r_k
-        u = pair.bs_eigvecs
-        psi_fast = u @ np.diag(stats.eigvals_psi) @ u.conj().T
+        u = system.corr.bs_eigvecs
+        psi_fast = u @ np.diag(psi) @ u.conj().T
         assert np.linalg.norm(psi_fast - psi_dense) / np.linalg.norm(psi_dense) < 1e-10
+
+    def test_leading_axes(self, rng):
+        # a (P, K) batch of scalars gives each row's own spectra and report
+        system = random_system(rng, m=5, n=4, k_t=2, k_r=1)
+        alphas = rng.uniform(0.0, 2.0, (3, 3))
+        psi, qr_gain, report = from_alphas(alphas, system)
+        assert psi.shape == qr_gain.shape == (3, 3, 5)
+        for p in range(3):
+            row_psi, row_qr, row = from_alphas(alphas[p], system)
+            np.testing.assert_array_equal(psi[p], row_psi)
+            np.testing.assert_array_equal(qr_gain[p], row_qr)
+            assert report.sum_se[p] == row.sum_se
 
 
 class TestErrorCovariance:
+    """The error covariance has eigenvalues alpha s_i - psi_i."""
+
     def test_unit_case(self):
-        pilot = PilotSpec(tau=1, p=1.0, sigma2=1.0)
-        stats = lmmse_stats(1.0, np.ones(4), pilot)
         # per eigenvalue: 1 - 0.5 = 0.5, four of them
-        assert error_covariance_trace(1.0, np.ones(4), stats) == pytest.approx(2.0)
+        system = one_user_system(np.eye(4))
+        err = np.sum(1.0 * system.corr.bs_eigvals - spectrum(1.0, system))
+        assert err == pytest.approx(2.0)
 
     def test_vanishes_without_noise(self):
-        sigma = np.array([1.0, 2.0])
-        pilot = PilotSpec(tau=10, p=1e12, sigma2=1.0)
-        stats = lmmse_stats(1.0, sigma, pilot)
-        assert error_covariance_trace(1.0, sigma, stats) == pytest.approx(0.0, abs=1e-9)
+        system = one_user_system(np.diag([1.0, 2.0]), tau=10, pilot_power=1e12)
+        err = np.sum(1.0 * system.corr.bs_eigvals - spectrum(1.0, system))
+        assert err == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_alpha(self):
-        pilot = PilotSpec(tau=1, p=1.0, sigma2=1.0)
-        stats = lmmse_stats(0.0, np.ones(3), pilot)
-        assert error_covariance_trace(0.0, np.ones(3), stats) == 0.0
+        system = one_user_system(np.eye(3))
+        assert np.sum(0.0 * system.corr.bs_eigvals - spectrum(0.0, system)) == 0.0
 
     def test_never_negative(self, rng):
-        sigma = rng.uniform(0.01, 5.0, 12)
+        r_bs = np.diag(rng.uniform(0.01, 5.0, 12))
         for _ in range(20):
             alpha = rng.uniform(0.0, 3.0)
             eps = rng.uniform(0.01, 2.0)
-            stats = lmmse_stats(alpha, sigma, PilotSpec(tau=1, p=1.0 / eps, sigma2=1.0))
-            assert error_covariance_trace(alpha, sigma, stats) >= -1e-12
+            system = one_user_system(r_bs, pilot_power=1.0 / eps)
+            assert np.sum(alpha * system.corr.bs_eigvals - spectrum(alpha, system)) >= -1e-12
 
 
 class TestWienerFilter:
@@ -136,8 +149,9 @@ class TestEstimateRealization:
         config = StarConfig.random(4, rng)
         alphas = covariance_scalars(system, config)
         real = sample_realization(system, config, rng)
-        pilot = PilotSpec(tau=4, p=1e12, sigma2=1e-3)
-        h_hat, r = estimate_realization(real.h[0], pilot, alphas[0], system.corr, rng)
+        eps = 1e-3 / (4 * 1e12)
+        r = real.h[0] + np.sqrt(eps) * complex_normal(rng, real.h[0].shape)
+        h_hat = apply_wiener_filter(r, alphas[0], system.corr, eps)
         assert np.linalg.norm(h_hat - real.h[0]) / np.linalg.norm(real.h[0]) < 1e-4
 
     def test_estimator_second_order_statistics(self, rng):
@@ -147,7 +161,6 @@ class TestEstimateRealization:
         config = StarConfig.random(4, rng)
         alpha = covariance_scalars(system, config)[0]
         eps = system.epsilon
-        pilot = PilotSpec(tau=system.dims.tau, p=system.pilot_power, sigma2=system.sigma2)
 
         n_draws = 50_000
         cov_hat = np.zeros((4, 4), dtype=complex)
@@ -156,7 +169,8 @@ class TestEstimateRealization:
         for _ in range(n_draws):
             real = sample_realization(system, config, rng)
             h = real.h[0]
-            h_hat, _ = estimate_realization(h, pilot, alpha, system.corr, rng)
+            r = h + np.sqrt(eps) * complex_normal(rng, h.shape)
+            h_hat = apply_wiener_filter(r, alpha, system.corr, eps)
             err = h - h_hat
             cov_hat += h_hat[:, None] * h_hat.conj()[None, :]
             outer = err[:, None] * h_hat.conj()[None, :]

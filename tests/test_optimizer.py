@@ -466,6 +466,6 @@ class TestCanonicalizeAndRounding:
         flipped = config.copy()
         for region in ("t", "r"):
             mask = local.integers(0, 2, 5).astype(bool)
-            flipped.amplitudes(region)[mask] *= -1.0
-            flipped.phases(region)[mask] *= -1.0
+            getattr(flipped, f"beta_{region}")[mask] *= -1.0
+            getattr(flipped, f"theta_{region}")[mask] *= -1.0
         assert sum_se(flipped, system).sum_se == pytest.approx(base, rel=1e-10)
