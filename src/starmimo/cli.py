@@ -21,7 +21,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,9 @@ CSV_COLUMNS = (
 )
 PROTOCOLS = ("es", "ms", "conventional", "random-phase", "es-no-direct")
 SWEEP_PARAMETERS = ("n", "m", "snr_db", "rho_dbm", "ris_spacing")
+# the optimizer section's fields; the runner sets seed and freeze_amplitudes itself
+OPTIMIZER_FIELDS = tuple(f for f in fields(PgamOptions)
+                         if f.name not in ("seed", "freeze_amplitudes"))
 SECTION_KEYS = {
     "dims": ("m", "n", "k_t", "k_r", "tau_c", "tau"),
     "geometry": ("bs_xy", "ris_xy", "d0"),
@@ -63,12 +66,15 @@ SECTION_KEYS = {
                  "element_area"),
     "correlation": ("bs_model", "bs_param", "ris_spacing"),
     "conventional": ("t_fraction",),
-    "optimizer": ("mu_init", "kappa", "tol", "max_iters", "max_backtracks", "n_starts"),
+    "optimizer": tuple(f.name for f in OPTIMIZER_FIELDS),
     "mc": ("enabled", "trials"),
     "sweep": ("parameter", "values"),
 }
 TOP_LEVEL_KEYS = ("name", "kind", "protocols", "seed", "out", "timings", *SECTION_KEYS)
 _REQUIRED = object()  # the default of a config field that must be given
+# beyond these, the powers and path gains build_system forms overflow or vanish
+DB_RANGE = (-300.0, 300.0)
+EXPONENT_RANGE = (0.0, 10.0)
 LN2 = math.log(2.0)
 
 
@@ -185,14 +191,10 @@ class ScenarioConfig:
 
         def optimizer_options():
             try:
-                return PgamOptions(
-                    mu_init=_field(opt, "optimizer.mu_init", float, 1.0),
-                    kappa=_field(opt, "optimizer.kappa", float, 0.5),
-                    tol=_field(opt, "optimizer.tol", float, 1e-5),
-                    max_iters=_field(opt, "optimizer.max_iters", int, 200),
-                    max_backtracks=_field(opt, "optimizer.max_backtracks", int, 60),
-                    n_starts=_field(opt, "optimizer.n_starts", int, 5),
-                )
+                return PgamOptions(**{
+                    f.name: _field(opt, f"optimizer.{f.name}", type(f.default), f.default)
+                    for f in OPTIMIZER_FIELDS
+                })
             except OptionError as exc:
                 raise ConfigError(f"optimizer.{exc.field}", str(exc)) from None
 
@@ -251,6 +253,18 @@ class ScenarioConfig:
         _square_side(self.n, "dims.n")
         if (self.rho_dbm is None) == (self.snr_db is None):
             raise ConfigError("powers", "set exactly one of rho_dbm or snr_db")
+        swept_db = self.sweep_values if self.sweep_parameter in ("snr_db", "rho_dbm") else ()
+        for fld, value, (low, high) in (
+                ("powers.rho_dbm", self.rho_dbm, DB_RANGE),
+                ("powers.snr_db", self.snr_db, DB_RANGE),
+                ("powers.pilot_power_dbm", self.pilot_power_dbm, DB_RANGE),
+                ("pathloss.ris_exponent", self.ris_exponent, EXPONENT_RANGE),
+                ("pathloss.direct_exponent", self.direct_exponent, EXPONENT_RANGE),
+                ("pathloss.penetration_db", self.penetration_db, DB_RANGE),
+                ("conventional.t_fraction", self.conventional_t_fraction, (0.0, 1.0)),
+                *(("sweep.values", value, DB_RANGE) for value in swept_db)):
+            if value is not None and not low <= value <= high:
+                raise ConfigError(fld, f"must lie in [{low}, {high}], got {value!r}")
         for fld, value in (("geometry.d0", self.d0), ("powers.bandwidth_hz", self.bandwidth_hz),
                            ("pathloss.wavelength_m", self.wavelength_m),
                            ("pathloss.element_area", self.element_area),
@@ -276,8 +290,6 @@ class ScenarioConfig:
                     raise ConfigError("sweep.values", f"antenna count must be >= 1, got {value!r}")
                 if self.sweep_parameter == "ris_spacing":
                     _check_positive(value, "sweep.values")
-        if not 0.0 <= self.conventional_t_fraction <= 1.0:
-            raise ConfigError("conventional.t_fraction", "must lie in [0, 1]")
         if self.mc_trials < 2:
             raise ConfigError("mc.trials", "needs at least 2 trials")
         if self.seed < 0:

@@ -18,7 +18,7 @@ from .correlation import CorrelationPair
 
 def apply_wiener_filter(r: np.ndarray, alpha: float | np.ndarray,
                         corr: CorrelationPair, eps: float) -> np.ndarray:
-    """R_k Q_k r in the eigenbasis; works on a single vector or a batch of rows.
+    """R_k Q_k r in the eigenbasis, for a single vector or a batch of rows.
 
     The filter scales eigen-coordinate i by ``alpha s_i / (alpha s_i + eps)``.
     For a (K, M) batch, ``alpha`` may be a scalar shared by every row or a
@@ -27,6 +27,4 @@ def apply_wiener_filter(r: np.ndarray, alpha: float | np.ndarray,
     scaled = np.multiply.outer(alpha, corr.bs_eigvals)
     gain = scaled / (scaled + eps)
     u = corr.bs_eigvecs
-    if r.ndim == 1:
-        return u @ (gain * (u.conj().T @ r))
     return (r @ u.conj()) * gain @ u.T

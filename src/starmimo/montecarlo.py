@@ -16,6 +16,7 @@ batching or execution order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,45 +37,17 @@ class McEstimate:
     std_err: np.ndarray
 
 
-@dataclass
-class _Moments:
-    """Running sums of the per-trial statistics, one slot per user."""
-
-    z: np.ndarray        # sum of h_k^H hhat_k
-    m2_self: np.ndarray  # sum of |h_k^H hhat_k|^2
-    m2_cross: np.ndarray  # (K, K) sum of |h_k^H hhat_i|^2, i != k
-    power: np.ndarray    # sum of hhat_i^H hhat_i
-    count: int
-
-    @classmethod
-    def zeros(cls, k: int) -> "_Moments":
-        return cls(
-            z=np.zeros(k, dtype=complex),
-            m2_self=np.zeros(k),
-            m2_cross=np.zeros((k, k)),
-            power=np.zeros(k),
-            count=0,
-        )
-
-    def add(self, other: "_Moments"):
-        self.z += other.z
-        self.m2_self += other.m2_self
-        self.m2_cross += other.m2_cross
-        self.power += other.power
-        self.count += other.count
-
-
-def _gamma_from_moments(mom: _Moments, system: SystemModel) -> tuple[np.ndarray, np.ndarray]:
-    n = mom.count
-    k_users = system.dims.k
-    mean_z = mom.z / n
-    s = np.abs(mean_z) ** 2
-    var_self = mom.m2_self / n - s
-    cross = mom.m2_cross / n
-    total_power = float(np.sum(mom.power / n))
-    noise = k_users * system.sigma2 / system.rho * total_power
-    i_term = var_self + cross.sum(axis=1) + noise
-    return s, i_term
+def _sinr_terms(z, m2, power, count, system: SystemModel):
+    """Signal and interference-plus-noise terms from the sums over ``count``
+    trials of z = h_k^H hhat_k (..., K), m2 = |h_k^H hhat_i|^2 (..., K, K) and
+    power = hhat_i^H hhat_i (..., K); leading axes are batches."""
+    n = np.asarray(count)[..., None]
+    s = np.abs(z / n) ** 2
+    mean_m2 = m2 / n[..., None]
+    var_self = np.diagonal(mean_m2, axis1=-2, axis2=-1) - s
+    cross = mean_m2 * (1.0 - np.eye(system.dims.k))
+    noise = system.noise_lift * np.sum(power / n, axis=-1)
+    return s, var_self + cross.sum(axis=-1) + noise[..., None]
 
 
 def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
@@ -93,10 +66,13 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
     n_batches = int(min(n_batches, n_trials))
 
     streams = np.random.SeedSequence(seed).spawn(n_trials)
-    batch_moments = [_Moments.zeros(k_users) for _ in range(n_batches)]
-    edges = np.linspace(0, n_trials, n_batches + 1).astype(int)
+    counts = np.diff(np.linspace(0, n_trials, n_batches + 1).astype(int))
+    batch_of = np.repeat(np.arange(n_batches), counts)
+    z = np.zeros((n_batches, k_users), dtype=complex)
+    m2 = np.zeros((n_batches, k_users, k_users))
+    power = np.zeros((n_batches, k_users))
 
-    for trial, stream in enumerate(streams):
+    for trial, (stream, batch) in enumerate(zip(streams, batch_of)):
         rng = np.random.default_rng(stream)
         real = sample_realization(system, config, rng)
         noise = np.sqrt(eps) * complex_normal(rng, real.h.shape)
@@ -105,28 +81,15 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
         inner = real.h.conj() @ h_hat.T  # (k, i) = h_k^H hhat_i
         if not np.all(np.isfinite(inner)):
             raise FloatingPointError(f"non-finite moment at trial {trial}")
-        mom = _Moments(
-            z=np.diag(inner).copy(),
-            m2_self=np.abs(np.diag(inner)) ** 2,
-            m2_cross=np.abs(inner) ** 2 * (1.0 - np.eye(k_users)),
-            power=np.sum(np.abs(h_hat) ** 2, axis=1),
-            count=1,
-        )
-        batch = int(np.searchsorted(edges, trial, side="right") - 1)
-        batch_moments[batch].add(mom)
+        z[batch] += np.diag(inner)
+        m2[batch] += np.abs(inner) ** 2
+        power[batch] += np.sum(np.abs(h_hat) ** 2, axis=1)
 
-    total = _Moments.zeros(k_users)
-    for mom in batch_moments:
-        total.add(mom)
-    s, i_term = _gamma_from_moments(total, system)
-    gamma = sinr_from_terms(s, i_term)
-
-    per_batch = np.array([
-        sinr_from_terms(*_gamma_from_moments(mom, system))
-        for mom in batch_moments if mom.count > 0
-    ])
-    used = per_batch.shape[0]
-    std_err = per_batch.std(axis=0, ddof=1) / np.sqrt(used) if used > 1 \
+    # add the batch rows in order: a numpy sum may pair them and move the last bit
+    totals = [functools.reduce(np.add, rows) for rows in (z, m2, power)]
+    gamma = sinr_from_terms(*_sinr_terms(*totals, n_trials, system))
+    per_batch = sinr_from_terms(*_sinr_terms(z, m2, power, counts, system))
+    std_err = per_batch.std(axis=0, ddof=1) / np.sqrt(n_batches) if n_batches > 1 \
         else np.full(k_users, np.nan)
 
     prelog = system.dims.prelog

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from starmimo.channel import StarConfig
 from starmimo.cli import (
+    SECTION_KEYS,
     ConfigError,
     ScenarioConfig,
     build_system,
@@ -17,6 +20,8 @@ from starmimo.cli import (
     user_positions,
     write_csv,
 )
+from starmimo.optimizer import PgamOptions
+from starmimo.rate import sum_se
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -156,6 +161,35 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_dict(raw)
         assert err.value.field == f"optimizer.{key}"
+
+    def test_optimizer_defaults_are_pgam_options(self):
+        raw = json.loads(json.dumps(DESK))
+        del raw["optimizer"]
+        parsed, default = ScenarioConfig.from_dict(raw).optimizer, PgamOptions()
+        for f in fields(PgamOptions):
+            value = getattr(parsed, f.name)
+            assert value == getattr(default, f.name)
+            assert type(value) is type(getattr(default, f.name))
+        assert SECTION_KEYS["optimizer"] == tuple(
+            f.name for f in fields(PgamOptions) if f.name not in ("seed", "freeze_amplitudes"))
+
+    @pytest.mark.parametrize("powers, pathloss", [
+        ({"snr_db": -300.0}, {}), ({"snr_db": 300.0}, {}),
+        ({"rho_dbm": -300.0}, {}), ({"rho_dbm": 300.0}, {}),
+        ({"snr_db": 110.0, "pilot_power_dbm": -300.0}, {}),
+        ({"snr_db": 110.0, "pilot_power_dbm": 300.0}, {}),
+        ({"snr_db": 110.0}, {"penetration_db": -300.0}),
+        ({"snr_db": 110.0}, {"penetration_db": 300.0}),
+        ({"snr_db": 110.0}, {"ris_exponent": 0.0}), ({"snr_db": 110.0}, {"ris_exponent": 10.0}),
+        ({"snr_db": 110.0}, {"direct_exponent": 0.0}),
+        ({"snr_db": 110.0}, {"direct_exponent": 10.0}),
+    ])
+    def test_range_ends_build_a_finite_system(self, powers, pathloss):
+        raw = json.loads(json.dumps(DESK))
+        raw.update(powers=powers, pathloss=pathloss)
+        system = build_system(ScenarioConfig.from_dict(raw))
+        report = sum_se(StarConfig.equal_split(system.dims.n), system)
+        assert np.isfinite(report.sum_se)
 
     @pytest.mark.parametrize("parameter, bad", [
         ("n", "x"), ("n", None), ("m", "x"), ("m", 0), ("m", float("inf")),
@@ -453,6 +487,7 @@ class TestMain:
     @pytest.mark.parametrize("section, key, bad", [
         ("geometry", "d0", "far"), ("powers", "bandwidth_hz", "wide"),
         ("optimizer", "max_iters", 0), ("sweep", "values", ["x"]),
+        ("powers", "snr_db", 4000.0), ("pathloss", "ris_exponent", -300.0),
     ])
     def test_bad_field_exits_with_its_name_and_no_traceback(self, tmp_path, section, key,
                                                             bad):
@@ -500,6 +535,23 @@ class TestMain:
         ("geometry.bs_xy", lambda raw: raw.update(geometry={"bs_xy": [50.0, 10.0]})),
         # the lone t-region user sits d0 / 2 above the surface
         ("geometry.bs_xy", lambda raw: raw.update(geometry={"bs_xy": [50.0, 20.0]})),
+        # beyond these ranges, build_system overflows
+        ("powers.snr_db", lambda raw: raw["powers"].update(snr_db=4000.0)),
+        ("powers.snr_db", lambda raw: raw["powers"].update(snr_db=-300.5)),
+        ("powers.rho_dbm", lambda raw: raw.update(powers={"rho_dbm": 5000.0})),
+        ("powers.rho_dbm", lambda raw: raw.update(powers={"rho_dbm": -301.0})),
+        ("powers.pilot_power_dbm", lambda raw: raw["powers"].update(pilot_power_dbm=5000.0)),
+        ("powers.pilot_power_dbm", lambda raw: raw["powers"].update(pilot_power_dbm=-400.0)),
+        ("pathloss.penetration_db", lambda raw: raw.update(pathloss={"penetration_db": -5000})),
+        ("pathloss.penetration_db", lambda raw: raw.update(pathloss={"penetration_db": 301})),
+        ("pathloss.ris_exponent", lambda raw: raw.update(pathloss={"ris_exponent": -300})),
+        ("pathloss.ris_exponent", lambda raw: raw.update(pathloss={"ris_exponent": 10.5})),
+        ("pathloss.direct_exponent", lambda raw: raw.update(pathloss={"direct_exponent": -0.1})),
+        ("pathloss.direct_exponent", lambda raw: raw.update(pathloss={"direct_exponent": 11})),
+        ("sweep.values", lambda raw: raw.update(sweep={"parameter": "snr_db",
+                                                       "values": [110.0, 4000.0]})),
+        ("sweep.values", lambda raw: raw.update(powers={"rho_dbm": 20.0}, sweep={
+            "parameter": "rho_dbm", "values": [-300.5]})),
     ])
     def test_rejected_at_parse_with_field_and_status_2(self, tmp_path, capsys, fld, edit):
         raw = json.loads(json.dumps(DESK))

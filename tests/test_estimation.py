@@ -153,38 +153,3 @@ class TestEstimateRealization:
         r = real.h[0] + np.sqrt(eps) * complex_normal(rng, real.h[0].shape)
         h_hat = apply_wiener_filter(r, alphas[0], system.corr, eps)
         assert np.linalg.norm(h_hat - real.h[0]) / np.linalg.norm(real.h[0]) < 1e-4
-
-    def test_estimator_second_order_statistics(self, rng):
-        # empirical covariance of the estimate vs Psi, and estimate/error
-        # cross-covariance near zero, 50k draws at M = 4
-        system = random_system(rng, m=4, n=4, k_t=1, k_r=0, complex_bs=False)
-        config = StarConfig.random(4, rng)
-        alpha = covariance_scalars(system, config)[0]
-        eps = system.epsilon
-
-        n_draws = 50_000
-        cov_hat = np.zeros((4, 4), dtype=complex)
-        cross = np.zeros((4, 4), dtype=complex)
-        cross_sq = np.zeros((4, 4))
-        for _ in range(n_draws):
-            real = sample_realization(system, config, rng)
-            h = real.h[0]
-            r = h + np.sqrt(eps) * complex_normal(rng, h.shape)
-            h_hat = apply_wiener_filter(r, alpha, system.corr, eps)
-            err = h - h_hat
-            cov_hat += h_hat[:, None] * h_hat.conj()[None, :]
-            outer = err[:, None] * h_hat.conj()[None, :]
-            cross += outer
-            cross_sq += np.abs(outer) ** 2
-        cov_hat /= n_draws
-        cross /= n_draws
-        cross_sq /= n_draws
-
-        u = system.corr.bs_eigvecs
-        sigma = system.corr.bs_eigvals
-        psi = u @ np.diag((alpha * sigma) ** 2 / (alpha * sigma + eps)) @ u.conj().T
-        assert np.linalg.norm(cov_hat - psi) / np.linalg.norm(psi) < 0.05
-
-        # orthogonality: each cross-covariance entry within 3 standard errors
-        std_err = np.sqrt(np.maximum(cross_sq - np.abs(cross) ** 2, 0.0) / n_draws)
-        assert np.all(np.abs(cross) <= 3.5 * std_err + 1e-12)

@@ -1,11 +1,15 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from conftest import random_system
-from starmimo.channel import StarConfig, SystemDims, SystemModel
+from starmimo.channel import (StarConfig, SystemDims, SystemModel, complex_normal,
+                              covariance_scalars, sample_realization)
 from starmimo.correlation import CorrelationPair, LinkGains
+from starmimo.estimation import apply_wiener_filter
 from starmimo.montecarlo import mc_covariance_check, mc_sinr
-from starmimo.rate import sum_se
+from starmimo.rate import sinr_from_terms, sum_se
 
 
 def direct_only_system(m=32, k=3, noise_to_power=500.0):
@@ -22,7 +26,86 @@ def direct_only_system(m=32, k=3, noise_to_power=500.0):
     )
 
 
+@dataclass
+class Moments:
+    """Running sums of one trial or of a batch of trials."""
+
+    z: np.ndarray
+    m2_self: np.ndarray
+    m2_cross: np.ndarray
+    power: np.ndarray
+    count: int
+
+    @classmethod
+    def zeros(cls, k):
+        return cls(np.zeros(k, dtype=complex), np.zeros(k), np.zeros((k, k)), np.zeros(k), 0)
+
+    def add(self, other):
+        self.z += other.z
+        self.m2_self += other.m2_self
+        self.m2_cross += other.m2_cross
+        self.power += other.power
+        self.count += other.count
+
+    def terms(self, system):
+        n = self.count
+        s = np.abs(self.z / n) ** 2
+        noise = system.dims.k * system.sigma2 / system.rho * float(np.sum(self.power / n))
+        return s, self.m2_self / n - s + (self.m2_cross / n).sum(axis=1) + noise
+
+
+def reference_mc_sinr(system, config, n_trials, seed, n_batches=20):
+    """mc_sinr with one moments object per trial, added into the batch that
+    searchsorted finds for it; the batches are added into a zero total and
+    the SINR is assembled batch by batch."""
+    k = system.dims.k
+    eps = system.epsilon
+    alphas = covariance_scalars(system, config)
+    n_batches = min(n_batches, n_trials)
+    edges = np.linspace(0, n_trials, n_batches + 1).astype(int)
+    batches = [Moments.zeros(k) for _ in range(n_batches)]
+    for trial, stream in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
+        rng = np.random.default_rng(stream)
+        real = sample_realization(system, config, rng)
+        noise = np.sqrt(eps) * complex_normal(rng, real.h.shape)
+        h_hat = apply_wiener_filter(real.h + noise, alphas, system.corr, eps)
+        inner = real.h.conj() @ h_hat.T
+        batch = int(np.searchsorted(edges, trial, side="right") - 1)
+        batches[batch].add(Moments(np.diag(inner).copy(), np.abs(np.diag(inner)) ** 2,
+                                   np.abs(inner) ** 2 * (1.0 - np.eye(k)),
+                                   np.sum(np.abs(h_hat) ** 2, axis=1), 1))
+    total = Moments.zeros(k)
+    for mom in batches:
+        total.add(mom)
+    gamma = sinr_from_terms(*total.terms(system))
+    per_batch = np.array([sinr_from_terms(*mom.terms(system)) for mom in batches])
+    std_err = per_batch.std(axis=0, ddof=1) / np.sqrt(n_batches) if n_batches > 1 \
+        else np.full(k, np.nan)
+    return gamma, std_err, float(system.dims.prelog * np.sum(np.log2(1.0 + gamma)))
+
+
 class TestMcSinr:
+    @pytest.mark.parametrize("k_t, k_r, complex_bs, n_trials, n_batches", [
+        (1, 0, False, 50, 20),   # K = 1
+        (2, 1, True, 80, 20),    # K = 3, complex R_BS
+        (1, 1, True, 57, 20),    # uneven batches
+        (1, 1, False, 45, 45),   # one trial per batch
+        (2, 2, True, 3, 20),     # fewer trials than batches
+        (1, 2, True, 40, 1),     # one batch: no standard error
+    ])
+    def test_bit_identical_to_per_trial_reference(self, k_t, k_r, complex_bs, n_trials,
+                                                  n_batches):
+        rng = np.random.default_rng(n_trials)
+        system = random_system(rng, m=5, n=4, k_t=k_t, k_r=k_r, complex_bs=complex_bs)
+        config = StarConfig.random(4, rng)
+        estimate = mc_sinr(system, config, n_trials, seed=7, n_batches=n_batches)
+        gamma, std_err, sum_se_hat = reference_mc_sinr(system, config, n_trials, 7,
+                                                       n_batches)
+        np.testing.assert_array_equal(estimate.gamma_hat, gamma)
+        np.testing.assert_array_equal(estimate.std_err, std_err)
+        assert estimate.sum_se_hat == sum_se_hat
+        assert np.all(np.isnan(std_err)) == (n_batches == 1)
+
     def test_direct_only_matches_closed_form(self, rng):
         # noise-dominated Gaussian case: analytic and sampled SINRs agree
         # within three standard errors
