@@ -22,7 +22,8 @@ def apply_wiener_filter(r: np.ndarray, alpha: float | np.ndarray,
 
     The filter scales eigen-coordinate i by ``alpha s_i / (alpha s_i + eps)``.
     For a (K, M) batch, ``alpha`` may be a scalar shared by every row or a
-    (K,) vector giving each row its own covariance scalar.
+    (K,) vector giving each row its own covariance scalar.  A (T, K, M)
+    stack of batches is filtered batch by batch, one product per batch.
     """
     scaled = np.multiply.outer(alpha, corr.bs_eigvals)
     gain = scaled / (scaled + eps)

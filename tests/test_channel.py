@@ -286,20 +286,47 @@ class TestSampleRealization:
         np.testing.assert_array_equal(real.h, real.d)
 
     def test_empirical_covariance_matches_closed_form(self, rng):
-        # law of large numbers against the covariance scalar, M = N = 4
+        # law of large numbers against the covariance scalar, M = N = 4,
+        # drawn in chunks of 5000 trials with one generator each
         system = random_system(rng, m=4, n=4, k_t=1, k_r=1, complex_bs=False)
         config = StarConfig.random(4, rng)
         alphas = covariance_scalars(system, config)
         n_draws = 50_000
         acc = np.zeros((2, 4, 4), dtype=complex)
-        for _ in range(n_draws):
-            real = sample_realization(system, config, rng)
-            acc += real.h[:, :, None] * real.h.conj()[:, None, :]
+        for _ in range(n_draws // 5000):
+            h = sample_realization(system, config, rng.spawn(5000)).h
+            acc += np.sum(h[:, :, :, None] * h.conj()[:, :, None, :], axis=0)
         acc /= n_draws
         for k in range(2):
             target = alphas[k] * system.corr.r_bs
             err = np.linalg.norm(acc[k] - target) / np.linalg.norm(target)
             assert err < 0.05
+
+    @pytest.mark.parametrize("k_t, k_r, n, complex_bs", [
+        (2, 2, 16, False), (2, 2, 100, False), (1, 1, 25, True), (2, 1, 64, True),
+        (0, 3, 9, True)])
+    def test_generator_sequence_stacks_single_draws(self, k_t, k_r, n, complex_bs, rng):
+        # each generator of the sequence is consumed as a lone generator is:
+        # the draws stack, and each generator's next draw (the pilot noise of
+        # a Monte Carlo trial) matches too; K = 4 is bit-identical
+        system = random_system(rng, m=8, n=n, k_t=k_t, k_r=k_r, complex_bs=complex_bs)
+        config = StarConfig.random(n, rng)
+        seeds = np.random.SeedSequence(5).spawn(7)
+        chunk_rngs = [np.random.default_rng(s) for s in seeds]
+        chunk = sample_realization(system, config, chunk_rngs)
+        lone_rngs = [np.random.default_rng(s) for s in seeds]
+        lone = [sample_realization(system, config, g) for g in lone_rngs]
+        for field in ("q", "d", "h"):
+            stacked = np.stack([getattr(real, field) for real in lone])
+            assert getattr(chunk, field).shape == stacked.shape == \
+                (7,) + getattr(lone[0], field).shape
+            if system.dims.k == 4:
+                np.testing.assert_array_equal(getattr(chunk, field), stacked)
+            else:
+                assert_rows_close(getattr(chunk, field), stacked, rtol=1e-13)
+        for mine, theirs in zip(chunk_rngs, lone_rngs):
+            np.testing.assert_array_equal(complex_normal(mine, (3, 8)),
+                                          complex_normal(theirs, (3, 8)))
 
     def test_assembly_identity(self, rng):
         # h_k = d_k + G Phi q_k with G formed in the test from the same draw

@@ -1,15 +1,20 @@
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_system
-from starmimo.channel import (StarConfig, SystemDims, SystemModel, complex_normal,
-                              covariance_scalars, sample_realization)
+from starmimo import montecarlo
+from starmimo.channel import (ChannelRealization, StarConfig, SystemDims, SystemModel,
+                              covariance_scalars)
+from starmimo.cli import ScenarioConfig, build_system
 from starmimo.correlation import CorrelationPair, LinkGains
 from starmimo.estimation import apply_wiener_filter
 from starmimo.montecarlo import mc_covariance_check, mc_sinr
 from starmimo.rate import sinr_from_terms, sum_se
+
+MC_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "mc_validation.json"
 
 
 def direct_only_system(m=32, k=3, noise_to_power=500.0):
@@ -24,6 +29,33 @@ def direct_only_system(m=32, k=3, noise_to_power=500.0):
         modes=tuple(["t"] + ["r"] * (k - 1)),
         rho=rho, pilot_power=100.0, sigma2=noise_to_power * rho,
     )
+
+
+def per_trial_cn(rng, shape):
+    """CN(0, 1) entries by a complex divide by sqrt(2)."""
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= np.sqrt(2.0)
+    return out
+
+
+def per_trial_realization(system, config, rng):
+    """One trial at a time: D, c, c_bar from ``rng``, then both R_RIS^{1/2}
+    products on the (N, 2K) real view of this trial alone."""
+    m, n, k = system.dims.m, system.dims.n, system.dims.k
+    bs_sqrt, ris_sqrt = system.corr.bs_sqrt, system.corr.ris_sqrt
+    d_fast = per_trial_cn(rng, (m, n))
+    c = per_trial_cn(rng, (k, n))
+    c_bar = per_trial_cn(rng, (k, m))
+    q_cols = (ris_sqrt @ np.ascontiguousarray(c.T).view(float)).view(complex)
+    q_cols *= np.sqrt(system.gains.beta_tilde)
+    phi_cols = np.where(system.region_mask[:, 0] > 0,
+                        config.phi("t")[:, None], config.phi("r")[:, None])
+    v = (ris_sqrt @ (phi_cols * q_cols).view(float)).view(complex)
+    d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_sqrt.T)
+    h = d + np.sqrt(system.gains.beta_g) * (bs_sqrt @ (d_fast @ v)).T
+    return ChannelRealization(q=q_cols.T, d=d, h=h)
 
 
 @dataclass
@@ -66,8 +98,8 @@ def reference_mc_sinr(system, config, n_trials, seed, n_batches=20):
     batches = [Moments.zeros(k) for _ in range(n_batches)]
     for trial, stream in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
         rng = np.random.default_rng(stream)
-        real = sample_realization(system, config, rng)
-        noise = np.sqrt(eps) * complex_normal(rng, real.h.shape)
+        real = per_trial_realization(system, config, rng)
+        noise = np.sqrt(eps) * per_trial_cn(rng, real.h.shape)
         h_hat = apply_wiener_filter(real.h + noise, alphas, system.corr, eps)
         inner = real.h.conj() @ h_hat.T
         batch = int(np.searchsorted(edges, trial, side="right") - 1)
@@ -105,6 +137,37 @@ class TestMcSinr:
         np.testing.assert_array_equal(estimate.std_err, std_err)
         assert estimate.sum_se_hat == sum_se_hat
         assert np.all(np.isnan(std_err)) == (n_batches == 1)
+
+    @pytest.mark.parametrize("n", [16, 64, 100, 256, 1024])
+    def test_chunks_bit_identical_on_config_systems(self, n):
+        # the checked-in shape (M = 64, K = 4, exponential R_BS): 8 real
+        # columns per trial, where a chunk's R_RIS^{1/2} product equals the
+        # per-trial products bit for bit; one and a half chunks of trials
+        # leave a partial last chunk, and 7 batches start inside chunks
+        system = build_system(ScenarioConfig.from_file(MC_CONFIG), n=n)
+        assert system.dims.k == 4 and np.isrealobj(system.corr.r_bs)
+        config = StarConfig.random(n, np.random.default_rng(n))
+        chunk = montecarlo.CHUNK_BYTES // (system.dims.m * n * 16)
+        n_trials = chunk + chunk // 2 + 1
+        estimate = mc_sinr(system, config, n_trials, 3, 7)
+        gamma, std_err, sum_se_hat = reference_mc_sinr(system, config, n_trials, 3, 7)
+        np.testing.assert_array_equal(estimate.gamma_hat, gamma)
+        np.testing.assert_array_equal(estimate.std_err, std_err)
+        assert estimate.sum_se_hat == sum_se_hat
+
+    @pytest.mark.parametrize("k_t, k_r", [(1, 1), (2, 1), (3, 3), (4, 5)])
+    def test_chunks_agree_to_roundoff_for_other_user_counts(self, k_t, k_r, monkeypatch):
+        # 2K real columns per trial that are not a multiple of 8 may round
+        # differently in one chunk-wide product; chunks of 5 trials here
+        rng = np.random.default_rng(k_t + k_r)
+        system = random_system(rng, m=8, n=36, k_t=k_t, k_r=k_r, complex_bs=True)
+        config = StarConfig.random(36, rng)
+        monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 5 * 8 * 36 * 16)
+        estimate = mc_sinr(system, config, 23, seed=4, n_batches=4)
+        gamma, std_err, sum_se_hat = reference_mc_sinr(system, config, 23, 4, 4)
+        np.testing.assert_allclose(estimate.gamma_hat, gamma, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(estimate.std_err, std_err, rtol=1e-12, atol=0)
+        assert estimate.sum_se_hat == pytest.approx(sum_se_hat, rel=1e-12, abs=0)
 
     def test_direct_only_matches_closed_form(self, rng):
         # noise-dominated Gaussian case: analytic and sampled SINRs agree
