@@ -9,7 +9,8 @@ byte-identical file (wall-clock timings are off unless requested, since they
 are the one non-deterministic column).
 
 Flags: ``--config <path> [--seed <u64>] [--out <path>] [--mc-trials <n>]
-[--no-mc] [--timings]``; flags override the config file.
+[--no-mc] [--timings]``; flags override the config file and are checked
+like its fields.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,19 +64,6 @@ SWEEP_PARAMETERS = ("n", "m", "snr_db", "rho_dbm", "ris_spacing")
 # the optimizer section's fields; the runner sets seed and freeze_amplitudes itself
 OPTIMIZER_FIELDS = tuple(f for f in fields(PgamOptions)
                          if f.name not in ("seed", "freeze_amplitudes"))
-SECTION_KEYS = {
-    "dims": ("m", "n", "k_t", "k_r", "tau_c", "tau"),
-    "geometry": ("bs_xy", "ris_xy", "d0"),
-    "powers": ("rho_dbm", "snr_db", "pilot_power_dbm", "bandwidth_hz"),
-    "pathloss": ("ris_exponent", "direct_exponent", "penetration_db", "wavelength_m",
-                 "element_area"),
-    "correlation": ("bs_model", "bs_param", "ris_spacing"),
-    "conventional": ("t_fraction",),
-    "optimizer": tuple(f.name for f in OPTIMIZER_FIELDS),
-    "mc": ("enabled", "trials"),
-    "sweep": ("parameter", "values"),
-}
-TOP_LEVEL_KEYS = ("name", "kind", "protocols", "seed", "out", "timings", *SECTION_KEYS)
 _REQUIRED = object()  # the default of a config field that must be given
 # beyond these, the powers and path gains build_system forms overflow or vanish
 DB_RANGE = (-300.0, 300.0)
@@ -99,186 +87,198 @@ def noise_power(bandwidth_hz: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+def _entry(path: str, kind, default=_REQUIRED, check=None):
+    """One row of the config table, kept as the metadata of a ScenarioConfig field.
+
+    ``path`` is where the field sits in the JSON object.  ``kind`` is int or
+    float (see :func:`_convert`), str, bool, list (kept as a tuple), a tuple
+    of the allowed strings, or a parser ``kind(value, path, parsed)`` given
+    the fields parsed before it.  ``default`` stands in for an absent key; a
+    callable default is computed from the field's section and the fields
+    before it, and a field whose default is None may also be null.
+    ``check(value, path)`` raises a ConfigError for a parsed value out of
+    range; it is not run on None.
+    """
+    return field(metadata={"path": path, "kind": kind, "default": default, "check": check})
+
+
+def _between(low: float, high: float):
+    def check(value, fld):
+        # the comparisons are False for NaN
+        if not low <= value <= high:
+            raise ConfigError(fld, f"must lie in [{low}, {high}], got {value!r}")
+    return check
+
+
+def _at_least(low: int):
+    def check(value, fld):
+        if value < low:
+            raise ConfigError(fld, f"must be >= {low}, got {value!r}")
+    return check
+
+
+def _positive(value: float, fld: str) -> None:
+    # the comparisons are False for NaN
+    if not 0.0 < value < math.inf:
+        raise ConfigError(fld, f"must be finite and positive, got {value!r}")
+
+
+def _square_side(n: int, fld: str) -> int:
+    if n < 1:
+        raise ConfigError(fld, f"surface needs at least one element, got {n}")
+    side = math.isqrt(int(n))
+    if side * side != n:
+        raise ConfigError(fld, f"surface is a square array; {n} is not a perfect square")
+    return side
+
+
+def _protocol_names(protocols: tuple, fld: str) -> None:
+    if not protocols:
+        raise ConfigError(fld, "expected at least one protocol")
+    for proto in protocols:
+        if proto not in PROTOCOLS:
+            raise ConfigError(fld, f"unknown protocol {proto!r}; choose from {PROTOCOLS}")
+    if len(protocols) != len(set(protocols)):
+        raise ConfigError(fld, "duplicate entries")
+
+
+def _point(value, fld: str, parsed: dict) -> tuple:
+    """An (x, y) coordinate pair of finite numbers."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(fld, f"expected an [x, y] pair, got {value!r}")
+    return tuple(_convert(coord, fld) for coord in value)
+
+
+def _optimizer_options(section: dict, fld: str, parsed: dict) -> PgamOptions:
+    """The optimizer section: its keys, kinds, defaults and ranges are the
+    fields of PgamOptions."""
+    try:
+        return PgamOptions(**{
+            f.name: _convert(section.get(f.name, f.default), f"{fld}.{f.name}", type(f.default))
+            for f in OPTIMIZER_FIELDS
+        })
+    except OptionError as exc:
+        raise ConfigError(f"{fld}.{exc.field}", str(exc)) from None
+
+
+def _swept_values(values, fld: str, parsed: dict) -> tuple:
+    """The sweep values, each converted to the kind of the swept field (whose
+    entry checks them in ``validate``); none are allowed without a parameter."""
+    parameter = parsed["sweep_parameter"]
+    if parameter is None:
+        if values != ():
+            raise ConfigError("sweep.parameter", "missing; sweep.values needs a parameter")
+        return ()
+    if not isinstance(values, list) or not values:
+        raise ConfigError(fld, "expected a non-empty list")
+    kind = _ENTRIES[parameter].metadata["kind"]
+    return tuple(_convert(value, fld, kind) for value in values)
+
+
+def _snr_default(powers: dict, parsed: dict):
+    """100 dB when the powers section sets neither rho_dbm nor snr_db."""
+    return None if powers.keys() & {"rho_dbm", "snr_db"} else 100.0
+
+
 @dataclass
 class ScenarioConfig:
-    """Parsed, validated scenario description."""
+    """Parsed, validated scenario description.
 
-    name: str
-    kind: str                    # "sweep" or "convergence"
-    m: int
-    n: int
-    k_t: int
-    k_r: int
-    tau_c: int
-    tau: int
-    bs_xy: tuple
-    ris_xy: tuple
-    d0: float
-    rho_dbm: float | None
-    snr_db: float | None
-    pilot_power_dbm: float | None
-    bandwidth_hz: float
-    ris_exponent: float
-    direct_exponent: float
-    penetration_db: float
-    wavelength_m: float
-    element_area: float | None
-    bs_model: str
-    bs_param: float
-    ris_spacing: float
-    protocols: tuple
-    conventional_t_fraction: float
-    optimizer: PgamOptions
-    mc_enabled: bool
-    mc_trials: int
-    sweep_parameter: str | None
-    sweep_values: tuple
-    seed: int
-    out: str
-    timings: bool = False
+    Each field's metadata is its row of the config table (see
+    :func:`_entry`).  Parsing, defaults, unknown-key rejection, range checks
+    and sweep-value checks all read the table; fields are converted in
+    declaration order, so the first bad one is the one named.
+    """
+
+    name: str = _entry("name", str, "scenario")
+    kind: str = _entry("kind", ("sweep", "convergence"), "sweep")
+    m: int = _entry("dims.m", int, check=_at_least(1))
+    n: int = _entry("dims.n", int, check=_square_side)
+    k_t: int = _entry("dims.k_t", int)
+    k_r: int = _entry("dims.k_r", int)
+    tau_c: int = _entry("dims.tau_c", int, 200)
+    tau: int = _entry("dims.tau", int, lambda dims, parsed: parsed["k_t"] + parsed["k_r"])
+    bs_xy: tuple = _entry("geometry.bs_xy", _point, (0.0, 0.0))
+    ris_xy: tuple = _entry("geometry.ris_xy", _point, (50.0, 10.0))
+    d0: float = _entry("geometry.d0", float, 20.0, _positive)
+    rho_dbm: float | None = _entry("powers.rho_dbm", float, None, _between(*DB_RANGE))
+    snr_db: float | None = _entry("powers.snr_db", float, _snr_default, _between(*DB_RANGE))
+    pilot_power_dbm: float | None = _entry("powers.pilot_power_dbm", float, None,
+                                           _between(*DB_RANGE))
+    bandwidth_hz: float = _entry("powers.bandwidth_hz", float, 200e3, _positive)
+    ris_exponent: float = _entry("pathloss.ris_exponent", float, 2.2,
+                                 _between(*EXPONENT_RANGE))
+    direct_exponent: float = _entry("pathloss.direct_exponent", float, 3.5,
+                                    _between(*EXPONENT_RANGE))
+    penetration_db: float = _entry("pathloss.penetration_db", float, 15.0, _between(*DB_RANGE))
+    wavelength_m: float = _entry("pathloss.wavelength_m", float, 0.1, _positive)
+    element_area: float | None = _entry("pathloss.element_area", float, None, _positive)
+    bs_model: str = _entry("correlation.bs_model", BS_CORRELATION_MODELS, "exponential")
+    bs_param: float = _entry("correlation.bs_param", float, 0.5)
+    ris_spacing: float = _entry("correlation.ris_spacing", float, 0.25, _positive)
+    protocols: tuple = _entry("protocols", list, ["es"], _protocol_names)
+    conventional_t_fraction: float = _entry("conventional.t_fraction", float, 0.5,
+                                            _between(0.0, 1.0))
+    optimizer: PgamOptions = _entry("optimizer", _optimizer_options, {})
+    mc_enabled: bool = _entry("mc.enabled", bool, False)
+    mc_trials: int = _entry("mc.trials", int, 1000, _at_least(2))
+    sweep_parameter: str | None = _entry("sweep.parameter", SWEEP_PARAMETERS, None)
+    sweep_values: tuple = _entry("sweep.values", _swept_values, ())
+    seed: int = _entry("seed", int, 0, _at_least(0))
+    out: str = _entry("out", str, "results.csv")
+    timings: bool = _entry("timings", bool, False)
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "ScenarioConfig":
+    def from_file(cls, path: str | Path, overrides: dict | None = None) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh), overrides)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ScenarioConfig":
+    def from_dict(cls, raw: dict, overrides: dict | None = None) -> "ScenarioConfig":
+        """The config ``raw`` describes.  ``overrides`` maps JSON paths
+        (``"mc.trials"``) to values that replace the file's; each is parsed
+        by its field's entry after the file's own value, so both must be
+        valid."""
+        overrides = overrides or {}
         if not isinstance(raw, dict):
             raise ConfigError("config", f"expected a mapping at the top level, "
                               f"got {type(raw).__name__}")
         _reject_unknown_keys(raw, TOP_LEVEL_KEYS, "")
+        for name, keys in SECTION_KEYS.items():
+            if not isinstance(raw.get(name, {}), dict):
+                raise ConfigError(name, "must be a mapping")
+            _reject_unknown_keys(raw.get(name, {}), keys, f"{name}.")
 
-        def section(key):
-            value = raw.get(key, {})
-            if not isinstance(value, dict):
-                raise ConfigError(key, "must be a mapping")
-            _reject_unknown_keys(value, SECTION_KEYS[key], f"{key}.")
-            return value
-
-        dims = section("dims")
-        geometry = section("geometry")
-        powers = section("powers")
-        pathloss = section("pathloss")
-        correlation = section("correlation")
-        opt = section("optimizer")
-        mc = section("mc")
-        sweep = section("sweep")
-
-        kind = raw.get("kind", "sweep")
-        if kind not in ("sweep", "convergence"):
-            raise ConfigError("kind", f"must be 'sweep' or 'convergence', got {kind!r}")
-
-        protocols = raw.get("protocols", ["es"])
-        if not isinstance(protocols, list):
-            raise ConfigError("protocols", f"expected a list of protocol names, got {protocols!r}")
-        protocols = tuple(protocols)
-        for proto in protocols:
-            if proto not in PROTOCOLS:
-                raise ConfigError("protocols", f"unknown protocol {proto!r}; "
-                                  f"choose from {PROTOCOLS}")
-        if len(protocols) != len(set(protocols)):
-            raise ConfigError("protocols", "duplicate entries")
-
-        sweep_parameter = sweep.get("parameter")
-        in_vals = ()
-        if kind == "sweep":
-            if sweep_parameter is not None:
-                if sweep_parameter not in SWEEP_PARAMETERS:
-                    raise ConfigError("sweep.parameter",
-                                      f"must be one of {SWEEP_PARAMETERS}")
-                values = sweep.get("values")
-                if not isinstance(values, list) or not values:
-                    raise ConfigError("sweep.values", "expected a non-empty list")
-                value_kind = int if sweep_parameter in ("n", "m") else float
-                in_vals = tuple(_convert(value, "sweep.values", value_kind)
-                                for value in values)
-
-        def optimizer_options():
-            try:
-                return PgamOptions(**{
-                    f.name: _field(opt, f"optimizer.{f.name}", type(f.default), f.default)
-                    for f in OPTIMIZER_FIELDS
-                })
-            except OptionError as exc:
-                raise ConfigError(f"optimizer.{exc.field}", str(exc)) from None
-
-        # fields are converted in declaration order, so the first bad one is named
-        m, n = _field(dims, "dims.m", int), _field(dims, "dims.n", int)
-        k_t, k_r = _field(dims, "dims.k_t", int), _field(dims, "dims.k_r", int)
-        cfg = cls(
-            name=_field(raw, "name", str, "scenario"),
-            kind=kind,
-            m=m,
-            n=n,
-            k_t=k_t,
-            k_r=k_r,
-            tau_c=_field(dims, "dims.tau_c", int, 200),
-            tau=_field(dims, "dims.tau", int, k_t + k_r),
-            bs_xy=_point(geometry, "geometry", "bs_xy", (0.0, 0.0)),
-            ris_xy=_point(geometry, "geometry", "ris_xy", (50.0, 10.0)),
-            d0=_field(geometry, "geometry.d0", float, 20.0),
-            rho_dbm=_field(powers, "powers.rho_dbm", float, None),
-            snr_db=(100.0 if "rho_dbm" not in powers and "snr_db" not in powers
-                    else _field(powers, "powers.snr_db", float, None)),
-            pilot_power_dbm=_field(powers, "powers.pilot_power_dbm", float, None),
-            bandwidth_hz=_field(powers, "powers.bandwidth_hz", float, 200e3),
-            ris_exponent=_field(pathloss, "pathloss.ris_exponent", float, 2.2),
-            direct_exponent=_field(pathloss, "pathloss.direct_exponent", float, 3.5),
-            penetration_db=_field(pathloss, "pathloss.penetration_db", float, 15.0),
-            wavelength_m=_field(pathloss, "pathloss.wavelength_m", float, 0.1),
-            element_area=_field(pathloss, "pathloss.element_area", float, None),
-            bs_model=_field(correlation, "correlation.bs_model", str, "exponential"),
-            bs_param=_field(correlation, "correlation.bs_param", float, 0.5),
-            ris_spacing=_field(correlation, "correlation.ris_spacing", float, 0.25),
-            protocols=protocols,
-            conventional_t_fraction=_field(section("conventional"),
-                                           "conventional.t_fraction", float, 0.5),
-            optimizer=optimizer_options(),
-            mc_enabled=_field(mc, "mc.enabled", bool, False),
-            mc_trials=_field(mc, "mc.trials", int, 1000),
-            sweep_parameter=sweep_parameter,
-            sweep_values=in_vals,
-            seed=_field(raw, "seed", int, 0),
-            out=_field(raw, "out", str, "results.csv"),
-            timings=_field(raw, "timings", bool, False),
-        )
-        cfg.validate()
-        return cfg
+        parsed = {}
+        for f in fields(cls):
+            path, kind, default = (f.metadata[key] for key in ("path", "kind", "default"))
+            section, _, key = path.rpartition(".")
+            sec = raw.get(section, {}) if section else raw
+            if callable(default):
+                default = default(sec, parsed)
+            value = sec.get(key, default)
+            if value is _REQUIRED:
+                raise ConfigError(path, "missing required field")
+            parsed[f.name] = _parse(value, path, kind, default, parsed)
+            if path in overrides:
+                parsed[f.name] = _parse(overrides[path], path, kind, default, parsed)
+        return cls(**parsed).validate()
 
     def validate(self):
-        if self.m < 1:
-            raise ConfigError("dims.m", "must be >= 1")
+        """Check every field by its entry and each sweep value by the swept
+        field's entry, then the rules that tie fields together."""
+        for f in fields(self):
+            _check(f, getattr(self, f.name), f.metadata["path"])
+        for value in self.sweep_values:
+            _check(_ENTRIES[self.sweep_parameter], value, "sweep.values")
         if self.k_t < 0 or self.k_r < 0 or self.k_t + self.k_r < 1:
             raise ConfigError("dims.k_t/k_r", "need at least one user")
         if self.tau < self.k_t + self.k_r:
             raise ConfigError("dims.tau", "orthogonal pilots need tau >= K")
         if self.tau_c < self.tau:
             raise ConfigError("dims.tau_c", "coherence block shorter than pilots")
-        _square_side(self.n, "dims.n")
         if (self.rho_dbm is None) == (self.snr_db is None):
             raise ConfigError("powers", "set exactly one of rho_dbm or snr_db")
-        swept_db = self.sweep_values if self.sweep_parameter in ("snr_db", "rho_dbm") else ()
-        for fld, value, (low, high) in (
-                ("powers.rho_dbm", self.rho_dbm, DB_RANGE),
-                ("powers.snr_db", self.snr_db, DB_RANGE),
-                ("powers.pilot_power_dbm", self.pilot_power_dbm, DB_RANGE),
-                ("pathloss.ris_exponent", self.ris_exponent, EXPONENT_RANGE),
-                ("pathloss.direct_exponent", self.direct_exponent, EXPONENT_RANGE),
-                ("pathloss.penetration_db", self.penetration_db, DB_RANGE),
-                ("conventional.t_fraction", self.conventional_t_fraction, (0.0, 1.0)),
-                *(("sweep.values", value, DB_RANGE) for value in swept_db)):
-            if value is not None and not low <= value <= high:
-                raise ConfigError(fld, f"must lie in [{low}, {high}], got {value!r}")
-        for fld, value in (("geometry.d0", self.d0), ("powers.bandwidth_hz", self.bandwidth_hz),
-                           ("pathloss.wavelength_m", self.wavelength_m),
-                           ("pathloss.element_area", self.element_area),
-                           ("correlation.ris_spacing", self.ris_spacing)):
-            if value is not None:
-                _check_positive(value, fld)
-        if self.bs_model not in BS_CORRELATION_MODELS:
-            raise ConfigError("correlation.bs_model",
-                              f"must be one of {BS_CORRELATION_MODELS}, got {self.bs_model!r}")
         if self.bs_model == "exponential" and not 0.0 <= self.bs_param < 1.0:
             raise ConfigError("correlation.bs_param", "exponential correlation needs a "
                               f"value in [0, 1), got {self.bs_param!r}")
@@ -287,19 +287,51 @@ class ScenarioConfig:
             raise ConfigError("geometry.bs_xy", "the BS sits on the surface")
         if np.any(np.linalg.norm(user_positions(self) - bs, axis=1) == 0.0):
             raise ConfigError("geometry.bs_xy", "the BS sits on a user position")
-        if self.kind == "sweep" and self.sweep_parameter is not None:
-            for value in self.sweep_values:
-                if self.sweep_parameter == "n":
-                    _square_side(value, "sweep.values")
-                if self.sweep_parameter == "m" and value < 1:
-                    raise ConfigError("sweep.values", f"antenna count must be >= 1, got {value!r}")
-                if self.sweep_parameter == "ris_spacing":
-                    _check_positive(value, "sweep.values")
-        if self.mc_trials < 2:
-            raise ConfigError("mc.trials", "needs at least 2 trials")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be non-negative")
         return self
+
+
+_ENTRIES = {f.name: f for f in fields(ScenarioConfig)}
+
+
+def _section_keys() -> dict:
+    """The keys of each config section, read from the field table."""
+    keys = {}
+    for f in fields(ScenarioConfig):
+        section, _, key = f.metadata["path"].rpartition(".")
+        if section:
+            keys[section] = (*keys.get(section, ()), key)
+        elif f.metadata["kind"] is _optimizer_options:
+            keys[key] = tuple(option.name for option in OPTIMIZER_FIELDS)
+    return keys
+
+
+SECTION_KEYS = _section_keys()
+TOP_LEVEL_KEYS = tuple(dict.fromkeys(f.metadata["path"].split(".")[0]
+                                     for f in fields(ScenarioConfig)))
+
+
+def _parse(value, fld: str, kind, default, parsed: dict):
+    """``value`` as a field of ``kind`` with ``default`` (see :func:`_entry`)."""
+    if value is None and default is None:
+        return None
+    if kind in (int, float):
+        return _convert(value, fld, kind)
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(fld, f"must be one of {kind}, got {value!r}")
+        return value
+    if kind in (str, bool, list):
+        if not isinstance(value, kind):
+            raise ConfigError(fld, f"expected a {kind.__name__}, got {value!r}")
+        return tuple(value) if kind is list else value
+    return kind(value, fld, parsed)
+
+
+def _check(entry, value, fld: str) -> None:
+    """Run the check of the table ``entry`` on ``value``, naming ``fld``."""
+    check = entry.metadata["check"]
+    if check is not None and value is not None:
+        check(value, fld)
 
 
 def _convert(value, fld: str, kind=float):
@@ -325,47 +357,6 @@ def _reject_unknown_keys(sec: dict, allowed: tuple, prefix: str) -> None:
             raise ConfigError(f"{prefix}{key}", f"unknown key; expected one of {allowed}")
 
 
-def _field(sec: dict, fld: str, kind: type, default=_REQUIRED):
-    """The field ``fld`` of the section ``sec`` as a ``kind``, or ``default``
-    if it is absent.  A number (``kind`` int or float) goes through
-    :func:`_convert`; any other value must be a ``kind``.  A field without a
-    default is required; one whose default is None may also be null."""
-    value = sec.get(fld.rsplit(".", 1)[-1], default)
-    if value is _REQUIRED:
-        raise ConfigError(fld, "missing required field")
-    if value is None and default is None:
-        return None
-    if kind in (int, float):
-        return _convert(value, fld, kind)
-    if not isinstance(value, kind):
-        raise ConfigError(fld, f"expected a {kind.__name__}, got {value!r}")
-    return value
-
-
-def _point(sec: dict, sec_name: str, key: str, default: tuple) -> tuple:
-    """An (x, y) coordinate pair of finite numbers."""
-    value = sec.get(key, default)
-    fld = f"{sec_name}.{key}"
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(fld, f"expected an [x, y] pair, got {value!r}")
-    return tuple(_convert(coord, fld) for coord in value)
-
-
-def _square_side(n: int, fld: str) -> int:
-    if n < 1:
-        raise ConfigError(fld, f"surface needs at least one element, got {n}")
-    side = math.isqrt(int(n))
-    if side * side != n:
-        raise ConfigError(fld, f"surface is a square array; {n} is not a perfect square")
-    return side
-
-
-def _check_positive(value: float, fld: str) -> None:
-    # the comparisons are False for NaN
-    if not 0.0 < value < math.inf:
-        raise ConfigError(fld, f"must be finite and positive, got {value!r}")
-
-
 def user_positions(cfg: ScenarioConfig) -> np.ndarray:
     """(K, 2) user coordinates: t-region users first, then r-region.
 
@@ -388,27 +379,26 @@ def user_positions(cfg: ScenarioConfig) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def build_system(cfg: ScenarioConfig, *, n: int | None = None, m: int | None = None,
-                 snr_db: float | None = None, rho_dbm: float | None = None,
-                 ris_spacing: float | None = None,
-                 no_direct: bool = False) -> SystemModel:
-    """Assemble the immutable system model for one sweep point."""
-    n = cfg.n if n is None else int(n)
-    m = cfg.m if m is None else int(m)
-    spacing = cfg.ris_spacing if ris_spacing is None else float(ris_spacing)
-    side = _square_side(n, "dims.n")
+def build_system(cfg: ScenarioConfig, *, no_direct: bool = False,
+                 **overrides) -> SystemModel:
+    """Assemble the immutable system model for one sweep point.
+
+    ``overrides`` replace config fields, a sweep point's ``n=36`` say, and
+    are checked by their fields' entries; overriding ``snr_db`` or
+    ``rho_dbm`` drops the other power field.
+    """
+    if overrides.keys() & {"snr_db", "rho_dbm"}:
+        overrides = {"snr_db": None, "rho_dbm": None, **overrides}
+    cfg = replace(cfg, **overrides).validate()
+    side = _square_side(cfg.n, "dims.n")
     # element size equals spacing (gapless surface), so the per-element
     # aperture shrinks quadratically with denser packing
     area = cfg.element_area
     if area is None:
-        area = (spacing * cfg.wavelength_m) ** 2
+        area = (cfg.ris_spacing * cfg.wavelength_m) ** 2
 
     sigma2 = noise_power(cfg.bandwidth_hz)
-    if rho_dbm is not None:
-        rho = 10.0 ** ((rho_dbm - 30.0) / 10.0)
-    elif snr_db is not None:
-        rho = 10.0 ** (snr_db / 10.0) * sigma2
-    elif cfg.rho_dbm is not None:
+    if cfg.rho_dbm is not None:
         rho = 10.0 ** ((cfg.rho_dbm - 30.0) / 10.0)
     else:
         rho = 10.0 ** (cfg.snr_db / 10.0) * sigma2
@@ -417,8 +407,10 @@ def build_system(cfg: ScenarioConfig, *, n: int | None = None, m: int | None = N
     pilot_power = rho / k if cfg.pilot_power_dbm is None \
         else 10.0 ** ((cfg.pilot_power_dbm - 30.0) / 10.0)
 
-    geom = ArrayGeometry(n_h=side, n_v=side, spacing_h=spacing, spacing_v=spacing)
-    corr = CorrelationPair.from_grid(build_bs_correlation(m, cfg.bs_model, cfg.bs_param), geom)
+    geom = ArrayGeometry(n_h=side, n_v=side, spacing_h=cfg.ris_spacing,
+                         spacing_v=cfg.ris_spacing)
+    corr = CorrelationPair.from_grid(build_bs_correlation(cfg.m, cfg.bs_model, cfg.bs_param),
+                                     geom)
 
     bs = np.asarray(cfg.bs_xy, dtype=float)
     ris = np.asarray(cfg.ris_xy, dtype=float)
@@ -438,7 +430,7 @@ def build_system(cfg: ScenarioConfig, *, n: int | None = None, m: int | None = N
             for u in users
         ])
 
-    dims = SystemDims(m=m, n=n, k_t=cfg.k_t, k_r=cfg.k_r, tau_c=cfg.tau_c, tau=cfg.tau)
+    dims = SystemDims(m=cfg.m, n=cfg.n, k_t=cfg.k_t, k_r=cfg.k_r, tau_c=cfg.tau_c, tau=cfg.tau)
     modes = tuple(["t"] * cfg.k_t + ["r"] * cfg.k_r)
     return SystemModel(
         dims=dims,
@@ -644,28 +636,16 @@ def main(argv=None) -> int:
                         help="record wall-clock time per row (breaks byte-identity)")
     args = parser.parse_args(argv)
 
+    flags = {"seed": args.seed, "out": args.out, "mc.trials": args.mc_trials,
+             "mc.enabled": False if args.no_mc else None,
+             "timings": True if args.timings else None}
     try:
-        cfg = ScenarioConfig.from_file(args.config)
+        cfg = ScenarioConfig.from_file(
+            args.config, {path: value for path, value in flags.items() if value is not None})
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    if args.mc_trials is not None:
-        cfg.mc_trials = args.mc_trials
-    if args.no_mc:
-        cfg.mc_enabled = False
-    if args.timings:
-        cfg.timings = True
-
-    try:
-        rows = write_csv(cfg.validate(), cfg.out)  # the flags are checked too
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = write_csv(cfg, cfg.out)
     print(f"{cfg.name}: wrote {len(rows)} rows to {cfg.out}")
     return 0
 

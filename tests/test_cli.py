@@ -227,6 +227,21 @@ class TestScenarioConfig:
         assert cfg.sweep_values == (3.0, 4.5)
         assert all(type(value) is float for value in cfg.sweep_values)
 
+    def test_empty_protocols_rejected(self):
+        raw = json.loads(json.dumps(DESK))
+        raw["protocols"] = []
+        raw["sweep"] = {"parameter": "m", "values": [4, 8]}
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.field == "protocols"
+
+    def test_sweep_values_without_parameter_rejected(self):
+        raw = json.loads(json.dumps(DESK))
+        raw["sweep"] = {"values": [16, 36]}
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(raw)
+        assert err.value.field == "sweep.parameter"
+
     def test_unknown_sweep_parameter(self):
         raw = json.loads(json.dumps(DESK))
         raw["sweep"] = {"parameter": "k", "values": [1, 2]}

@@ -8,14 +8,22 @@ config parser cannot break either without a failing test.
 
 import importlib.util
 import json
+import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starmimo.cli import SECTION_KEYS, TOP_LEVEL_KEYS, ConfigError, ScenarioConfig
+from starmimo.cli import (
+    OPTIMIZER_FIELDS,
+    SECTION_KEYS,
+    TOP_LEVEL_KEYS,
+    ConfigError,
+    ScenarioConfig,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -83,3 +91,40 @@ def test_any_json_value_parses_or_is_a_config_error(data):
     except ConfigError:
         return
     assert isinstance(cfg, ScenarioConfig)
+
+
+# every entry of the config table as (JSON path, kind); the optimizer
+# section's entries are the PgamOptions fields it reads
+TABLE = ([(f.metadata["path"], f.metadata["kind"]) for f in fields(ScenarioConfig)]
+         + [(f"optimizer.{f.name}", type(f.default)) for f in OPTIMIZER_FIELDS])
+
+
+@pytest.mark.parametrize("path, kind", TABLE, ids=[path for path, _ in TABLE])
+def test_value_of_the_wrong_json_kind_names_its_entry(path, kind):
+    # a sweep config, so that sweep.values is read too
+    raw = json.loads((ROOT / "configs" / "sweep_antennas.json").read_text())
+    wrong = 5 if kind is str or isinstance(kind, tuple) else "five"
+    section, _, key = path.rpartition(".")
+    (raw.setdefault(section, {}) if section else raw)[key] = wrong
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(raw)
+    assert err.value.field == path
+
+
+def readme_schema() -> dict:
+    """The jsonc block under README's "Scenario config schema", comments stripped."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("### Scenario config schema", 1)[1].split("```jsonc\n", 1)[1]
+    return json.loads(re.sub(r"//.*", "", block.split("```", 1)[0]))
+
+
+def test_readme_schema_matches_the_table():
+    raw = readme_schema()
+    assert set(raw) == set(TOP_LEVEL_KEYS)
+    for section, keys in SECTION_KEYS.items():
+        assert set(raw[section]) == set(keys), section
+    documented = ScenarioConfig.from_dict(raw)
+    defaults = ScenarioConfig.from_dict({"dims": raw["dims"]})
+    for f in fields(ScenarioConfig):
+        if f.metadata["path"].split(".")[0] not in ("dims", "sweep"):
+            assert getattr(documented, f.name) == getattr(defaults, f.name), f.metadata["path"]
