@@ -2,8 +2,9 @@
 
 Compares, with shared starting seeds: the full energy-splitting design, its
 nearest-binary mode-switching round-off, a split surface with half the
-elements fixed per region (phases still tuned), random phases, and the same
-system with the direct links blocked.
+elements fixed per region (the best of four fixed sign patterns, no
+optimization), random phases, and the same system with the direct links
+blocked.
 """
 
 from starmimo.cli import ScenarioConfig, run_protocol, derive_seed, build_system
@@ -24,7 +25,7 @@ rows = []
 for label, proto, kwargs in [
     ("energy splitting (ES)", "es", {}),
     ("mode switching (rounded ES)", "ms", {}),
-    ("split surface, phases only", "conventional", {}),
+    ("split surface, sign patterns", "conventional", {}),
     ("random phases, equal split", "random-phase", {}),
     ("ES with blocked direct links", "es", {"no_direct": True}),
 ]:

@@ -51,6 +51,7 @@ from .optimizer import (
     multi_start,
     pgam_lockstep,
     round_to_ms,
+    split_surface,
 )
 from .rate import sum_se
 
@@ -61,9 +62,8 @@ CSV_COLUMNS = (
 )
 PROTOCOLS = ("es", "ms", "conventional", "random-phase", "es-no-direct")
 SWEEP_PARAMETERS = ("n", "m", "snr_db", "rho_dbm", "ris_spacing")
-# the optimizer section's fields; the runner sets seed and freeze_amplitudes itself
-OPTIMIZER_FIELDS = tuple(f for f in fields(PgamOptions)
-                         if f.name not in ("seed", "freeze_amplitudes"))
+# the optimizer section's fields; the runner derives the seed per sweep point
+OPTIMIZER_FIELDS = tuple(f for f in fields(PgamOptions) if f.name != "seed")
 _REQUIRED = object()  # the default of a config field that must be given
 # beyond these, the powers and path gains build_system forms overflow or vanish
 DB_RANGE = (-300.0, 300.0)
@@ -271,6 +271,8 @@ class ScenarioConfig:
             _check(f, getattr(self, f.name), f.metadata["path"])
         for value in self.sweep_values:
             _check(_ENTRIES[self.sweep_parameter], value, "sweep.values")
+        if self.kind == "convergence" and self.sweep_parameter is not None:
+            raise ConfigError("sweep.parameter", "a convergence run has no sweep")
         if self.k_t < 0 or self.k_r < 0 or self.k_t + self.k_r < 1:
             raise ConfigError("dims.k_t/k_r", "need at least one user")
         if self.tau < self.k_t + self.k_r:
@@ -477,20 +479,8 @@ def run_protocol(protocol: str, cfg: ScenarioConfig, system: SystemModel,
         return ProtocolResult(rounded, sum_se(rounded, system).sum_se, trace.iterations)
 
     if protocol == "conventional":
-        n_t = int(round(cfg.conventional_t_fraction * n))
-        beta_t = np.zeros(n)
-        beta_t[:n_t] = 1.0
-
-        def split_start(idx, rng):
-            return StarConfig(
-                theta_t=np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)),
-                theta_r=np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)),
-                beta_t=beta_t.copy(), beta_r=1.0 - beta_t,
-            )
-
-        best = multi_start(system, replace(options, freeze_amplitudes=True), split_start)
-        final = best.final_config
-        return ProtocolResult(final, sum_se(final, system).sum_se, best.iterations)
+        split = split_surface(system, int(round(cfg.conventional_t_fraction * n)))
+        return ProtocolResult(split, sum_se(split, system).sum_se, 0)
 
     if protocol == "random-phase":
         # median of n_starts unoptimized draws: a typical configuration, and

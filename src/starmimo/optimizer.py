@@ -59,7 +59,6 @@ class PgamOptions:
     max_backtracks: int = 60
     n_starts: int = 5
     seed: int = 0
-    freeze_amplitudes: bool = False
 
     def __post_init__(self):
         for name, ok, message in (
@@ -170,9 +169,7 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
     """Run the ascent from every starting point in ``inits`` in lockstep and
     return one trace per start, in order.
 
-    Arbitrary starting points are projected feasible first.  With
-    ``freeze_amplitudes`` the amplitude block is held fixed (used by the
-    split-surface baseline where only phases are tunable).  Each start has
+    Arbitrary starting points are projected feasible first.  Each start has
     its own step size, Armijo test, backtrack count, fixed-point accept and
     stop; a start leaves the batch when it stops.  Per iteration the
     gradient is one batched call over the starts still running, and each
@@ -180,12 +177,9 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
     searching.  ``callback``, if given, is invoked as ``callback(start,
     iteration, config, objective)`` after every accepted iteration.
     """
-    frozen = options.freeze_amplitudes
     stacked = [init.stacked() for init in inits]
     theta = project_theta(np.stack([theta for theta, _ in stacked]))
-    beta = np.stack([beta for _, beta in stacked])
-    if not frozen:
-        beta = project_beta(beta)
+    beta = project_beta(np.stack([beta for _, beta in stacked]))
 
     # one kernel evaluation per trial point; the accepted trial's cached
     # intermediates feed the next gradient
@@ -206,14 +200,12 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
 
     for iteration in range(1, options.max_iters + 1):
         grad = grad_objective_from_workspace(build_workspace(point, system))
-        if frozen:
-            grad.d_beta = np.zeros_like(grad.d_beta)
         if not (np.isfinite(grad.d_theta).all() and np.isfinite(grad.d_beta).all()):
             raise PgamFailure("non-finite gradient", iteration)
 
         rows = len(active)
         theta_new = np.empty_like(theta)
-        beta_new = beta if frozen else np.empty_like(beta)
+        beta_new = np.empty_like(beta)
         f_new = f_cur.copy()
         backtracks = np.zeros(rows, dtype=int)
         accepted = np.zeros(rows, dtype=bool)
@@ -226,9 +218,8 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
         while searching.size:
             theta_new[searching] = project_theta(
                 theta[searching] + mu[searching, None] * grad.d_theta[searching])
-            if not frozen:
-                beta_new[searching] = project_beta(
-                    beta[searching] + mu[searching, None] * grad.d_beta[searching])
+            beta_new[searching] = project_beta(
+                beta[searching] + mu[searching, None] * grad.d_beta[searching])
             # exact fixed point: no step can move the iterate, so accept the
             # zero-gain iteration and let the tolerance stop the run
             fixed = ((theta_new[searching] == theta[searching]).all(axis=1)
@@ -295,25 +286,43 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
     return traces
 
 
-def initial_points(n: int, options: PgamOptions, start=None) -> list[StarConfig]:
-    """The ``n_starts`` starting points of a multi-start, start ``idx`` drawn
-    by ``start(idx, rng)`` from its own stream of
-    ``SeedSequence(options.seed)``.  By default the canonical equal-split
-    start with random phases comes first and fully random feasible points
-    after."""
-    if start is None:
-        def start(idx, rng):
-            return StarConfig.equal_split(n, rng) if idx == 0 else StarConfig.random(n, rng)
+def initial_points(n: int, options: PgamOptions) -> list[StarConfig]:
+    """The ``n_starts`` starting points of a multi-start, each drawn from its
+    own stream of ``SeedSequence(options.seed)``: the canonical equal-split
+    start with random phases first, fully random feasible points after."""
     streams = np.random.SeedSequence(options.seed).spawn(options.n_starts)
-    return [start(idx, np.random.default_rng(stream)) for idx, stream in enumerate(streams)]
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    return [StarConfig.equal_split(n, rngs[0])] + [StarConfig.random(n, rng) for rng in rngs[1:]]
 
 
-def multi_start(system: SystemModel, options: PgamOptions, start=None) -> PgamTrace:
-    """Best trace over the ``n_starts`` runs from :func:`initial_points`
-    (``start`` as there), all in one :func:`pgam_lockstep` batch; ties
-    broken by start index.  Fully deterministic given the seed."""
-    traces = pgam_lockstep(system, options, initial_points(system.dims.n, options, start))
+def multi_start(system: SystemModel, options: PgamOptions) -> PgamTrace:
+    """Best trace over the ``n_starts`` runs from :func:`initial_points`, all
+    in one :func:`pgam_lockstep` batch; ties broken by start index.  Fully
+    deterministic given the seed."""
+    traces = pgam_lockstep(system, options, initial_points(system.dims.n, options))
     return max(traces, key=lambda trace: trace.final_objective)
+
+
+def split_surface(system: SystemModel, n_t: int) -> StarConfig:
+    """The split-surface baseline: the first ``n_t`` elements transmit, the
+    rest reflect, and each region's phases are all ``1`` or ``+1/-1``
+    alternating by element index.  The (t, r) patterns (equal, equal),
+    (equal, alt), (alt, equal) and (alt, alt) are scored in that order in
+    one kernel call, and the first maximum is kept.
+
+    The closed form reads a region's phases only through its trace
+    ``phi_u^H |R_RIS|^2 phi_u``.  Equal phases give the largest trace (the
+    kernel is entrywise non-negative), so wherever the sum SE rises in both
+    traces they are the optimum over all phases.  This needs one R_RIS shared
+    by both regions and one Phi per region: the paper's closed form only.
+    """
+    n = system.dims.n
+    beta_t = (np.arange(n) < n_t).astype(float)
+    signs = (np.ones(n), np.where(np.arange(n) % 2, -1.0, 1.0))
+    theta = np.array([np.concatenate([t, r]) for t in signs for r in signs], dtype=complex)
+    beta = np.tile(np.concatenate([beta_t, 1.0 - beta_t]), (len(theta), 1))
+    best = int(np.argmax(evaluate(theta, beta, system).report.sum_se))
+    return StarConfig.from_stacked(theta[best], beta[best])
 
 
 def canonicalize_signs(config: StarConfig) -> StarConfig:

@@ -18,11 +18,12 @@ from starmimo.cli import (
     main,
     noise_power,
     run_experiment,
+    run_protocol,
     user_positions,
     write_csv,
 )
 from starmimo.optimizer import PgamOptions, multi_start
-from starmimo.rate import sum_se
+from starmimo.rate import evaluate, from_alphas, sum_se
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -172,7 +173,7 @@ class TestScenarioConfig:
             assert value == getattr(default, f.name)
             assert type(value) is type(getattr(default, f.name))
         assert SECTION_KEYS["optimizer"] == tuple(
-            f.name for f in fields(PgamOptions) if f.name not in ("seed", "freeze_amplitudes"))
+            f.name for f in fields(PgamOptions) if f.name != "seed")
 
     @pytest.mark.parametrize("powers, pathloss", [
         ({"snr_db": -300.0}, {}), ({"snr_db": 300.0}, {}),
@@ -435,39 +436,30 @@ class TestRunExperiment:
             assert result.sum_se == sum_se(expected, system).sum_se
             assert row["sum_se"] == f"{result.sum_se:.10g}"
 
-    def test_conventional_row_equals_one_start_runs(self):
-        import dataclasses
-
-        from starmimo.channel import StarConfig
-        from starmimo.cli import derive_seed
-        from starmimo.optimizer import pgam
-        from starmimo.rate import sum_se
-
+    def test_conventional_row_is_the_best_sign_pattern(self):
+        # the first round(t_fraction * N) elements transmit, the rest
+        # reflect; each region's phases are all 1 or alternate +1/-1 by
+        # element index, and the best of the four patterns is reported with
+        # no iterations
         raw = json.loads(json.dumps(DESK))
         raw["dims"] = {"m": 6, "n": 16, "k_t": 1, "k_r": 2, "tau_c": 200, "tau": 4}
-        raw["optimizer"] = {"n_starts": 4, "max_iters": 40}
         raw["conventional"] = {"t_fraction": 0.25}
         raw["protocols"] = ["conventional"]
         cfg = ScenarioConfig.from_dict(raw)
         [row] = run_experiment(cfg)
 
-        # reference: the split-surface starts run one at a time, best kept
         system = build_system(cfg)
-        opt_seed = derive_seed(cfg.seed, 0)
-        options = dataclasses.replace(cfg.optimizer, seed=opt_seed, freeze_amplitudes=True)
         beta_t = np.array([1.0] * 4 + [0.0] * 12)
-        best = None
-        for stream in np.random.SeedSequence(opt_seed).spawn(4):
-            local = np.random.default_rng(stream)
-            init = StarConfig(theta_t=np.exp(1j * local.uniform(0.0, 2.0 * np.pi, 16)),
-                              theta_r=np.exp(1j * local.uniform(0.0, 2.0 * np.pi, 16)),
-                              beta_t=beta_t, beta_r=1.0 - beta_t)
-            trace = pgam(system, options, init)
-            if best is None or trace.final_objective > best.final_objective:
-                best = trace
-        np.testing.assert_array_equal(best.final_config.beta_t, beta_t)
-        assert row["sum_se"] == f"{sum_se(best.final_config, system).sum_se:.10g}"
-        assert row["iterations"] == best.iterations
+        signs = (np.ones(16), np.array([1.0, -1.0] * 8))
+        candidates = [StarConfig(theta_t=t, theta_r=r, beta_t=beta_t, beta_r=1.0 - beta_t)
+                      for t in signs for r in signs]
+        values = [sum_se(config, system).sum_se for config in candidates]
+        best = candidates[int(np.argmax(values))]
+        result = run_protocol("conventional", cfg, system, 0)
+        for name in ("theta_t", "theta_r", "beta_t", "beta_r"):
+            np.testing.assert_array_equal(getattr(result.config, name), getattr(best, name))
+        assert row["sum_se"] == f"{max(values):.10g}"
+        assert row["iterations"] == 0
 
     def test_convergence_rows_equal_one_start_runs(self):
         from starmimo.channel import StarConfig
@@ -506,6 +498,71 @@ class TestRunExperiment:
         assert [r["sweep_value"] for r in first] == list(range(len(first)))
         values = [float(r["sum_se"]) for r in first]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+class TestConventionalReferee:
+    """The ``conventional`` row against the closed form itself.  On the split
+    surface the closed form reads each region's phases only through
+    T_u = phi_u^H |R_RIS|^2 phi_u, so it is a function F(T_t, T_r) on
+    [0, S_t] x [0, S_r] with S_u = 1_u^T |R_RIS|^2 1_u (equal phases)."""
+
+    # (config edit, sweep-point override, whether F peaks at (S_t, S_r))
+    CASES = {
+        "desk": (None, {}, True),
+        "sweep_snr-85dB": ("sweep_snr", {"snr_db": 85.0}, False),
+        "sweep_snr-115dB": ("sweep_snr", {"snr_db": 115.0}, True),
+        "t_fraction-0": (0.0, {}, True),
+        "t_fraction-0.25": (0.25, {}, True),
+        "t_fraction-1": (1.0, {}, True),
+    }
+
+    @staticmethod
+    def family_max(system, beta):
+        """Best sum SE over phases 1 on even and e^{i omega_u} on odd
+        elements, on a 33 x 33 grid of (omega_t, omega_r) in [0, pi]^2."""
+        n = system.dims.n
+        phases = np.ones((33, n), dtype=complex)
+        phases[:, 1::2] = np.exp(1j * np.linspace(0.0, np.pi, 33))[:, None]
+        theta = np.concatenate([np.repeat(phases, 33, axis=0), np.tile(phases, (33, 1))],
+                               axis=1)
+        return evaluate(theta, np.tile(beta, (len(theta), 1)), system).report.sum_se.max()
+
+    @staticmethod
+    def rectangle_bound(system, config, points=201):
+        """F's maximum on a grid over [0, S_t] x [0, S_r], and whether it
+        sits at (S_t, S_r)."""
+        a = np.abs(system.corr.r_ris) ** 2
+        t_t = np.linspace(0.0, config.beta_t @ a @ config.beta_t, points)
+        t_r = np.linspace(0.0, config.beta_r @ a @ config.beta_r, points)
+        grid = {"t": t_t[:, None, None], "r": t_r[None, :, None]}
+        traces = np.concatenate([np.broadcast_to(grid[mode], (points, points, 1))
+                                 for mode in system.modes], axis=-1)
+        alphas = system.gains.beta_bar + system.gains.beta_hat * traces
+        values = from_alphas(alphas, system)[2].sum_se
+        i, j = np.unravel_index(np.argmax(values), values.shape)
+        return values[i, j], (t_t[i], t_r[j]) == (t_t[-1], t_r[-1])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_row_against_the_closed_form(self, case):
+        edit, overrides, corner = self.CASES[case]
+        if edit == "sweep_snr":
+            cfg = ScenarioConfig.from_file(SRC.parent / "configs" / "sweep_snr.json")
+        else:
+            raw = json.loads(json.dumps(DESK))
+            if edit is not None:
+                raw["conventional"] = {"t_fraction": edit}
+            cfg = ScenarioConfig.from_dict(raw)
+        system = build_system(cfg, **overrides)
+        result = run_protocol("conventional", cfg, system, 0)
+        result.config.validate()
+
+        beta = np.concatenate([result.config.beta_t, result.config.beta_r])
+        assert result.sum_se == pytest.approx(self.family_max(system, beta), rel=1e-12)
+        bound, at_corner = self.rectangle_bound(system, result.config)
+        assert result.sum_se <= bound * (1.0 + 1e-12)
+        assert at_corner == corner
+        if at_corner:
+            assert result.sum_se == pytest.approx(bound, rel=1e-12)
 
 
 class TestMain:
@@ -583,6 +640,9 @@ class TestMain:
                                                        "values": [110.0, 4000.0]})),
         ("sweep.values", lambda raw: raw.update(powers={"rho_dbm": 20.0}, sweep={
             "parameter": "rho_dbm", "values": [-300.5]})),
+        # a convergence run is one point at dims; a sweep would be ignored
+        ("sweep.parameter", lambda raw: raw.update(kind="convergence", sweep={
+            "parameter": "n", "values": [16, 36]})),
     ])
     def test_rejected_at_parse_with_field_and_status_2(self, tmp_path, capsys, fld, edit):
         raw = json.loads(json.dumps(DESK))

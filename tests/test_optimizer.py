@@ -33,6 +33,13 @@ def zero_cascade(system):
     )
 
 
+def binary_start(n):
+    """Transmit-only amplitudes with unit phases: both projections map it
+    exactly to itself."""
+    return StarConfig(theta_t=np.ones(n), theta_r=np.ones(n),
+                      beta_t=np.ones(n), beta_r=np.zeros(n))
+
+
 class TestProjections:
     def test_theta_examples(self):
         np.testing.assert_allclose(project_theta(np.array([2.0 + 0j])), [1.0 + 0j])
@@ -161,15 +168,6 @@ class TestPgam:
         np.testing.assert_array_equal(first.final_config.beta_r,
                                       second.final_config.beta_r)
 
-    def test_freeze_amplitudes(self, rng):
-        system = random_system(rng, complex_bs=False)
-        init = StarConfig.random(system.dims.n, rng)
-        options = PgamOptions(max_iters=30, freeze_amplitudes=True)
-        trace = pgam(system, options, init)
-        np.testing.assert_array_equal(trace.final_config.beta_t, init.beta_t)
-        np.testing.assert_array_equal(trace.final_config.beta_r, init.beta_r)
-        assert np.all(np.diff(trace.objectives) >= 0)
-
     def test_options_validation(self):
         with pytest.raises(ValueError):
             PgamOptions(mu_init=0.0)
@@ -242,11 +240,11 @@ class TestKernelEvaluations:
         assert gathers == []
 
     def test_fixed_point_accept_evaluates_nothing(self, rng, monkeypatch):
-        # no cascaded gain: the gradient is exactly zero, so from unit phases
-        # with frozen amplitudes the step cannot move the iterate
+        # no cascaded gain: the gradient is exactly zero, so from a binary
+        # start with unit phases the step cannot move the iterate
         system = zero_cascade(random_system(rng, m=4, n=4, k_t=1, k_r=1))
         calls = self.count_evaluations(monkeypatch)
-        trace = pgam(system, PgamOptions(freeze_amplitudes=True), StarConfig.equal_split(4))
+        trace = pgam(system, PgamOptions(), binary_start(4))
         assert trace.converged
         assert trace.iterations == 1
         assert len(calls) == 1  # the starting point only
@@ -257,7 +255,6 @@ class TestLockstep:
 
     CASES = {
         "backtracking": dict(mu_init=1e3, max_iters=40),
-        "frozen-amplitudes": dict(mu_init=1e2, max_iters=40, freeze_amplitudes=True),
         "unequal-stops": dict(tol=1e-3, max_iters=200),
         "stall": dict(mu_init=1e12, max_backtracks=0, max_iters=30),
         "stall-and-cap": dict(mu_init=1e2, max_backtracks=2, max_iters=30),
@@ -288,7 +285,7 @@ class TestLockstep:
         reasons = {trace.reason for trace in alone}
         if case == "backtracking":
             assert len({tuple(trace.backtrack_counts) for trace in alone}) > 1
-        if case in ("unequal-stops", "frozen-amplitudes"):
+        if case == "unequal-stops":
             assert len({trace.iterations for trace in alone}) > 1
         if case == "stall":
             assert reasons == {"line-search stall"}
@@ -298,13 +295,14 @@ class TestLockstep:
             assert sum(map(sum, (trace.backtrack_counts for trace in alone))) > 0
 
     def test_fixed_point_rows_beside_moving_rows(self, rng):
-        # no cascaded gain: from unit phases the frozen step cannot move the
-        # iterate (a fixed-point accept), from random phases the projection
-        # may still move it by roundoff; with tol=0 nothing stops early
+        # no cascaded gain: from a binary start the step cannot move the
+        # iterate (a fixed-point accept), from a random start the
+        # projections may still move it by roundoff; with tol=0 nothing
+        # stops early
         system = zero_cascade(random_system(rng, m=4, n=4, k_t=1, k_r=1))
-        options = PgamOptions(freeze_amplitudes=True, tol=0.0, max_iters=4)
-        inits = [StarConfig.equal_split(4), StarConfig.random(4, rng),
-                 StarConfig.equal_split(4), StarConfig.random(4, rng)]
+        options = PgamOptions(tol=0.0, max_iters=4)
+        inits = [binary_start(4), StarConfig.random(4, rng),
+                 binary_start(4), StarConfig.random(4, rng)]
         alone = [pgam(system, options, init) for init in inits]
         self.assert_same_traces(pgam_lockstep(system, options, inits), alone)
         assert alone[0].stationarity == [0.0] * 4
