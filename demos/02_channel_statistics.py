@@ -58,9 +58,10 @@ print(f"largest relative gap to the dense referee: {np.max(np.abs(alphas / refer
 print("\n=== empirical covariance against the closed form (20k draws) ===")
 n_draws = 20_000
 acc = np.zeros((system.dims.m, system.dims.m), dtype=complex)
-for _ in range(n_draws):
-    h = sample_realization(system, config, rng).h[0]
-    acc += np.outer(h, h.conj())
+for _ in range(n_draws // 2000):
+    # one call draws 2000 trials, one spawned generator each
+    h = sample_realization(system, config, rng.spawn(2000)).h[:, 0]
+    acc += h.T @ h.conj()
 acc /= n_draws
 target = alphas[0] * system.corr.r_bs
 err = np.linalg.norm(acc - target) / np.linalg.norm(target)

@@ -250,9 +250,9 @@ def covariance_scalars(system: SystemModel, config: StarConfig,
 class ChannelRealization:
     """One draw of the fast-fading user links plus the assembled aggregated channels.
 
-    The BS-surface channel G is never formed; only its products with the
-    surface-weighted user links enter ``h``.  A draw of T trials at once
-    gives every array a leading trial axis of length T.
+    The BS-surface channel G is neither formed nor drawn; only the law of
+    its products with the surface-weighted user links enters ``h``.  A draw
+    of T trials at once gives every array a leading trial axis of length T.
     """
 
     q: np.ndarray  # (K, N) surface-user channels
@@ -260,22 +260,28 @@ class ChannelRealization:
     h: np.ndarray  # (K, M) aggregated channels
 
 
-def _fill_complex_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with CN(0, 1) entries, real parts drawn first.
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """CN(0, 1) entries: variance 1/2 per real and imaginary part, real parts
+    drawn first.
 
     Multiplying the float view by 1/sqrt(2) gives the same bits as dividing
     the complex array by sqrt(2) (numpy divides a complex by a real as a
     product with the reciprocal), without the complex divide.
     """
+    out = np.empty(shape, dtype=complex)
     out.real = rng.standard_normal(out.shape)
     out.imag = rng.standard_normal(out.shape)
     out.view(float)[...] *= 1.0 / np.sqrt(2.0)
     return out
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0, 1) entries: variance 1/2 per real and imaginary part."""
-    return _fill_complex_normal(rng, np.empty(shape, dtype=complex))
+def _as_complex(parts: np.ndarray, shape: tuple) -> np.ndarray:
+    """(T, 2 * prod(shape)) scaled real draws, all real parts first, as the
+    (T, *shape) complex array that :func:`complex_normal` makes of them."""
+    parts = parts.reshape((len(parts), 2) + shape)
+    out = np.empty((len(parts),) + shape, dtype=complex)
+    out.real, out.imag = parts[:, 0], parts[:, 1]
+    return out
 
 
 def _real_left_product(real: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -284,51 +290,89 @@ def _real_left_product(real: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (real @ x.view(float)).view(complex)
 
 
+def _gram_factor(gram: np.ndarray) -> np.ndarray:
+    """A factor F with ``F^H F = gram`` for a (..., K, K) stack of Hermitian
+    PSD Gram matrices: ``F = sqrt(Lambda_+) U^H`` from a batched ``eigh``,
+    eigenvalues clamped at 0.
+
+    A Gram is singular when a region is dark, a gain is zero or K exceeds
+    the surface rank, so no Cholesky.  A user whose diagonal entry is 0 has
+    a zero column in every factor of its Gram; that column is set to exact
+    zeros rather than left at the roundoff of the decomposition.
+    """
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    factor = np.sqrt(np.clip(eigvals, 0.0, None))[..., None] * np.swapaxes(eigvecs.conj(), -1, -2)
+    factor *= (np.diagonal(gram, axis1=-2, axis2=-1).real > 0.0)[..., None, :]
+    return factor
+
+
 def sample_realization(system: SystemModel, config: StarConfig,
                        rng: np.random.Generator | Sequence[np.random.Generator]
                        ) -> ChannelRealization:
     """Draw one correlated-Rayleigh realization of every link.
 
-    ``G = sqrt(beta_g) R_BS^{1/2} D R_RIS^{1/2}`` with iid CN(0,1) entries in
-    ``D``; user links analogous.  The generator is consumed in the order D
-    (M x N), c (K x N), c_bar (K x M).  G is only ever applied to
-    ``phi_u * q_k``, so the aggregated channels are assembled right to left
-    for all users at once, ``h = d + sqrt(beta_g) R_BS^{1/2} (D v)`` with
-    ``v = R_RIS^{1/2} (phi_u * q_k)``: no M x N x N product is made.
+    The model is ``G = sqrt(beta_g) R_BS^{1/2} D R_RIS^{1/2}`` with iid
+    CN(0, 1) entries in D, ``q_k = sqrt(beta_tilde_k) R_RIS^{1/2} c_k``,
+    ``d_k = sqrt(beta_bar_k) R_BS^{1/2} c_bar_k`` and
+    ``h_k = d_k + G (phi_u * q_k)``.  Neither G nor D is drawn:
 
-    A sequence of T generators draws T trials, one per generator, each
-    consumed exactly as a single generator is; the arrays then carry a
-    leading trial axis.  Both ``R_RIS^{1/2}`` products run once for all
-    trials, on an (N, 2KT) real block.  Whether a trial then equals its
+    * G enters only through ``D V``, V the N x K matrix with columns
+      ``R_RIS^{1/2} (phi_u * q_k)``.  D is independent of q, and row m of
+      ``D V`` is ``x = D[m] V`` with ``E[x^H x] = V^H E[D[m]^H D[m]] V =
+      V^H V``; the rows are iid zero-mean circular Gaussian.  A row of
+      ``Z F``, Z with iid CN(0, 1) entries, has ``E = F^H F``, so ``D V`` and
+      ``Z F`` have one law, jointly across users and jointly with q, for any
+      K x K factor with ``F^H F = V^H V`` (:func:`_gram_factor`).
+    * Any factor with ``L L^H = R`` serves as ``R^{1/2}`` here, with as many
+      draws as L has columns.  With the eigen factors ``L`` of R_RIS (real,
+      N x r) and ``L_BS`` of R_BS: ``q_k = sqrt(beta_tilde_k) L c_k``,
+      ``V^H V = (phi * q)^H L L^T (phi * q) = V'^H V'`` with
+      ``V' = L^T (phi_u * q_k)`` (r x K), and ``h_k = d_k + sqrt(beta_g)
+      L_BS (Z F)[:, k]`` with Z of size r_BS x K.
+
+    The generator is consumed in the order c (K x r), c_bar (K x r_BS),
+    Z (r_BS x K), each as :func:`complex_normal` draws it, in one
+    standard-normal call.  A sequence of T generators draws T trials, one per
+    generator, each consumed exactly as a single generator is; the arrays
+    then carry a leading trial axis.  Both surface products run once for
+    all trials, on an (r or N, 2KT) real block, and the Gram factors of all
+    trials come from one batched ``eigh``.  Whether a trial then equals its
     one-generator draw bit for bit is a property of the BLAS: under OpenBLAS
     0.3.31 (Haswell kernels) it does with 8 or 16 real columns per trial
     (K = 4 or 8) at every N tried from 4 to 1024, while other K agree to
-    roundoff.  The BS-side products stay one gemm per trial.
+    roundoff.  The BS-side products
+    stay one gemm per trial.
     """
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else list(rng)
-    t, m, n, k = len(rngs), system.dims.m, system.dims.n, system.dims.k
-    bs_sqrt = system.corr.bs_sqrt
-    ris_sqrt = system.corr.ris_sqrt
+    t, k = len(rngs), system.dims.k
+    bs_factor = system.corr.bs_factor
+    ris_factor = system.corr.ris_factor
+    (n, r), r_bs = ris_factor.shape, bs_factor.shape[1]
 
-    d_fast = np.empty((t, m, n), dtype=complex)
-    c = np.empty((n, t, k), dtype=complex)  # column (trial, user) of the product block
-    c_bar = np.empty((t, k, m), dtype=complex)
+    # a Generator's draws do not depend on how they are split into calls, so
+    # one call per generator gives the bits of complex_normal for c, c_bar, Z
+    shapes = ((k, r), (k, r_bs), (r_bs, k))
+    sizes = [2 * a * b for a, b in shapes]
+    draws = np.empty((t, sum(sizes)))
     for i, gen in enumerate(rngs):
-        _fill_complex_normal(gen, d_fast[i])
-        c[:, i, :] = complex_normal(gen, (k, n)).T
-        _fill_complex_normal(gen, c_bar[i])
+        gen.standard_normal(out=draws[i])
+    draws *= 1.0 / np.sqrt(2.0)
+    c, c_bar, z = (_as_complex(part, shape) for part, shape in
+                   zip(np.split(draws, np.cumsum(sizes[:2]), axis=1), shapes))
+    c = np.ascontiguousarray(c.transpose(2, 0, 1))  # column (trial, user) of the product block
 
-    # (N, T, K) columns: q_k, then phi_u * q_k, each as one (N, 2KT) real product
-    q_cols = _real_left_product(ris_sqrt, c.reshape(n, t * k)).reshape(n, t, k)
+    # (N, T, K) columns q_k, then the (r, T, K) columns of V', each one real product
+    q_cols = _real_left_product(ris_factor, c.reshape(r, t * k)).reshape(n, t, k)
     q_cols *= np.sqrt(system.gains.beta_tilde)
     phi_cols = np.where(system.region_mask[:, 0] > 0,
                         config.phi("t")[:, None], config.phi("r")[:, None])
-    v = _real_left_product(ris_sqrt, (phi_cols[:, None, :] * q_cols).reshape(n, t * k))
-    v = v.reshape(n, t, k).transpose(1, 0, 2)
+    v = _real_left_product(ris_factor.T, (phi_cols[:, None, :] * q_cols).reshape(n, t * k))
+    v = v.reshape(r, t, k).transpose(1, 0, 2)
+    factor = _gram_factor(np.swapaxes(v.conj(), -1, -2) @ v)
 
-    d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_sqrt.T)
-    h = d + np.sqrt(system.gains.beta_g) * np.swapaxes(bs_sqrt @ (d_fast @ v), -1, -2)
+    d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_factor.T)
+    h = d + np.sqrt(system.gains.beta_g) * np.swapaxes(bs_factor @ (z @ factor), -1, -2)
     q = q_cols.transpose(1, 2, 0)
     if single:
         return ChannelRealization(q=q[0], d=d[0], h=h[0])

@@ -144,10 +144,18 @@ def eigendecompose_bs(r_bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Hermitian square root via EVD, clamping roundoff-negative eigenvalues at 0."""
+    """Eigen factor ``L = U_+ sqrt(Lambda_+)`` of a Hermitian PSD matrix, with
+    ``L @ L.conj().T`` equal to ``a`` up to roundoff.
+
+    Eigenvalues are clamped at 0 and the columns whose clamped eigenvalue is
+    0 are dropped, so L is N x r with r at most N (815 of 1024 columns for a
+    32 x 32 quarter-wavelength sinc surface).  A draw ``L c`` with r iid
+    CN(0, 1) entries in c has covariance ``a``, as ``a^{1/2} c`` with N
+    entries does, without the N^3 product that forms the symmetric root.
+    """
     eigvals, eigvecs = np.linalg.eigh(np.asarray(a))
-    eigvals = np.clip(eigvals, 0.0, None)
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
+    keep = eigvals > 0.0
+    return eigvecs[:, keep] * np.sqrt(eigvals[keep])
 
 
 def _check_symmetric(r: np.ndarray, name: str, tol: float) -> None:
@@ -209,7 +217,7 @@ class CorrelationPair:
 
     A surface on a uniform grid (:meth:`from_grid`) is kept as its (n_v, n_h)
     offset table ``ris_table``.  Its dense N x N ``r_ris`` is built on first
-    use, which only Monte Carlo (through ``ris_sqrt``) and the dense referees
+    use, which only Monte Carlo (through ``ris_factor``) and the dense referees
     make.  Any other surface correlation (:meth:`from_matrices`) is kept
     dense, with ``ris_table`` None.
     """
@@ -224,7 +232,7 @@ class CorrelationPair:
         r_ris = np.asarray(r_ris)
         if r_ris.ndim != 2 or r_ris.shape[0] != r_ris.shape[1]:
             raise ValueError(f"r_ris must be square, got shape {r_ris.shape}")
-        # the surface kernel and its square root enter real products only
+        # the surface kernel and its factor enter real products only
         if np.iscomplexobj(r_ris) and np.any(r_ris.imag != 0):
             raise ValueError("r_ris must be real (its imaginary part is not zero)")
         r_ris = np.asarray(r_ris.real, dtype=np.float64)
@@ -268,11 +276,13 @@ class CorrelationPair:
         return _block_toeplitz(self.ris_table)
 
     @cached_property
-    def bs_sqrt(self) -> np.ndarray:
+    def bs_factor(self) -> np.ndarray:
+        """M x r eigen factor of ``r_bs`` (:func:`matrix_sqrt_psd`)."""
         return matrix_sqrt_psd(self.r_bs)
 
     @cached_property
-    def ris_sqrt(self) -> np.ndarray:
+    def ris_factor(self) -> np.ndarray:
+        """Real N x r eigen factor of ``r_ris`` (:func:`matrix_sqrt_psd`)."""
         return matrix_sqrt_psd(self.r_ris)
 
     @cached_property

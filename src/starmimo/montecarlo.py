@@ -11,9 +11,9 @@ with the precoder normalization ``lambda = 1 / sum_i E{hhat_i^H hhat_i}``
 estimated from the same trials.  Data symbols and downlink noise are never
 sampled: the bound depends on channel/precoder moments only.  Per-trial RNG
 streams are spawned from the master seed, so results are independent of any
-batching or execution order.  Trials are drawn in chunks whose stacked D
-draws fit in ``CHUNK_BYTES`` (one generator per trial, one sampler call per
-chunk) and added into the moment sums one by one, in trial order.
+batching or execution order.  Trials are drawn in chunks whose per-trial
+columns fit in ``CHUNK_BYTES`` (one generator per trial, one sampler call
+per chunk) and added into the moment sums one by one, in trial order.
 """
 
 from __future__ import annotations
@@ -29,22 +29,25 @@ from .channel import (StarConfig, SystemModel, complex_normal, covariance_scalar
 from .estimation import apply_wiener_filter
 from .rate import sinr_from_terms
 
-# Bytes of the stacked M x N complex D draws of one chunk of trials: 6 trials
-# at M = 64, N = 1024, where the chunk's other arrays add about 2 MB, so that
-# a chunk needs no more than one N x N float64 matrix.  On a 2-core Xeon VM
-# (numpy 2.4.6, OpenBLAS 0.3.31 on one thread), 100 trials of that system
-# took 0.66 s one at a time and 0.53, 0.46, 0.49 and 0.47 s in chunks of 4,
-# 6, 8 and 16 (medians of 9).  The mc-validate benchmark's peak RSS was
-# 95.1 MB one trial at a time, 95.5-96.1 MB with 4 or 6 MB chunks and
-# 101.1 MB with 8 MB chunks: glibc's heap kept their freed blocks, and the
-# N x N eigh that follows could not reuse them all.
-CHUNK_BYTES = 6 * 2**20
+# Bytes of one chunk's (N + M) x K complex columns, the unit of a trial's
+# per-trial arrays: the surface draw and its products (c, q, phi * q, V')
+# take a few N x K blocks, the BS side (c_bar, Z, d, h, pilot noise, the
+# estimate) a few M x K.  1 MB is 15 trials at M = 64, N = 1024, K = 4.  On
+# a 2-core Xeon VM (numpy 2.4.6, OpenBLAS 0.3.31 on one thread), 100 trials
+# of that system took 373 ms one at a time and 219, 133, 109 and 101 ms
+# with budgets of 0.25, 1, 4 and 8 MB (medians of 7).  The mc-validate
+# benchmark's peak RSS over seeds 0-2 was 84.4-84.5 MB with 0.25 MB,
+# 83.9-84.2 MB with 1 MB, 86.5-86.6 MB with 4 MB and 91.5-95.7 MB with 8 MB,
+# against 85.6-86.5 MB for the 6 MB chunks of M x N draws this budget
+# replaced; a larger chunk holds more of its arrays at once.
+CHUNK_BYTES = 2**20
 
 
 def _chunk_trials(system: SystemModel, n_trials: int) -> Iterator[slice]:
-    """Consecutive trial ranges whose D draws fit in ``CHUNK_BYTES``."""
-    d_bytes = system.dims.m * system.dims.n * np.dtype(complex).itemsize
-    size = max(1, CHUNK_BYTES // d_bytes)
+    """Consecutive trial ranges whose (N + M) x K columns fit in ``CHUNK_BYTES``."""
+    dims = system.dims
+    trial_bytes = (dims.n + dims.m) * dims.k * np.dtype(complex).itemsize
+    size = max(1, CHUNK_BYTES // trial_bytes)
     return (slice(start, min(start + size, n_trials))
             for start in range(0, n_trials, size))
 

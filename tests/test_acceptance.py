@@ -199,19 +199,22 @@ def test_criterion_7_estimation_sanity():
     alpha = covariance_scalars(system, config)[0]
     eps = system.epsilon
 
-    n_draws = 50_000
+    # channels drawn in chunks of 5000 trials, one generator each; the pilot
+    # noise of a chunk in one draw
+    n_draws, chunk = 50_000, 5000
     cov_hat = np.zeros((4, 4), dtype=complex)
     cross = np.zeros((4, 4), dtype=complex)
     cross_sq = np.zeros((4, 4))
-    for _ in range(n_draws):
-        h = sample_realization(system, config, rng).h[0]
+    for _ in range(n_draws // chunk):
+        rngs = rng.spawn(chunk)
+        h = sample_realization(system, config, rngs).h[:, 0]
         r = h + np.sqrt(eps) * complex_normal(rng, h.shape)
         h_hat = apply_wiener_filter(r, alpha, system.corr, eps)
         err = h - h_hat
-        cov_hat += h_hat[:, None] * h_hat.conj()[None, :]
-        outer = err[:, None] * h_hat.conj()[None, :]
-        cross += outer
-        cross_sq += np.abs(outer) ** 2
+        cov_hat += h_hat.T @ h_hat.conj()
+        outer = err[:, :, None] * h_hat.conj()[:, None, :]
+        cross += outer.sum(axis=0)
+        cross_sq += (np.abs(outer) ** 2).sum(axis=0)
     cov_hat /= n_draws
     cross /= n_draws
     cross_sq /= n_draws

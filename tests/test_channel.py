@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import one_user_system, random_system, uncorrelated_ris_system
+from starmimo import channel
 from starmimo.channel import (
     StarConfig,
     SystemDims,
@@ -25,24 +26,90 @@ from starmimo.correlation import (
 from starmimo.rate import dense_covariance_scalars, evaluate
 
 
+def cn(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def surface_gram(system, config, q):
+    """V^H V for V = R_RIS^{1/2} [phi_u * q_k], as (phi * q)^H R_RIS (phi * q)
+    through the dense R_RIS."""
+    x = np.array([config.phi(mode) * q[i] for i, mode in enumerate(system.modes)]).T
+    return x.conj().T @ system.corr.r_ris @ x
+
+
+def eigen_factor(gram):
+    """F = sqrt(Lambda_+) U^H of one Gram, with exact zero columns for users
+    whose diagonal entry is 0."""
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    factor = np.sqrt(np.clip(eigvals, 0.0, None))[:, None] * eigvecs.conj().T
+    factor[:, np.diag(gram).real == 0.0] = 0.0
+    return factor
+
+
 def explicit_draw(system, config, seed):
-    """Reference draw that forms G: D, c and c_bar from the generator in that
-    order, then G = sqrt(beta_g) R_BS^{1/2} D R_RIS^{1/2} and h_k = d_k + G
-    (phi_u * q_k), one user at a time."""
+    """Reference replay of the sampler, one user at a time: c, c_bar and Z
+    from the generator in that order, q_k = sqrt(beta_tilde_k) L c_k,
+    d_k = sqrt(beta_bar_k) L_BS c_bar_k, the Gram through the dense R_RIS,
+    its eigen factor F and h_k = d_k + sqrt(beta_g) L_BS Z F e_k."""
     rng = np.random.default_rng(seed)
+    bs_factor, ris_factor = system.corr.bs_factor, system.corr.ris_factor
+    k, r, r_bs = system.dims.k, ris_factor.shape[1], bs_factor.shape[1]
+    c, c_bar, z = cn(rng, (k, r)), cn(rng, (k, r_bs)), cn(rng, (r_bs, k))
+    q = np.sqrt(system.gains.beta_tilde)[:, None] * (c @ ris_factor.T)
+    d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_factor.T)
+    factor = eigen_factor(surface_gram(system, config, q))
+    h = np.array([d[i] + np.sqrt(system.gains.beta_g) * (bs_factor @ z @ factor[:, i])
+                  for i in range(k)])
+    return z, q, d, h
+
+
+def symmetric_sqrt(a):
+    eigvals, eigvecs = np.linalg.eigh(a)
+    return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
+
+
+def g_forming_draw(system, config, rng, n_trials):
+    """The model as written, for the law only: D (M x N), c (K x N) and
+    c_bar (K x M) per trial, G = sqrt(beta_g) R_BS^{1/2} D R_RIS^{1/2} with
+    the symmetric roots, and h_k = d_k + G (phi_u * q_k).  (T, K, M)."""
     m, n, k = system.dims.m, system.dims.n, system.dims.k
+    bs_root, ris_root = symmetric_sqrt(system.corr.r_bs), symmetric_sqrt(system.corr.r_ris)
+    d_fast, c, c_bar = (cn(rng, (n_trials, m, n)), cn(rng, (n_trials, k, n)),
+                        cn(rng, (n_trials, k, m)))
+    g = np.sqrt(system.gains.beta_g) * (bs_root @ d_fast @ ris_root)
+    q = np.sqrt(system.gains.beta_tilde)[:, None] * (c @ ris_root.T)
+    d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_root.T)
+    phi = np.array([config.phi(mode) for mode in system.modes])
+    return d + np.swapaxes(g @ np.swapaxes(phi * q, -1, -2), -1, -2)
 
-    def cn(shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
-    d_fast, c, c_bar = cn((m, n)), cn((k, n)), cn((k, m))
-    bs_sqrt, ris_sqrt = system.corr.bs_sqrt, system.corr.ris_sqrt
-    g = np.sqrt(system.gains.beta_g) * (bs_sqrt @ d_fast @ ris_sqrt)
-    q = np.sqrt(system.gains.beta_tilde)[:, None] * (c @ ris_sqrt.T)
-    d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_sqrt.T)
-    h = np.array([d[i] + g @ (config.phi(mode) * q[i])
-                  for i, mode in enumerate(system.modes)])
-    return g, q, d, h
+# Largest two-sample z-score of a moment that the law test accepts.  A case
+# compares 90 to 620 moments, and a Gaussian |z| exceeds 5 with probability
+# 6e-7, so a correct draw fails a case with probability below 4e-4.
+LAW_Z = 5.0
+
+
+def law_z_scores(system, config, n_trials, seed):
+    """Two-sample z-scores between the sampler and the G-forming draw of the
+    real and imaginary parts of E h_k h_k^H and of E|h_k^H h_i|^2, k != i."""
+    rng = np.random.default_rng(seed)
+    samples = [np.concatenate([sample_realization(system, config, rng.spawn(5000)).h
+                               for _ in range(n_trials // 5000)]),
+               g_forming_draw(system, config, rng, n_trials)]
+    k = system.dims.k
+    off_diagonal = ~np.eye(k, dtype=bool)
+    stats = []
+    for h in samples:
+        outer = h[..., :, None] * h.conj()[..., None, :]
+        gram = h.conj() @ np.swapaxes(h, -1, -2)
+        values = np.concatenate([outer.real.reshape(n_trials, -1),
+                                 outer.imag.reshape(n_trials, -1),
+                                 np.abs(gram[:, off_diagonal]) ** 2], axis=1)
+        stats.append((values.mean(axis=0), values.var(axis=0, ddof=1) / n_trials))
+    (mean_a, var_a), (mean_b, var_b) = stats
+    spread = np.sqrt(var_a + var_b)
+    # entries that are exactly 0 in both draws (imaginary diagonals) carry no test
+    return np.abs(mean_a - mean_b)[spread > 0] / spread[spread > 0]
 
 
 def assert_rows_close(actual, expected, rtol):
@@ -58,18 +125,22 @@ def with_gains(system, gains):
     )
 
 
-def grid_system(rng, side, k_t=2, k_r=2):
-    """A side x side quarter-wavelength surface kept as its offset table."""
+def surface_system(rng, geom, k_t=2, k_r=2):
+    """A sinc surface on ``geom`` kept as its offset table, M = 8, O(1) gains."""
     k = k_t + k_r
-    corr = CorrelationPair.from_grid(build_bs_correlation(8, "exponential", 0.6),
-                                     ArrayGeometry(side, side, 0.25, 0.25))
+    corr = CorrelationPair.from_grid(build_bs_correlation(8, "exponential", 0.6), geom)
     return SystemModel(
-        dims=SystemDims(m=8, n=side * side, k_t=k_t, k_r=k_r, tau_c=200, tau=k),
+        dims=SystemDims(m=8, n=geom.n, k_t=k_t, k_r=k_r, tau_c=200, tau=k),
         corr=corr,
         gains=LinkGains(beta_g=1.0, beta_bar=rng.uniform(0.2, 1.0, k),
                         beta_tilde=rng.uniform(0.2, 1.0, k)),
         modes=tuple(["t"] * k_t + ["r"] * k_r), rho=2.0, pilot_power=1.0, sigma2=0.3,
     )
+
+
+def grid_system(rng, side, k_t=2, k_r=2):
+    """A side x side quarter-wavelength surface kept as its offset table."""
+    return surface_system(rng, ArrayGeometry(side, side, 0.25, 0.25), k_t, k_r)
 
 
 def dense_trace(r_ris, amplitudes, phases):
@@ -377,18 +448,20 @@ class TestSampleRealization:
                                           complex_normal(theirs, (3, 8)))
 
     def test_assembly_identity(self, rng):
-        # h_k = d_k + G Phi q_k with G formed in the test from the same draw
+        # h = d + sqrt(beta_g) R_BS^{1/2} Z F, with Z replayed from the
+        # generator after c and c_bar, and F the eigen factor of the Gram
+        # V^H V formed in the test from the returned q and the dense R_RIS
         system = random_system(rng, m=5, n=6, k_t=1, k_r=2)
         config = StarConfig.random(6, rng)
-        g, _, _, _ = explicit_draw(system, config, seed=21)
         real = sample_realization(system, config, np.random.default_rng(21))
-        expected = np.array([real.d[k] + g @ (config.phi(mode) * real.q[k])
-                             for k, mode in enumerate(system.modes)])
+        z, _, _, _ = explicit_draw(system, config, seed=21)
+        factor = eigen_factor(surface_gram(system, config, real.q))
+        expected = real.d + np.sqrt(system.gains.beta_g) * (system.corr.bs_factor @ z @ factor).T
         assert_rows_close(real.h, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("case", ["complex_bs", "no_t_users", "zero_gains"])
-    def test_same_sample_path_as_explicit_g(self, case, rng):
-        # the G-free draw consumes the generator like the draw that forms G
+    def test_same_sample_path_as_explicit_draw(self, case, rng):
+        # the batched draw consumes the generator like the one-user-at-a-time replay
         if case == "complex_bs":
             system = random_system(rng, m=6, n=7, k_t=2, k_r=2, complex_bs=True)
         elif case == "no_t_users":
@@ -406,6 +479,75 @@ class TestSampleRealization:
         assert_rows_close(real.q, q, rtol=1e-12)
         assert_rows_close(real.d, d, rtol=1e-12)
         assert_rows_close(real.h, h, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", ["full_rank", "correlated", "more_users_than_elements"])
+    def test_joint_law_matches_g_forming_draw(self, case, rng):
+        # E h_k h_k^H and the cross-user moments E|h_k^H h_i|^2 of 20,000
+        # trials against the draw that forms G; "correlated" is a 2 x 2
+        # tenth-wavelength surface, where all users' cascaded links are
+        # nearly collinear, and the last case has K = 5 users on N = 4
+        # elements, so every Gram is singular
+        if case == "full_rank":
+            system = random_system(rng, m=4, n=5, k_t=2, k_r=1)
+        else:
+            k_t, k_r = (2, 1) if case == "correlated" else (3, 2)
+            system = surface_system(rng, ArrayGeometry(2, 2, 0.1, 0.1), k_t, k_r)
+        config = StarConfig.random(system.dims.n, rng)
+        z = law_z_scores(system, config, 20_000, seed=3)
+        assert z.max() <= LAW_Z, z.max()
+
+    def test_law_test_rejects_a_per_user_factor(self, rng, monkeypatch):
+        # F = diag(sqrt(W_kk)) keeps every user's own covariance but draws
+        # the users' cascaded links independently; the cross moments show it
+        system = surface_system(rng, ArrayGeometry(2, 2, 0.1, 0.1), 2, 1)
+        config = StarConfig.random(4, rng)
+        monkeypatch.setattr(channel, "_gram_factor", lambda gram: np.sqrt(
+            np.diagonal(gram, axis1=-2, axis2=-1).real)[..., None] * np.eye(gram.shape[-1]))
+        assert law_z_scores(system, config, 20_000, seed=3).max() > LAW_Z
+
+    @pytest.mark.parametrize("n", [6, 4])
+    def test_dark_region_gives_the_direct_channel_exactly(self, n, rng):
+        # every element reflects fully, so the t users' cascaded links are
+        # 0; n = 4 has K = 5 > N users
+        system = random_system(rng, m=4, n=n, k_t=3, k_r=2)
+        config = StarConfig.random(n, rng)
+        config.beta_t[:] = 0.0
+        config.beta_r[:] = 1.0
+        real = sample_realization(system, config, rng.spawn(6))
+        np.testing.assert_array_equal(real.h[:, :3], real.d[:, :3])
+        assert np.all(real.h[:, 3:] != real.d[:, 3:])
+
+    @pytest.mark.parametrize("n", [6, 3])
+    def test_zero_gains_give_exact_zeros(self, n, rng):
+        # user 0 has only the cascaded link, user 1 only the direct one and
+        # user 3 none; the Gram's zero column lies between nonzero ones,
+        # where the eigenvectors alone leave roundoff; n = 3 has K = 4 > N
+        system = with_gains(random_system(rng, m=4, n=n, k_t=2, k_r=2),
+                            LinkGains(beta_g=1.0, beta_bar=np.array([0.0, 0.5, 0.5, 0.0]),
+                                      beta_tilde=np.array([0.7, 0.0, 0.7, 0.0])))
+        config = StarConfig.random(n, rng)
+        real = sample_realization(system, config, rng.spawn(6))
+        np.testing.assert_array_equal(real.q[:, [1, 3]], 0.0)
+        np.testing.assert_array_equal(real.d[:, [0, 3]], 0.0)
+        np.testing.assert_array_equal(real.h[:, 3], 0.0)
+        np.testing.assert_array_equal(real.h[:, 1], real.d[:, 1])
+        assert np.all(real.h[:, 0] != 0.0)
+
+    @pytest.mark.parametrize("r, k", [(6, 4), (3, 5), (1, 4)])
+    def test_gram_factor_reproduces_singular_grams(self, r, k, rng):
+        # singular Grams (a zero user column in every trial, one all-zero
+        # trial, and r < K in two cases): F^H F = W to roundoff, and a zero
+        # column of W gives an exact zero column of F
+        v = cn(rng, (7, r, k))
+        v[:, :, 1] = 0.0
+        v[3] = 0.0
+        gram = np.swapaxes(v.conj(), -1, -2) @ v
+        factor = channel._gram_factor(gram)
+        assert factor.shape == gram.shape
+        rebuilt = np.swapaxes(factor.conj(), -1, -2) @ factor
+        assert np.max(np.abs(rebuilt - gram)) <= 1e-12 * np.max(np.abs(gram))
+        np.testing.assert_array_equal(factor[:, :, 1], 0.0)
+        np.testing.assert_array_equal(factor[3], 0.0)
 
     def test_complex_normal_matches_explicit_formula(self):
         first = complex_normal(np.random.default_rng(4), (3, 5))

@@ -233,16 +233,30 @@ class TestCorrelationPair:
         np.testing.assert_allclose(rebuilt, pair.r_bs, atol=1e-8)
         assert pair.m == 5 and pair.n == 4
 
-    def test_sqrt_matches_square(self):
+    def test_factor_reproduces_matrix(self, rng):
         r = build_bs_correlation(6, "exponential", 0.8)
-        half = matrix_sqrt_psd(r)
-        np.testing.assert_allclose(half @ half, r, atol=1e-12)
+        factor = matrix_sqrt_psd(r)
+        assert factor.shape == (6, 6)
+        np.testing.assert_allclose(factor @ factor.T, r, atol=1e-12)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        r = a @ a.conj().T
+        factor = matrix_sqrt_psd(r)
+        np.testing.assert_allclose(factor @ factor.conj().T, r, atol=1e-12)
 
     def test_sqrt_clamps_roundoff_negatives(self):
-        # rank-deficient input with a -1e-14 eigenvalue from roundoff
-        r = np.ones((3, 3))
-        half = matrix_sqrt_psd(r - 1e-14 * np.eye(3))
-        assert np.all(np.isfinite(half))
+        # rank-deficient input with two -1e-14 eigenvalues from roundoff:
+        # their columns are dropped, and L L^T is still the input
+        r = np.ones((3, 3)) - 1e-14 * np.eye(3)
+        factor = matrix_sqrt_psd(r)
+        assert factor.shape == (3, 1) and np.all(np.isfinite(factor))
+        np.testing.assert_allclose(factor @ factor.T, r, atol=1e-12)
+
+    def test_surface_factor_drops_null_columns(self):
+        # a 16 x 16 quarter-wavelength sinc surface is numerically rank deficient
+        pair = CorrelationPair.from_grid(np.eye(2), ArrayGeometry(16, 16, 0.25, 0.25))
+        factor = pair.ris_factor
+        assert factor.shape[0] == 256 and factor.shape[1] < 256
+        np.testing.assert_allclose(factor @ factor.T, pair.r_ris, atol=1e-12)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -262,7 +276,7 @@ class TestCorrelationPair:
         for r_ris in (np.eye(3, dtype=complex), np.eye(3, dtype=int)):
             pair = CorrelationPair.from_matrices(np.eye(2), r_ris)
             assert pair.r_ris.dtype == np.float64
-            assert pair.ris_sqrt.dtype == np.float64
+            assert pair.ris_factor.dtype == np.float64
 
     def test_rejects_non_hermitian_surface_correlation(self):
         lopsided = np.eye(3)
@@ -363,11 +377,12 @@ class TestFromGrid:
             assert max(sizes) < FFT_MIN_N, path.name
 
     @pytest.mark.parametrize("grid", [(6, 6), (10, 10)])
-    def test_square_root_unchanged(self, grid):
+    def test_surface_factor_unchanged(self, grid):
         geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=0.25, spacing_v=0.25)
         pair = CorrelationPair.from_grid(np.eye(2), geom)
         dense = CorrelationPair.from_matrices(np.eye(2), build_ris_correlation(geom))
-        np.testing.assert_array_equal(pair.ris_sqrt, dense.ris_sqrt)
+        np.testing.assert_array_equal(pair.ris_factor, dense.ris_factor)
+        np.testing.assert_allclose(pair.ris_factor @ pair.ris_factor.T, dense.r_ris, atol=1e-12)
 
     def test_rejects_non_finite_table(self):
         # the squared distances overflow, and sinc(inf) is NaN

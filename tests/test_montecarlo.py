@@ -41,20 +41,26 @@ def per_trial_cn(rng, shape):
 
 
 def per_trial_realization(system, config, rng):
-    """One trial at a time: D, c, c_bar from ``rng``, then both R_RIS^{1/2}
-    products on the (N, 2K) real view of this trial alone."""
-    m, n, k = system.dims.m, system.dims.n, system.dims.k
-    bs_sqrt, ris_sqrt = system.corr.bs_sqrt, system.corr.ris_sqrt
-    d_fast = per_trial_cn(rng, (m, n))
-    c = per_trial_cn(rng, (k, n))
-    c_bar = per_trial_cn(rng, (k, m))
-    q_cols = (ris_sqrt @ np.ascontiguousarray(c.T).view(float)).view(complex)
+    """One trial at a time: c, c_bar, Z from ``rng``, both surface-factor
+    products on the (r or N, 2K) real view of this trial alone, and the eigen
+    factor of this trial's K x K Gram."""
+    k = system.dims.k
+    bs_factor, ris_factor = system.corr.bs_factor, system.corr.ris_factor
+    r, r_bs = ris_factor.shape[1], bs_factor.shape[1]
+    c = per_trial_cn(rng, (k, r))
+    c_bar = per_trial_cn(rng, (k, r_bs))
+    z = per_trial_cn(rng, (r_bs, k))
+    q_cols = (ris_factor @ np.ascontiguousarray(c.T).view(float)).view(complex)
     q_cols *= np.sqrt(system.gains.beta_tilde)
     phi_cols = np.where(system.region_mask[:, 0] > 0,
                         config.phi("t")[:, None], config.phi("r")[:, None])
-    v = (ris_sqrt @ (phi_cols * q_cols).view(float)).view(complex)
-    d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_sqrt.T)
-    h = d + np.sqrt(system.gains.beta_g) * (bs_sqrt @ (d_fast @ v)).T
+    v = (ris_factor.T @ (phi_cols * q_cols).view(float)).view(complex)
+    gram = v.conj().T @ v
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    factor = np.sqrt(np.clip(eigvals, 0.0, None))[:, None] * eigvecs.conj().T
+    factor *= np.diag(gram).real > 0.0
+    d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_factor.T)
+    h = d + np.sqrt(system.gains.beta_g) * (bs_factor @ (z @ factor)).T
     return ChannelRealization(q=q_cols.T, d=d, h=h)
 
 
@@ -141,13 +147,13 @@ class TestMcSinr:
     @pytest.mark.parametrize("n", [16, 64, 100, 256, 1024])
     def test_chunks_bit_identical_on_config_systems(self, n):
         # the checked-in shape (M = 64, K = 4, exponential R_BS): 8 real
-        # columns per trial, where a chunk's R_RIS^{1/2} product equals the
-        # per-trial products bit for bit; one and a half chunks of trials
+        # columns per trial, where a chunk's surface-factor products equal
+        # the per-trial products bit for bit; one and a half chunks of trials
         # leave a partial last chunk, and 7 batches start inside chunks
         system = build_system(ScenarioConfig.from_file(MC_CONFIG), n=n)
         assert system.dims.k == 4 and np.isrealobj(system.corr.r_bs)
         config = StarConfig.random(n, np.random.default_rng(n))
-        chunk = montecarlo.CHUNK_BYTES // (system.dims.m * n * 16)
+        chunk = montecarlo.CHUNK_BYTES // ((system.dims.m + n) * 4 * 16)
         n_trials = chunk + chunk // 2 + 1
         estimate = mc_sinr(system, config, n_trials, 3, 7)
         gamma, std_err, sum_se_hat = reference_mc_sinr(system, config, n_trials, 3, 7)
@@ -162,7 +168,7 @@ class TestMcSinr:
         rng = np.random.default_rng(k_t + k_r)
         system = random_system(rng, m=8, n=36, k_t=k_t, k_r=k_r, complex_bs=True)
         config = StarConfig.random(36, rng)
-        monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 5 * 8 * 36 * 16)
+        monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 5 * (8 + 36) * (k_t + k_r) * 16)
         estimate = mc_sinr(system, config, 23, seed=4, n_batches=4)
         gamma, std_err, sum_se_hat = reference_mc_sinr(system, config, 23, 4, 4)
         np.testing.assert_allclose(estimate.gamma_hat, gamma, rtol=1e-12, atol=0)
