@@ -27,7 +27,7 @@ def region_trace(r_ris, theta):
         gains=LinkGains(beta_g=1.0, beta_bar=[0.0], beta_tilde=[1.0]),
         modes=("t",), rho=1.0, pilot_power=1.0, sigma2=1.0,
     )
-    config = StarConfig(theta_t=theta, theta_r=theta, beta_t=np.ones(n), beta_r=np.zeros(n))
+    config = StarConfig(theta=[theta, theta], beta=[np.ones(n), np.zeros(n)])
     return covariance_scalars(system, config)[0]
 
 

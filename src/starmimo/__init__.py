@@ -33,7 +33,7 @@ from .gradients import (
     finite_difference_gradient,
     grad_objective,
 )
-from .montecarlo import McEstimate, mc_covariance_check, mc_sinr
+from .montecarlo import McEstimate, mc_sinr
 from .optimizer import (
     OptionError,
     PgamFailure,
@@ -80,7 +80,6 @@ __all__ = [
     "from_alphas",
     "grad_objective",
     "initial_points",
-    "mc_covariance_check",
     "mc_sinr",
     "multi_start",
     "path_gain",

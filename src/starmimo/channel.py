@@ -29,98 +29,64 @@ ENERGY_TOL = 1e-10
 class StarConfig:
     """Amplitudes and phase shifts of every surface element, both regions.
 
-    ``theta_t``/``theta_r`` are unit-modulus complex vectors, ``beta_t``/
-    ``beta_r`` real amplitudes with ``beta_t**2 + beta_r**2 = 1`` per element.
+    ``theta`` holds unit-modulus complex phases and ``beta`` real amplitudes,
+    each a (2, N) array whose row 0 is the t-region and row 1 the r-region;
+    every element's amplitude pair satisfies ``beta[0]**2 + beta[1]**2 = 1``.
     Amplitudes may be negative while an optimizer is running (a sign flip of
     amplitude and phase together does not change any rate); finalized MS
-    configurations are exactly binary.  The vectors may carry a leading
-    start axis, one row per start of a multi-start (the optimizer's batched
-    kernel reads such a configuration through :meth:`phi`).
+    configurations are exactly binary.  A leading start axis makes both
+    arrays (P, 2, N), one row per start of a multi-start.
     """
 
-    theta_t: np.ndarray
-    theta_r: np.ndarray
-    beta_t: np.ndarray
-    beta_r: np.ndarray
+    theta: np.ndarray
+    beta: np.ndarray
     protocol: str = ES
 
     def __post_init__(self):
-        self.theta_t = np.asarray(self.theta_t, dtype=complex)
-        self.theta_r = np.asarray(self.theta_r, dtype=complex)
-        self.beta_t = np.asarray(self.beta_t, dtype=float)
-        self.beta_r = np.asarray(self.beta_r, dtype=float)
-        if not (self.theta_t.shape == self.theta_r.shape == self.beta_t.shape == self.beta_r.shape):
-            raise ValueError("all four configuration vectors must share one length N")
+        self.theta = np.asarray(self.theta, dtype=complex)
+        self.beta = np.asarray(self.beta, dtype=float)
+        if self.theta.shape != self.beta.shape:
+            raise ValueError(f"theta {self.theta.shape} and beta {self.beta.shape} "
+                             "must share one shape")
+        if self.theta.ndim < 2 or self.theta.shape[-2] != 2:
+            raise ValueError(f"shape {self.theta.shape} needs a region axis of length 2 "
+                             "(t, r) before the element axis")
         if self.protocol not in (ES, MS):
             raise ValueError(f"protocol must be {ES!r} or {MS!r}, got {self.protocol!r}")
 
-    @property
-    def n(self) -> int:
-        return self.theta_t.shape[-1]
-
     def validate(self):
         """Check unit modulus, energy conservation, and MS binarity."""
-        for name, theta in (("theta_t", self.theta_t), ("theta_r", self.theta_r)):
-            err = np.max(np.abs(np.abs(theta) - 1.0))
-            if err > UNIT_MODULUS_TOL:
-                raise ValueError(f"{name} is not unit modulus (max deviation {err:.2e})")
-        energy_err = np.max(np.abs(self.beta_t**2 + self.beta_r**2 - 1.0))
+        err = np.max(np.abs(np.abs(self.theta) - 1.0))
+        if err > UNIT_MODULUS_TOL:
+            raise ValueError(f"theta is not unit modulus (max deviation {err:.2e})")
+        energy_err = np.max(np.abs(np.sum(self.beta**2, axis=-2) - 1.0))
         if energy_err > ENERGY_TOL:
             raise ValueError(f"energy conservation violated (max deviation {energy_err:.2e})")
-        if self.protocol == MS:
-            for name, beta in (("beta_t", self.beta_t), ("beta_r", self.beta_r)):
-                if not np.all((beta == 0.0) | (beta == 1.0)):
-                    raise ValueError(f"MS protocol requires binary amplitudes in {name}")
+        if self.protocol == MS and not np.all((self.beta == 0.0) | (self.beta == 1.0)):
+            raise ValueError("MS protocol requires binary amplitudes")
         return self
 
     def phi(self, mode: str) -> np.ndarray:
         """Diagonal of the passive beamforming matrix for one region."""
-        return self.beta_t * self.theta_t if mode == "t" else self.beta_r * self.theta_r
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Phases and amplitudes of both regions as two (2N,) vectors, t first."""
-        return (np.concatenate([self.theta_t, self.theta_r]),
-                np.concatenate([self.beta_t, self.beta_r]))
-
-    @classmethod
-    def from_stacked(cls, theta: np.ndarray, beta: np.ndarray) -> "StarConfig":
-        """Inverse of :meth:`stacked`, along the last axis of (2N,) or (P, 2N)
-        inputs; the four vectors are views of the inputs."""
-        n = theta.shape[-1] // 2
-        return cls(theta_t=theta[..., :n], theta_r=theta[..., n:],
-                   beta_t=beta[..., :n], beta_r=beta[..., n:])
+        row = 0 if mode == "t" else 1
+        return self.beta[..., row, :] * self.theta[..., row, :]
 
     def copy(self) -> "StarConfig":
-        return replace(
-            self,
-            theta_t=self.theta_t.copy(),
-            theta_r=self.theta_r.copy(),
-            beta_t=self.beta_t.copy(),
-            beta_r=self.beta_r.copy(),
-        )
+        return replace(self, theta=self.theta.copy(), beta=self.beta.copy())
 
     @classmethod
     def equal_split(cls, n: int, rng: np.random.Generator | None = None) -> "StarConfig":
         """Canonical starting point: amplitudes sqrt(1/2), phases uniform (or zero)."""
-        if rng is None:
-            theta_t = np.ones(n, dtype=complex)
-            theta_r = np.ones(n, dtype=complex)
-        else:
-            theta_t = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
-            theta_r = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
-        amp = np.full(n, np.sqrt(0.5))
-        return cls(theta_t=theta_t, theta_r=theta_r, beta_t=amp, beta_r=amp.copy())
+        theta = (np.ones((2, n)) if rng is None
+                 else np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, n))))
+        return cls(theta=theta, beta=np.full((2, n), np.sqrt(0.5)))
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "StarConfig":
         """Random feasible point: uniform phases, uniform split angle per element."""
         chi = rng.uniform(0.0, np.pi / 2.0, n)
-        return cls(
-            theta_t=np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)),
-            theta_r=np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)),
-            beta_t=np.cos(chi),
-            beta_r=np.sin(chi),
-        )
+        return cls(theta=np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (2, n))),
+                   beta=np.stack([np.cos(chi), np.sin(chi)]))
 
 
 @dataclass(frozen=True)
@@ -235,7 +201,7 @@ def covariance_scalars(system: SystemModel, config: StarConfig,
     The kernel is ``CorrelationPair.ris_abs2``: the dense square (one gemm
     per start) or, on a large grid, its FFT form with the same values.
     """
-    phi = np.stack([config.phi("t"), config.phi("r")], axis=-2)
+    phi = config.beta * config.theta
     block = np.swapaxes(np.concatenate([phi.real, phi.imag], axis=-2), -1, -2)
     prod = system.corr.ris_abs2 @ block
     traces = (block * prod).sum(axis=-2)
@@ -251,13 +217,13 @@ class ChannelRealization:
     """One draw of the fast-fading user links plus the assembled aggregated channels.
 
     The BS-surface channel G is neither formed nor drawn; only the law of
-    its products with the surface-weighted user links enters ``h``.  A draw
-    of T trials at once gives every array a leading trial axis of length T.
+    its products with the surface-weighted user links enters ``h``.  Every
+    array carries a leading axis of length T, one entry per trial drawn.
     """
 
-    q: np.ndarray  # (K, N) surface-user channels
-    d: np.ndarray  # (K, M) direct channels
-    h: np.ndarray  # (K, M) aggregated channels
+    q: np.ndarray  # (T, K, N) surface-user channels
+    d: np.ndarray  # (T, K, M) direct channels
+    h: np.ndarray  # (T, K, M) aggregated channels
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -307,9 +273,8 @@ def _gram_factor(gram: np.ndarray) -> np.ndarray:
 
 
 def sample_realization(system: SystemModel, config: StarConfig,
-                       rng: np.random.Generator | Sequence[np.random.Generator]
-                       ) -> ChannelRealization:
-    """Draw one correlated-Rayleigh realization of every link.
+                       rngs: Sequence[np.random.Generator]) -> ChannelRealization:
+    """Draw one correlated-Rayleigh realization of every link per generator.
 
     The model is ``G = sqrt(beta_g) R_BS^{1/2} D R_RIS^{1/2}`` with iid
     CN(0, 1) entries in D, ``q_k = sqrt(beta_tilde_k) R_RIS^{1/2} c_k``,
@@ -330,21 +295,17 @@ def sample_realization(system: SystemModel, config: StarConfig,
       ``V' = L^T (phi_u * q_k)`` (r x K), and ``h_k = d_k + sqrt(beta_g)
       L_BS (Z F)[:, k]`` with Z of size r_BS x K.
 
-    The generator is consumed in the order c (K x r), c_bar (K x r_BS),
-    Z (r_BS x K), each as :func:`complex_normal` draws it, in one
-    standard-normal call.  A sequence of T generators draws T trials, one per
-    generator, each consumed exactly as a single generator is; the arrays
-    then carry a leading trial axis.  Both surface products run once for
-    all trials, on an (r or N, 2KT) real block, and the Gram factors of all
-    trials come from one batched ``eigh``.  Whether a trial then equals its
-    one-generator draw bit for bit is a property of the BLAS: under OpenBLAS
-    0.3.31 (Haswell kernels) it does with 8 or 16 real columns per trial
-    (K = 4 or 8) at every N tried from 4 to 1024, while other K agree to
-    roundoff.  The BS-side products
-    stay one gemm per trial.
+    T generators draw T trials, one per generator, and every array carries a
+    leading trial axis of length T.  Each generator is consumed in the order
+    c (K x r), c_bar (K x r_BS), Z (r_BS x K), each as :func:`complex_normal`
+    draws it, in one standard-normal call.  Both surface products run once
+    for all trials, on an (r or N, 2KT) real block, and the Gram factors of
+    all trials come from one batched ``eigh``.  Whether a trial then equals
+    its draw in a batch of one bit for bit is a property of the BLAS: under
+    OpenBLAS 0.3.31 (Haswell kernels) it does with 8 or 16 real columns per
+    trial (K = 4 or 8) at every N tried from 4 to 1024, while other K agree
+    to roundoff.  The BS-side products stay one gemm per trial.
     """
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
     t, k = len(rngs), system.dims.k
     bs_factor = system.corr.bs_factor
     ris_factor = system.corr.ris_factor
@@ -365,15 +326,12 @@ def sample_realization(system: SystemModel, config: StarConfig,
     # (N, T, K) columns q_k, then the (r, T, K) columns of V', each one real product
     q_cols = _real_left_product(ris_factor, c.reshape(r, t * k)).reshape(n, t, k)
     q_cols *= np.sqrt(system.gains.beta_tilde)
-    phi_cols = np.where(system.region_mask[:, 0] > 0,
-                        config.phi("t")[:, None], config.phi("r")[:, None])
+    # column k is the phi row of user k's region
+    phi_cols = (config.beta * config.theta)[system.region_mask[:, 1].astype(int)].T
     v = _real_left_product(ris_factor.T, (phi_cols[:, None, :] * q_cols).reshape(n, t * k))
     v = v.reshape(r, t, k).transpose(1, 0, 2)
     factor = _gram_factor(np.swapaxes(v.conj(), -1, -2) @ v)
 
     d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_factor.T)
     h = d + np.sqrt(system.gains.beta_g) * np.swapaxes(bs_factor @ (z @ factor), -1, -2)
-    q = q_cols.transpose(1, 2, 0)
-    if single:
-        return ChannelRealization(q=q[0], d=d[0], h=h[0])
-    return ChannelRealization(q=q, d=d, h=h)
+    return ChannelRealization(q=q_cols.transpose(1, 2, 0), d=d, h=h)

@@ -508,8 +508,7 @@ def _multi_start(system: SystemModel, options: PgamOptions, cache: dict | None):
     return cache[key][1]
 
 
-def _mc_columns(cfg: ScenarioConfig, system: SystemModel, result: ProtocolResult,
-                mc_seed: int, trials: int):
+def _mc_columns(system: SystemModel, result: ProtocolResult, mc_seed: int, trials: int):
     estimate = mc_sinr(system, result.config, trials, mc_seed)
     dse = system.dims.prelog / ((1.0 + estimate.gamma_hat) * LN2)
     stderr = float(np.sqrt(np.sum((dse * estimate.std_err) ** 2)))
@@ -554,8 +553,7 @@ def run_experiment(cfg: ScenarioConfig, writer=None) -> list[dict]:
             mc_se, mc_err = ("", "")
             if cfg.mc_enabled:
                 mc_seed = derive_seed(cfg.seed, sweep_idx, proto_idx, 1)
-                mc_se, mc_err = _mc_columns(cfg, system, result, mc_seed,
-                                            cfg.mc_trials)
+                mc_se, mc_err = _mc_columns(system, result, mc_seed, cfg.mc_trials)
                 mc_se = f"{mc_se:.10g}"
                 mc_err = f"{mc_err:.4g}"
             elapsed = f"{time.perf_counter() - start:.3f}" if cfg.timings else ""

@@ -29,10 +29,11 @@ class DegenerateInterferenceError(ValueError):
 
 @dataclass
 class GradientPair:
-    """Stacked gradients: phases of both regions, then amplitudes of both."""
+    """Gradients in the phases and the amplitudes, each laid out as the
+    :class:`StarConfig` arrays: row 0 the t-region."""
 
-    d_theta: np.ndarray  # (2N,) complex, [t-region; r-region]; (P, 2N) batched
-    d_beta: np.ndarray   # (2N,) real; (P, 2N) batched
+    d_theta: np.ndarray  # (2, N) complex; (P, 2, N) batched
+    d_beta: np.ndarray   # (2, N) real; (P, 2, N) batched
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.d_theta) ** 2) + np.sum(self.d_beta**2)))
@@ -71,7 +72,7 @@ def build_workspace(point: Evaluation, system: SystemModel,
     if method == "eig":
         nu, nu_bar, nu_tilde = _nu_scalars_eig(point, system)
     else:
-        config = StarConfig.from_stacked(point.theta.ravel(), point.beta.ravel())
+        config = StarConfig(point.theta, point.beta)
         point = replace(
             point,
             a=np.array([pbm_quadratic_diag(system.corr.r_ris, config.phi(u)) for u in "tr"]),
@@ -149,18 +150,18 @@ def _nu_scalars_dense(alphas, system):
 
 def grad_objective(config: StarConfig, system: SystemModel,
                    method: str = "eig") -> GradientPair:
-    """Full stacked gradient of the sum-SE objective.
+    """Full gradient of the sum-SE objective.
 
     Raises :class:`DegenerateInterferenceError` if any user has a zero
     interference term (the quotient rule is undefined there).
     """
-    point = evaluate(*config.stacked(), system)
+    point = evaluate(config.theta, config.beta, system)
     return grad_objective_from_workspace(build_workspace(point, system, method=method))
 
 
 def grad_objective_from_workspace(ws: GradientWorkspace) -> GradientPair:
-    """The stacked gradient at the workspace's point; (P, 2N) blocks, one
-    row per start, for a batched evaluation."""
+    """The gradient at the workspace's point; (P, 2, N) blocks, one row per
+    start, for a batched evaluation."""
     report = ws.point.report
     if np.any(report.i_tilde <= 0):
         bad = np.unravel_index(np.argmin(report.i_tilde), report.i_tilde.shape)
@@ -181,10 +182,8 @@ def grad_objective_from_workspace(ws: GradientWorkspace) -> GradientPair:
     )
     scale = (ws.system.dims.prelog / LN2 * weight)[..., None]
     a, theta, beta = ws.point.a, ws.point.theta, ws.point.beta
-    d_theta = scale * (a * beta)
-    d_beta = scale * (2.0 * np.real(np.conj(a) * theta))
-    stacked = a.shape[:-2] + (-1,)
-    return GradientPair(d_theta=d_theta.reshape(stacked), d_beta=d_beta.reshape(stacked))
+    return GradientPair(d_theta=scale * (a * beta),
+                        d_beta=scale * (2.0 * np.real(np.conj(a) * theta)))
 
 
 def finite_difference_gradient(config: StarConfig, system: SystemModel,
@@ -196,20 +195,12 @@ def finite_difference_gradient(config: StarConfig, system: SystemModel,
     conjugate-derivative convention of the closed form.  Stays independent of
     the analytic gradient path: only the objective is evaluated.
     """
-    n = config.n
-
     def objective(theta: np.ndarray, beta: np.ndarray) -> float:
-        trial = StarConfig(
-            theta_t=theta[:n], theta_r=theta[n:],
-            beta_t=beta[:n], beta_r=beta[n:],
-        )
-        return sum_se(trial, system).sum_se
+        return sum_se(StarConfig(theta, beta), system).sum_se
 
-    theta0 = np.concatenate([config.theta_t, config.theta_r])
-    beta0 = np.concatenate([config.beta_t, config.beta_r])
-
-    d_theta = np.zeros(2 * n, dtype=complex)
-    for j in range(2 * n):
+    theta0, beta0 = config.theta, config.beta
+    d_theta = np.zeros_like(theta0)
+    for j in np.ndindex(theta0.shape):
         for unit in (1.0, 1.0j):
             plus = theta0.copy()
             minus = theta0.copy()
@@ -218,8 +209,8 @@ def finite_difference_gradient(config: StarConfig, system: SystemModel,
             deriv = (objective(plus, beta0) - objective(minus, beta0)) / (2.0 * step)
             d_theta[j] += 0.5 * deriv * unit
 
-    d_beta = np.zeros(2 * n)
-    for j in range(2 * n):
+    d_beta = np.zeros_like(beta0)
+    for j in np.ndindex(beta0.shape):
         plus = beta0.copy()
         minus = beta0.copy()
         plus[j] += step

@@ -85,10 +85,12 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
     """
     if n_trials < 2:
         raise ValueError("need at least two trials")
+    if not isinstance(n_batches, (int, np.integer)) or n_batches < 1:
+        raise ValueError(f"n_batches must be an integer >= 1, got {n_batches!r}")
     k_users = system.dims.k
     eps = system.epsilon
     alphas = covariance_scalars(system, config)
-    n_batches = int(min(n_batches, n_trials))
+    n_batches = min(n_batches, n_trials)
 
     streams = np.random.SeedSequence(seed).spawn(n_trials)
     counts = np.diff(np.linspace(0, n_trials, n_batches + 1).astype(int))
@@ -129,34 +131,3 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
         n_trials=n_trials,
         std_err=std_err,
     )
-
-
-def mc_covariance_check(system: SystemModel, config: StarConfig, n_trials: int,
-                        seed: int) -> float:
-    """Max over users of the relative Frobenius gap between the empirical
-    covariance of the aggregated channel and its closed form alpha_k R_BS.
-
-    Users with exactly zero gain contribute their absolute empirical norm
-    (the closed form is the zero matrix there).
-    """
-    k_users = system.dims.k
-    m = system.dims.m
-    alphas = covariance_scalars(system, config)
-
-    acc = np.zeros((k_users, m, m), dtype=complex)
-    streams = np.random.SeedSequence(seed).spawn(n_trials)
-    for chunk in _chunk_trials(system, n_trials):
-        h = sample_realization(system, config,
-                               [np.random.default_rng(stream) for stream in streams[chunk]]).h
-        # per user, sum over the chunk of h_k h_k^H as one (M, T) x (T, M) product
-        users = h.transpose(1, 2, 0)
-        acc += users @ np.swapaxes(users.conj(), -1, -2)
-    acc /= n_trials
-
-    worst = 0.0
-    for k in range(k_users):
-        target = alphas[k] * system.corr.r_bs
-        gap = np.linalg.norm(acc[k] - target)
-        denom = np.linalg.norm(target)
-        worst = max(worst, gap / denom if denom > 0 else gap)
-    return float(worst)

@@ -19,7 +19,7 @@ so a start's trace is bit for bit the one it has when run alone
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,20 +113,21 @@ def project_theta(v: np.ndarray) -> np.ndarray:
 
 
 def project_beta(v: np.ndarray) -> np.ndarray:
-    """Pairwise projection of (v_i, v_{i+N}) onto the unit circle, signs kept,
-    along the last axis of (2N,) or (P, 2N) input.
+    """Projection of every (t, r) amplitude pair, along axis -2 of (2, N) or
+    (P, 2, N) input, onto the unit circle, signs kept.
 
     The zero pair maps to the equal split (sqrt(1/2), sqrt(1/2)).
     """
     v = np.asarray(v, dtype=float)
-    n = v.shape[-1] // 2
-    head, tail = v[..., :n], v[..., n:]
-    norm = np.hypot(head, tail)
-    safe = np.where(norm > 0, norm, 1.0)
-    out = np.concatenate([head / safe, tail / safe], axis=-1)
-    zero = np.concatenate([norm, norm], axis=-1) == 0
-    out[zero] = np.sqrt(0.5)
-    return out
+    norm = np.hypot(v[..., :1, :], v[..., 1:, :])
+    return np.where(norm > 0, v / np.where(norm > 0, norm, 1.0), np.sqrt(0.5))
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """(..., 2, N) as (..., 2N), t-region first: every per-start reduction
+    runs along this one row, in the summation order of one flat vector of
+    both regions."""
+    return x.reshape(x.shape[:-2] + (-1,))
 
 
 def armijo_condition(f_new, f_old, grad, theta_new: np.ndarray, beta_new: np.ndarray,
@@ -139,14 +140,14 @@ def armijo_condition(f_new, f_old, grad, theta_new: np.ndarray, beta_new: np.nda
     gradient (and one ``f_new``, ``f_old``, ``mu`` per start) the result is
     one verdict per start.
     """
-    d_theta = theta_new - theta_old
-    d_beta = beta_new - beta_old
+    d_theta = _rows(theta_new - theta_old)
+    d_beta = _rows(beta_new - beta_old)
     # np.vecdot (numpy >= 2.0) makes the BLAS dot of np.vdot (complex) and
     # of ``@`` (real) once per row, so a start's verdict does not depend on
     # its batch
-    q = f_old + 2.0 * np.real(np.vecdot(grad.d_theta, d_theta))
+    q = f_old + 2.0 * np.real(np.vecdot(_rows(grad.d_theta), d_theta))
     q = q - np.sum(np.abs(d_theta) ** 2, axis=-1) / mu
-    q = q + np.vecdot(grad.d_beta, d_beta)
+    q = q + np.vecdot(_rows(grad.d_beta), d_beta)
     q = q - np.vecdot(d_beta, d_beta) / mu
     return f_new > q
 
@@ -177,9 +178,8 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
     searching.  ``callback``, if given, is invoked as ``callback(start,
     iteration, config, objective)`` after every accepted iteration.
     """
-    stacked = [init.stacked() for init in inits]
-    theta = project_theta(np.stack([theta for theta, _ in stacked]))
-    beta = project_beta(np.stack([beta for _, beta in stacked]))
+    theta = project_theta(np.stack([init.theta for init in inits]))
+    beta = project_beta(np.stack([init.beta for init in inits]))
 
     # one kernel evaluation per trial point; the accepted trial's cached
     # intermediates feed the next gradient
@@ -194,8 +194,7 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
     def finish(rows, theta_rows, beta_rows, converged, reason):
         for row in rows:
             trace = traces[active[row]]
-            trace.final_config = StarConfig.from_stacked(theta_rows[row].copy(),
-                                                         beta_rows[row].copy())
+            trace.final_config = StarConfig(theta_rows[row].copy(), beta_rows[row].copy())
             trace.converged, trace.reason = converged, reason
 
     for iteration in range(1, options.max_iters + 1):
@@ -217,13 +216,13 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
         searching = np.arange(rows)
         while searching.size:
             theta_new[searching] = project_theta(
-                theta[searching] + mu[searching, None] * grad.d_theta[searching])
+                theta[searching] + mu[searching, None, None] * grad.d_theta[searching])
             beta_new[searching] = project_beta(
-                beta[searching] + mu[searching, None] * grad.d_beta[searching])
+                beta[searching] + mu[searching, None, None] * grad.d_beta[searching])
             # exact fixed point: no step can move the iterate, so accept the
             # zero-gain iteration and let the tolerance stop the run
-            fixed = ((theta_new[searching] == theta[searching]).all(axis=1)
-                     & (beta_new[searching] == beta[searching]).all(axis=1))
+            fixed = ((theta_new[searching] == theta[searching]).all(axis=(1, 2))
+                     & (beta_new[searching] == beta[searching]).all(axis=(1, 2)))
             if fixed.any():
                 accepted[searching[fixed]] = True
                 searching = searching[~fixed]
@@ -249,8 +248,8 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
             mu[searching] *= options.kappa
             backtracks[searching] += 1
 
-        stationarity = np.sqrt(np.sum(np.abs(theta_new - theta) ** 2, axis=1)
-                               + np.sum((beta_new - beta) ** 2, axis=1)) / mu
+        stationarity = np.sqrt(np.sum(np.abs(_rows(theta_new - theta)) ** 2, axis=1)
+                               + np.sum(_rows(beta_new - beta) ** 2, axis=1)) / mu
         done = accepted & (f_new - f_cur < options.tol)
         finish(np.flatnonzero(~accepted), theta, beta, False, "line-search stall")
         finish(np.flatnonzero(done), theta_new, beta_new, True, "objective tolerance")
@@ -264,7 +263,7 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
             trace.stationarity.append(stationarity[row])
             if callback is not None:
                 callback(int(active[row]), iteration,
-                         StarConfig.from_stacked(theta_new[row], beta_new[row]), objectives[row])
+                         StarConfig(theta_new[row], beta_new[row]), objectives[row])
         keep = accepted & ~done
         if not keep.any():
             return traces
@@ -317,23 +316,20 @@ def split_surface(system: SystemModel, n_t: int) -> StarConfig:
     by both regions and one Phi per region: the paper's closed form only.
     """
     n = system.dims.n
-    beta_t = (np.arange(n) < n_t).astype(float)
+    transmits = (np.arange(n) < n_t).astype(float)
     signs = (np.ones(n), np.where(np.arange(n) % 2, -1.0, 1.0))
-    theta = np.array([np.concatenate([t, r]) for t in signs for r in signs], dtype=complex)
-    beta = np.tile(np.concatenate([beta_t, 1.0 - beta_t]), (len(theta), 1))
+    theta = np.array([[t, r] for t in signs for r in signs], dtype=complex)
+    beta = np.tile([transmits, 1.0 - transmits], (len(theta), 1, 1))
     best = int(np.argmax(evaluate(theta, beta, system).report.sum_se))
-    return StarConfig.from_stacked(theta[best], beta[best])
+    return StarConfig(theta[best], beta[best])
 
 
 def canonicalize_signs(config: StarConfig) -> StarConfig:
     """Make every amplitude non-negative by absorbing a sign flip into the
     phase of the same element and region; objective-neutral."""
-    out = config.copy()
-    for beta, theta in ((out.beta_t, out.theta_t), (out.beta_r, out.theta_r)):
-        negative = beta < 0
-        beta[negative] *= -1.0
-        theta[negative] *= -1.0
-    return out
+    negative = config.beta < 0
+    return replace(config, theta=np.where(negative, -config.theta, config.theta),
+                   beta=np.abs(config.beta))
 
 
 def round_to_ms(es_config: StarConfig) -> StarConfig:
@@ -344,13 +340,5 @@ def round_to_ms(es_config: StarConfig) -> StarConfig:
     binary invariants exactly.
     """
     config = canonicalize_signs(es_config)
-    t_wins = config.beta_t >= config.beta_r
-    beta_t = np.where(t_wins, 1.0, 0.0)
-    beta_r = np.where(t_wins, 0.0, 1.0)
-    return StarConfig(
-        theta_t=config.theta_t.copy(),
-        theta_r=config.theta_r.copy(),
-        beta_t=beta_t,
-        beta_r=beta_r,
-        protocol=MS,
-    )
+    t_wins = config.beta[..., :1, :] >= config.beta[..., 1:, :]
+    return replace(config, beta=np.where(t_wins, [[1.0], [0.0]], [[0.0], [1.0]]), protocol=MS)

@@ -80,19 +80,20 @@ def sinr_from_terms(s: np.ndarray, i_tilde: np.ndarray) -> np.ndarray:
 
 
 def evaluate(theta: np.ndarray, beta: np.ndarray, system: SystemModel) -> Evaluation:
-    """The objective kernel: sum SE at the stacked point ``(theta, beta)``.
+    """The objective kernel: sum SE at the point ``(theta, beta)``.
 
-    ``theta`` and ``beta`` are the (2N,) vectors of :meth:`StarConfig.stacked`
-    (both regions, t-region first), or (P, 2N) batches of them, one row per
-    start.  Costs one real |R_RIS|^2 x (N, 4) product per start (dense, or
-    by FFT on a large grid) plus O(KM) vectorized work; every reduction runs along one start's own row, so a
-    start's values do not depend on the batch it is evaluated in.
+    ``theta`` and ``beta`` are the (2, N) arrays of a :class:`StarConfig`
+    (row 0 the t-region), or (P, 2, N) batches of them, one row per start.
+    Costs one real |R_RIS|^2 x (N, 4) product per start (dense, or by FFT on
+    a large grid) plus O(KM) vectorized work; every reduction runs along one
+    start's own row, so a start's values do not depend on the batch it is
+    evaluated in.
     """
-    a = np.empty(theta.shape[:-1] + (2, theta.shape[-1] // 2), dtype=complex)
-    alphas = covariance_scalars(system, StarConfig.from_stacked(theta, beta), a)
+    a = np.empty(theta.shape, dtype=complex)
+    alphas = covariance_scalars(system, StarConfig(theta, beta), a)
     psi, qr_gain, report = from_alphas(alphas, system)
-    return Evaluation(theta=theta.reshape(a.shape), beta=beta.reshape(a.shape), a=a,
-                      alphas=alphas, psi=psi, qr_gain=qr_gain, report=report)
+    return Evaluation(theta=theta, beta=beta, a=a, alphas=alphas, psi=psi,
+                      qr_gain=qr_gain, report=report)
 
 
 def from_alphas(alphas: np.ndarray,
@@ -132,7 +133,7 @@ def sum_se(config: StarConfig, system: SystemModel, method: str = "eig") -> Rate
         return _sum_se_dense(config, system)
     if method != "eig":
         raise ValueError(f"unknown method {method!r}")
-    return evaluate(*config.stacked(), system).report
+    return evaluate(config.theta, config.beta, system).report
 
 
 def _assemble_report(s: np.ndarray, i_tilde: np.ndarray, prelog: float) -> RateReport:

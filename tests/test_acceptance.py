@@ -91,7 +91,7 @@ def test_criterion_3_fast_path_equivalence():
         config = StarConfig.random(n, rng)
         fast = sum_se(config, system, method="eig")
         dense = sum_se(config, system, method="dense")
-        point = evaluate(*config.stacked(), system)
+        point = evaluate(config.theta, config.beta, system)
         ws_fast = build_workspace(point, system, method="eig")
         ws_dense = build_workspace(point, system, method="dense")
         for a, b in ((fast.s, dense.s), (fast.i_tilde, dense.i_tilde),
@@ -116,9 +116,8 @@ def test_criterion_4_algorithm_invariants():
 
         def callback(iteration, config, objective):
             log.append((
-                max(np.max(np.abs(np.abs(config.theta_t) - 1.0)),
-                    np.max(np.abs(np.abs(config.theta_r) - 1.0))),
-                np.max(np.abs(config.beta_t**2 + config.beta_r**2 - 1.0)),
+                np.max(np.abs(np.abs(config.theta) - 1.0)),
+                np.max(np.abs(config.beta[0]**2 + config.beta[1]**2 - 1.0)),
             ))
 
         options = PgamOptions(max_iters=200, seed=17)
@@ -130,10 +129,10 @@ def test_criterion_4_algorithm_invariants():
 
         again = pgam(system, options, init.copy())
         assert trace.objectives == again.objectives
-        np.testing.assert_array_equal(trace.final_config.theta_t,
-                                      again.final_config.theta_t)
-        np.testing.assert_array_equal(trace.final_config.beta_t,
-                                      again.final_config.beta_t)
+        np.testing.assert_array_equal(trace.final_config.theta,
+                                      again.final_config.theta)
+        np.testing.assert_array_equal(trace.final_config.beta,
+                                      again.final_config.beta)
     report(4, "feasibility 1e-10, monotone objectives, bounded and reproducible")
 
 
@@ -172,17 +171,15 @@ def test_criterion_6_phase_independence_without_correlation():
     values = []
     for _ in range(10):
         draw = StarConfig.random(12, rng)
-        draw.beta_t = base.beta_t.copy()
-        draw.beta_r = base.beta_r.copy()
+        draw.beta = base.beta.copy()
         values.append(sum_se(draw, system).sum_se)
     spread = np.ptp(values)
     assert spread < 1e-10, f"SE spread {spread:.2e}"
 
     grad = grad_objective(base, system)
-    theta = np.concatenate([base.theta_t, base.theta_r])
     worst = 0.0
     for _ in range(10):
-        direction = 1j * theta * rng.standard_normal(24)
+        direction = 1j * base.theta * rng.standard_normal(base.theta.shape)
         deriv = abs(2.0 * np.real(np.vdot(grad.d_theta, direction)))
         worst = max(worst, deriv)
     assert worst < 1e-8

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import one_user_system, random_system, uncorrelated_ris_system
 from starmimo import channel
 from starmimo.channel import (
+    ChannelRealization,
     StarConfig,
     SystemDims,
     SystemModel,
@@ -112,6 +114,12 @@ def law_z_scores(system, config, n_trials, seed):
     return np.abs(mean_a - mean_b)[spread > 0] / spread[spread > 0]
 
 
+def first_trial(system, config, rng):
+    """Trial 0 of a draw with the one generator ``rng``, without the trial axis."""
+    real = sample_realization(system, config, [rng])
+    return ChannelRealization(q=real.q[0], d=real.d[0], h=real.h[0])
+
+
 def assert_rows_close(actual, expected, rtol):
     """Each row within ``rtol`` of its expected row in 2-norm (zero rows exact)."""
     gap = np.linalg.norm(actual - expected, axis=-1)
@@ -159,13 +167,13 @@ class TestStarConfig:
 
     def test_rejects_modulus_violation(self):
         cfg = StarConfig.equal_split(4)
-        cfg.theta_t[0] = 2.0
+        cfg.theta[0, 0] = 2.0
         with pytest.raises(ValueError, match="unit modulus"):
             cfg.validate()
 
     def test_rejects_energy_violation(self):
         cfg = StarConfig.equal_split(4)
-        cfg.beta_t[0] = 1.0
+        cfg.beta[0, 0] = 1.0
         with pytest.raises(ValueError, match="energy"):
             cfg.validate()
 
@@ -174,30 +182,51 @@ class TestStarConfig:
         cfg.protocol = "ms"
         with pytest.raises(ValueError, match="binary"):
             cfg.validate()
-        binary = StarConfig(
-            theta_t=np.ones(2), theta_r=np.ones(2),
-            beta_t=np.array([1.0, 0.0]), beta_r=np.array([0.0, 1.0]),
-            protocol="ms",
-        )
+        binary = StarConfig(theta=np.ones((2, 2)), beta=[[1.0, 0.0], [0.0, 1.0]],
+                            protocol="ms")
         binary.validate()
 
     def test_signed_amplitudes_allowed(self):
         cfg = StarConfig.equal_split(4)
-        cfg.beta_t[1] *= -1.0
+        cfg.beta[0, 1] *= -1.0
         cfg.validate()  # energy conservation holds with signed entries
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            StarConfig(theta_t=np.ones(3), theta_r=np.ones(2),
-                       beta_t=np.ones(3), beta_r=np.ones(3))
+            StarConfig(theta=np.ones((2, 3)), beta=np.ones((2, 2)))
+        with pytest.raises(ValueError, match="share one shape"):
+            StarConfig(theta=np.ones((2, 3)), beta=np.ones((1, 2, 3)))
+        for shape in ((3,), (1, 3), (3, 3), (4, 3, 3)):
+            with pytest.raises(ValueError, match="region axis"):
+                StarConfig(theta=np.ones(shape), beta=np.ones(shape))
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_draws_match_one_draw_per_region(self, n):
+        # one (2, n) phase draw gives the bits of a t-region draw of n values
+        # followed by an r-region draw of n values, from the same stream
+        def per_region_phases(rng):
+            theta_t = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+            theta_r = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+            return theta_t, theta_r
+
+        theta_t, theta_r = per_region_phases(np.random.default_rng(n))
+        split = StarConfig.equal_split(n, np.random.default_rng(n))
+        np.testing.assert_array_equal(split.theta, [theta_t, theta_r])
+        np.testing.assert_array_equal(split.beta, np.full((2, n), np.sqrt(0.5)))
+
+        rng = np.random.default_rng(n)
+        chi = rng.uniform(0.0, np.pi / 2.0, n)
+        theta_t, theta_r = per_region_phases(rng)
+        drawn = StarConfig.random(n, np.random.default_rng(n))
+        np.testing.assert_array_equal(drawn.theta, [theta_t, theta_r])
+        np.testing.assert_array_equal(drawn.beta, [np.cos(chi), np.sin(chi)])
 
 
 def t_region_alphas(r_ris, beta, theta):
     """A t-region user's alpha, with beta_bar = 0 and beta_hat = 1 (so the
     region trace itself), from the kernel and from the referee."""
     system = one_user_system(r_ris=r_ris)
-    config = StarConfig(theta_t=theta, theta_r=np.ones_like(theta),
-                        beta_t=beta, beta_r=np.zeros_like(beta))
+    config = StarConfig(theta=[theta, np.ones_like(theta)], beta=[beta, np.zeros_like(beta)])
     return covariance_scalars(system, config)[0], dense_covariance_scalars(config, system)[0]
 
 
@@ -295,12 +324,10 @@ class TestRegionTrace:
 
 class TestCovarianceScalars:
     def test_single_active_element(self):
-        beta_t = np.zeros(4)
-        beta_t[0] = 1.0
-        config = StarConfig(
-            theta_t=np.ones(4, dtype=complex), theta_r=np.ones(4, dtype=complex),
-            beta_t=beta_t, beta_r=np.sqrt(1 - beta_t**2),
-        )
+        transmits = np.zeros(4)
+        transmits[0] = 1.0
+        config = StarConfig(theta=np.ones((2, 4), dtype=complex),
+                            beta=[transmits, np.sqrt(1 - transmits**2)])
         system = one_user_system(np.eye(3), np.eye(4), "t", beta_bar=0.5, beta_hat=0.25)
         for alpha in (covariance_scalars(system, config)[0],
                       dense_covariance_scalars(config, system)[0]):
@@ -317,8 +344,7 @@ class TestCovarianceScalars:
     def test_dark_region_contributes_nothing(self, rng):
         r_ris = random_system(rng).corr.r_ris
         config = StarConfig.random(r_ris.shape[0], rng)
-        config.beta_t[:] = 0.0
-        config.beta_r[:] = 1.0
+        config.beta[:] = [[0.0], [1.0]]
         system = one_user_system(r_ris=r_ris, mode="t", beta_bar=0.4, beta_hat=5.0)
         assert covariance_scalars(system, config)[0] == pytest.approx(0.4)
         assert dense_covariance_scalars(config, system)[0] == pytest.approx(0.4)
@@ -345,11 +371,11 @@ class TestCovarianceScalars:
         n = system.dims.n
         assert isinstance(system.corr.ris_abs2, GridKernel)
         configs = [StarConfig.random(n, rng) for _ in range(2)]
-        batch = evaluate(np.stack([c.stacked()[0] for c in configs]),
-                         np.stack([c.stacked()[1] for c in configs]), system)
+        batch = evaluate(np.stack([c.theta for c in configs]),
+                         np.stack([c.beta for c in configs]), system)
         assert "r_ris" not in system.corr.__dict__
         for p, config in enumerate(configs):
-            single = evaluate(*config.stacked(), system)
+            single = evaluate(config.theta, config.beta, system)
             np.testing.assert_array_equal(batch.a[p], single.a)
             np.testing.assert_allclose(single.alphas, dense_covariance_scalars(config, system),
                                        rtol=1e-12)
@@ -360,8 +386,7 @@ class TestCovarianceScalars:
     def test_fft_kernel_gives_a_dark_region_exact_zero(self, rng):
         system = grid_system(rng, 32)
         config = StarConfig.random(system.dims.n, rng)
-        config.beta_t[:] = 0.0
-        config.beta_r[:] = 1.0
+        config.beta[:] = [[0.0], [1.0]]
         diag = np.empty((2, system.dims.n), dtype=complex)
         alphas = covariance_scalars(system, config, diag)
         np.testing.assert_array_equal(diag[0], 0.0)
@@ -373,8 +398,7 @@ class TestCovarianceScalars:
         alphas = []
         for _ in range(10):
             draw = StarConfig.random(system.dims.n, rng)
-            draw.beta_t = beta.beta_t.copy()
-            draw.beta_r = beta.beta_r.copy()
+            draw.beta = beta.beta.copy()
             alphas.append(covariance_scalars(system, draw))
         spread = np.ptp(np.array(alphas), axis=0)
         assert np.max(spread) < 1e-12
@@ -385,7 +409,7 @@ class TestSampleRealization:
         system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
         system = with_gains(system, LinkGains(beta_g=0.0, beta_bar=np.zeros(2),
                                               beta_tilde=np.zeros(2)))
-        real = sample_realization(system, StarConfig.equal_split(4, rng), rng)
+        real = first_trial(system, StarConfig.equal_split(4, rng), rng)
         np.testing.assert_array_equal(real.h, np.zeros((2, 4)))
 
     def test_direct_only_when_surface_dark(self, rng):
@@ -397,17 +421,19 @@ class TestSampleRealization:
                             beta_tilde=np.array([1.0, 1.0])),
             modes=("t", "r"), rho=1.0, pilot_power=1.0, sigma2=0.1,
         )
-        config = StarConfig(
-            theta_t=np.ones(4, dtype=complex), theta_r=np.ones(4, dtype=complex),
-            beta_t=np.zeros(4), beta_r=np.zeros(4),
-        )
-        real = sample_realization(system, config, rng)
+        config = StarConfig(theta=np.ones((2, 4), dtype=complex), beta=np.zeros((2, 4)))
+        real = first_trial(system, config, rng)
         np.testing.assert_array_equal(real.h, real.d)
 
-    def test_empirical_covariance_matches_closed_form(self, rng):
+    @pytest.mark.parametrize("white_ris", [False, True], ids=["correlated", "white"])
+    def test_empirical_covariance_matches_closed_form(self, white_ris, rng):
         # law of large numbers against the covariance scalar, M = N = 4,
-        # drawn in chunks of 5000 trials with one generator each
+        # drawn in chunks of 5000 trials with one generator each; the same
+        # bound holds with and without surface correlation
         system = random_system(rng, m=4, n=4, k_t=1, k_r=1, complex_bs=False)
+        if white_ris:
+            system = replace(system,
+                             corr=CorrelationPair.from_matrices(system.corr.r_bs, np.eye(4)))
         config = StarConfig.random(4, rng)
         alphas = covariance_scalars(system, config)
         n_draws = 50_000
@@ -434,7 +460,7 @@ class TestSampleRealization:
         chunk_rngs = [np.random.default_rng(s) for s in seeds]
         chunk = sample_realization(system, config, chunk_rngs)
         lone_rngs = [np.random.default_rng(s) for s in seeds]
-        lone = [sample_realization(system, config, g) for g in lone_rngs]
+        lone = [first_trial(system, config, g) for g in lone_rngs]
         for field in ("q", "d", "h"):
             stacked = np.stack([getattr(real, field) for real in lone])
             assert getattr(chunk, field).shape == stacked.shape == \
@@ -453,7 +479,7 @@ class TestSampleRealization:
         # V^H V formed in the test from the returned q and the dense R_RIS
         system = random_system(rng, m=5, n=6, k_t=1, k_r=2)
         config = StarConfig.random(6, rng)
-        real = sample_realization(system, config, np.random.default_rng(21))
+        real = first_trial(system, config, np.random.default_rng(21))
         z, _, _, _ = explicit_draw(system, config, seed=21)
         factor = eigen_factor(surface_gram(system, config, real.q))
         expected = real.d + np.sqrt(system.gains.beta_g) * (system.corr.bs_factor @ z @ factor).T
@@ -474,7 +500,7 @@ class TestSampleRealization:
             )
         config = StarConfig.random(system.dims.n, rng)
         _, q, d, h = explicit_draw(system, config, seed=8)
-        real = sample_realization(system, config, np.random.default_rng(8))
+        real = first_trial(system, config, np.random.default_rng(8))
         assert real.q.shape == q.shape and real.h.shape == h.shape
         assert_rows_close(real.q, q, rtol=1e-12)
         assert_rows_close(real.d, d, rtol=1e-12)
@@ -511,8 +537,7 @@ class TestSampleRealization:
         # 0; n = 4 has K = 5 > N users
         system = random_system(rng, m=4, n=n, k_t=3, k_r=2)
         config = StarConfig.random(n, rng)
-        config.beta_t[:] = 0.0
-        config.beta_r[:] = 1.0
+        config.beta[:] = [[0.0], [1.0]]
         real = sample_realization(system, config, rng.spawn(6))
         np.testing.assert_array_equal(real.h[:, :3], real.d[:, :3])
         assert np.all(real.h[:, 3:] != real.d[:, 3:])

@@ -430,7 +430,7 @@ class TestRunExperiment:
         for (system, opt_seed, result), row in zip(ms_calls, ms_rows):
             options = dataclasses.replace(cfg.optimizer, seed=opt_seed)
             expected = round_to_ms(multi_start(system, options).final_config)
-            for name in ("theta_t", "theta_r", "beta_t", "beta_r"):
+            for name in ("theta", "beta"):
                 np.testing.assert_array_equal(getattr(result.config, name),
                                               getattr(expected, name))
             assert result.sum_se == sum_se(expected, system).sum_se
@@ -449,14 +449,14 @@ class TestRunExperiment:
         [row] = run_experiment(cfg)
 
         system = build_system(cfg)
-        beta_t = np.array([1.0] * 4 + [0.0] * 12)
+        transmits = np.array([1.0] * 4 + [0.0] * 12)
         signs = (np.ones(16), np.array([1.0, -1.0] * 8))
-        candidates = [StarConfig(theta_t=t, theta_r=r, beta_t=beta_t, beta_r=1.0 - beta_t)
+        candidates = [StarConfig(theta=[t, r], beta=[transmits, 1.0 - transmits])
                       for t in signs for r in signs]
         values = [sum_se(config, system).sum_se for config in candidates]
         best = candidates[int(np.argmax(values))]
         result = run_protocol("conventional", cfg, system, 0)
-        for name in ("theta_t", "theta_r", "beta_t", "beta_r"):
+        for name in ("theta", "beta"):
             np.testing.assert_array_equal(getattr(result.config, name), getattr(best, name))
         assert row["sum_se"] == f"{max(values):.10g}"
         assert row["iterations"] == 0
@@ -523,17 +523,16 @@ class TestConventionalReferee:
         n = system.dims.n
         phases = np.ones((33, n), dtype=complex)
         phases[:, 1::2] = np.exp(1j * np.linspace(0.0, np.pi, 33))[:, None]
-        theta = np.concatenate([np.repeat(phases, 33, axis=0), np.tile(phases, (33, 1))],
-                               axis=1)
-        return evaluate(theta, np.tile(beta, (len(theta), 1)), system).report.sum_se.max()
+        theta = np.stack([np.repeat(phases, 33, axis=0), np.tile(phases, (33, 1))], axis=1)
+        return evaluate(theta, np.tile(beta, (len(theta), 1, 1)), system).report.sum_se.max()
 
     @staticmethod
     def rectangle_bound(system, config, points=201):
         """F's maximum on a grid over [0, S_t] x [0, S_r], and whether it
         sits at (S_t, S_r)."""
         a = np.abs(system.corr.r_ris) ** 2
-        t_t = np.linspace(0.0, config.beta_t @ a @ config.beta_t, points)
-        t_r = np.linspace(0.0, config.beta_r @ a @ config.beta_r, points)
+        t_t = np.linspace(0.0, config.beta[0] @ a @ config.beta[0], points)
+        t_r = np.linspace(0.0, config.beta[1] @ a @ config.beta[1], points)
         grid = {"t": t_t[:, None, None], "r": t_r[None, :, None]}
         traces = np.concatenate([np.broadcast_to(grid[mode], (points, points, 1))
                                  for mode in system.modes], axis=-1)
@@ -556,8 +555,8 @@ class TestConventionalReferee:
         result = run_protocol("conventional", cfg, system, 0)
         result.config.validate()
 
-        beta = np.concatenate([result.config.beta_t, result.config.beta_r])
-        assert result.sum_se == pytest.approx(self.family_max(system, beta), rel=1e-12)
+        assert result.sum_se == pytest.approx(self.family_max(system, result.config.beta),
+                                              rel=1e-12)
         bound, at_corner = self.rectangle_bound(system, result.config)
         assert result.sum_se <= bound * (1.0 + 1e-12)
         assert at_corner == corner

@@ -148,8 +148,9 @@ class TestEstimateRealization:
         system = random_system(rng, m=6, n=4, k_t=1, k_r=1, complex_bs=False)
         config = StarConfig.random(4, rng)
         alphas = covariance_scalars(system, config)
-        real = sample_realization(system, config, rng)
+        real = sample_realization(system, config, [rng])
         eps = 1e-3 / (4 * 1e12)
-        r = real.h[0] + np.sqrt(eps) * complex_normal(rng, real.h[0].shape)
+        h = real.h[0, 0]
+        r = h + np.sqrt(eps) * complex_normal(rng, h.shape)
         h_hat = apply_wiener_filter(r, alphas[0], system.corr, eps)
-        assert np.linalg.norm(h_hat - real.h[0]) / np.linalg.norm(real.h[0]) < 1e-4
+        assert np.linalg.norm(h_hat - h) / np.linalg.norm(h) < 1e-4

@@ -22,16 +22,16 @@ def fd_user_term(system, config, term, k, region, block="theta", step=FD_STEP):
     """Central differences of one user's S_k or I_k (``term`` 's' or 'i') in
     one region's phases or amplitudes, conjugate-derivative convention for
     the phases."""
-    n = config.n
-    attr = f"{block}_{region}"
+    n = config.theta.shape[-1]
+    row = REGIONS.index(region)
 
     def term_value(values):
         trial = config.copy()
-        setattr(trial, attr, values)
+        getattr(trial, block)[row] = values
         report = sum_se(trial, system)
         return report.s[k] if term == "s" else report.i_tilde[k]
 
-    base = getattr(config, attr).copy()
+    base = getattr(config, block)[row].copy()
     units = ((1.0, 0.5), (1.0j, 0.5j)) if block == "theta" else ((1.0, 1.0),)
     grad = np.zeros(n, dtype=complex if block == "theta" else float)
     for j in range(n):
@@ -71,7 +71,7 @@ def amplitude_direction(ws, region):
 
 
 def workspace(config, system, method="eig"):
-    return build_workspace(evaluate(*config.stacked(), system), system, method)
+    return build_workspace(evaluate(config.theta, config.beta, system), system, method)
 
 
 def rel_err(closed, numeric):
@@ -93,14 +93,13 @@ class TestSignalGradient:
         system = uncorrelated_ris_system(rng)
         config = StarConfig.random(system.dims.n, rng)
         ws = workspace(config, system)
-        np.testing.assert_array_equal(ws.point.a[0], config.beta_t * config.theta_t)
-        np.testing.assert_array_equal(ws.point.a[1], config.beta_r * config.theta_r)
+        np.testing.assert_array_equal(ws.point.a, config.beta * config.theta)
         t_user = int(np.flatnonzero(system.region_mask[:, 0])[0])
         signal = ws.nu[t_user] * phase_direction(ws, "t")
-        np.testing.assert_allclose(signal, ws.nu[t_user] * config.beta_t**2 * config.theta_t,
+        np.testing.assert_allclose(signal, ws.nu[t_user] * config.beta[0]**2 * config.theta[0],
                                    rtol=1e-12)
         grad = grad_objective(config, system)
-        ratio = grad.d_theta / np.concatenate([config.theta_t, config.theta_r])
+        ratio = grad.d_theta / config.theta
         assert np.max(np.abs(ratio.imag)) < 1e-12 * np.max(np.abs(ratio))
 
     def test_matches_finite_differences(self, rng):
@@ -124,8 +123,8 @@ class TestInterferenceGradient:
             np.testing.assert_array_equal(fd_user_term(system, config, "i", k, "t"),
                                           np.zeros(system.dims.n, dtype=complex))
         grad = grad_objective(config, system)
-        assert np.all(grad.d_theta[:4] == 0)
-        assert np.all(grad.d_beta[:4] == 0)
+        assert np.all(grad.d_theta[0] == 0)
+        assert np.all(grad.d_beta[0] == 0)
 
     def test_matches_finite_differences(self, rng):
         system = random_system(rng, m=8, n=8, k_t=2, k_r=1)
@@ -168,8 +167,7 @@ class TestAmplitudeGradient:
         config = StarConfig.random(system.dims.n, rng)
         base = grad_objective(config, system)
         rotated = config.copy()
-        rotated.theta_t = rotated.theta_t * np.exp(1j * 0.9)
-        rotated.theta_r = rotated.theta_r * np.exp(1j * 0.9)
+        rotated.theta = rotated.theta * np.exp(1j * 0.9)
         after = grad_objective(rotated, system)
         assert np.linalg.norm(after.d_beta) == pytest.approx(
             np.linalg.norm(base.d_beta), rel=1e-9
@@ -202,10 +200,8 @@ class TestAmplitudeGradient:
                     (1.0 + report.gamma[k]) * i_k**2)
                 d_beta += weight * amplitude_direction(ws, region)
                 d_theta += weight * phase_direction(ws, region)
-            np.testing.assert_allclose(prefactor * d_beta, full.d_beta[6 * u:6 * u + 6],
-                                       rtol=1e-12)
-            np.testing.assert_allclose(prefactor * d_theta, full.d_theta[6 * u:6 * u + 6],
-                                       rtol=1e-12)
+            np.testing.assert_allclose(prefactor * d_beta, full.d_beta[u], rtol=1e-12)
+            np.testing.assert_allclose(prefactor * d_theta, full.d_theta[u], rtol=1e-12)
 
     def test_per_user_amplitude_pieces_match_finite_differences(self, rng):
         system = random_system(rng, m=6, n=5, k_t=1, k_r=2)
@@ -227,10 +223,8 @@ class TestObjectiveGradient:
             grad = grad_objective(config, system)
             step = 1e-7
             moved = config.copy()
-            moved.theta_t = moved.theta_t + step * grad.d_theta[:6]
-            moved.theta_r = moved.theta_r + step * grad.d_theta[6:]
-            moved.beta_t = moved.beta_t + step * grad.d_beta[:6]
-            moved.beta_r = moved.beta_r + step * grad.d_beta[6:]
+            moved.theta = moved.theta + step * grad.d_theta
+            moved.beta = moved.beta + step * grad.d_beta
             assert sum_se(moved, system).sum_se > sum_se(config, system).sum_se
 
     def test_full_finite_difference_match(self, rng):
@@ -253,11 +247,10 @@ class TestObjectiveGradient:
         system = uncorrelated_ris_system(rng)
         config = StarConfig.random(system.dims.n, rng)
         grad = grad_objective(config, system)
-        theta = np.concatenate([config.theta_t, config.theta_r])
         # tangent directions of the unit-modulus set: i * theta * (real)
         for _ in range(5):
-            t = rng.standard_normal(2 * system.dims.n)
-            direction = 1j * theta * t
+            t = rng.standard_normal(config.theta.shape)
+            direction = 1j * config.theta * t
             deriv = 2.0 * np.real(np.vdot(grad.d_theta, direction))
             assert abs(deriv) < 1e-8
 
@@ -265,10 +258,9 @@ class TestObjectiveGradient:
         # phase-gradient components of dark elements vanish
         system = random_system(rng)
         config = StarConfig.random(system.dims.n, rng)
-        config.beta_t[2] = 0.0
-        config.beta_r[2] = 1.0
+        config.beta[:, 2] = [0.0, 1.0]
         grad = grad_objective(config, system)
-        assert grad.d_theta[2] == 0.0
+        assert grad.d_theta[0, 2] == 0.0
 
     def test_degenerate_interference_raises(self, rng):
         system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
@@ -302,17 +294,17 @@ def kernel_case(name, rng):
     if name == "frozen-binary":
         # the split-surface baseline: binary amplitudes held fixed, so only
         # the phase blocks reach the optimizer
-        config.beta_t = (rng.uniform(size=6) < 0.5).astype(float)
-        config.beta_r = 1.0 - config.beta_t
+        config.beta[0] = (rng.uniform(size=6) < 0.5).astype(float)
+        config.beta[1] = 1.0 - config.beta[0]
     return system, config
 
 
 BLOCKS = (("theta", "t"), ("theta", "r"), ("beta", "t"), ("beta", "r"))
 
 
-def block(grad, kind, region, n):
+def block(grad, kind, region):
     values = grad.d_theta if kind == "theta" else grad.d_beta
-    return values[:n] if region == "t" else values[n:]
+    return values[REGIONS.index(region)]
 
 
 @pytest.mark.parametrize("case", ["both-regions", "t-only", "r-only", "no-direct",
@@ -324,15 +316,14 @@ class TestKernelAgreement:
 
     def test_objective_matches_dense(self, case, rng):
         system, config = kernel_case(case, rng)
-        point = evaluate(*config.stacked(), system)
+        point = evaluate(config.theta, config.beta, system)
         dense = sum_se(config, system, method="dense")
         assert point.report.sum_se == pytest.approx(dense.sum_se, rel=1e-9)
         np.testing.assert_allclose(point.report.i_tilde, dense.i_tilde, rtol=1e-9)
 
     def test_gradient_blocks_match_oracles(self, case, rng):
         system, config = kernel_case(case, rng)
-        n = system.dims.n
-        point = evaluate(*config.stacked(), system)
+        point = evaluate(config.theta, config.beta, system)
         closed = grad_objective_from_workspace(build_workspace(point, system))
         numeric = finite_difference_gradient(config, system)
         dense = grad_objective(config, system, method="dense")
@@ -340,14 +331,14 @@ class TestKernelAgreement:
                         + np.linalg.norm(closed.d_beta - numeric.d_beta) ** 2)
         assert total / numeric.norm() < 1e-6
         for kind, region in BLOCKS:
-            ours = block(closed, kind, region, n)
+            ours = block(closed, kind, region)
             if not system.region_mask[:, REGIONS.index(region)].any():
                 # nothing depends on an empty region
                 assert np.all(ours == 0)
-                assert np.all(block(numeric, kind, region, n) == 0)
+                assert np.all(block(numeric, kind, region) == 0)
                 continue
-            assert rel_err(ours, block(numeric, kind, region, n)) < 1e-6, (kind, region)
-            np.testing.assert_allclose(ours, block(dense, kind, region, n), rtol=1e-9,
+            assert rel_err(ours, block(numeric, kind, region)) < 1e-6, (kind, region)
+            np.testing.assert_allclose(ours, block(dense, kind, region), rtol=1e-9,
                                        atol=1e-9 * np.max(np.abs(ours)))
 
 

@@ -11,7 +11,7 @@ from starmimo.channel import (ChannelRealization, StarConfig, SystemDims, System
 from starmimo.cli import ScenarioConfig, build_system
 from starmimo.correlation import CorrelationPair, LinkGains
 from starmimo.estimation import apply_wiener_filter
-from starmimo.montecarlo import mc_covariance_check, mc_sinr
+from starmimo.montecarlo import mc_sinr
 from starmimo.rate import sinr_from_terms, sum_se
 
 MC_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "mc_validation.json"
@@ -236,33 +236,9 @@ class TestMcSinr:
         with pytest.raises(ValueError):
             mc_sinr(system, StarConfig.equal_split(4, rng), 1, seed=0)
 
-
-class TestCovarianceCheck:
-    def test_small_instance(self, rng):
-        system = random_system(rng, m=4, n=4, k_t=1, k_r=1, complex_bs=False)
-        config = StarConfig.random(4, rng)
-        assert mc_covariance_check(system, config, 50_000, seed=2) <= 0.05
-
-    def test_zero_gain_exact(self, rng):
-        system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
-        gains = LinkGains(beta_g=0.0, beta_bar=np.zeros(2), beta_tilde=np.zeros(2))
-        system = SystemModel(
-            dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
-            rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
-        )
-        assert mc_covariance_check(system, StarConfig.equal_split(4, rng), 100,
-                                   seed=0) == 0.0
-
-    def test_same_tolerance_with_and_without_ris_correlation(self, rng):
-        base = random_system(rng, m=4, n=4, k_t=1, k_r=1, complex_bs=False)
-        config = StarConfig.random(4, rng)
-        correlated = mc_covariance_check(base, config, 30_000, seed=8)
-        white = SystemModel(
-            dims=base.dims,
-            corr=CorrelationPair.from_matrices(base.corr.r_bs, np.eye(4)),
-            gains=base.gains, modes=base.modes, rho=base.rho,
-            pilot_power=base.pilot_power, sigma2=base.sigma2,
-        )
-        uncorrelated = mc_covariance_check(white, config, 30_000, seed=8)
-        assert correlated <= 0.06
-        assert uncorrelated <= 0.06
+    @pytest.mark.parametrize("n_batches", [0, -3, 2.5, "4"])
+    def test_rejects_n_batches_not_a_positive_integer(self, n_batches):
+        system = build_system(ScenarioConfig.from_file(MC_CONFIG), n=16)
+        config = StarConfig.random(16, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n_batches"):
+            mc_sinr(system, config, 40, seed=0, n_batches=n_batches)

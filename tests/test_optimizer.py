@@ -36,8 +36,7 @@ def zero_cascade(system):
 def binary_start(n):
     """Transmit-only amplitudes with unit phases: both projections map it
     exactly to itself."""
-    return StarConfig(theta_t=np.ones(n), theta_r=np.ones(n),
-                      beta_t=np.ones(n), beta_r=np.zeros(n))
+    return StarConfig(theta=np.ones((2, n)), beta=[np.ones(n), np.zeros(n)])
 
 
 class TestProjections:
@@ -47,10 +46,10 @@ class TestProjections:
         np.testing.assert_allclose(project_theta(np.array([0.0 + 0j])), [1.0 + 0j])
 
     def test_beta_examples(self):
-        np.testing.assert_allclose(project_beta(np.array([3.0, 4.0])), [0.6, 0.8])
-        np.testing.assert_allclose(project_beta(np.array([-1.0, 0.0])), [-1.0, 0.0])
+        np.testing.assert_allclose(project_beta(np.array([[3.0], [4.0]])), [[0.6], [0.8]])
+        np.testing.assert_allclose(project_beta(np.array([[-1.0], [0.0]])), [[-1.0], [0.0]])
         np.testing.assert_allclose(
-            project_beta(np.array([0.0, 0.0])), [np.sqrt(0.5), np.sqrt(0.5)]
+            project_beta(np.array([[0.0], [0.0]])), [[np.sqrt(0.5)], [np.sqrt(0.5)]]
         )
 
     @settings(max_examples=40, deadline=None)
@@ -60,26 +59,26 @@ class TestProjections:
         v = local.standard_normal(2 * n) + 1j * local.standard_normal(2 * n)
         theta = project_theta(v)
         np.testing.assert_allclose(np.abs(theta), np.ones(2 * n), atol=1e-12)
-        b = project_beta(local.standard_normal(2 * n) * 10)
-        np.testing.assert_allclose(b[:n] ** 2 + b[n:] ** 2, np.ones(n), atol=1e-12)
+        b = project_beta(local.standard_normal((2, n)) * 10)
+        np.testing.assert_allclose(b[0] ** 2 + b[1] ** 2, np.ones(n), atol=1e-12)
 
 
 class TestArmijoCondition:
     def _zero_grad(self, n):
-        return GradientPair(d_theta=np.zeros(2 * n, dtype=complex),
-                            d_beta=np.zeros(2 * n))
+        return GradientPair(d_theta=np.zeros((2, n), dtype=complex),
+                            d_beta=np.zeros((2, n)))
 
     def test_fixed_point_rejected(self):
-        theta = np.ones(4, dtype=complex)
-        beta = np.ones(4) * np.sqrt(0.5)
+        theta = np.ones((2, 2), dtype=complex)
+        beta = np.ones((2, 2)) * np.sqrt(0.5)
         grad = self._zero_grad(2)
         assert not armijo_condition(1.0, 1.0, grad, theta, beta, theta, beta, mu=0.5)
         assert armijo_condition(1.0 + 1e-9, 1.0, grad, theta, beta, theta, beta, mu=0.5)
 
     def test_tiny_step_accepts_any_displacement(self):
-        theta_old = np.ones(2, dtype=complex)
+        theta_old = np.ones((2, 1), dtype=complex)
         theta_new = np.exp(1j * 0.3) * theta_old
-        beta = np.array([1.0, 0.0])
+        beta = np.array([[1.0], [0.0]])
         grad = self._zero_grad(1)
         # the -1/mu penalty dominates, so the model value dives to -inf
         assert armijo_condition(0.0, 1.0, grad, theta_new, beta, theta_old, beta,
@@ -88,11 +87,8 @@ class TestArmijoCondition:
 
 def record_feasibility(trace_log):
     def callback(iteration, config, objective):
-        theta_err = max(
-            np.max(np.abs(np.abs(config.theta_t) - 1.0)),
-            np.max(np.abs(np.abs(config.theta_r) - 1.0)),
-        )
-        energy_err = np.max(np.abs(config.beta_t**2 + config.beta_r**2 - 1.0))
+        theta_err = np.max(np.abs(np.abs(config.theta) - 1.0))
+        energy_err = np.max(np.abs(config.beta[0]**2 + config.beta[1]**2 - 1.0))
         trace_log.append((theta_err, energy_err, objective))
     return callback
 
@@ -115,10 +111,8 @@ class TestPgam:
 
     def test_projects_infeasible_start(self, rng):
         system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
-        init = StarConfig(
-            theta_t=np.full(4, 3.0 + 4.0j), theta_r=np.full(4, 0.0 + 0.0j),
-            beta_t=np.full(4, 2.0), beta_r=np.full(4, 3.0),
-        )
+        init = StarConfig(theta=[np.full(4, 3.0 + 4.0j), np.full(4, 0.0 + 0.0j)],
+                          beta=[np.full(4, 2.0), np.full(4, 3.0)])
         trace = pgam(system, PgamOptions(max_iters=5), init)
         trace.final_config.validate()
 
@@ -140,13 +134,12 @@ class TestPgam:
         thetas = []
 
         def callback(iteration, config, objective):
-            thetas.append(np.concatenate([config.theta_t, config.theta_r]))
+            thetas.append(config.theta.copy())
 
         init = StarConfig.random(6, rng)
         trace = pgam(system, PgamOptions(max_iters=40), init, callback=callback)
-        start = np.concatenate([init.theta_t, init.theta_r])
         for theta in thetas:
-            ratio = theta / start
+            ratio = theta / init.theta
             assert np.max(np.abs(ratio.imag)) < 1e-9
 
     def test_line_search_stall_reported(self, rng):
@@ -163,10 +156,10 @@ class TestPgam:
         second = multi_start(system, options)
         assert first.objectives == second.objectives
         assert first.step_sizes == second.step_sizes
-        np.testing.assert_array_equal(first.final_config.theta_t,
-                                      second.final_config.theta_t)
-        np.testing.assert_array_equal(first.final_config.beta_r,
-                                      second.final_config.beta_r)
+        np.testing.assert_array_equal(first.final_config.theta,
+                                      second.final_config.theta)
+        np.testing.assert_array_equal(first.final_config.beta,
+                                      second.final_config.beta)
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
@@ -269,7 +262,7 @@ class TestLockstep:
             assert got.backtrack_counts == want.backtrack_counts
             assert got.stationarity == want.stationarity
             assert (got.reason, got.converged) == (want.reason, want.converged)
-            for name in ("theta_t", "theta_r", "beta_t", "beta_r"):
+            for name in ("theta", "beta"):
                 np.testing.assert_array_equal(getattr(got.final_config, name),
                                               getattr(want.final_config, name))
 
@@ -343,19 +336,19 @@ class TestStationarity:
         mu = trace.step_sizes[0]
         assert mu == 0.3
         grad = grad_objective(init, system)
-        theta, beta = init.stacked()
+        theta, beta = init.theta, init.beta
         step = 0.0
-        for j in range(8):
+        for j in np.ndindex(theta.shape):
             moved = theta[j] + mu * grad.d_theta[j]
             step += abs(moved / abs(moved) - theta[j]) ** 2
         for j in range(4):
-            a, b = beta[j] + mu * grad.d_beta[j], beta[j + 4] + mu * grad.d_beta[j + 4]
+            a, b = beta[:, j] + mu * grad.d_beta[:, j]
             norm = np.hypot(a, b)
-            step += (a / norm - beta[j]) ** 2 + (b / norm - beta[j + 4]) ** 2
+            step += (a / norm - beta[0, j]) ** 2 + (b / norm - beta[1, j]) ** 2
         assert trace.stationarity == [pytest.approx(np.sqrt(step) / mu, rel=1e-9)]
-        final_theta, final_beta = trace.final_config.stacked()
-        moved = np.sqrt(np.sum(np.abs(final_theta - theta) ** 2)
-                        + np.sum((final_beta - beta) ** 2))
+        final = trace.final_config
+        moved = np.sqrt(np.sum(np.abs(final.theta - theta) ** 2)
+                        + np.sum((final.beta - beta) ** 2))
         assert trace.stationarity[0] == pytest.approx(moved / mu, rel=1e-9)
 
     def test_one_value_per_accepted_step(self, rng):
@@ -383,7 +376,7 @@ class TestMultiStart:
         best = multi_start(system, options)
         first = pgam(system, options, initial_points(4, options)[0])
         assert best.objectives == first.objectives
-        np.testing.assert_array_equal(best.final_config.theta_t, first.final_config.theta_t)
+        np.testing.assert_array_equal(best.final_config.theta, first.final_config.theta)
 
     def test_best_of_runs(self, rng):
         system = random_system(rng, complex_bs=False)
@@ -401,36 +394,31 @@ class TestCanonicalizeAndRounding:
     def test_canonicalize_preserves_objective(self, rng):
         system = random_system(rng)
         config = StarConfig.random(system.dims.n, rng)
-        config.beta_t[0] *= -1.0
-        config.beta_r[2] *= -1.0
+        config.beta[0, 0] *= -1.0
+        config.beta[1, 2] *= -1.0
         canon = canonicalize_signs(config)
-        assert np.all(canon.beta_t >= 0)
-        assert np.all(canon.beta_r >= 0)
+        assert np.all(canon.beta[0] >= 0)
+        assert np.all(canon.beta[1] >= 0)
         assert sum_se(canon, system).sum_se == pytest.approx(
             sum_se(config, system).sum_se, rel=1e-12
         )
 
     def test_rounding_examples(self):
-        config = StarConfig(
-            theta_t=np.ones(2, dtype=complex), theta_r=np.ones(2, dtype=complex),
-            beta_t=np.array([0.9, np.sqrt(0.5)]),
-            beta_r=np.array([np.sqrt(1 - 0.81), np.sqrt(0.5)]),
-        )
+        config = StarConfig(theta=np.ones((2, 2), dtype=complex),
+                            beta=[[0.9, np.sqrt(0.5)], [np.sqrt(1 - 0.81), np.sqrt(0.5)]])
         ms = round_to_ms(config)
         ms.validate()
-        np.testing.assert_array_equal(ms.beta_t, [1.0, 1.0])  # tie goes to t
-        np.testing.assert_array_equal(ms.beta_r, [0.0, 0.0])
+        np.testing.assert_array_equal(ms.beta[0], [1.0, 1.0])  # tie goes to t
+        np.testing.assert_array_equal(ms.beta[1], [0.0, 0.0])
         assert ms.protocol == "ms"
 
     def test_rounding_uses_magnitudes(self):
-        config = StarConfig(
-            theta_t=np.ones(1, dtype=complex), theta_r=np.ones(1, dtype=complex),
-            beta_t=np.array([-0.9]), beta_r=np.array([np.sqrt(1 - 0.81)]),
-        )
+        config = StarConfig(theta=np.ones((2, 1), dtype=complex),
+                            beta=[[-0.9], [np.sqrt(1 - 0.81)]])
         ms = round_to_ms(config)
-        np.testing.assert_array_equal(ms.beta_t, [1.0])
+        np.testing.assert_array_equal(ms.beta[0], [1.0])
         # the sign was absorbed into the phase before rounding
-        np.testing.assert_array_equal(ms.theta_t, [-1.0 + 0j])
+        np.testing.assert_array_equal(ms.theta[0], [-1.0 + 0j])
 
     def test_ms_no_better_than_es(self, rng):
         system = random_system(rng, m=6, n=8, complex_bs=False)
@@ -448,11 +436,11 @@ class TestCanonicalizeAndRounding:
         config = StarConfig.random(n, local)
         # random sign pattern, as a mid-optimization iterate would carry
         flips = local.integers(0, 2, n).astype(bool)
-        config.beta_t[flips] *= -1.0
-        config.theta_t[flips] *= -1.0
+        config.beta[0, flips] *= -1.0
+        config.theta[0, flips] *= -1.0
         ms = round_to_ms(config)
         ms.validate()
-        np.testing.assert_array_equal(ms.beta_t + ms.beta_r, np.ones(n))
+        np.testing.assert_array_equal(ms.beta[0] + ms.beta[1], np.ones(n))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -462,8 +450,8 @@ class TestCanonicalizeAndRounding:
         config = StarConfig.random(5, local)
         base = sum_se(config, system).sum_se
         flipped = config.copy()
-        for region in ("t", "r"):
+        for row in range(2):
             mask = local.integers(0, 2, 5).astype(bool)
-            getattr(flipped, f"beta_{region}")[mask] *= -1.0
-            getattr(flipped, f"theta_{region}")[mask] *= -1.0
+            flipped.beta[row, mask] *= -1.0
+            flipped.theta[row, mask] *= -1.0
         assert sum_se(flipped, system).sum_se == pytest.approx(base, rel=1e-10)

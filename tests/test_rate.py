@@ -90,8 +90,7 @@ class TestSumSe:
         values = []
         for _ in range(10):
             draw = StarConfig.random(system.dims.n, rng)
-            draw.beta_t = base.beta_t.copy()
-            draw.beta_r = base.beta_r.copy()
+            draw.beta = base.beta.copy()
             values.append(sum_se(draw, system).sum_se)
         assert np.ptp(values) < 1e-12
 
@@ -122,9 +121,9 @@ class TestSumSe:
         config = StarConfig.random(system.dims.n, rng)
         base = sum_se(config, system).sum_se
         rot_t = config.copy()
-        rot_t.theta_t = rot_t.theta_t * np.exp(1j * 1.234)
+        rot_t.theta[0] = rot_t.theta[0] * np.exp(1j * 1.234)
         rot_r = config.copy()
-        rot_r.theta_r = rot_r.theta_r * np.exp(1j * -0.521)
+        rot_r.theta[1] = rot_r.theta[1] * np.exp(1j * -0.521)
         assert sum_se(rot_t, system).sum_se == pytest.approx(base, rel=1e-10)
         assert sum_se(rot_r, system).sum_se == pytest.approx(base, rel=1e-10)
 
@@ -134,8 +133,8 @@ class TestSumSe:
         base = sum_se(config, system).sum_se
         flipped = config.copy()
         for idx in rng.choice(system.dims.n, size=2, replace=False):
-            flipped.beta_t[idx] *= -1.0
-            flipped.theta_t[idx] *= -1.0
+            flipped.beta[0, idx] *= -1.0
+            flipped.theta[0, idx] *= -1.0
         assert sum_se(flipped, system).sum_se == pytest.approx(base, rel=1e-10)
 
     def test_non_negative_outputs(self, rng):
