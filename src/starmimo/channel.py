@@ -67,8 +67,8 @@ class StarConfig:
         return self
 
     def phi(self, mode: str) -> np.ndarray:
-        """Diagonal of the passive beamforming matrix for one region."""
-        row = 0 if mode == "t" else 1
+        """Diagonal of the passive beamforming matrix for region "t" or "r"."""
+        row = ("t", "r").index(mode)
         return self.beta[..., row, :] * self.theta[..., row, :]
 
     def copy(self) -> "StarConfig":

@@ -119,6 +119,9 @@ def project_beta(v: np.ndarray) -> np.ndarray:
     The zero pair maps to the equal split (sqrt(1/2), sqrt(1/2)).
     """
     v = np.asarray(v, dtype=float)
+    if v.ndim < 2 or v.shape[-2] != 2:
+        raise ValueError(f"shape {v.shape} needs a region axis of length 2 "
+                         "(t, r) before the element axis")
     norm = np.hypot(v[..., :1, :], v[..., 1:, :])
     return np.where(norm > 0, v / np.where(norm > 0, norm, 1.0), np.sqrt(0.5))
 

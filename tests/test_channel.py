@@ -200,6 +200,13 @@ class TestStarConfig:
             with pytest.raises(ValueError, match="region axis"):
                 StarConfig(theta=np.ones(shape), beta=np.ones(shape))
 
+    def test_phi_rejects_unknown_region(self):
+        config = StarConfig.equal_split(2)
+        np.testing.assert_array_equal(config.phi("r"), config.beta[1] * config.theta[1])
+        for mode in ("x", "R", "", "tr"):
+            with pytest.raises(ValueError):
+                config.phi(mode)
+
     @pytest.mark.parametrize("n", [1, 5, 64])
     def test_draws_match_one_draw_per_region(self, n):
         # one (2, n) phase draw gives the bits of a t-region draw of n values

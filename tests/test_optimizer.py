@@ -52,6 +52,11 @@ class TestProjections:
             project_beta(np.array([[0.0], [0.0]])), [[np.sqrt(0.5)], [np.sqrt(0.5)]]
         )
 
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (3, 4)])
+    def test_beta_rejects_input_without_a_region_axis(self, shape):
+        with pytest.raises(ValueError, match="region axis"):
+            project_beta(np.ones(shape))
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 16))
     def test_projections_always_feasible(self, seed, n):

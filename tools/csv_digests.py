@@ -6,7 +6,7 @@ it.  Two checkouts that print the same lines write byte-identical CSVs.
 
 Usage, from the repository root::
 
-    python tools/csv_digests.py [CONFIG_DIR]
+    python tools/csv_digests.py
 
 The package is imported from the ``src`` directory next to this script.
 """
@@ -24,10 +24,9 @@ sys.path.insert(0, str(ROOT / "src"))
 from starmimo import cli  # noqa: E402
 
 
-def main(argv: list[str]) -> int:
-    config_dir = Path(argv[0]) if argv else ROOT / "configs"
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for path in sorted(config_dir.glob("*.json")):
+        for path in sorted((ROOT / "configs").glob("*.json")):
             out = Path(tmp) / f"{path.stem}.csv"
             cfg = cli.ScenarioConfig.from_file(path, {"out": str(out), "timings": False})
             cli.write_csv(cfg, cfg.out)
@@ -36,4 +35,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
