@@ -6,8 +6,9 @@ for the base-station array, and the power-law path gains.  The base-station
 correlation matrix is eigendecomposed once and cached; every downstream
 closed-form expression works on its eigenvalues.  The surface correlation of
 a uniform grid is kept as its table of offsets, from which the dense matrix
-is built only on demand and the |R_RIS|^2 kernel of a large grid is applied
-by FFT.
+is built only on demand, the |R_RIS|^2 kernel of a large grid is applied by
+FFT, and the eigen factor of a large grid comes from the four blocks of its
+mirror fold.
 """
 
 from __future__ import annotations
@@ -35,6 +36,17 @@ SYMMETRY_TILE = 64
 # / 0.19, 0.81-0.91 / 0.74-0.76; 576: 0.40 / 0.25, 1.8 / 0.75; 784: 0.63 /
 # 0.21, 3.2 / 1.2; 1024: 1.0 / 0.23, 5.4 / 1.6.  400 is a tie.
 FFT_MIN_N = 576
+
+# Smallest grid whose ``ris_factor`` comes from the four mirror-folded blocks
+# (``_folded_factor``) rather than one ``eigh`` of the dense N x N matrix.
+# Median ms of the factor from the offset table (gather and eigh for dense),
+# square grids at spacing 0.25, the two timed alternately, dense / folded,
+# one BLAS thread (2-vCPU Xeon, numpy 2.4): N = 64: 0.65 / 0.74; 100: 1.2 /
+# 1.0; 121: 1.7 / 1.2; 144: 2.7 / 1.7; 196: 3.4 / 1.7; 256: 6.4 / 2.5; 400:
+# 18 / 5.5; 576: 45 / 9.8; 1024: 270 / 33.  The fold wins from N = 100,
+# which stays dense so that every checked-in sweep (N at most 100) keeps its
+# Monte Carlo draws; 121 is the next measured grid.
+FOLD_MIN_N = 121
 
 
 @dataclass(frozen=True)
@@ -90,13 +102,79 @@ def _offset_table(geom: ArrayGeometry) -> np.ndarray:
 def _block_toeplitz(table: np.ndarray) -> np.ndarray:
     """The N x N matrix with entry (n, m) = table[|dv|, |dh|] of the offsets
     between elements n and m, horizontal index fastest."""
+    return np.array(_toeplitz_window(table), order="C").reshape(table.size, table.size)
+
+
+def _toeplitz_window(table: np.ndarray) -> np.ndarray:
+    """(n_v, n_h, n_v, n_h) view with entry [v1, h1, v2, h2] =
+    table[|v1 - v2|, |h1 - h2|], read from one mirrored copy of the table."""
     n_v, n_h = table.shape
     # mirrored[n_v - 1 + a, n_h - 1 + b] = table[|a|, |b|]
     mirrored = np.concatenate([table[:0:-1], table])
     mirrored = np.concatenate([mirrored[:, :0:-1], mirrored], axis=1)
     # window[v1, h1, v2, h2] = mirrored[n_v - 1 + v1 - v2, n_h - 1 + h1 - h2]
-    window = sliding_window_view(mirrored, (n_v, n_h))[:, :, ::-1, ::-1]
-    return np.array(window, order="C").reshape(table.size, table.size)
+    return sliding_window_view(mirrored, (n_v, n_h))[:, :, ::-1, ::-1]
+
+
+def _axis_fold(n: int, sign: float) -> tuple[np.ndarray, list]:
+    """The even (``sign`` 1) or odd (-1) half of one axis's mirror fold.
+
+    Row i < n // 2 of the half is (e_i + sign e_{n-1-i}) / sqrt 2, and the
+    even half of an odd axis adds the middle row e_{n // 2}.  On a symmetric
+    Toeplitz matrix t[|i - j|] the half gives the Toeplitz-plus-Hankel block
+    t[|i - j|] + sign t[n - 1 - i - j], with its middle row and column
+    weighted 1 / sqrt 2.  Returns those weights and the unfold, the half's
+    transpose, as (grid slice, block slice, coefficient) triples.
+    """
+    p = n // 2
+    weight = np.ones(n - p if sign > 0 else p)
+    weight[p:] = np.sqrt(0.5)
+    unfold = [(slice(p, p + 1), slice(p, p + 1), 1.0)] if weight.size > p else []
+    if p:
+        unfold += [(slice(0, p), slice(0, p), np.sqrt(0.5)),
+                   (slice(n - p, n), slice(p - 1, None, -1), sign * np.sqrt(0.5))]
+    return weight, unfold
+
+
+def _folded_factor(table: np.ndarray) -> np.ndarray:
+    """Real N x r factor L with ``L L^T = _block_toeplitz(table)``, from the
+    four blocks of the mirror fold, without forming the N x N matrix.
+
+    The matrix is symmetric and centrosymmetric along both grid axes
+    (Cantoni & Butler, *Linear Algebra Appl.* 1976), so the orthogonal fold
+    P = P_v (x) P_h of :func:`_axis_fold` makes P R P^T block diagonal, one
+    block per (vertical, horizontal) pair of halves.  Each block is four
+    signed reads of the Toeplitz window, one per axis reversed or not, times
+    the halves' weights; its factor comes from :func:`matrix_sqrt_psd`, and
+    ``P^T`` maps it back to the grid, two nonzeros per row.
+    """
+    n_v, n_h = table.shape
+    window = _toeplitz_window(table)
+    blocks = []
+    for sv in (1.0, -1.0):
+        wv, unfold_v = _axis_fold(n_v, sv)
+        for sh in (1.0, -1.0):
+            wh, unfold_h = _axis_fold(n_h, sh)
+            a, b = wv.size, wh.size
+            if a == 0 or b == 0:
+                continue
+            # reversing axis 0 (1) turns |v1 - v2| (|h1 - h2|) into the Hankel offset
+            block = (window[:a, :b, :a, :b] + sv * window[::-1][:a, :b, :a, :b]
+                     + sh * window[:, ::-1][:a, :b, :a, :b]
+                     + sv * sh * window[::-1, ::-1][:a, :b, :a, :b]).reshape(a * b, a * b)
+            weight = np.outer(wv, wh).ravel()
+            block *= weight[:, None]
+            block *= weight
+            blocks.append((matrix_sqrt_psd(block).reshape(a, b, -1), unfold_v, unfold_h))
+    factor = np.zeros((n_v, n_h, sum(f.shape[-1] for f, _, _ in blocks)))
+    start = 0
+    for f, unfold_v, unfold_h in blocks:
+        cols = slice(start, start + f.shape[-1])
+        start = cols.stop
+        for rows_v, src_v, cv in unfold_v:
+            for rows_h, src_h, ch in unfold_h:
+                np.multiply(f[src_v, src_h], cv * ch, out=factor[rows_v, rows_h, cols])
+    return factor.reshape(table.size, -1)
 
 
 def build_bs_correlation(m: int, model: str = "exponential", param: float = 0.5) -> np.ndarray:
@@ -148,8 +226,8 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     ``L @ L.conj().T`` equal to ``a`` up to roundoff.
 
     Eigenvalues are clamped at 0 and the columns whose clamped eigenvalue is
-    0 are dropped, so L is N x r with r at most N (815 of 1024 columns for a
-    32 x 32 quarter-wavelength sinc surface).  A draw ``L c`` with r iid
+    0 are dropped, so L is N x r with r at most N (about 810 of 1024 columns
+    for a 32 x 32 quarter-wavelength sinc surface).  A draw ``L c`` with r iid
     CN(0, 1) entries in c has covariance ``a``, as ``a^{1/2} c`` with N
     entries does, without the N^3 product that forms the symmetric root.
     """
@@ -217,9 +295,9 @@ class CorrelationPair:
 
     A surface on a uniform grid (:meth:`from_grid`) is kept as its (n_v, n_h)
     offset table ``ris_table``.  Its dense N x N ``r_ris`` is built on first
-    use, which only Monte Carlo (through ``ris_factor``) and the dense referees
-    make.  Any other surface correlation (:meth:`from_matrices`) is kept
-    dense, with ``ris_table`` None.
+    use, which only the dense referees and the kernel and factor of a grid
+    below their crossovers make.  Any other surface correlation
+    (:meth:`from_matrices`) is kept dense, with ``ris_table`` None.
     """
 
     r_bs: np.ndarray
@@ -282,8 +360,21 @@ class CorrelationPair:
 
     @cached_property
     def ris_factor(self) -> np.ndarray:
-        """Real N x r eigen factor of ``r_ris`` (:func:`matrix_sqrt_psd`)."""
-        return matrix_sqrt_psd(self.r_ris)
+        """Real N x r factor with ``L L^T = r_ris``, the square root that
+        Monte Carlo draws through.
+
+        A grid of at least ``FOLD_MIN_N`` elements gets it from the four
+        blocks of its mirror fold (:func:`_folded_factor`), gathered from the
+        offset table, so ``r_ris`` is never formed: four ``eigh``s of about
+        N / 4 replace one of N, 33 ms against 270 ms at N = 1024 (the
+        crossover table is at ``FOLD_MIN_N``).  Its columns are still
+        eigenvectors of ``r_ris`` scaled by the roots of their eigenvalues,
+        in another order.  Any other surface gets the eigen factor of
+        ``r_ris`` (:func:`matrix_sqrt_psd`).
+        """
+        if self.ris_table is None or self.n < FOLD_MIN_N:
+            return matrix_sqrt_psd(self.r_ris)
+        return _folded_factor(self.ris_table)
 
     @cached_property
     def ris_abs2(self) -> np.ndarray | GridKernel:

@@ -35,9 +35,6 @@ class GradientPair:
     d_theta: np.ndarray  # (2, N) complex; (P, 2, N) batched
     d_beta: np.ndarray   # (2, N) real; (P, 2, N) batched
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.d_theta) ** 2) + np.sum(self.d_beta**2)))
-
 
 @dataclass
 class GradientWorkspace:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starmimo import correlation
 from starmimo.correlation import (
     FFT_MIN_N,
+    FOLD_MIN_N,
     SYMMETRY_TILE,
     ArrayGeometry,
     CorrelationPair,
@@ -18,6 +20,7 @@ from starmimo.correlation import (
     build_ris_correlation,
     eigendecompose_bs,
     matrix_sqrt_psd,
+    _folded_factor,
     path_gain,
 )
 
@@ -374,15 +377,68 @@ class TestFromGrid:
             sizes = [raw["dims"]["n"]]
             if raw.get("sweep", {}).get("parameter") == "n":
                 sizes += raw["sweep"]["values"]
-            assert max(sizes) < FFT_MIN_N, path.name
+            assert max(sizes) < min(FFT_MIN_N, FOLD_MIN_N), path.name
 
-    @pytest.mark.parametrize("grid", [(6, 6), (10, 10)])
+    # below the fold's crossover, where every checked-in sweep lies, the
+    # factor and so the Monte Carlo draws are the dense eigen factor's
+    @pytest.mark.parametrize("grid", [(6, 6), (10, 10), (1, 100), (100, 1)])
     def test_surface_factor_unchanged(self, grid):
         geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=0.25, spacing_v=0.25)
+        assert geom.n < FOLD_MIN_N
         pair = CorrelationPair.from_grid(np.eye(2), geom)
         dense = CorrelationPair.from_matrices(np.eye(2), build_ris_correlation(geom))
         np.testing.assert_array_equal(pair.ris_factor, dense.ris_factor)
         np.testing.assert_allclose(pair.ris_factor @ pair.ris_factor.T, dense.r_ris, atol=1e-12)
+
+    # (n_v, n_h) grids at or above the crossover: even, odd, rectangular, a
+    # row and a column
+    FOLDED = [(12, 12), (11, 11), (9, 16), (13, 10), (1, 130), (130, 1)]
+
+    @pytest.mark.parametrize("grid", FOLDED + [(32, 32)])
+    @pytest.mark.parametrize("sp", [0.1, 0.25, 0.5])
+    def test_folded_factor_reproduces_surface(self, grid, sp):
+        geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=sp, spacing_v=sp)
+        assert geom.n >= FOLD_MIN_N
+        pair = CorrelationPair.from_grid(np.eye(2), geom)
+        factor = pair.ris_factor
+        # no N x N matrix was gathered to build it
+        assert "r_ris" not in pair.__dict__
+        assert factor.dtype == np.float64 and factor.shape[0] == geom.n
+        assert factor.shape[1] <= geom.n
+        gap = np.abs(factor @ factor.T - build_ris_correlation(geom))
+        assert gap.max() <= 1e-12
+
+    @pytest.mark.parametrize("grid", FOLDED)
+    def test_one_square_root_per_block(self, grid, monkeypatch):
+        # each non-empty block is factored through the module's
+        # matrix_sqrt_psd, by name, so a wrapper of it sees the whole build
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return matrix_sqrt_psd(a)
+
+        monkeypatch.setattr(correlation, "matrix_sqrt_psd", counting)
+        geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=0.25, spacing_v=0.25)
+        factor = CorrelationPair.from_grid(np.eye(2), geom).ris_factor
+        halves = (1 + (geom.n_v > 1)) * (1 + (geom.n_h > 1))
+        assert len(calls) == halves
+        assert sum(shape[0] for shape in calls) == geom.n
+        np.testing.assert_allclose(factor @ factor.T, build_ris_correlation(geom), atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_v=st.integers(1, 12),
+        n_h=st.integers(1, 12),
+        sp=st.floats(0.05, 1.5, allow_nan=False),
+    )
+    def test_folded_factor_always_reproduces_surface(self, n_v, n_h, sp):
+        geom = ArrayGeometry(n_h=n_h, n_v=n_v, spacing_h=sp, spacing_v=sp)
+        pair = CorrelationPair.from_grid(np.eye(2), geom)
+        factor = _folded_factor(pair.ris_table)
+        assert factor.shape[0] == geom.n and factor.shape[1] <= geom.n
+        gap = np.abs(factor @ factor.T - build_ris_correlation(geom))
+        assert gap.max() <= 1e-12
 
     def test_rejects_non_finite_table(self):
         # the squared distances overflow, and sinc(inf) is NaN
