@@ -16,11 +16,11 @@ from starmimo.correlation import (
     CorrelationPair,
     GridKernel,
     LinkGains,
+    _folded_factor,
     build_bs_correlation,
     build_ris_correlation,
     eigendecompose_bs,
     matrix_sqrt_psd,
-    _folded_factor,
     path_gain,
 )
 
