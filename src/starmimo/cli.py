@@ -387,7 +387,8 @@ def build_system(cfg: ScenarioConfig, *, no_direct: bool = False,
 
     ``overrides`` replace config fields, a sweep point's ``n=36`` say, and
     are checked by their fields' entries; overriding ``snr_db`` or
-    ``rho_dbm`` drops the other power field.
+    ``rho_dbm`` drops the other power field.  ``no_direct`` blocks the
+    direct links (:func:`_without_direct`).
     """
     if overrides.keys() & {"snr_db", "rho_dbm"}:
         overrides = {"snr_db": None, "rho_dbm": None, **overrides}
@@ -423,18 +424,15 @@ def build_system(cfg: ScenarioConfig, *, no_direct: bool = False,
         path_gain(float(np.linalg.norm(u - ris)), cfg.ris_exponent, area)
         for u in users
     ])
-    if no_direct:
-        beta_bar = np.zeros(k)
-    else:
-        beta_bar = np.array([
-            path_gain(float(np.linalg.norm(u - bs)), cfg.direct_exponent,
-                      area, cfg.penetration_db)
-            for u in users
-        ])
+    beta_bar = np.array([
+        path_gain(float(np.linalg.norm(u - bs)), cfg.direct_exponent,
+                  area, cfg.penetration_db)
+        for u in users
+    ])
 
     dims = SystemDims(m=cfg.m, n=cfg.n, k_t=cfg.k_t, k_r=cfg.k_r, tau_c=cfg.tau_c, tau=cfg.tau)
     modes = tuple(["t"] * cfg.k_t + ["r"] * cfg.k_r)
-    return SystemModel(
+    system = SystemModel(
         dims=dims,
         corr=corr,
         gains=LinkGains(beta_g=beta_g, beta_bar=beta_bar, beta_tilde=beta_tilde),
@@ -443,6 +441,13 @@ def build_system(cfg: ScenarioConfig, *, no_direct: bool = False,
         pilot_power=pilot_power,
         sigma2=sigma2,
     )
+    return _without_direct(system) if no_direct else system
+
+
+def _without_direct(system: SystemModel) -> SystemModel:
+    """``system`` with every direct link blocked (``beta_bar`` zero), on the
+    same ``CorrelationPair``, so the two share its cached factors."""
+    return replace(system, gains=replace(system.gains, beta_bar=np.zeros(system.dims.k)))
 
 
 @dataclass
@@ -540,14 +545,13 @@ def run_experiment(cfg: ScenarioConfig, writer=None) -> list[dict]:
         # one optimizer seed per sweep point, shared across protocols so
         # comparisons between scenario labels see identical starting points
         opt_seed = derive_seed(cfg.seed, sweep_idx)
-        # one system model per direct-link variant and one multi-start cache
-        # per sweep point, shared by every protocol there
-        systems, cache = {}, {}
+        # one system model per sweep point, its direct-link-free variant on
+        # the same correlation pair, and one multi-start cache, shared by
+        # every protocol there
+        system = build_system(cfg, **overrides)
+        systems, cache = {False: system, True: _without_direct(system)}, {}
         for proto_idx, protocol in enumerate(cfg.protocols):
-            no_direct = protocol == "es-no-direct"
-            if no_direct not in systems:
-                systems[no_direct] = build_system(cfg, no_direct=no_direct, **overrides)
-            system = systems[no_direct]
+            system = systems[protocol == "es-no-direct"]
             start = time.perf_counter()
             result = run_protocol(protocol, cfg, system, opt_seed, cache)
             mc_se, mc_err = ("", "")

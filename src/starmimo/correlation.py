@@ -7,8 +7,8 @@ correlation matrix is eigendecomposed once and cached; every downstream
 closed-form expression works on its eigenvalues.  The surface correlation of
 a uniform grid is kept as its table of offsets, from which the dense matrix
 is built only on demand, the |R_RIS|^2 kernel of a large grid is applied by
-FFT, and the eigen factor of a large grid comes from the four blocks of its
-mirror fold.
+FFT, and the eigen factor of a large grid is kept and applied as the four
+blocks of its mirror fold.
 """
 
 from __future__ import annotations
@@ -37,15 +37,21 @@ SYMMETRY_TILE = 64
 # 0.21, 3.2 / 1.2; 1024: 1.0 / 0.23, 5.4 / 1.6.  400 is a tie.
 FFT_MIN_N = 576
 
-# Smallest grid whose ``ris_factor`` comes from the four mirror-folded blocks
-# (``_folded_factor``) rather than one ``eigh`` of the dense N x N matrix.
-# Median ms of the factor from the offset table (gather and eigh for dense),
-# square grids at spacing 0.25, the two timed alternately, dense / folded,
-# one BLAS thread (2-vCPU Xeon, numpy 2.4): N = 64: 0.65 / 0.74; 100: 1.2 /
-# 1.0; 121: 1.7 / 1.2; 144: 2.7 / 1.7; 196: 3.4 / 1.7; 256: 6.4 / 2.5; 400:
-# 18 / 5.5; 576: 45 / 9.8; 1024: 270 / 33.  The fold wins from N = 100,
-# which stays dense so that every checked-in sweep (N at most 100) keeps its
-# Monte Carlo draws; 121 is the next measured grid.
+# Smallest grid whose ``ris_factor`` is the ``FoldedFactor`` of its four
+# mirror-folded blocks (``_folded_factor``) rather than the eigen factor of
+# one ``eigh`` of the dense N x N matrix.  Square grids at spacing 0.25, the
+# two timed alternately, dense / folded, one BLAS thread (2-vCPU Xeon, numpy
+# 2.4).  Median ms of the factor from the offset table (gather and eigh for
+# dense): N = 64: 0.65 / 0.74; 100: 1.2 / 1.0; 121: 1.7 / 1.2; 144: 2.7 /
+# 1.7; 196: 3.4 / 1.7; 256: 6.4 / 2.5; 400: 18 / 5.5; 576: 45 / 9.8; 1024:
+# 270 / 33.  Median ms of one Monte Carlo chunk's products L c and L^T y
+# (M = 64, K = 4: 704, 624, 504, 408 and 120 real columns), the dense N x r
+# array against the blocks, four runs: N = 121: 1.4-2.1 / 1.5-2.2; 144:
+# 1.7-2.5 / 1.7-2.7; 196: 3.0-3.4 / 2.8-3.3; 256: 2.8-4.3 / 2.3-3.7; 1024:
+# 11-16 / 3.7-5.6.  The blocks lose by 1-9% at N = 121 and 144 and win from
+# 196 on.  The fold's build wins from N = 100, which stays dense so that
+# every checked-in sweep (N at most 100) keeps its Monte Carlo draws; 121 is
+# the next measured grid.
 FOLD_MIN_N = 121
 
 
@@ -116,47 +122,161 @@ def _toeplitz_window(table: np.ndarray) -> np.ndarray:
     return sliding_window_view(mirrored, (n_v, n_h))[:, :, ::-1, ::-1]
 
 
-def _axis_fold(n: int, sign: float) -> tuple[np.ndarray, list]:
-    """The even (``sign`` 1) or odd (-1) half of one axis's mirror fold.
+def _half_weights(n: int, sign: float) -> np.ndarray:
+    """Row weights of the even (``sign`` 1) or odd (-1) half of one axis's
+    mirror fold.
 
     Row i < n // 2 of the half is (e_i + sign e_{n-1-i}) / sqrt 2, and the
     even half of an odd axis adds the middle row e_{n // 2}.  On a symmetric
     Toeplitz matrix t[|i - j|] the half gives the Toeplitz-plus-Hankel block
     t[|i - j|] + sign t[n - 1 - i - j], with its middle row and column
-    weighted 1 / sqrt 2.  Returns those weights and the unfold, the half's
-    transpose, as (grid slice, block slice, coefficient) triples.
+    weighted 1 / sqrt 2; these are the weights.
     """
     p = n // 2
     weight = np.ones(n - p if sign > 0 else p)
     weight[p:] = np.sqrt(0.5)
-    unfold = [(slice(p, p + 1), slice(p, p + 1), 1.0)] if weight.size > p else []
-    if p:
-        unfold += [(slice(0, p), slice(0, p), np.sqrt(0.5)),
-                   (slice(n - p, n), slice(p - 1, None, -1), sign * np.sqrt(0.5))]
-    return weight, unfold
+    return weight
 
 
-def _folded_factor(table: np.ndarray) -> np.ndarray:
-    """Real N x r factor L with ``L L^T = _block_toeplitz(table)``, from the
-    four blocks of the mirror fold, without forming the N x N matrix.
+def _butterfly(even: np.ndarray, odd: np.ndarray) -> None:
+    """``(even, odd) <- (even + odd, even - odd)``, in place and with no
+    temporary: ``even + odd`` is formed as ``2 even - (even - odd)``."""
+    np.subtract(even, odd, out=odd)
+    even *= 2.0
+    even -= odd
+
+
+def _unfold_h(even: np.ndarray, odd: np.ndarray, out: np.ndarray) -> None:
+    """Grid columns (e_j + o_j) at j and (e_j - o_j) at n - 1 - j, and the
+    middle column of an odd axis, from the even and odd halves along axis 1."""
+    p = odd.shape[1]
+    np.add(even[:, :p], odd, out=out[:, :p])
+    np.subtract(even[:, :p], odd, out=out[:, ::-1][:, :p])
+    out[:, p:out.shape[1] - p] = even[:, p:]
+
+
+def _fold_h(grid: np.ndarray, even: np.ndarray, odd: np.ndarray) -> None:
+    """The transpose of :func:`_unfold_h`: halves (g_j + g_{n-1-j}) and
+    (g_j - g_{n-1-j}), and the middle column of an odd axis."""
+    p = odd.shape[1]
+    np.add(grid[:, :p], grid[:, ::-1][:, :p], out=even[:, :p])
+    np.subtract(grid[:, :p], grid[:, ::-1][:, :p], out=odd)
+    even[:, p:] = grid[:, p:grid.shape[1] - p]
+
+
+class FoldedFactor:
+    """Real N x r factor L with ``L L^T = R``, kept as the four block
+    factors of the mirror fold of a grid surface R.
+
+    The fold P = P_v (x) P_h of :func:`_folded_factor` is orthogonal and
+    makes P R P^T block diagonal, so ``L = P^T diag(F_b)``.  Per axis, P is
+    the unscaled butterfly B (rows e_i + e_{n-1-i}, e_i - e_{n-1-i} and the
+    middle row e_{n//2} of an odd axis) times 1/sqrt 2 on each paired row, and
+    that scale is kept in the blocks' rows: ``blocks[b]`` is S_b F_b, so
+    ``L = B^T diag(S_b F_b)``.  The blocks are in the order (++, +-, -+, --)
+    of the (vertical, horizontal) halves, each (a b) x r_b for halves of a
+    and b rows (``halves``); an empty half gives a 0 x 0 block.
+
+    ``L @ x`` runs one gemm per block on its row range of x, into one
+    block-major array, and then applies ``B^T``: the vertical butterfly in
+    place and the horizontal one into the grid (the two act on different
+    axes, so their order is free).  ``L.T @ y`` is the reverse: the
+    horizontal fold out of the grid, the vertical one in place, and one gemm
+    per block, rows concatenated in block order.  Either product makes two
+    arrays the size of its input or output and no N x r one.  x and y are
+    real 2-D blocks, and the products equal the dense factor's to roundoff.
+    ``shape`` and ``dtype`` are the dense factor's; ``T`` is the transpose.
+    """
+
+    def __init__(self, grid: tuple[int, int], blocks: list[np.ndarray],
+                 transposed: bool = False):
+        self.grid, self.blocks, self.transposed = grid, blocks, transposed
+        (n_v, n_h), p_v, p_h = grid, grid[0] // 2, grid[1] // 2
+        self.halves = [(a, b) for a in (n_v - p_v, p_v) for b in (n_h - p_h, p_h)]
+        shape = (n_v * n_h, sum(f.shape[1] for f in blocks))
+        self.shape = shape[::-1] if transposed else shape
+        self.dtype = np.dtype(np.float64)
+
+    @property
+    def T(self) -> "FoldedFactor":
+        return FoldedFactor(self.grid, self.blocks, not self.transposed)
+
+    def __matmul__(self, block: np.ndarray) -> np.ndarray:
+        if self.transposed:
+            return self._fold_product(block)
+        return self._unfold_product(block)
+
+    def _block_rows(self, folded: np.ndarray) -> list[np.ndarray]:
+        """The four (a, b, m) blocks of a block-major (N, m) array, as views."""
+        views, row = [], 0
+        for a, b in self.halves:
+            views.append(folded[row:row + a * b].reshape(a, b, folded.shape[1]))
+            row += a * b
+        return views
+
+    def _unfold_product(self, x: np.ndarray) -> np.ndarray:
+        """``L @ x`` for a real (r, m) block."""
+        m = x.shape[1]
+        folded = np.empty((self.shape[0], m))
+        parts = self._block_rows(folded)
+        col = 0
+        for f, part in zip(self.blocks, parts):
+            np.matmul(f, x[col:col + f.shape[1]], out=part.reshape(-1, m))
+            col += f.shape[1]
+        pp, pm, mp, mm = parts
+        # the even vertical half's paired rows with the odd half's
+        _butterfly(pp[:len(mp)], mp)
+        _butterfly(pm[:len(mm)], mm)
+        # row i of the even half is grid row i, row i of the odd half n_v - 1 - i
+        grid = np.empty(self.grid + (m,))
+        _unfold_h(pp, pm, grid[:len(pp)])
+        _unfold_h(mp, mm, grid[::-1][:len(mp)])
+        return grid.reshape(-1, m)
+
+    def _fold_product(self, y: np.ndarray) -> np.ndarray:
+        """``L^T @ y`` for a real (N, m) block."""
+        m = y.shape[1]
+        grid = y.reshape(self.grid + (m,))
+        folded = np.empty((self.shape[1], m))
+        parts = self._block_rows(folded)
+        pp, pm, mp, mm = parts
+        _fold_h(grid[:len(pp)], pp, pm)
+        _fold_h(grid[::-1][:len(mp)], mp, mm)
+        _butterfly(pp[:len(mp)], mp)
+        _butterfly(pm[:len(mm)], mm)
+        out = np.empty((self.shape[0], m))
+        row = 0
+        for f, part in zip(self.blocks, parts):
+            np.matmul(f.T, part.reshape(-1, m), out=out[row:row + f.shape[1]])
+            row += f.shape[1]
+        return out
+
+
+def _folded_factor(table: np.ndarray) -> FoldedFactor:
+    """The :class:`FoldedFactor` of ``_block_toeplitz(table)``, built from
+    the four blocks of the mirror fold without forming the N x N matrix.
 
     The matrix is symmetric and centrosymmetric along both grid axes
     (Cantoni & Butler, *Linear Algebra Appl.* 1976), so the orthogonal fold
-    P = P_v (x) P_h of :func:`_axis_fold` makes P R P^T block diagonal, one
-    block per (vertical, horizontal) pair of halves.  Each block is four
-    signed reads of the Toeplitz window, one per axis reversed or not, times
-    the halves' weights; its factor comes from :func:`matrix_sqrt_psd`, and
-    ``P^T`` maps it back to the grid, two nonzeros per row.
+    P = P_v (x) P_h makes P R P^T block diagonal, one block per (vertical,
+    horizontal) pair of halves.  Each block is four signed reads of the
+    Toeplitz window, one per axis reversed or not, times the halves' weights
+    (:func:`_half_weights`); its factor F_b comes from
+    :func:`matrix_sqrt_psd`.  Per axis, the fold scales a paired row by
+    1/sqrt 2 and the middle row by 1, sqrt(1/2) / weight either way, so the
+    rows of F_b are scaled by 1 / (2 weight), the S_b of
+    :class:`FoldedFactor`.
     """
     n_v, n_h = table.shape
     window = _toeplitz_window(table)
     blocks = []
     for sv in (1.0, -1.0):
-        wv, unfold_v = _axis_fold(n_v, sv)
+        wv = _half_weights(n_v, sv)
         for sh in (1.0, -1.0):
-            wh, unfold_h = _axis_fold(n_h, sh)
+            wh = _half_weights(n_h, sh)
             a, b = wv.size, wh.size
             if a == 0 or b == 0:
+                blocks.append(np.zeros((0, 0)))
                 continue
             # reversing axis 0 (1) turns |v1 - v2| (|h1 - h2|) into the Hankel offset
             block = (window[:a, :b, :a, :b] + sv * window[::-1][:a, :b, :a, :b]
@@ -165,16 +285,10 @@ def _folded_factor(table: np.ndarray) -> np.ndarray:
             weight = np.outer(wv, wh).ravel()
             block *= weight[:, None]
             block *= weight
-            blocks.append((matrix_sqrt_psd(block).reshape(a, b, -1), unfold_v, unfold_h))
-    factor = np.zeros((n_v, n_h, sum(f.shape[-1] for f, _, _ in blocks)))
-    start = 0
-    for f, unfold_v, unfold_h in blocks:
-        cols = slice(start, start + f.shape[-1])
-        start = cols.stop
-        for rows_v, src_v, cv in unfold_v:
-            for rows_h, src_h, ch in unfold_h:
-                np.multiply(f[src_v, src_h], cv * ch, out=factor[rows_v, rows_h, cols])
-    return factor.reshape(table.size, -1)
+            factor = matrix_sqrt_psd(block)
+            factor *= (0.5 / weight)[:, None]
+            blocks.append(factor)
+    return FoldedFactor((n_v, n_h), blocks)
 
 
 def build_bs_correlation(m: int, model: str = "exponential", param: float = 0.5) -> np.ndarray:
@@ -359,18 +473,21 @@ class CorrelationPair:
         return matrix_sqrt_psd(self.r_bs)
 
     @cached_property
-    def ris_factor(self) -> np.ndarray:
+    def ris_factor(self) -> np.ndarray | FoldedFactor:
         """Real N x r factor with ``L L^T = r_ris``, the square root that
-        Monte Carlo draws through.
+        Monte Carlo draws through; the sampler reads its ``shape``,
+        ``L @`` and ``L.T @`` only.
 
-        A grid of at least ``FOLD_MIN_N`` elements gets it from the four
-        blocks of its mirror fold (:func:`_folded_factor`), gathered from the
-        offset table, so ``r_ris`` is never formed: four ``eigh``s of about
-        N / 4 replace one of N, 33 ms against 270 ms at N = 1024 (the
-        crossover table is at ``FOLD_MIN_N``).  Its columns are still
-        eigenvectors of ``r_ris`` scaled by the roots of their eigenvalues,
-        in another order.  Any other surface gets the eigen factor of
-        ``r_ris`` (:func:`matrix_sqrt_psd`).
+        A grid of at least ``FOLD_MIN_N`` elements gets the
+        :class:`FoldedFactor` of its mirror fold (:func:`_folded_factor`),
+        gathered from the offset table, so ``r_ris`` is never formed.  At
+        N = 1024, four ``eigh``s of about N / 4 replace one of N (33 ms
+        against 270 ms), the blocks hold 1.7 MB where the N x r array held
+        6.6 MB, and a Monte Carlo chunk's two products take about a third
+        of the dense ones' time (the tables are at ``FOLD_MIN_N``).  Its
+        columns are eigenvectors of ``r_ris`` scaled by the roots of their
+        eigenvalues, in another order.  Any other surface gets the eigen
+        factor of ``r_ris`` (:func:`matrix_sqrt_psd`) as an N x r array.
         """
         if self.ris_table is None or self.n < FOLD_MIN_N:
             return matrix_sqrt_psd(self.r_ris)

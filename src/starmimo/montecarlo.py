@@ -34,12 +34,14 @@ from .rate import sinr_from_terms
 # take a few N x K blocks, the BS side (c_bar, Z, d, h, pilot noise, the
 # estimate) a few M x K.  1 MB is 15 trials at M = 64, N = 1024, K = 4.  On
 # a 2-core Xeon VM (numpy 2.4.6, OpenBLAS 0.3.31 on one thread), 100 trials
-# of that system took 373 ms one at a time and 219, 133, 109 and 101 ms
-# with budgets of 0.25, 1, 4 and 8 MB (medians of 7).  The mc-validate
-# benchmark's peak RSS over seeds 0-2 was 84.4-84.5 MB with 0.25 MB,
-# 83.9-84.2 MB with 1 MB, 86.5-86.6 MB with 4 MB and 91.5-95.7 MB with 8 MB,
-# against 85.6-86.5 MB for the 6 MB chunks of M x N draws this budget
-# replaced; a larger chunk holds more of its arrays at once.
+# of that system through the folded surface factor took 76-105, 62-87,
+# 56-78, 59-78, 63-84 and 65-78 ms with budgets of 0.25, 0.5, 1, 2, 4 and
+# 8 MB (medians of 7, three runs): flat from 0.5 MB on.  With the dense
+# N x r factor they took 373 ms one at a time and 219, 133, 109 and 101 ms
+# with 0.25, 1, 4 and 8 MB, and the mc-validate benchmark's peak RSS over
+# seeds 0-2 was 84.4-84.5 MB with 0.25 MB, 83.9-84.2 MB with 1 MB,
+# 86.5-86.6 MB with 4 MB and 91.5-95.7 MB with 8 MB; a larger chunk holds
+# more of its arrays at once.
 CHUNK_BYTES = 2**20
 
 

@@ -19,8 +19,10 @@ from starmimo.channel import (
     sample_realization,
 )
 from starmimo.correlation import (
+    FOLD_MIN_N,
     ArrayGeometry,
     CorrelationPair,
+    FoldedFactor,
     GridKernel,
     LinkGains,
     build_bs_correlation,
@@ -124,6 +126,16 @@ def assert_rows_close(actual, expected, rtol):
     """Each row within ``rtol`` of its expected row in 2-norm (zero rows exact)."""
     gap = np.linalg.norm(actual - expected, axis=-1)
     assert np.all(gap <= rtol * np.linalg.norm(expected, axis=-1)), gap
+
+
+def grid_surface(system, grid=None):
+    """``system`` on a quarter-wavelength grid surface, square unless
+    ``grid`` (n_v, n_h) is given."""
+    if grid is None:
+        side = int(round(np.sqrt(system.dims.n)))
+        grid = (side, side)
+    geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=0.25, spacing_v=0.25)
+    return replace(system, corr=CorrelationPair.from_grid(system.corr.r_bs, geom))
 
 
 def with_gains(system, gains):
@@ -456,12 +468,16 @@ class TestSampleRealization:
 
     @pytest.mark.parametrize("k_t, k_r, n, complex_bs", [
         (2, 2, 16, False), (2, 2, 100, False), (1, 1, 25, True), (2, 1, 64, True),
-        (0, 3, 9, True)])
+        (0, 3, 9, True), (2, 2, 144, False)])
     def test_generator_sequence_stacks_single_draws(self, k_t, k_r, n, complex_bs, rng):
         # each generator of the sequence is consumed as a lone generator is:
         # the draws stack, and each generator's next draw (the pilot noise of
-        # a Monte Carlo trial) matches too; K = 4 is bit-identical
+        # a Monte Carlo trial) matches too; K = 4 is bit-identical.  From
+        # FOLD_MIN_N on the surface is a grid, whose factor is folded.
         system = random_system(rng, m=8, n=n, k_t=k_t, k_r=k_r, complex_bs=complex_bs)
+        if n >= FOLD_MIN_N:
+            system = grid_surface(system)
+            assert isinstance(system.corr.ris_factor, FoldedFactor)
         config = StarConfig.random(n, rng)
         seeds = np.random.SeedSequence(5).spawn(7)
         chunk_rngs = [np.random.default_rng(s) for s in seeds]
@@ -512,6 +528,24 @@ class TestSampleRealization:
         assert_rows_close(real.q, q, rtol=1e-12)
         assert_rows_close(real.d, d, rtol=1e-12)
         assert_rows_close(real.h, h, rtol=1e-12)
+
+    @pytest.mark.parametrize("grid", [(11, 11), (12, 12), (9, 16)])
+    def test_folded_factor_draws_as_its_dense_form(self, grid, rng):
+        # one generator's draw through the folded factor and through the same
+        # factor as a dense N x r array: the same sample path, to roundoff
+        n = grid[0] * grid[1]
+        system = grid_surface(random_system(rng, m=6, n=n, k_t=2, k_r=2), grid)
+        folded = system.corr.ris_factor
+        assert isinstance(folded, FoldedFactor)
+        dense_corr = replace(system.corr)  # a fresh pair, nothing cached
+        dense_corr.__dict__["ris_factor"] = folded @ np.eye(folded.shape[1])
+        dense = replace(system, corr=dense_corr)
+        config = StarConfig.random(n, rng)
+        seeds = np.random.SeedSequence(9).spawn(3)
+        real = sample_realization(system, config, [np.random.default_rng(s) for s in seeds])
+        ref = sample_realization(dense, config, [np.random.default_rng(s) for s in seeds])
+        for field in ("q", "d", "h"):
+            assert_rows_close(getattr(real, field), getattr(ref, field), rtol=1e-12)
 
     @pytest.mark.parametrize("case", ["full_rank", "correlated", "more_users_than_elements"])
     def test_joint_law_matches_g_forming_draw(self, case, rng):

@@ -398,7 +398,7 @@ class TestRunExperiment:
         cfg = ScenarioConfig.from_dict(raw)
 
         counts = {"build_system": 0, "multi_start": 0}
-        ms_calls = []
+        ms_calls, systems = [], {}
 
         def counting(name):
             original = getattr(cli_module, name)
@@ -415,6 +415,7 @@ class TestRunExperiment:
 
         def capture(protocol, cfg, system, opt_seed, *rest):
             result = run_protocol(protocol, cfg, system, opt_seed, *rest)
+            systems.setdefault(protocol, []).append(system)
             if protocol == "ms":
                 ms_calls.append((system, opt_seed, result))
             return result
@@ -422,9 +423,15 @@ class TestRunExperiment:
         monkeypatch.setattr(cli_module, "run_protocol", capture)
         rows = run_experiment(cfg)
 
-        # one build per (sweep point, direct-link variant); es and ms share
-        # one multi-start, es-no-direct runs its own
-        assert counts == {"build_system": 4, "multi_start": 4}
+        # one build per sweep point, whose correlation pair the
+        # direct-link-free variant shares; es and ms share one multi-start,
+        # es-no-direct runs its own
+        assert counts == {"build_system": 2, "multi_start": 4}
+        for es, no_direct in zip(systems["es"], systems["es-no-direct"]):
+            assert no_direct.corr is es.corr
+            np.testing.assert_array_equal(no_direct.gains.beta_bar, 0.0)
+            assert no_direct.gains.beta_g == es.gains.beta_g
+            np.testing.assert_array_equal(no_direct.gains.beta_tilde, es.gains.beta_tilde)
         assert len(ms_calls) == 2
         ms_rows = [r for r in rows if r["scenario"] == "ms"]
         for (system, opt_seed, result), row in zip(ms_calls, ms_rows):

@@ -14,6 +14,7 @@ from starmimo.correlation import (
     SYMMETRY_TILE,
     ArrayGeometry,
     CorrelationPair,
+    FoldedFactor,
     GridKernel,
     LinkGains,
     _folded_factor,
@@ -259,7 +260,8 @@ class TestCorrelationPair:
         pair = CorrelationPair.from_grid(np.eye(2), ArrayGeometry(16, 16, 0.25, 0.25))
         factor = pair.ris_factor
         assert factor.shape[0] == 256 and factor.shape[1] < 256
-        np.testing.assert_allclose(factor @ factor.T, pair.r_ris, atol=1e-12)
+        dense = factor @ np.eye(factor.shape[1])
+        np.testing.assert_allclose(dense @ dense.T, pair.r_ris, atol=1e-12)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -405,7 +407,8 @@ class TestFromGrid:
         assert "r_ris" not in pair.__dict__
         assert factor.dtype == np.float64 and factor.shape[0] == geom.n
         assert factor.shape[1] <= geom.n
-        gap = np.abs(factor @ factor.T - build_ris_correlation(geom))
+        dense = factor @ np.eye(factor.shape[1])
+        gap = np.abs(dense @ dense.T - build_ris_correlation(geom))
         assert gap.max() <= 1e-12
 
     @pytest.mark.parametrize("grid", FOLDED)
@@ -424,7 +427,8 @@ class TestFromGrid:
         halves = (1 + (geom.n_v > 1)) * (1 + (geom.n_h > 1))
         assert len(calls) == halves
         assert sum(shape[0] for shape in calls) == geom.n
-        np.testing.assert_allclose(factor @ factor.T, build_ris_correlation(geom), atol=1e-12)
+        dense = factor @ np.eye(factor.shape[1])
+        np.testing.assert_allclose(dense @ dense.T, build_ris_correlation(geom), atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -437,8 +441,54 @@ class TestFromGrid:
         pair = CorrelationPair.from_grid(np.eye(2), geom)
         factor = _folded_factor(pair.ris_table)
         assert factor.shape[0] == geom.n and factor.shape[1] <= geom.n
-        gap = np.abs(factor @ factor.T - build_ris_correlation(geom))
+        dense = factor @ np.eye(factor.shape[1])
+        gap = np.abs(dense @ dense.T - build_ris_correlation(geom))
         assert gap.max() <= 1e-12
+
+    @staticmethod
+    def assert_products_match_dense(factor, rng):
+        # the dense factor through the unfold (L @, whose L L^T the tests
+        # above check) and through the fold (L.T @) agree, and each product
+        # matches it on a block of several columns
+        n, r = factor.shape
+        assert factor.T.shape == (r, n) and factor.T.dtype == np.float64
+        dense = factor @ np.eye(r)
+        assert np.max(np.abs((factor.T @ np.eye(n)).T - dense)) <= 1e-12
+        x, y = rng.standard_normal((r, 9)), rng.standard_normal((n, 9))
+        assert np.max(np.abs(factor @ x - dense @ x)) <= 1e-12
+        assert np.max(np.abs(factor.T @ y - dense.T @ y)) <= 1e-12
+
+    @pytest.mark.parametrize("grid", FOLDED)
+    def test_products_match_dense_factor(self, grid, rng):
+        geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=0.25, spacing_v=0.25)
+        factor = CorrelationPair.from_grid(np.eye(2), geom).ris_factor
+        assert isinstance(factor, FoldedFactor)
+        self.assert_products_match_dense(factor, rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_v=st.integers(1, 12),
+        n_h=st.integers(1, 12),
+        sp=st.floats(0.05, 1.5, allow_nan=False),
+    )
+    def test_products_always_match_dense_factor(self, n_v, n_h, sp):
+        geom = ArrayGeometry(n_h=n_h, n_v=n_v, spacing_h=sp, spacing_v=sp)
+        factor = _folded_factor(CorrelationPair.from_grid(np.eye(2), geom).ris_table)
+        self.assert_products_match_dense(factor, np.random.default_rng(n_v * 13 + n_h))
+
+    def test_folded_factor_keeps_only_its_blocks(self):
+        # the four blocks hold about N r / 4 floats; an N x r array would
+        # hold N r
+        geom = ArrayGeometry(32, 32, 0.25, 0.25)
+        pair = CorrelationPair.from_grid(np.eye(2), geom)
+        tracemalloc.start()
+        try:
+            factor = pair.ris_factor
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n, r = factor.shape
+        assert kept < n * r / 2 * 8
 
     def test_rejects_non_finite_table(self):
         # the squared distances overflow, and sinc(inf) is NaN
