@@ -300,13 +300,14 @@ def sample_realization(system: SystemModel, config: StarConfig,
     c (K x r), c_bar (K x r_BS), Z (r_BS x K), each as :func:`complex_normal`
     draws it, in one standard-normal call.  Both surface products run once
     for all trials, on an (r or N, 2KT) real block.  Only ``L.shape``,
-    ``L @`` and ``L.T @`` are read, so L is a dense array (one gemm) or a
-    ``FoldedFactor`` (one gemm per block and the fold's butterflies).  The
-    Gram factors of all trials come from one batched ``eigh``.  Whether a
-    trial then equals its draw in a batch of one bit for bit is a property
-    of the BLAS: under OpenBLAS 0.3.31 (Haswell kernels) it does with 8 or
-    16 real columns per trial (K = 4 or 8) at every N tried from 4 to 1024,
-    with dense factors and with folded ones (11 x 11 to 32 x 32, 9 x 16 and
+    ``L @`` and ``L.T @`` are read, so L is the dense array of an explicit
+    R_RIS (one gemm) or the ``FoldedFactor`` of a grid surface (one gemm per
+    block and the fold's butterflies).  The Gram factors of all trials come
+    from one batched ``eigh``.  Whether a trial then equals its draw in a
+    batch of one bit for bit is a property of the BLAS: under OpenBLAS
+    0.3.31 (Haswell kernels) it does with 8 or 16 real columns per trial
+    (K = 4 or 8) at every N tried from 2 to 1024, with dense factors and
+    with folded ones (1 x 2 to 32 x 32, 3 x 7, 9 x 16, 1 x 100, 100 x 1 and
     1 x 130 grids), while other K agree to roundoff.  The BS-side products
     stay one gemm per trial.
     """

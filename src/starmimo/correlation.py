@@ -7,7 +7,7 @@ correlation matrix is eigendecomposed once and cached; every downstream
 closed-form expression works on its eigenvalues.  The surface correlation of
 a uniform grid is kept as its table of offsets, from which the dense matrix
 is built only on demand, the |R_RIS|^2 kernel of a large grid is applied by
-FFT, and the eigen factor of a large grid is kept and applied as the four
+FFT, and the eigen factor of every grid is kept and applied as the four
 blocks of its mirror fold.
 """
 
@@ -19,15 +19,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-HERMITIAN_TOL = 1e-12
-PSD_TOL = -1e-10
-
 BS_CORRELATION_MODELS = ("exponential", "uncorrelated")
-
-# Side of the square tiles of the surface-correlation symmetry check: the
-# fastest of 32-256 at N = 4096 (two 32 KB tiles), and within 30% of the
-# fastest at N = 1024.
-SYMMETRY_TILE = 64
 
 # Smallest grid whose |R_RIS|^2 kernel is applied by FFT (``GridKernel``)
 # rather than as the dense N x N matrix.  Median ms of one kernel product with
@@ -37,23 +29,6 @@ SYMMETRY_TILE = 64
 # 0.21, 3.2 / 1.2; 1024: 1.0 / 0.23, 5.4 / 1.6.  400 is a tie.
 FFT_MIN_N = 576
 
-# Smallest grid whose ``ris_factor`` is the ``FoldedFactor`` of its four
-# mirror-folded blocks (``_folded_factor``) rather than the eigen factor of
-# one ``eigh`` of the dense N x N matrix.  Square grids at spacing 0.25, the
-# two timed alternately, dense / folded, one BLAS thread (2-vCPU Xeon, numpy
-# 2.4).  Median ms of the factor from the offset table (gather and eigh for
-# dense): N = 64: 0.65 / 0.74; 100: 1.2 / 1.0; 121: 1.7 / 1.2; 144: 2.7 /
-# 1.7; 196: 3.4 / 1.7; 256: 6.4 / 2.5; 400: 18 / 5.5; 576: 45 / 9.8; 1024:
-# 270 / 33.  Median ms of one Monte Carlo chunk's products L c and L^T y
-# (M = 64, K = 4: 704, 624, 504, 408 and 120 real columns), the dense N x r
-# array against the blocks, four runs: N = 121: 1.4-2.1 / 1.5-2.2; 144:
-# 1.7-2.5 / 1.7-2.7; 196: 3.0-3.4 / 2.8-3.3; 256: 2.8-4.3 / 2.3-3.7; 1024:
-# 11-16 / 3.7-5.6.  The blocks lose by 1-9% at N = 121 and 144 and win from
-# 196 on.  The fold's build wins from N = 100, which stays dense so that
-# every checked-in sweep (N at most 100) keeps its Monte Carlo draws; 121 is
-# the next measured grid.
-FOLD_MIN_N = 121
-
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -62,7 +37,8 @@ class ArrayGeometry:
     Parameters
     ----------
     n_h, n_v : int
-        Element counts along the horizontal and vertical axes.
+        Element counts along the horizontal and vertical axes; Python or
+        numpy integers, not ``bool``.
     spacing_h, spacing_v : float
         Center-to-center element spacings in wavelengths.
     """
@@ -73,6 +49,9 @@ class ArrayGeometry:
     spacing_v: float
 
     def __post_init__(self):
+        for count in (self.n_h, self.n_v):
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"element counts must be integers, got {count!r}")
         if self.n_h < 1 or self.n_v < 1:
             raise ValueError(f"element counts must be >= 1, got ({self.n_h}, {self.n_v})")
         # the comparisons are False for NaN
@@ -340,10 +319,11 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     ``L @ L.conj().T`` equal to ``a`` up to roundoff.
 
     Eigenvalues are clamped at 0 and the columns whose clamped eigenvalue is
-    0 are dropped, so L is N x r with r at most N (about 810 of 1024 columns
-    for a 32 x 32 quarter-wavelength sinc surface).  A draw ``L c`` with r iid
+    0 are dropped, so L is N x r with r at most N.  A draw ``L c`` with r iid
     CN(0, 1) entries in c has covariance ``a``, as ``a^{1/2} c`` with N
     entries does, without the N^3 product that forms the symmetric root.
+    It is the factor of ``r_bs``, of an explicit ``r_ris`` and of each block
+    of a grid surface's mirror fold (:func:`_folded_factor`).
     """
     eigvals, eigvecs = np.linalg.eigh(np.asarray(a))
     keep = eigvals > 0.0
@@ -353,19 +333,15 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
 def _check_symmetric(r: np.ndarray, name: str, tol: float) -> None:
     """Raise unless every entry is finite and ``max |R - R^T| <= tol``.
 
-    Compares one tile with its mirror tile at a time, so no N x N temporary
-    is made.  A non-finite entry makes its tile's difference NaN or inf,
-    which fails the same comparison.
+    Row i from the diagonal on is compared with column i, so each entry is
+    read against its mirror and no N x N temporary is made.  A non-finite
+    entry, on the diagonal too, makes its gap NaN or inf, which fails the
+    comparison.
     """
-    n, t = r.shape[0], SYMMETRY_TILE
     with np.errstate(invalid="ignore"):
-        for i in range(0, n, t):
-            for j in range(i, n, t):
-                gap = r[i:i + t, j:j + t] - r[j:j + t, i:i + t].T
-                worst = np.max(np.abs(gap, out=gap))
-                if not worst <= tol:
-                    raise ValueError(f"{name} must be finite and Hermitian "
-                                     f"(|R - R^T| reaches {worst:.3g})")
+        worst = np.max([np.max(np.abs(r[i, i:] - r[i:, i])) for i in range(r.shape[0])])
+    if not worst <= tol:
+        raise ValueError(f"{name} must be finite and Hermitian (|R - R^T| reaches {worst:.3g})")
 
 
 class GridKernel:
@@ -409,9 +385,10 @@ class CorrelationPair:
 
     A surface on a uniform grid (:meth:`from_grid`) is kept as its (n_v, n_h)
     offset table ``ris_table``.  Its dense N x N ``r_ris`` is built on first
-    use, which only the dense referees and the kernel and factor of a grid
-    below their crossovers make.  Any other surface correlation
-    (:meth:`from_matrices`) is kept dense, with ``ris_table`` None.
+    use, which only the dense referees and the kernel of a grid below
+    ``FFT_MIN_N`` make; its factor is always the mirror fold's.  Any other
+    surface correlation (:meth:`from_matrices`) is kept dense, with
+    ``ris_table`` None, and gets the dense kernel and eigen factor.
     """
 
     r_bs: np.ndarray
@@ -478,18 +455,17 @@ class CorrelationPair:
         Monte Carlo draws through; the sampler reads its ``shape``,
         ``L @`` and ``L.T @`` only.
 
-        A grid of at least ``FOLD_MIN_N`` elements gets the
-        :class:`FoldedFactor` of its mirror fold (:func:`_folded_factor`),
-        gathered from the offset table, so ``r_ris`` is never formed.  At
-        N = 1024, four ``eigh``s of about N / 4 replace one of N (33 ms
-        against 270 ms), the blocks hold 1.7 MB where the N x r array held
-        6.6 MB, and a Monte Carlo chunk's two products take about a third
-        of the dense ones' time (the tables are at ``FOLD_MIN_N``).  Its
-        columns are eigenvectors of ``r_ris`` scaled by the roots of their
-        eigenvalues, in another order.  Any other surface gets the eigen
-        factor of ``r_ris`` (:func:`matrix_sqrt_psd`) as an N x r array.
+        A grid surface, of any size, gets the :class:`FoldedFactor` of its
+        mirror fold (:func:`_folded_factor`), gathered from the offset table,
+        so ``r_ris`` is never formed.  Four ``eigh``s of about N / 4 replace
+        one of N: at N = 1024 33 ms against 270 ms, with the blocks holding
+        1.7 MB where the N x r array held 6.6 MB.  Its columns are
+        eigenvectors of ``r_ris`` scaled by the roots of their eigenvalues,
+        in another order than the dense factor's.  A surface from
+        :meth:`from_matrices` gets the eigen factor of ``r_ris``
+        (:func:`matrix_sqrt_psd`) as an N x r array.
         """
-        if self.ris_table is None or self.n < FOLD_MIN_N:
+        if self.ris_table is None:
             return matrix_sqrt_psd(self.r_ris)
         return _folded_factor(self.ris_table)
 

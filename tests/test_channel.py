@@ -19,7 +19,6 @@ from starmimo.channel import (
     sample_realization,
 )
 from starmimo.correlation import (
-    FOLD_MIN_N,
     ArrayGeometry,
     CorrelationPair,
     FoldedFactor,
@@ -466,18 +465,21 @@ class TestSampleRealization:
             err = np.linalg.norm(acc[k] - target) / np.linalg.norm(target)
             assert err < 0.05
 
-    @pytest.mark.parametrize("k_t, k_r, n, complex_bs", [
-        (2, 2, 16, False), (2, 2, 100, False), (1, 1, 25, True), (2, 1, 64, True),
-        (0, 3, 9, True), (2, 2, 144, False)])
-    def test_generator_sequence_stacks_single_draws(self, k_t, k_r, n, complex_bs, rng):
+    @pytest.mark.parametrize("k_t, k_r, n, complex_bs, grid", [
+        (2, 2, 16, False, False), (2, 2, 100, False, False), (1, 1, 25, True, False),
+        (2, 1, 64, True, False), (0, 3, 9, True, False), (2, 2, 144, False, True),
+        (2, 2, 16, False, True), (1, 1, 25, True, True)])
+    def test_generator_sequence_stacks_single_draws(self, k_t, k_r, n, complex_bs, grid, rng):
         # each generator of the sequence is consumed as a lone generator is:
         # the draws stack, and each generator's next draw (the pilot noise of
-        # a Monte Carlo trial) matches too; K = 4 is bit-identical.  From
-        # FOLD_MIN_N on the surface is a grid, whose factor is folded.
+        # a Monte Carlo trial) matches too; K = 4 is bit-identical.  A grid
+        # surface's factor is folded, an explicit matrix's dense.
         system = random_system(rng, m=8, n=n, k_t=k_t, k_r=k_r, complex_bs=complex_bs)
-        if n >= FOLD_MIN_N:
+        if grid:
             system = grid_surface(system)
             assert isinstance(system.corr.ris_factor, FoldedFactor)
+        else:
+            assert isinstance(system.corr.ris_factor, np.ndarray)
         config = StarConfig.random(n, rng)
         seeds = np.random.SeedSequence(5).spawn(7)
         chunk_rngs = [np.random.default_rng(s) for s in seeds]

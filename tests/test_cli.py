@@ -22,6 +22,7 @@ from starmimo.cli import (
     user_positions,
     write_csv,
 )
+from starmimo.correlation import FFT_MIN_N, GridKernel
 from starmimo.optimizer import PgamOptions, multi_start
 from starmimo.rate import evaluate, from_alphas, sum_se
 
@@ -332,6 +333,26 @@ class TestRunExperiment:
         rows = run_experiment(cfg)
         values = {r["scenario"]: float(r["sum_se"]) for r in rows}
         assert values["es"] >= values["random-phase"]
+
+    @pytest.mark.parametrize("n", [16, 576])
+    def test_random_phase_row_is_the_median_draw(self, n):
+        # the draws are scored in one batch, yet the row is the median of
+        # their one-at-a-time sum_se values, bit for bit; 576 runs the FFT kernel
+        raw = json.loads(json.dumps(DESK))
+        raw["dims"]["n"] = n
+        raw["optimizer"] = {"n_starts": 5}
+        cfg = ScenarioConfig.from_dict(raw)
+        system = build_system(cfg)
+        assert isinstance(system.corr.ris_abs2, GridKernel) == (n >= FFT_MIN_N)
+        result = run_protocol("random-phase", cfg, system, 7)
+        draws = [StarConfig.equal_split(n, np.random.default_rng(stream))
+                 for stream in np.random.SeedSequence(7).spawn(5)]
+        values = [sum_se(draw, system).sum_se for draw in draws]
+        median = sorted(range(5), key=values.__getitem__)[2]
+        assert result.sum_se == values[median]
+        for name in ("theta", "beta"):
+            np.testing.assert_array_equal(getattr(result.config, name),
+                                          getattr(draws[median], name))
 
     def test_element_sweep_keeps_es_above_ms(self):
         # binary configurations are a subset of the energy-splitting set, so

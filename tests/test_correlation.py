@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from starmimo import correlation
 from starmimo.correlation import (
     FFT_MIN_N,
-    FOLD_MIN_N,
-    SYMMETRY_TILE,
     ArrayGeometry,
     CorrelationPair,
     FoldedFactor,
@@ -90,6 +88,20 @@ class TestRisCorrelation:
             ArrayGeometry(0, 1, 0.25, 0.25)
         with pytest.raises(ValueError):
             ArrayGeometry(2, 2, 0.0, 0.25)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), True, np.True_, "2"])
+    def test_rejects_non_integer_counts(self, bad):
+        # a float count would give a fractional n, and from_grid a table of
+        # another size
+        with pytest.raises(ValueError, match="integers"):
+            ArrayGeometry(bad, 2, 0.25, 0.25)
+        with pytest.raises(ValueError, match="integers"):
+            ArrayGeometry(2, bad, 0.25, 0.25)
+
+    def test_accepts_numpy_integer_counts(self):
+        geom = ArrayGeometry(np.int64(3), np.int32(2), 0.25, 0.25)
+        assert geom.n == 6
+        assert CorrelationPair.from_grid(np.eye(2), geom).ris_table.shape == (2, 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_spacing(self, bad):
@@ -289,15 +301,13 @@ class TestCorrelationPair:
         with pytest.raises(ValueError, match="Hermitian"):
             CorrelationPair.from_matrices(np.eye(2), lopsided)
 
-    # 600 is not a multiple of the tile, so the last tile row and column are
-    # ragged; (520, 590) and (590, 520) lie in the last off-diagonal tile pair
+    # an entry and its mirror near the last row and column, each perturbed
+    # on its own
     @pytest.mark.parametrize("where", [(520, 590), (590, 520)])
     @pytest.mark.parametrize("value,accepted", [
         (1e-11, True), (1e-9, False), (np.nan, False), (np.inf, False)])
     def test_tiled_symmetry_check_reaches_last_tile(self, where, value, accepted):
-        n = 600
-        assert n % SYMMETRY_TILE != 0
-        r_ris = np.eye(n)
+        r_ris = np.eye(600)
         r_ris[where] += value
         if accepted:
             CorrelationPair.from_matrices(np.eye(2), r_ris)
@@ -379,28 +389,17 @@ class TestFromGrid:
             sizes = [raw["dims"]["n"]]
             if raw.get("sweep", {}).get("parameter") == "n":
                 sizes += raw["sweep"]["values"]
-            assert max(sizes) < min(FFT_MIN_N, FOLD_MIN_N), path.name
+            assert max(sizes) < FFT_MIN_N, path.name
 
-    # below the fold's crossover, where every checked-in sweep lies, the
-    # factor and so the Monte Carlo draws are the dense eigen factor's
-    @pytest.mark.parametrize("grid", [(6, 6), (10, 10), (1, 100), (100, 1)])
-    def test_surface_factor_unchanged(self, grid):
-        geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=0.25, spacing_v=0.25)
-        assert geom.n < FOLD_MIN_N
-        pair = CorrelationPair.from_grid(np.eye(2), geom)
-        dense = CorrelationPair.from_matrices(np.eye(2), build_ris_correlation(geom))
-        np.testing.assert_array_equal(pair.ris_factor, dense.ris_factor)
-        np.testing.assert_allclose(pair.ris_factor @ pair.ris_factor.T, dense.r_ris, atol=1e-12)
-
-    # (n_v, n_h) grids at or above the crossover: even, odd, rectangular, a
-    # row and a column
-    FOLDED = [(12, 12), (11, 11), (9, 16), (13, 10), (1, 130), (130, 1)]
+    # (n_v, n_h) grids: even, odd, rectangular, rows and columns, and the
+    # grids of every checked-in sweep
+    FOLDED = [(12, 12), (11, 11), (9, 16), (13, 10), (1, 130), (130, 1),
+              (6, 6), (10, 10), (1, 100), (100, 1), (4, 4), (8, 8)]
 
     @pytest.mark.parametrize("grid", FOLDED + [(32, 32)])
     @pytest.mark.parametrize("sp", [0.1, 0.25, 0.5])
     def test_folded_factor_reproduces_surface(self, grid, sp):
         geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=sp, spacing_v=sp)
-        assert geom.n >= FOLD_MIN_N
         pair = CorrelationPair.from_grid(np.eye(2), geom)
         factor = pair.ris_factor
         # no N x N matrix was gathered to build it
