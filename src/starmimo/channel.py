@@ -10,6 +10,7 @@ scalar and samples channel realizations for the Monte Carlo oracle.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -117,11 +118,12 @@ class SystemDims:
         return (self.tau_c - self.tau) / self.tau_c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemModel:
     """Immutable bundle of everything the rate expressions need besides the
     surface configuration: dimensions, correlation, gains, region tags,
-    powers, and the pilot parameters."""
+    powers, and the pilot parameters.  Compared and hashed by identity, so
+    a system object can key a cache."""
 
     dims: SystemDims
     corr: CorrelationPair
@@ -164,12 +166,12 @@ class SystemModel:
 
 
 def pbm_quadratic_diag(r_ris: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """diag(R_RIS diag(phi) R_RIS) in O(N^2).
+    """diag(R_RIS diag(phi) R_RIS) in O(N^2), from R_RIS itself; the dense
+    referees' route to the surface diagonals.
 
-    For Hermitian R the (n, n) entry is sum_m |R[n, m]|^2 phi[m], i.e. a
-    matvec with the elementwise squared-magnitude kernel.  The kernel is one
-    real N x N array, applied to the real and imaginary parts of ``phi`` as
-    real products (no complex upcast of the kernel).
+    For Hermitian R the (n, n) entry is sum_m R[n, m] conj(R[n, m]) phi[m].
+    One buffered ``einsum`` sums those products row by row, so no N x N
+    temporary (the |R|^2 kernel or a complex upcast of R) is made.
     """
     r_ris = np.asarray(r_ris)
     phi = np.asarray(phi)
@@ -177,11 +179,7 @@ def pbm_quadratic_diag(r_ris: np.ndarray, phi: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: R_RIS {r_ris.shape} vs phi {phi.shape}"
         )
-    kernel = np.abs(r_ris)
-    np.square(kernel, out=kernel)
-    if np.iscomplexobj(phi):
-        return _real_left_product(kernel, np.ascontiguousarray(phi)[:, None])[:, 0]
-    return kernel @ phi
+    return np.einsum("nm,nm,m->n", r_ris, r_ris.conj(), phi)
 
 
 def covariance_scalars(system: SystemModel, config: StarConfig,
@@ -226,28 +224,23 @@ class ChannelRealization:
     h: np.ndarray  # (T, K, M) aggregated channels
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0, 1) entries: variance 1/2 per real and imaginary part, real parts
-    drawn first.
-
-    Multiplying the float view by 1/sqrt(2) gives the same bits as dividing
-    the complex array by sqrt(2) (numpy divides a complex by a real as a
-    product with the reciprocal), without the complex divide.
-    """
-    out = np.empty(shape, dtype=complex)
-    out.real = rng.standard_normal(out.shape)
-    out.imag = rng.standard_normal(out.shape)
-    out.view(float)[...] *= 1.0 / np.sqrt(2.0)
-    return out
-
-
-def _as_complex(parts: np.ndarray, shape: tuple) -> np.ndarray:
-    """(T, 2 * prod(shape)) scaled real draws, all real parts first, as the
-    (T, *shape) complex array that :func:`complex_normal` makes of them."""
-    parts = parts.reshape((len(parts), 2) + shape)
-    out = np.empty((len(parts),) + shape, dtype=complex)
-    out.real, out.imag = parts[:, 0], parts[:, 1]
-    return out
+def complex_normal(rngs: Sequence[np.random.Generator], *shapes) -> tuple:
+    """CN(0, 1) draws, variance 1/2 per part: one (T, *shape) array per
+    shape, row t from generator t.  Each generator makes one standard-normal
+    call for all shapes in order, each shape's real parts first; the scale by
+    1/sqrt(2) gives the bits of a complex divide by sqrt(2)."""
+    sizes = [2 * math.prod(shape) for shape in shapes]
+    draws = np.empty((len(rngs), sum(sizes)))
+    for row, gen in zip(draws, rngs):
+        gen.standard_normal(out=row)
+    draws *= 1.0 / np.sqrt(2.0)
+    out = []
+    for part, shape in zip(np.split(draws, np.cumsum(sizes)[:-1], axis=1), shapes):
+        part = part.reshape((len(rngs), 2) + shape)
+        value = np.empty(part[:, 0].shape, dtype=complex)
+        value.real, value.imag = part[:, 0], part[:, 1]
+        out.append(value)
+    return tuple(out)
 
 
 def _real_left_product(real: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -296,9 +289,9 @@ def sample_realization(system: SystemModel, config: StarConfig,
       L_BS (Z F)[:, k]`` with Z of size r_BS x K.
 
     T generators draw T trials, one per generator, and every array carries a
-    leading trial axis of length T.  Each generator is consumed in the order
-    c (K x r), c_bar (K x r_BS), Z (r_BS x K), each as :func:`complex_normal`
-    draws it, in one standard-normal call.  Both surface products run once
+    leading trial axis of length T.  One :func:`complex_normal` call draws
+    c (K x r), c_bar (K x r_BS) and Z (r_BS x K), in that order and in one
+    standard-normal call per generator.  Both surface products run once
     for all trials, on an (r or N, 2KT) real block.  Only ``L.shape``,
     ``L @`` and ``L.T @`` are read, so L is the dense array of an explicit
     R_RIS (one gemm) or the ``FoldedFactor`` of a grid surface (one gemm per
@@ -316,16 +309,7 @@ def sample_realization(system: SystemModel, config: StarConfig,
     ris_factor = system.corr.ris_factor
     (n, r), r_bs = ris_factor.shape, bs_factor.shape[1]
 
-    # a Generator's draws do not depend on how they are split into calls, so
-    # one call per generator gives the bits of complex_normal for c, c_bar, Z
-    shapes = ((k, r), (k, r_bs), (r_bs, k))
-    sizes = [2 * a * b for a, b in shapes]
-    draws = np.empty((t, sum(sizes)))
-    for i, gen in enumerate(rngs):
-        gen.standard_normal(out=draws[i])
-    draws *= 1.0 / np.sqrt(2.0)
-    c, c_bar, z = (_as_complex(part, shape) for part, shape in
-                   zip(np.split(draws, np.cumsum(sizes[:2]), axis=1), shapes))
+    c, c_bar, z = complex_normal(rngs, (k, r), (k, r_bs), (r_bs, k))
     c = np.ascontiguousarray(c.transpose(2, 0, 1))  # column (trial, user) of the product block
 
     # (N, T, K) columns q_k, then the (r, T, K) columns of V', each one real product

@@ -505,11 +505,10 @@ def _multi_start(system: SystemModel, options: PgamOptions, cache: dict | None):
     """``multi_start``, run once per (system object, options) while ``cache`` lives."""
     if cache is None:
         return multi_start(system, options)
-    key = (id(system), options)
+    key = (system, options)
     if key not in cache:
-        # holding the system keeps its id from being reused by another object
-        cache[key] = (system, multi_start(system, options))
-    return cache[key][1]
+        cache[key] = multi_start(system, options)
+    return cache[key]
 
 
 def _mc_columns(system: SystemModel, result: ProtocolResult, mc_seed: int, trials: int):

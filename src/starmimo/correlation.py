@@ -385,8 +385,8 @@ class CorrelationPair:
 
     A surface on a uniform grid (:meth:`from_grid`) is kept as its (n_v, n_h)
     offset table ``ris_table``.  Its dense N x N ``r_ris`` is built on first
-    use, which only the dense referees and the kernel of a grid below
-    ``FFT_MIN_N`` make; its factor is always the mirror fold's.  Any other
+    use, which only the dense referees make; its kernel comes from the
+    squared table and its factor is always the mirror fold's.  Any other
     surface correlation (:meth:`from_matrices`) is kept dense, with
     ``ris_table`` None, and gets the dense kernel and eigen factor.
     """
@@ -399,8 +399,8 @@ class CorrelationPair:
     @classmethod
     def from_matrices(cls, r_bs: np.ndarray, r_ris: np.ndarray) -> "CorrelationPair":
         r_ris = np.asarray(r_ris)
-        if r_ris.ndim != 2 or r_ris.shape[0] != r_ris.shape[1]:
-            raise ValueError(f"r_ris must be square, got shape {r_ris.shape}")
+        if r_ris.ndim != 2 or r_ris.shape[0] != r_ris.shape[1] or r_ris.size == 0:
+            raise ValueError(f"r_ris must be square and non-empty, got shape {r_ris.shape}")
         # the surface kernel and its factor enter real products only
         if np.iscomplexobj(r_ris) and np.any(r_ris.imag != 0):
             raise ValueError("r_ris must be real (its imaginary part is not zero)")
@@ -424,8 +424,8 @@ class CorrelationPair:
     @classmethod
     def _with_bs(cls, r_bs: np.ndarray, ris_table: np.ndarray | None = None):
         r_bs = np.asarray(r_bs)
-        if r_bs.ndim != 2 or r_bs.shape[0] != r_bs.shape[1]:
-            raise ValueError(f"r_bs must be square, got shape {r_bs.shape}")
+        if r_bs.ndim != 2 or r_bs.shape[0] != r_bs.shape[1] or r_bs.size == 0:
+            raise ValueError(f"r_bs must be square and non-empty, got shape {r_bs.shape}")
         if not np.all(np.isfinite(r_bs)):
             raise ValueError("r_bs has non-finite entries")
         eigvecs, eigvals = eigendecompose_bs(r_bs)
@@ -472,11 +472,13 @@ class CorrelationPair:
     @cached_property
     def ris_abs2(self) -> np.ndarray | GridKernel:
         """Elementwise |R_RIS|^2; the quadratic kernel of the phase-dependent
-        trace.  A grid of at least ``FFT_MIN_N`` elements gets it as a
-        :class:`GridKernel`, whose ``@`` gives the dense product's values."""
-        if self.ris_table is None or self.n < FFT_MIN_N:
+        trace, of a grid surface gathered from its squared offset table:
+        dense below ``FFT_MIN_N`` elements, else a :class:`GridKernel`,
+        whose ``@`` gives the dense product's values."""
+        if self.ris_table is None:
             return np.square(self.r_ris)
-        return GridKernel(np.square(self.ris_table))
+        table2 = np.square(self.ris_table)
+        return _block_toeplitz(table2) if self.n < FFT_MIN_N else GridKernel(table2)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ Gradient convention: derivative with respect to the conjugated phase vector
 objective kernel's cached evaluation (:func:`rate.evaluate`), so a point the
 optimizer has already evaluated costs only the trace scalars, each an O(M)
 sum over the shared BS eigenvalues.  A dense-matrix evaluation of the same
-scalars is kept behind ``method='dense'`` for verification, and a central
-finite-difference oracle adjudicates the whole assembly.
+scalars is kept behind ``method='dense'`` for verification: it shares the
+rate referee's route (:func:`rate.dense_lmmse` and the surface products
+from R_RIS itself).  A central finite-difference oracle adjudicates the
+whole assembly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import StarConfig, SystemModel, pbm_quadratic_diag
-from .rate import Evaluation, dense_covariance_scalars, evaluate, sum_se
+from .rate import Evaluation, dense_covariance_scalars, dense_lmmse, evaluate, sum_se
 
 LN2 = np.log(2.0)
 
@@ -106,42 +108,23 @@ def _nu_scalars_eig(point, system):
 
 
 def _nu_scalars_dense(alphas, system):
-    """Verification route: the same scalars from materialized matrices."""
-    eps, noise_lift = system.epsilon, system.noise_lift
-    m = system.dims.m
-    k_users = system.dims.k
-    r_bs = system.corr.r_bs
-    eye = np.eye(m)
-    beta_hat = system.gains.beta_hat
+    """Verification route: the same scalars from materialized matrices, the
+    (K, M, M) stacks of :func:`rate.dense_lmmse`."""
+    def trace(x):
+        return np.trace(x, axis1=-2, axis2=-1).real
 
-    r_mats, q_mats, psi_mats = [], [], []
-    for alpha in alphas:
-        r_k = alpha * r_bs
-        q_k = np.linalg.inv(r_k + eps * eye)
-        r_mats.append(r_k)
-        q_mats.append(q_k)
-        psi_mats.append(r_k @ q_k @ r_k)
-    psi_total = np.sum(psi_mats, axis=0)
+    r_bs, beta_hat = system.corr.r_bs, system.gains.beta_hat
+    r, q, psi = dense_lmmse(alphas, system)
+    qr, rq = q @ r, r @ q
+    nu = 2.0 * beta_hat * trace(psi) * trace((qr + rq - qr @ rq) @ r_bs)
 
-    nu = np.empty(k_users)
-    nu_bar = np.empty(k_users)
-    nu_tilde = np.empty((k_users, k_users))
-    for k in range(k_users):
-        r_k, q_k, psi_k = r_mats[k], q_mats[k], psi_mats[k]
-        qr = q_k @ r_k
-        inner = qr + r_k @ q_k - q_k @ r_k @ r_k @ q_k
-        nu[k] = 2.0 * beta_hat[k] * np.trace(psi_k).real * np.trace(inner @ r_bs).real
+    psi_check = psi.sum(axis=0) - 2.0 * (qr @ psi + psi @ rq - qr @ psi @ rq)
+    nu_bar = beta_hat * trace(psi_check @ r_bs)
 
-        psi_check = psi_total - 2.0 * (qr @ psi_k + psi_k @ r_k @ q_k
-                                       - qr @ psi_k @ r_k @ q_k)
-        nu_bar[k] = beta_hat[k] * np.trace(psi_check @ r_bs).real
-
-        r_bar = r_k + noise_lift * eye
-        for i in range(k_users):
-            qr_i = q_mats[i] @ r_mats[i]
-            r_tilde = qr_i @ r_bar - qr_i @ r_bar @ r_mats[i] @ q_mats[i] \
-                + r_bar @ r_mats[i] @ q_mats[i]
-            nu_tilde[k, i] = beta_hat[i] * np.trace(r_tilde @ r_bs).real
+    # entry (k, i): R_tilde_ki = QR_i R_bar_k - QR_i R_bar_k RQ_i + R_bar_k RQ_i
+    r_bar = (r + system.noise_lift * np.eye(system.dims.m))[:, None]
+    r_tilde = qr @ r_bar - qr @ r_bar @ rq + r_bar @ rq
+    nu_tilde = beta_hat * trace(r_tilde @ r_bs)
     return nu, nu_bar, nu_tilde
 
 

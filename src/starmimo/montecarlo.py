@@ -104,9 +104,8 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
     for chunk in _chunk_trials(system, n_trials):
         rngs = [np.random.default_rng(stream) for stream in streams[chunk]]
         real = sample_realization(system, config, rngs)
-        noise = np.sqrt(eps) * np.stack([complex_normal(rng, real.h.shape[1:])
-                                         for rng in rngs])
-        h_hat = apply_wiener_filter(real.h + noise, alphas, system.corr, eps)
+        (noise,) = complex_normal(rngs, real.h.shape[1:])
+        h_hat = apply_wiener_filter(real.h + np.sqrt(eps) * noise, alphas, system.corr, eps)
 
         inner = real.h.conj() @ np.swapaxes(h_hat, -1, -2)  # (t, k, i) = h_k^H hhat_i
         finite = np.isfinite(inner).all(axis=(1, 2))

@@ -9,8 +9,10 @@ vectorized kernel, :func:`evaluate`, that evaluates every trace as an O(M)
 sum over the shared BS eigenvalues and keeps the intermediates the gradient
 reuses.  It splits at the covariance scalars: ``covariance_scalars`` reads
 the surface, :func:`from_alphas` is the one LMMSE/rate formula.  A naive
-dense-matrix path (explicit R_k, Q_k, Psi_k products) is retained for
-verification of the eigenbasis algebra.
+dense-matrix path verifies the eigenbasis algebra: it reads only R_RIS,
+R_BS and the configuration, takes the covariance scalars from R_RIS itself
+(:func:`dense_covariance_scalars`) and the explicit R_k, Q_k, Psi_k from
+:func:`dense_lmmse`, which the gradient's dense route shares.
 """
 
 from __future__ import annotations
@@ -149,29 +151,25 @@ def _assemble_report(s: np.ndarray, i_tilde: np.ndarray, prelog: float) -> RateR
 
 def _sum_se_dense(config: StarConfig, system: SystemModel) -> RateReport:
     """Naive O(M^3) evaluation with materialized covariance matrices."""
-    m = system.dims.m
-    k_users = system.dims.k
-    eps = system.sigma2 / (system.dims.tau * system.pilot_power)
-    r_bs = system.corr.r_bs
-    alphas = dense_covariance_scalars(config, system)
-
-    psis = []
-    for alpha in alphas:
-        r_k = alpha * r_bs
-        q_k = np.linalg.inv(r_k + eps * np.eye(m))
-        psis.append(r_k @ q_k @ r_k)
-    psi_sum = np.sum(psis, axis=0)
-
-    s = np.array([np.trace(psi).real ** 2 for psi in psis])
-    i_tilde = np.empty(k_users)
-    for k in range(k_users):
-        r_k = alphas[k] * r_bs
-        i_tilde[k] = (
-            np.trace(r_k @ psi_sum).real
-            - np.trace(psis[k] @ psis[k]).real
-            + k_users * system.sigma2 / system.rho * np.trace(psi_sum).real
-        )
+    r, _, psi = dense_lmmse(dense_covariance_scalars(config, system), system)
+    psi_sum = psi.sum(axis=0)
+    s = np.trace(psi, axis1=1, axis2=2).real ** 2
+    i_tilde = (
+        np.trace(r @ psi_sum, axis1=1, axis2=2).real
+        - np.trace(psi @ psi, axis1=1, axis2=2).real
+        + system.noise_lift * np.trace(psi_sum).real
+    )
     return _assemble_report(s, i_tilde, system.dims.prelog)
+
+
+def dense_lmmse(alphas: np.ndarray,
+                system: SystemModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The explicit (K, M, M) stacks R_k = alpha_k R_BS, Q_k = (R_k + eps I)^-1
+    and Psi_k = R_k Q_k R_k; the dense referees' LMMSE, independent of the
+    eigenvalue spectra of :func:`from_alphas`."""
+    r = alphas[:, None, None] * system.corr.r_bs
+    q = np.linalg.inv(r + system.epsilon * np.eye(system.dims.m))
+    return r, q, r @ q @ r
 
 
 def dense_covariance_scalars(config: StarConfig, system: SystemModel) -> np.ndarray:

@@ -205,7 +205,7 @@ def test_criterion_7_estimation_sanity():
     for _ in range(n_draws // chunk):
         rngs = rng.spawn(chunk)
         h = sample_realization(system, config, rngs).h[:, 0]
-        r = h + np.sqrt(eps) * complex_normal(rng, h.shape)
+        r = h + np.sqrt(eps) * complex_normal([rng], h.shape)[0][0]
         h_hat = apply_wiener_filter(r, alpha, system.corr, eps)
         err = h - h_hat
         cov_hat += h_hat.T @ h_hat.conj()

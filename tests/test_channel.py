@@ -307,7 +307,8 @@ class TestRegionTrace:
 
     @pytest.mark.parametrize("complex_phi", [False, True])
     def test_kernel_is_one_real_temporary(self, complex_phi, rng):
-        # the kernel is never upcast to complex, and |R|^2 is formed in place
+        # R is never upcast to complex: the product allows at most one real
+        # N x N temporary, and the buffered einsum makes none
         n = 512
         b = rng.standard_normal((n, n))
         r = (b + b.T) / 2
@@ -494,9 +495,8 @@ class TestSampleRealization:
                 np.testing.assert_array_equal(getattr(chunk, field), stacked)
             else:
                 assert_rows_close(getattr(chunk, field), stacked, rtol=1e-13)
-        for mine, theirs in zip(chunk_rngs, lone_rngs):
-            np.testing.assert_array_equal(complex_normal(mine, (3, 8)),
-                                          complex_normal(theirs, (3, 8)))
+        np.testing.assert_array_equal(complex_normal(chunk_rngs, (3, 8))[0],
+                                      complex_normal(lone_rngs, (3, 8))[0])
 
     def test_assembly_identity(self, rng):
         # h = d + sqrt(beta_g) R_BS^{1/2} Z F, with Z replayed from the
@@ -618,7 +618,7 @@ class TestSampleRealization:
         np.testing.assert_array_equal(factor[3], 0.0)
 
     def test_complex_normal_matches_explicit_formula(self):
-        first = complex_normal(np.random.default_rng(4), (3, 5))
+        first = complex_normal([np.random.default_rng(4)], (3, 5))[0][0]
         rng = np.random.default_rng(4)
         expected = (rng.standard_normal((3, 5))
                     + 1j * rng.standard_normal((3, 5))) / np.sqrt(2.0)

@@ -293,6 +293,22 @@ class TestGeometry:
         # one N x N float64 matrix is 128 MiB
         assert peak < 4096 ** 2 * 8
 
+    def test_multi_start_cache_keys_on_the_system_object(self):
+        # a system compares and hashes by identity, so the runner's cache
+        # tells a system from its direct-link-free variant on the same
+        # correlation pair and runs each multi-start once
+        import starmimo.cli as cli_module
+
+        system = build_system(ScenarioConfig.from_dict(DESK))
+        no_direct = cli_module._without_direct(system)
+        assert system == system and system != no_direct
+        assert len({system, no_direct}) == 2
+        options, cache = PgamOptions(n_starts=1, max_iters=1), {}
+        first = cli_module._multi_start(system, options, cache)
+        assert cli_module._multi_start(system, options, cache) is first
+        assert cli_module._multi_start(no_direct, options, cache) is not first
+        assert set(cache) == {(system, options), (no_direct, options)}
+
     def test_no_direct_variant(self):
         cfg = ScenarioConfig.from_dict(DESK)
         system = build_system(cfg, no_direct=True)

@@ -278,6 +278,10 @@ class TestCorrelationPair:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             CorrelationPair.from_matrices(np.ones((2, 3)), np.eye(2))
+        with pytest.raises(ValueError, match="r_ris"):
+            CorrelationPair.from_matrices(np.eye(2), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="r_bs"):
+            CorrelationPair.from_matrices(np.zeros((0, 0)), np.eye(2))
 
     def test_rejects_scaled_surface_correlation(self):
         with pytest.raises(ValueError, match="unit diagonal"):

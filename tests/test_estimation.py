@@ -151,6 +151,6 @@ class TestEstimateRealization:
         real = sample_realization(system, config, [rng])
         eps = 1e-3 / (4 * 1e12)
         h = real.h[0, 0]
-        r = h + np.sqrt(eps) * complex_normal(rng, h.shape)
+        r = h + np.sqrt(eps) * complex_normal([rng], h.shape)[0][0]
         h_hat = apply_wiener_filter(r, alphas[0], system.corr, eps)
         assert np.linalg.norm(h_hat - h) / np.linalg.norm(h) < 1e-4

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_system, uncorrelated_ris_system
 from starmimo.channel import StarConfig, SystemDims, SystemModel
-from starmimo.correlation import CorrelationPair, LinkGains
-from starmimo.rate import _assemble_report, sinr_from_terms, sum_se
+from starmimo.correlation import FFT_MIN_N, ArrayGeometry, CorrelationPair, LinkGains
+from starmimo.rate import _assemble_report, evaluate, sinr_from_terms, sum_se
 
 
 def scalar_system(alpha, eps, noise_lift, m):
@@ -17,6 +19,19 @@ def scalar_system(alpha, eps, noise_lift, m):
         corr=CorrelationPair.from_matrices(np.eye(m), np.eye(1)),
         gains=LinkGains(beta_g=0.0, beta_bar=[alpha], beta_tilde=[1.0]),
         modes=("t",), rho=1.0 / noise_lift, pilot_power=1.0 / eps, sigma2=1.0,
+    )
+
+
+def grid_system(n_v, n_h, rng):
+    """Two users, one per region, on an (n_v, n_h) sinc grid of quarter-
+    wavelength spacing, kept as its offset table."""
+    corr = CorrelationPair.from_grid(np.eye(4), ArrayGeometry(n_h, n_v, 0.25, 0.25))
+    return SystemModel(
+        dims=SystemDims(m=4, n=n_v * n_h, k_t=1, k_r=1, tau_c=200, tau=2),
+        corr=corr,
+        gains=LinkGains(beta_g=1.0, beta_bar=rng.uniform(0.2, 1.0, 2),
+                        beta_tilde=rng.uniform(0.2, 1.0, 2)),
+        modes=("t", "r"), rho=1.0, pilot_power=1.0, sigma2=0.1,
     )
 
 
@@ -157,3 +172,30 @@ class TestSumSe:
             value = sum_se(config, system).sum_se
             assert value >= previous - 1e-12
             previous = value
+
+
+class TestGridSurface:
+    def test_kernel_evaluation_leaves_the_dense_surface_unbuilt(self, rng):
+        # below FFT_MIN_N the kernel is the dense square, gathered from the
+        # squared offset table rather than from r_ris
+        system = grid_system(3, 4, rng)
+        assert system.dims.n < FFT_MIN_N
+        config = StarConfig.random(system.dims.n, rng)
+        evaluate(config.theta, config.beta, system)
+        assert "r_ris" not in system.corr.__dict__
+        np.testing.assert_array_equal(system.corr.ris_abs2, np.square(system.corr.r_ris))
+
+    def test_dense_referee_makes_no_surface_sized_temporary(self, rng):
+        system = grid_system(32, 32, rng)
+        n = system.dims.n
+        config = StarConfig.random(n, rng)
+        assert system.corr.r_ris.shape == (n, n)
+        tracemalloc.start()
+        try:
+            dense = sum_se(config, system, method="dense")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an N x N float64 array is N^2 * 8 bytes
+        assert peak < 0.25 * n * n * 8
+        assert dense.sum_se == pytest.approx(sum_se(config, system).sum_se, rel=1e-9)
