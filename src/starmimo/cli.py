@@ -3,10 +3,11 @@
 Each scenario lives in one JSON file: dimensions, deployment geometry,
 powers, correlation knobs, the protocols to compare, optimizer/Monte Carlo
 options, and an optional sweep.  Output is a CSV with one row per sweep
-point per protocol, written in sweep order and flushed incrementally so a
-failing sweep keeps its completed rows.  Same config + same seed gives a
-byte-identical file (wall-clock timings are off unless requested, since they
-are the one non-deterministic column).
+point per protocol (for a convergence run, per iteration per start), written
+in order and flushed incrementally so a failing sweep keeps its completed
+rows; both run kinds hand each row's values to one formatter.  Same config +
+same seed gives a byte-identical file (wall-clock timings are off unless
+requested, since they are the one non-deterministic column).
 
 Flags: ``--config <path> [--seed <u64>] [--out <path>] [--mc-trials <n>]
 [--no-mc] [--timings]``; flags override the config file and are checked
@@ -42,10 +43,11 @@ from .correlation import (  # noqa: F401
     build_ris_correlation,
     path_gain,
 )
-from .montecarlo import mc_sinr
+from .montecarlo import McEstimate, mc_sinr
 from .optimizer import (
     OptionError,
     PgamOptions,
+    PgamTrace,
     canonicalize_signs,
     initial_points,
     multi_start,
@@ -68,7 +70,6 @@ _REQUIRED = object()  # the default of a config field that must be given
 # beyond these, the powers and path gains build_system forms overflow or vanish
 DB_RANGE = (-300.0, 300.0)
 EXPONENT_RANGE = (0.0, 10.0)
-LN2 = math.log(2.0)
 
 
 class ConfigError(ValueError):
@@ -271,8 +272,14 @@ class ScenarioConfig:
             _check(f, getattr(self, f.name), f.metadata["path"])
         for value in self.sweep_values:
             _check(_ENTRIES[self.sweep_parameter], value, "sweep.values")
-        if self.kind == "convergence" and self.sweep_parameter is not None:
-            raise ConfigError("sweep.parameter", "a convergence run has no sweep")
+        if self.kind == "convergence":  # one es multi-start at dims, untimed
+            for fld, ignored in (("sweep.parameter", self.sweep_parameter is not None),
+                                 ("mc.enabled", self.mc_enabled),
+                                 ("protocols", self.protocols != ("es",)),
+                                 ("timings", self.timings)):
+                if ignored:
+                    raise ConfigError(fld, "a convergence run traces the es multi-start "
+                                      "at one point, without Monte Carlo or timings")
         if self.k_t < 0 or self.k_r < 0 or self.k_t + self.k_r < 1:
             raise ConfigError("dims.k_t/k_r", "need at least one user")
         if self.tau < self.k_t + self.k_r:
@@ -452,9 +459,16 @@ def _without_direct(system: SystemModel) -> SystemModel:
 
 @dataclass
 class ProtocolResult:
+    """A protocol's configuration and closed-form sum SE; ``trace`` is the
+    multi-start's ``PgamTrace`` (shared by es and ms), None if unoptimized."""
+
     config: StarConfig
     sum_se: float
-    iterations: int
+    trace: PgamTrace | None = None
+
+    @property
+    def iterations(self) -> int:
+        return 0 if self.trace is None else self.trace.iterations
 
 
 def derive_seed(*entropy) -> int:
@@ -469,23 +483,19 @@ def run_protocol(protocol: str, cfg: ScenarioConfig, system: SystemModel,
     ``cache`` is a dict that lives for one sweep point.  With it, "es" and
     "ms" on the same ``system`` object share one ``multi_start`` (the
     runner passes one per sweep point); without it every call runs its own.
+    The result of an optimized protocol holds that multi-start's trace.
     """
     options = replace(cfg.optimizer, seed=opt_seed)
     n = system.dims.n
 
-    if protocol in ("es", "es-no-direct"):
+    if protocol in ("es", "es-no-direct", "ms"):
         trace = _multi_start(system, options, cache)
-        best = canonicalize_signs(trace.final_config)
-        return ProtocolResult(best, sum_se(best, system).sum_se, trace.iterations)
-
-    if protocol == "ms":
-        trace = _multi_start(system, options, cache)
-        rounded = round_to_ms(trace.final_config)
-        return ProtocolResult(rounded, sum_se(rounded, system).sum_se, trace.iterations)
+        best = (round_to_ms if protocol == "ms" else canonicalize_signs)(trace.final_config)
+        return ProtocolResult(best, sum_se(best, system).sum_se, trace)
 
     if protocol == "conventional":
         split = split_surface(system, int(round(cfg.conventional_t_fraction * n)))
-        return ProtocolResult(split, sum_se(split, system).sum_se, 0)
+        return ProtocolResult(split, sum_se(split, system).sum_se)
 
     if protocol == "random-phase":
         # the median of n_starts unoptimized draws: a typical configuration,
@@ -496,7 +506,7 @@ def run_protocol(protocol: str, cfg: ScenarioConfig, system: SystemModel,
         beta = np.stack([draw.beta for draw in draws])
         values = evaluate(theta, beta, system).report.sum_se
         pick = np.argsort(values, kind="stable")[(len(draws) - 1) // 2]
-        return ProtocolResult(draws[pick], float(values[pick]), 0)
+        return ProtocolResult(draws[pick], float(values[pick]))
 
     raise ConfigError("protocols", f"unknown protocol {protocol!r}")
 
@@ -511,35 +521,37 @@ def _multi_start(system: SystemModel, options: PgamOptions, cache: dict | None):
     return cache[key]
 
 
-def _mc_columns(system: SystemModel, result: ProtocolResult, mc_seed: int, trials: int):
-    estimate = mc_sinr(system, result.config, trials, mc_seed)
-    dse = system.dims.prelog / ((1.0 + estimate.gamma_hat) * LN2)
-    stderr = float(np.sqrt(np.sum((dse * estimate.std_err) ** 2)))
-    return estimate.sum_se_hat, stderr
-
-
 def run_experiment(cfg: ScenarioConfig, writer=None) -> list[dict]:
     """Execute the scenario and return (and optionally stream) the CSV rows.
 
     ``writer`` is called with each row dict as soon as it is complete, which
-    is how partial sweeps survive a failure mid-run.
+    is how partial sweeps survive a failure mid-run.  Both run kinds yield
+    their rows' values, and :func:`_format_row` alone turns them into columns.
     """
     rows = []
-
-    def emit(row: dict):
-        rows.append(row)
+    for values in (_convergence_rows if cfg.kind == "convergence" else _sweep_rows)(cfg):
+        rows.append(_format_row(cfg, *values))
         if writer is not None:
-            writer(row)
+            writer(rows[-1])
+    return rows
 
-    if cfg.kind == "convergence":
-        _run_convergence(cfg, emit)
-        return rows
 
-    sweep_values = cfg.sweep_values if cfg.sweep_parameter else (None,)
-    for sweep_idx, value in enumerate(sweep_values):
-        overrides = {}
-        if cfg.sweep_parameter is not None:
-            overrides[cfg.sweep_parameter] = value
+def _format_row(cfg: ScenarioConfig, parameter: str, value, scenario: str, se: float,
+                iterations: int, mc: McEstimate | None = None,
+                elapsed: float | None = None) -> dict:
+    """The one place schema-1 columns are formatted; a missing Monte Carlo
+    estimate or timing is an empty column, and the ints and ``value`` stay."""
+    return dict(zip(CSV_COLUMNS, (
+        parameter, value, scenario, f"{se:.10g}",
+        "" if mc is None else f"{mc.sum_se_hat:.10g}",
+        "" if mc is None else f"{mc.sum_se_stderr:.4g}",
+        iterations, "" if elapsed is None else f"{elapsed:.3f}", cfg.seed)))
+
+
+def _sweep_rows(cfg: ScenarioConfig):
+    """One row's values per sweep point per protocol, in sweep order."""
+    for sweep_idx, value in enumerate(cfg.sweep_values or ("",)):
+        overrides = {cfg.sweep_parameter: value} if cfg.sweep_parameter else {}
         # one optimizer seed per sweep point, shared across protocols so
         # comparisons between scenario labels see identical starting points
         opt_seed = derive_seed(cfg.seed, sweep_idx)
@@ -552,45 +564,22 @@ def run_experiment(cfg: ScenarioConfig, writer=None) -> list[dict]:
             system = systems[protocol == "es-no-direct"]
             start = time.perf_counter()
             result = run_protocol(protocol, cfg, system, opt_seed, cache)
-            mc_se, mc_err = ("", "")
-            if cfg.mc_enabled:
-                mc_seed = derive_seed(cfg.seed, sweep_idx, proto_idx, 1)
-                mc_se, mc_err = _mc_columns(system, result, mc_seed, cfg.mc_trials)
-                mc_se = f"{mc_se:.10g}"
-                mc_err = f"{mc_err:.4g}"
-            elapsed = f"{time.perf_counter() - start:.3f}" if cfg.timings else ""
-            emit({
-                "sweep_parameter": cfg.sweep_parameter or "",
-                "sweep_value": "" if value is None else value,
-                "scenario": protocol,
-                "sum_se": f"{result.sum_se:.10g}",
-                "mc_sum_se": mc_se,
-                "mc_stderr": mc_err,
-                "iterations": result.iterations,
-                "elapsed_s": elapsed,
-                "seed": cfg.seed,
-            })
-    return rows
+            mc = (mc_sinr(system, result.config, cfg.mc_trials,
+                          derive_seed(cfg.seed, sweep_idx, proto_idx, 1))
+                  if cfg.mc_enabled else None)
+            elapsed = time.perf_counter() - start if cfg.timings else None
+            yield (cfg.sweep_parameter or "", value, protocol, result.sum_se, result.iterations,
+                   mc, elapsed)
 
 
-def _run_convergence(cfg: ScenarioConfig, emit):
-    """Objective-versus-iteration rows, one scenario label per start."""
+def _convergence_rows(cfg: ScenarioConfig):
+    """Objective-versus-iteration rows' values, one scenario label per start."""
     system = build_system(cfg)
     options = replace(cfg.optimizer, seed=derive_seed(cfg.seed, 0))
     traces = pgam_lockstep(system, options, initial_points(system.dims.n, options))
     for start_idx, trace in enumerate(traces):
         for iteration, objective in enumerate(trace.objectives):
-            emit({
-                "sweep_parameter": "iteration",
-                "sweep_value": iteration,
-                "scenario": f"start{start_idx}",
-                "sum_se": f"{objective:.10g}",
-                "mc_sum_se": "",
-                "mc_stderr": "",
-                "iterations": trace.iterations,
-                "elapsed_s": "",
-                "seed": cfg.seed,
-            })
+            yield "iteration", iteration, f"start{start_idx}", objective, trace.iterations
 
 
 def write_csv(cfg: ScenarioConfig, path: str | Path) -> list[dict]:
@@ -635,7 +624,11 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = write_csv(cfg, cfg.out)
+    try:
+        rows = write_csv(cfg, cfg.out)
+    except OSError as exc:
+        print(f"error: out: {exc}", file=sys.stderr)
+        return 2
     print(f"{cfg.name}: wrote {len(rows)} rows to {cfg.out}")
     return 0
 

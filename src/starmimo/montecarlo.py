@@ -56,12 +56,14 @@ def _chunk_trials(system: SystemModel, n_trials: int) -> Iterator[slice]:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sampled per-user SINRs with batch-means standard errors."""
+    """Sampled per-user SINRs with batch-means standard errors, and the sum
+    SE with its delta-method standard error (NaN with one batch)."""
 
     gamma_hat: np.ndarray
     sum_se_hat: float
     n_trials: int
     std_err: np.ndarray
+    sum_se_stderr: float
 
 
 def _sinr_terms(z, m2, power, count, system: SystemModel):
@@ -83,7 +85,9 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
 
     Standard errors come from batch means: the trials are split into
     ``n_batches`` contiguous groups, the SINR is assembled per group, and the
-    spread of the group estimates is scaled down by sqrt(n_batches).
+    spread of the group estimates is scaled down by sqrt(n_batches).  The
+    sum SE's error carries them through its derivative by the delta method:
+    sqrt(sum_k (prelog / ((1 + gamma_k) ln 2) * std_err_k)^2).
     """
     if n_trials < 2:
         raise ValueError("need at least two trials")
@@ -126,9 +130,11 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
         else np.full(k_users, np.nan)
 
     prelog = system.dims.prelog
+    dse = prelog / ((1.0 + gamma) * np.log(2.0))
     return McEstimate(
         gamma_hat=gamma,
         sum_se_hat=float(prelog * np.sum(np.log2(1.0 + gamma))),
         n_trials=n_trials,
         std_err=std_err,
+        sum_se_stderr=float(np.sqrt(np.sum((dse * std_err) ** 2))),
     )

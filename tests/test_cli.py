@@ -11,6 +11,7 @@ import pytest
 
 from starmimo.channel import StarConfig
 from starmimo.cli import (
+    CSV_COLUMNS,
     SECTION_KEYS,
     ConfigError,
     ScenarioConfig,
@@ -529,6 +530,48 @@ class TestRunExperiment:
         assert [(r["scenario"], r["sweep_value"], r["sum_se"], r["iterations"])
                 for r in rows] == expected
 
+    def test_row_contract(self, monkeypatch):
+        # the row dicts the writer callback sees: the schema-1 columns in
+        # order, the swept number, iterations and seed as ints, the rest text
+        import starmimo.cli as cli_module
+
+        raw = json.loads(json.dumps(DESK))
+        raw["sweep"] = {"parameter": "n", "values": [4, 9]}
+        raw["protocols"] = ["es", "ms", "conventional", "random-phase", "es-no-direct"]
+        raw["mc"] = {"enabled": True, "trials": 20}
+        raw["timings"] = True
+        results = []
+        run_protocol = cli_module.run_protocol
+
+        def capture(*args, **kwargs):
+            results.append(run_protocol(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli_module, "run_protocol", capture)
+        rows = run_experiment(ScenarioConfig.from_dict(raw))
+        assert len(rows) == len(results) == 10
+        for row, result in zip(rows, results):
+            assert tuple(row) == CSV_COLUMNS
+            assert type(row["sweep_value"]) is int and row["sweep_value"] in (4, 9)
+            assert type(row["iterations"]) is int and type(row["seed"]) is int
+            assert row["iterations"] == result.iterations
+            text = [row[c] for c in CSV_COLUMNS if c not in ("sweep_value", "iterations", "seed")]
+            assert all(isinstance(value, str) and value for value in text)
+        for point in (results[:5], results[5:]):
+            es, ms, conventional, random_phase, no_direct = point
+            assert es.trace is not None and ms.trace is es.trace
+            assert no_direct.trace is not None and no_direct.trace is not es.trace
+            assert conventional.trace is None and random_phase.trace is None
+
+        raw = json.loads(json.dumps(DESK))
+        raw["kind"] = "convergence"
+        for row in run_experiment(ScenarioConfig.from_dict(raw)):
+            assert tuple(row) == CSV_COLUMNS
+            assert [type(row[c]) for c in ("sweep_value", "iterations", "seed")] == [int] * 3
+            assert (row["sweep_parameter"], row["mc_sum_se"], row["mc_stderr"],
+                    row["elapsed_s"]) == ("iteration", "", "", "")
+            assert isinstance(row["sum_se"], str) and row["scenario"].startswith("start")
+
     def test_convergence_kind_rows(self):
         raw = json.loads(json.dumps(DESK))
         raw["kind"] = "convergence"
@@ -683,9 +726,14 @@ class TestMain:
                                                        "values": [110.0, 4000.0]})),
         ("sweep.values", lambda raw: raw.update(powers={"rho_dbm": 20.0}, sweep={
             "parameter": "rho_dbm", "values": [-300.5]})),
-        # a convergence run is one point at dims; a sweep would be ignored
+        # a convergence run is one untimed es multi-start at dims; a sweep,
+        # Monte Carlo, other protocols or timings would be ignored
         ("sweep.parameter", lambda raw: raw.update(kind="convergence", sweep={
             "parameter": "n", "values": [16, 36]})),
+        ("mc.enabled", lambda raw: raw.update(kind="convergence", mc={"enabled": True})),
+        ("protocols", lambda raw: raw.update(kind="convergence",
+                                             protocols=["ms", "random-phase"])),
+        ("timings", lambda raw: raw.update(kind="convergence", timings=True)),
     ])
     def test_rejected_at_parse_with_field_and_status_2(self, tmp_path, capsys, fld, edit):
         raw = json.loads(json.dumps(DESK))
@@ -699,6 +747,13 @@ class TestMain:
         assert main(["--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {fld}:")
         assert not out.exists()
+
+    def test_unwritable_out_returns_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(DESK))
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out: ") and str(tmp_path) in err
 
     @pytest.mark.parametrize("flag, value, fld", [("--seed", "-1", "seed"),
                                                   ("--mc-trials", "1", "mc.trials")])

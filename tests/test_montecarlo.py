@@ -143,6 +143,10 @@ class TestMcSinr:
         np.testing.assert_array_equal(estimate.std_err, std_err)
         assert estimate.sum_se_hat == sum_se_hat
         assert np.all(np.isnan(std_err)) == (n_batches == 1)
+        # the delta method on the estimate's own SINRs (NaN with one batch)
+        dse = system.dims.prelog / ((1.0 + estimate.gamma_hat) * np.log(2.0))
+        np.testing.assert_array_equal(estimate.sum_se_stderr,
+                                      np.sqrt(np.sum((dse * estimate.std_err) ** 2)))
 
     @pytest.mark.parametrize("n", [16, 64, 100, 256, 1024])
     def test_chunks_bit_identical_on_config_systems(self, n):
