@@ -10,10 +10,10 @@ the end by canonicalizing signs).
 
 All starts of a multi-start run in lockstep through one loop,
 :func:`pgam_lockstep`: each line-search round makes one batched kernel call
-for every start still searching, while every start keeps its own step size,
-backtracks and stopping state.  Every reduction runs along one start's row,
-so a start's trace is bit for bit the one it has when run alone
-(:func:`pgam`).
+over every running start, each scored at its latest candidate, while every
+start keeps its own step size, backtracks and stopping state.  Every
+reduction runs along one start's row, so a start's trace is bit for bit the
+one it has when run alone (:func:`pgam`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import MS, StarConfig, SystemModel
 from .gradients import GradientPair, build_workspace, grad_objective_from_workspace
-from .rate import evaluate, take_rows
+from .rate import evaluate
 
 
 class PgamFailure(RuntimeError):
@@ -91,8 +91,11 @@ class PgamTrace:
     backtrack_counts: list = field(default_factory=list)
     stationarity: list = field(default_factory=list)
     final_config: StarConfig | None = None
-    converged: bool = False
     reason: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "objective tolerance"
 
     @property
     def final_objective(self) -> float:
@@ -127,10 +130,10 @@ def project_beta(v: np.ndarray) -> np.ndarray:
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
-    """(..., 2, N) as (..., 2N), t-region first: every per-start reduction
-    runs along this one row, in the summation order of one flat vector of
-    both regions."""
-    return x.reshape(x.shape[:-2] + (-1,))
+    """(..., 2, N) as (..., 2N), t-region first, an empty batch too: every
+    per-start reduction runs along this one row, in the summation order of
+    one flat vector of both regions."""
+    return x.reshape(x.shape[:-2] + (2 * x.shape[-1],))
 
 
 def armijo_condition(f_new, f_old, grad, theta_new: np.ndarray, beta_new: np.ndarray,
@@ -177,15 +180,18 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
     its own step size, Armijo test, backtrack count, fixed-point accept and
     stop; a start leaves the batch when it stops.  Per iteration the
     gradient is one batched call over the starts still running, and each
-    line-search round one batched kernel evaluation of the starts still
-    searching.  ``callback``, if given, is invoked as ``callback(start,
-    iteration, config, objective)`` after every accepted iteration.
+    line-search round one batched kernel evaluation of them all, read by
+    the starts still searching; the last is the next point.  A first round
+    of exact fixed points evaluates nothing; an iteration that stops some
+    starts evaluates the rest once more.  ``callback``, if given, is invoked
+    as ``callback(start, iteration, config, objective)`` after every
+    accepted iteration.
     """
     theta = project_theta(np.stack([init.theta for init in inits]))
     beta = project_beta(np.stack([init.beta for init in inits]))
 
-    # one kernel evaluation per trial point; the accepted trial's cached
-    # intermediates feed the next gradient
+    # the cached intermediates of the evaluation at the current point feed
+    # the next gradient
     point = evaluate(theta, beta, system)
     f_cur = point.report.sum_se
     if not np.all(np.isfinite(f_cur)):
@@ -194,11 +200,11 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
     mu = np.full(len(inits), float(options.mu_init))
     active = np.arange(len(inits))  # start index of every row of the state
 
-    def finish(rows, theta_rows, beta_rows, converged, reason):
+    def finish(rows, theta_rows, beta_rows, reason):
         for row in rows:
             trace = traces[active[row]]
             trace.final_config = StarConfig(theta_rows[row].copy(), beta_rows[row].copy())
-            trace.converged, trace.reason = converged, reason
+            trace.reason = reason
 
     for iteration in range(1, options.max_iters + 1):
         grad = grad_objective_from_workspace(build_workspace(point, system))
@@ -211,11 +217,9 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
         f_new = f_cur.copy()
         backtracks = np.zeros(rows, dtype=int)
         accepted = np.zeros(rows, dtype=bool)
-        # each row's point among the evaluations of ``rounds`` stacked:
-        # ``point`` itself (a fixed-point accept) or its accepted trial; a
-        # trial no row accepted is dropped, so at most one batch is kept per
-        # accepting round
-        rounds, taken, offset = [point], np.arange(rows), rows
+        # every round scores each row at its latest candidate, so the last
+        # evaluation is the next point; ``point`` stands in until one is made
+        trial = point
         searching = np.arange(rows)
         while searching.size:
             theta_new[searching] = project_theta(
@@ -226,26 +230,22 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
             # zero-gain iteration and let the tolerance stop the run
             fixed = ((theta_new[searching] == theta[searching]).all(axis=(1, 2))
                      & (beta_new[searching] == beta[searching]).all(axis=(1, 2)))
-            if fixed.any():
-                accepted[searching[fixed]] = True
-                searching = searching[~fixed]
-                if not searching.size:
-                    break
-            trial = evaluate(theta_new[searching], beta_new[searching], system)
-            f_trial = trial.report.sum_se
+            accepted[searching[fixed]] = True
+            if trial is point and fixed.all():
+                break
+            searching = searching[~fixed]
+            # rows that accepted, stalled or are fixed are re-scored to the
+            # same bits and ignored
+            trial = evaluate(theta_new, beta_new, system)
+            f_trial = trial.report.sum_se[searching]
             if not np.isfinite(f_trial).all():
                 raise PgamFailure("non-finite objective during line search", iteration)
             ok = armijo_condition(f_trial, f_cur[searching],
                                   GradientPair(grad.d_theta[searching], grad.d_beta[searching]),
                                   theta_new[searching], beta_new[searching],
                                   theta[searching], beta[searching], mu[searching])
-            if ok.any():
-                won = searching[ok]
-                accepted[won] = True
-                f_new[won] = f_trial[ok]
-                taken[won] = offset + np.flatnonzero(ok)
-                rounds.append(trial)
-                offset += len(f_trial)
+            accepted[searching[ok]] = True
+            f_new[searching[ok]] = f_trial[ok]
             lost = searching[~ok]
             searching = lost[backtracks[lost] < options.max_backtracks]
             mu[searching] *= options.kappa
@@ -254,8 +254,8 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
         stationarity = np.sqrt(np.sum(np.abs(_rows(theta_new - theta)) ** 2, axis=1)
                                + np.sum(_rows(beta_new - beta) ** 2, axis=1)) / mu
         done = accepted & (f_new - f_cur < options.tol)
-        finish(np.flatnonzero(~accepted), theta, beta, False, "line-search stall")
-        finish(np.flatnonzero(done), theta_new, beta_new, True, "objective tolerance")
+        finish(np.flatnonzero(~accepted), theta, beta, "line-search stall")
+        finish(np.flatnonzero(done), theta_new, beta_new, "objective tolerance")
         objectives, steps, counts = f_new.tolist(), mu.tolist(), backtracks.tolist()
         stationarity = stationarity.tolist()
         for row in np.flatnonzero(accepted).tolist():
@@ -270,21 +270,14 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
         keep = accepted & ~done
         if not keep.any():
             return traces
-        if keep.all() and len(rounds) == 2 and offset == 2 * rows:
-            # every start took its row of the one accepted trial batch, in
-            # order, so that batch is the next point as it is: the common
-            # case (all but 1 of 2700 continuing iterations in three
-            # sweep-small passes), where the gather's per-field overhead
-            # would be a large share of the iteration
-            point = rounds[1]
-        else:
-            point = take_rows(rounds, taken[keep])
+        point = trial
         if not keep.all():
             theta_new, beta_new = theta_new[keep], beta_new[keep]
             f_new, mu, active = f_new[keep], mu[keep], active[keep]
+            point = evaluate(theta_new, beta_new, system)
         theta, beta, f_cur = theta_new, beta_new, f_new
 
-    finish(range(len(active)), theta, beta, False, "max iterations")
+    finish(range(len(active)), theta, beta, "max iterations")
     return traces
 
 

@@ -17,7 +17,7 @@ R_BS and the configuration, takes the covariance scalars from R_RIS itself
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +28,14 @@ from .channel import StarConfig, SystemModel, covariance_scalars, pbm_quadratic_
 class RateReport:
     """Per-user signal/interference/SINR terms and the pre-log weighted sum SE.
 
-    For a batch of points every field but ``prelog`` carries the leading
-    start axis, and ``sum_se`` is one value per start.
+    For a batch of points every field carries the leading start axis, and
+    ``sum_se`` is one value per start.
     """
 
     s: np.ndarray
     i_tilde: np.ndarray
     gamma: np.ndarray
     sum_se: float
-    prelog: float
 
 
 @dataclass(frozen=True)
@@ -56,21 +55,6 @@ class Evaluation:
     psi: np.ndarray      # (K, M) estimate-covariance eigenvalues
     qr_gain: np.ndarray  # (K, M) eigenvalues of Q_k R_k
     report: RateReport
-
-
-def take_rows(batches: list, index: np.ndarray):
-    """Rows ``index`` of the batched evaluations (or reports) ``batches``
-    stacked along their start axis; scalar fields come from the first."""
-    values = {}
-    for fld in fields(batches[0]):
-        parts = [getattr(batch, fld.name) for batch in batches]
-        if is_dataclass(parts[0]):
-            values[fld.name] = take_rows(parts, index)
-        elif np.ndim(parts[0]):
-            values[fld.name] = np.concatenate(parts)[index]
-        else:
-            values[fld.name] = parts[0]
-    return type(batches[0])(**values)
 
 
 def sinr_from_terms(s: np.ndarray, i_tilde: np.ndarray) -> np.ndarray:
@@ -145,7 +129,6 @@ def _assemble_report(s: np.ndarray, i_tilde: np.ndarray, prelog: float) -> RateR
         i_tilde=i_tilde,
         gamma=gamma,
         sum_se=prelog * np.sum(np.log2(1.0 + gamma), axis=-1),
-        prelog=prelog,
     )
 
 

@@ -224,19 +224,6 @@ class TestKernelEvaluations:
         assert sum(trace.backtrack_counts) > 0
         assert len(calls) == 1 + sum(1 + b for b in trace.backtrack_counts)
 
-    def test_rejected_trials_are_not_kept(self, rng, monkeypatch):
-        # a one-start run holds only its accepted trial, however many it
-        # rejected on the way, so its next point needs no gather
-        import starmimo.optimizer as optimizer_module
-
-        system = random_system(rng, m=6, n=8, k_t=2, k_r=2, complex_bs=False)
-        gathers = []
-        monkeypatch.setattr(optimizer_module, "take_rows",
-                            lambda batches, index: gathers.append(len(batches)))
-        trace = pgam(system, PgamOptions(mu_init=1e3, max_iters=40), StarConfig.random(8, rng))
-        assert sum(trace.backtrack_counts) > 0
-        assert gathers == []
-
     def test_fixed_point_accept_evaluates_nothing(self, rng, monkeypatch):
         # no cascaded gain: the gradient is exactly zero, so from a binary
         # start with unit phases the step cannot move the iterate
@@ -305,13 +292,10 @@ class TestLockstep:
         self.assert_same_traces(pgam_lockstep(system, options, inits), alone)
         assert alone[0].stationarity == [0.0] * 4
 
-    def test_one_evaluation_per_line_search_round(self, monkeypatch):
+    @staticmethod
+    def count_batch_sizes(monkeypatch):
         import starmimo.optimizer as optimizer_module
 
-        system = random_system(np.random.default_rng(12345), m=6, n=8, k_t=2, k_r=2,
-                               complex_bs=False)
-        options = PgamOptions(mu_init=1e3, max_iters=30, seed=1)
-        inits = initial_points(system.dims.n, options)
         batch_sizes = []
         original = optimizer_module.evaluate
 
@@ -320,17 +304,81 @@ class TestLockstep:
             return original(theta, beta, system)
 
         monkeypatch.setattr(optimizer_module, "evaluate", counted)
-        traces = pgam_lockstep(system, options, inits)
+        return batch_sizes
+
+    @staticmethod
+    def expected_batch_sizes(traces):
+        """The batch size of every kernel call of a lockstep run without
+        stalls: the start, then per iteration one call per line-search round
+        over every running start (none if all are exact fixed points in the
+        first round), and one over the continuing starts if some stop."""
         assert all(trace.reason != "line-search stall" for trace in traces)
-        # iteration i runs as many rounds as its most backtracking start; a
-        # start is evaluated once per round it searches in
-        rounds = [max(1 + trace.backtrack_counts[i] for trace in traces
-                      if trace.iterations > i)
-                  for i in range(max(trace.iterations for trace in traces))]
-        assert batch_sizes[0] == len(inits)
-        assert len(batch_sizes) == 1 + sum(rounds)
-        assert sum(batch_sizes) == len(inits) + sum(
-            1 + b for trace in traces for b in trace.backtrack_counts)
+        sizes = [len(traces)]
+        for i in range(max(trace.iterations for trace in traces)):
+            running = [trace for trace in traces if trace.iterations > i]
+            if any(trace.backtrack_counts[i] or trace.stationarity[i] for trace in running):
+                sizes += [len(running)] * max(1 + trace.backtrack_counts[i]
+                                              for trace in running)
+            going = sum(trace.iterations > i + 1 or trace.reason == "max iterations"
+                        for trace in running)
+            if 0 < going < len(running):
+                sizes.append(going)
+        return sizes
+
+    def test_one_evaluation_per_line_search_round(self, monkeypatch):
+        system = random_system(np.random.default_rng(12345), m=6, n=8, k_t=2, k_r=2,
+                               complex_bs=False)
+        options = PgamOptions(mu_init=1e3, max_iters=30, seed=1)
+        inits = initial_points(system.dims.n, options)
+        batch_sizes = self.count_batch_sizes(monkeypatch)
+        traces = pgam_lockstep(system, options, inits)
+        assert sum(map(sum, (trace.backtrack_counts for trace in traces))) > 0
+        # iteration i runs as many rounds as its most backtracking start, and
+        # each round scores every start running in it
+        assert batch_sizes == self.expected_batch_sizes(traces)
+
+    @staticmethod
+    def exact_start(rng, n):
+        """Phases and amplitude pairs from the 3-4-5 triangle: both
+        projections map them exactly to themselves, so a step too small to
+        move them is an exact fixed point."""
+        theta = rng.choice([0.6 + 0.8j, -0.8 + 0.6j, -0.6 - 0.8j, 0.8 - 0.6j], size=(2, n))
+        return StarConfig(theta=theta, beta=rng.permuted(np.tile([[0.6], [0.8]], n), axis=0))
+
+    @pytest.mark.parametrize("case", ["shrinking", "all-fixed", "fixed-after-backtracking"])
+    def test_evaluation_paths(self, case, monkeypatch):
+        system = random_system(np.random.default_rng(12345), m=6, n=8, k_t=2, k_r=2,
+                               complex_bs=False)
+        n = system.dims.n
+        if case == "shrinking":
+            options = PgamOptions(mu_init=1e3, tol=1e-3, seed=1)
+            inits = initial_points(n, options)
+        elif case == "all-fixed":
+            system = zero_cascade(system)
+            options = PgamOptions(n_starts=3)
+            inits = [binary_start(n)] * 3
+        else:
+            # the exact start rejects its first step; the next, 1e-30 times
+            # smaller, cannot move it, while the other start accepted at once
+            options = PgamOptions(mu_init=1e3, kappa=1e-30, tol=0.0, max_iters=3, seed=1)
+            inits = [initial_points(n, options)[0],
+                     self.exact_start(np.random.default_rng(71), n)]
+        alone = [pgam(system, options, init) for init in inits]
+        batch_sizes = self.count_batch_sizes(monkeypatch)
+        traces = pgam_lockstep(system, options, inits)
+        self.assert_same_traces(traces, alone)
+        assert batch_sizes == self.expected_batch_sizes(traces)
+        if case == "shrinking":
+            assert sum(map(sum, (trace.backtrack_counts for trace in traces))) > 0
+            # two or more stops with starts left running: the batch shrinks
+            assert len({trace.iterations for trace in traces}) > 2
+        elif case == "all-fixed":
+            assert batch_sizes == [3]
+            assert all(trace.converged for trace in traces)
+        else:
+            assert traces[0].backtrack_counts[0] == 0
+            assert (traces[1].backtrack_counts[0], traces[1].stationarity[0]) == (1, 0.0)
+            assert batch_sizes[:3] == [2, 2, 2]
 
 
 class TestStationarity:
