@@ -8,7 +8,7 @@ amplitude energy and the phases disappear from the problem.
 
 import numpy as np
 
-from starmimo import CorrelationPair, LinkGains, StarConfig, SystemDims, SystemModel
+from starmimo import CorrelationPair, LinkGains, StarConfig, SystemModel
 from starmimo.channel import covariance_scalars, sample_realization
 from starmimo.cli import ScenarioConfig, build_system
 from starmimo.rate import dense_covariance_scalars
@@ -22,10 +22,9 @@ def region_trace(r_ris, theta):
     at unit gain."""
     n = len(theta)
     system = SystemModel(
-        dims=SystemDims(m=1, n=n, k_t=1, k_r=0, tau_c=10, tau=1),
         corr=CorrelationPair.from_matrices(np.eye(1), r_ris),
         gains=LinkGains(beta_g=1.0, beta_bar=[0.0], beta_tilde=[1.0]),
-        modes=("t",), rho=1.0, pilot_power=1.0, sigma2=1.0,
+        k_t=1, tau_c=10, tau=1, rho=1.0, pilot_power=1.0, sigma2=1.0,
     )
     config = StarConfig(theta=[theta, theta], beta=[np.ones(n), np.zeros(n)])
     return covariance_scalars(system, config)[0]
@@ -49,9 +48,9 @@ cfg = ScenarioConfig.from_dict({
 system = build_system(cfg)
 config = StarConfig.equal_split(16, rng)
 alphas = covariance_scalars(system, config)
-for k, (mode, alpha) in enumerate(zip(system.modes, alphas)):
+for k, (region, alpha) in enumerate(zip(system.region, alphas)):
     direct = system.gains.beta_bar[k]
-    print(f"user {k} ({mode} region): alpha {alpha:.3e}, direct share {direct / alpha:5.1%}")
+    print(f"user {k} ({'tr'[region]} region): alpha {alpha:.3e}, direct share {direct / alpha:5.1%}")
 referee = dense_covariance_scalars(config, system)
 print(f"largest relative gap to the dense referee: {np.max(np.abs(alphas / referee - 1)):.1e}")
 

@@ -11,15 +11,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from starmimo import CorrelationPair, LinkGains, SystemDims, SystemModel, from_alphas
+from starmimo import CorrelationPair, LinkGains, SystemModel, from_alphas
 from starmimo.correlation import build_bs_correlation
 
 # one user with only the direct link at unit gain, so its covariance scalar is 1
 base = SystemModel(
-    dims=SystemDims(m=8, n=1, k_t=1, k_r=0, tau_c=200, tau=1),
     corr=CorrelationPair.from_matrices(build_bs_correlation(8, "exponential", 0.7), np.eye(1)),
     gains=LinkGains(beta_g=1.0, beta_bar=[1.0], beta_tilde=[0.0]),
-    modes=("t",), rho=1.0, pilot_power=1.0, sigma2=1.0,
+    k_t=1, tau_c=200, tau=1, rho=1.0, pilot_power=1.0, sigma2=1.0,
 )
 sigma = base.corr.bs_eigvals
 alpha = np.array([1.0])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -92,7 +92,8 @@ class StarConfig:
 
 @dataclass(frozen=True)
 class SystemDims:
-    """Antenna/user counts and frame split of the coherence block."""
+    """Antenna/user counts and frame split of the coherence block, as
+    ``SystemModel`` derives them: M, N from the correlation pair, K from the gains."""
 
     m: int
     n: int
@@ -108,6 +109,8 @@ class SystemDims:
             raise ValueError("at least one user required")
         if self.tau > self.tau_c:
             raise ValueError("pilot length cannot exceed the coherence block")
+        if self.tau < self.k:
+            raise ValueError("orthogonal pilots need tau >= K")
 
     @property
     def k(self) -> int:
@@ -121,31 +124,24 @@ class SystemDims:
 @dataclass(frozen=True, eq=False)
 class SystemModel:
     """Immutable bundle of everything the rate expressions need besides the
-    surface configuration: dimensions, correlation, gains, region tags,
-    powers, and the pilot parameters.  Compared and hashed by identity, so
-    a system object can key a cache."""
+    surface configuration: correlation, gains, t-region user count, frame
+    split and powers.  Users are ordered t-region first, and ``dims`` is
+    derived (M, N from ``corr``, K from ``gains``).  Compared and hashed by
+    identity, so a system object can key a cache."""
 
-    dims: SystemDims
     corr: CorrelationPair
     gains: LinkGains
-    modes: tuple  # 't' / 'r' per user, length K
+    k_t: int  # users in the t-region, the first k_t of the gains' K
+    tau_c: int  # coherence block length (symbols)
+    tau: int  # pilot length (symbols)
     rho: float  # downlink power budget (W)
     pilot_power: float  # per-symbol pilot power (W)
     sigma2: float  # noise power (W)
+    dims: SystemDims = field(init=False)
 
     def __post_init__(self):
-        if len(self.modes) != self.dims.k:
-            raise ValueError("one region tag per user required")
-        if any(mode not in ("t", "r") for mode in self.modes):
-            raise ValueError("region tags must be 't' or 'r'")
-        if sum(1 for mode in self.modes if mode == "t") != self.dims.k_t:
-            raise ValueError("region tags disagree with (k_t, k_r)")
-        if self.gains.k != self.dims.k:
-            raise ValueError("gains must have one entry per user")
-        if self.corr.m != self.dims.m or self.corr.n != self.dims.n:
-            raise ValueError("correlation matrices disagree with the stated dimensions")
-        if self.dims.tau < self.dims.k:
-            raise ValueError("orthogonal pilots need tau >= K")
+        object.__setattr__(self, "dims", SystemDims(self.corr.m, self.corr.n, self.k_t,
+                                                    self.gains.k - self.k_t, self.tau_c, self.tau))
         if self.rho <= 0 or self.pilot_power <= 0 or self.sigma2 <= 0:
             raise ValueError("powers must be positive")
 
@@ -160,9 +156,14 @@ class SystemModel:
         return self.dims.k * self.sigma2 / self.rho
 
     @cached_property
+    def region(self) -> np.ndarray:
+        """(K,) region index of every user: 0 for the t-region, 1 for the r-region."""
+        return np.repeat([0, 1], [self.dims.k_t, self.dims.k_r])
+
+    @cached_property
     def region_mask(self) -> np.ndarray:
         """(K, 2) one-hot rows: column 0 marks t-region users, column 1 r-region."""
-        return (np.asarray(self.modes)[:, None] == np.array(["t", "r"])).astype(float)
+        return np.eye(2)[self.region]
 
 
 def pbm_quadratic_diag(r_ris: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -186,13 +187,13 @@ def covariance_scalars(system: SystemModel, config: StarConfig,
                        diagonals: np.ndarray | None = None) -> np.ndarray:
     """All per-user covariance scalars, from one product for both regions.
 
-    ``alpha_k = beta_bar_k + beta_hat_k * phi_u^H |R_RIS|^2 phi_u`` with u
-    the region of user k.  One real product of ``|R_RIS|^2`` with the (N, 4)
+    ``alpha_k = beta_bar_k + beta_hat_k * phi_u^H |R_RIS|^2 phi_u`` with u =
+    ``system.region[k]``.  One real product of ``|R_RIS|^2`` with the (N, 4)
     block [Re phi_t, Re phi_r, Im phi_t, Im phi_r] gives both traces without
-    upcasting the kernel to complex (it is real symmetric).  If
-    ``diagonals``, a (2, N) complex array, is given, the product's
-    ``diag(R_RIS Phi_u R_RIS) = |R_RIS|^2 phi_u`` of both regions, t first,
-    is written into it; the gradient reads them.
+    upcasting the kernel to complex (it is real symmetric); each user takes
+    its region's by index.  If ``diagonals``, a (2, N) complex array, is
+    given, the product's ``diag(R_RIS Phi_u R_RIS) = |R_RIS|^2 phi_u`` of
+    both regions, t first, is written into it; the gradient reads them.
 
     A configuration with a leading start axis gives (P, K) scalars from one
     stacked (N, N) x (P, N, 4) product, and ``diagonals`` is then (P, 2, N).
@@ -207,7 +208,7 @@ def covariance_scalars(system: SystemModel, config: StarConfig,
         diagonals.real = np.swapaxes(prod[..., :2], -1, -2)
         diagonals.imag = np.swapaxes(prod[..., 2:], -1, -2)
     return system.gains.beta_bar + system.gains.beta_hat * (
-        (traces[..., :2] + traces[..., 2:]) @ system.region_mask.T)
+        traces[..., :2] + traces[..., 2:])[..., system.region]
 
 
 @dataclass
@@ -316,7 +317,7 @@ def sample_realization(system: SystemModel, config: StarConfig,
     q_cols = _real_left_product(ris_factor, c.reshape(r, t * k)).reshape(n, t, k)
     q_cols *= np.sqrt(system.gains.beta_tilde)
     # column k is the phi row of user k's region
-    phi_cols = (config.beta * config.theta)[system.region_mask[:, 1].astype(int)].T
+    phi_cols = (config.beta * config.theta)[system.region].T
     v = _real_left_product(ris_factor.T, (phi_cols[:, None, :] * q_cols).reshape(n, t * k))
     v = v.reshape(r, t, k).transpose(1, 0, 2)
     factor = _gram_factor(np.swapaxes(v.conj(), -1, -2) @ v)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import StarConfig, SystemDims, SystemModel
+from .channel import StarConfig, SystemModel
 
 # build_ris_correlation is not called here: the surface is built by
 # CorrelationPair.from_grid.  perfbench's tracer wraps a function only in the
@@ -80,12 +80,15 @@ class ConfigError(ValueError):
         self.field = fld
 
 
+def _dbm_to_watts(dbm: float) -> float:
+    return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
 def noise_power(bandwidth_hz: float) -> float:
     """Thermal noise power in watts: -174 dBm/Hz plus 10 log10(bandwidth)."""
     if bandwidth_hz <= 0:
         raise ConfigError("powers.bandwidth_hz", "bandwidth must be positive")
-    dbm = -174.0 + 10.0 * math.log10(bandwidth_hz)
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    return _dbm_to_watts(-174.0 + 10.0 * math.log10(bandwidth_hz))
 
 
 def _entry(path: str, kind, default=_REQUIRED, check=None):
@@ -409,13 +412,13 @@ def build_system(cfg: ScenarioConfig, *, no_direct: bool = False,
 
     sigma2 = noise_power(cfg.bandwidth_hz)
     if cfg.rho_dbm is not None:
-        rho = 10.0 ** ((cfg.rho_dbm - 30.0) / 10.0)
+        rho = _dbm_to_watts(cfg.rho_dbm)
     else:
         rho = 10.0 ** (cfg.snr_db / 10.0) * sigma2
 
     k = cfg.k_t + cfg.k_r
     pilot_power = rho / k if cfg.pilot_power_dbm is None \
-        else 10.0 ** ((cfg.pilot_power_dbm - 30.0) / 10.0)
+        else _dbm_to_watts(cfg.pilot_power_dbm)
 
     geom = ArrayGeometry(n_h=side, n_v=side, spacing_h=cfg.ris_spacing,
                          spacing_v=cfg.ris_spacing)
@@ -437,13 +440,10 @@ def build_system(cfg: ScenarioConfig, *, no_direct: bool = False,
         for u in users
     ])
 
-    dims = SystemDims(m=cfg.m, n=cfg.n, k_t=cfg.k_t, k_r=cfg.k_r, tau_c=cfg.tau_c, tau=cfg.tau)
-    modes = tuple(["t"] * cfg.k_t + ["r"] * cfg.k_r)
     system = SystemModel(
-        dims=dims,
         corr=corr,
         gains=LinkGains(beta_g=beta_g, beta_bar=beta_bar, beta_tilde=beta_tilde),
-        modes=modes,
+        k_t=cfg.k_t, tau_c=cfg.tau_c, tau=cfg.tau,
         rho=rho,
         pilot_power=pilot_power,
         sigma2=sigma2,

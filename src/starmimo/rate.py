@@ -160,9 +160,6 @@ def dense_covariance_scalars(config: StarConfig, system: SystemModel) -> np.ndar
     ``phi_u^H diag(R_RIS Phi_u R_RIS) = tr(R_RIS Phi_u R_RIS Phi_u^H)`` per
     region u, given to the users of that region; the referee's route,
     independent of :func:`covariance_scalars`."""
-    traces = {}
-    for u in "tr":
-        phi = config.phi(u)
-        traces[u] = np.vdot(phi, pbm_quadratic_diag(system.corr.r_ris, phi)).real
-    return system.gains.beta_bar + system.gains.beta_hat * np.array(
-        [traces[mode] for mode in system.modes])
+    traces = np.array([np.vdot(phi, pbm_quadratic_diag(system.corr.r_ris, phi)).real
+                       for phi in (config.phi("t"), config.phi("r"))])
+    return system.gains.beta_bar + system.gains.beta_hat * traces[system.region]

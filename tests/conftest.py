@@ -1,9 +1,11 @@
 """Shared builders for synthetic and deployment-style systems."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from starmimo.channel import SystemDims, SystemModel
+from starmimo.channel import SystemModel
 from starmimo.correlation import CorrelationPair, LinkGains, build_bs_correlation
 
 
@@ -27,10 +29,8 @@ def random_system(rng, m=6, n=5, k_t=2, k_r=1, complex_bs=True, rho=None,
         beta_bar=rng.uniform(0.2, 1.0, k),
         beta_tilde=rng.uniform(0.2, 1.0, k),
     )
-    dims = SystemDims(m=m, n=n, k_t=k_t, k_r=k_r, tau_c=200, tau=max(k, 4))
-    modes = tuple(["t"] * k_t + ["r"] * k_r)
     return SystemModel(
-        dims=dims, corr=corr, gains=gains, modes=modes,
+        corr=corr, gains=gains, k_t=k_t, tau_c=200, tau=max(k, 4),
         rho=rho if rho is not None else rng.uniform(1.0, 4.0),
         pilot_power=rng.uniform(0.5, 2.0),
         sigma2=sigma2 if sigma2 is not None else rng.uniform(0.1, 0.5),
@@ -40,11 +40,7 @@ def random_system(rng, m=6, n=5, k_t=2, k_r=1, complex_bs=True, rho=None,
 def uncorrelated_ris_system(rng, m=6, n=8, k_t=2, k_r=2):
     """R_RIS = I variant: the configuration's phases must not matter."""
     system = random_system(rng, m=m, n=n, k_t=k_t, k_r=k_r, complex_bs=False)
-    corr = CorrelationPair.from_matrices(system.corr.r_bs, np.eye(n))
-    return SystemModel(
-        dims=system.dims, corr=corr, gains=system.gains, modes=system.modes,
-        rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
-    )
+    return replace(system, corr=CorrelationPair.from_matrices(system.corr.r_bs, np.eye(n)))
 
 
 def one_user_system(r_bs=None, r_ris=None, mode="t", beta_bar=0.0, beta_hat=1.0,
@@ -57,11 +53,10 @@ def one_user_system(r_bs=None, r_ris=None, mode="t", beta_bar=0.0, beta_hat=1.0,
     r_bs = np.eye(2) if r_bs is None else r_bs
     r_ris = np.eye(1) if r_ris is None else r_ris
     return SystemModel(
-        dims=SystemDims(m=r_bs.shape[0], n=r_ris.shape[0], k_t=int(mode == "t"),
-                        k_r=int(mode == "r"), tau_c=max(tau, 10), tau=tau),
         corr=CorrelationPair.from_matrices(r_bs, r_ris),
         gains=LinkGains(beta_g=1.0, beta_bar=[beta_bar], beta_tilde=[beta_hat]),
-        modes=(mode,), rho=1.0, pilot_power=pilot_power, sigma2=sigma2,
+        k_t=int(mode == "t"), tau_c=max(tau, 10), tau=tau,
+        rho=1.0, pilot_power=pilot_power, sigma2=sigma2,
     )
 
 

@@ -6,6 +6,8 @@ power, path-loss exponents, element area) use the documented package
 defaults; every tolerance below is fixed here, not tuned at runtime.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 
@@ -233,17 +235,11 @@ def test_criterion_8_monotonicity_suites():
     """Sum SE non-decreasing in the power budget; estimate eigenvalues
     non-decreasing as the pilot noise falls."""
     rng = np.random.default_rng(8)
-    from starmimo.channel import SystemModel
-
     base = random_system(rng, complex_bs=False)
     config = StarConfig.random(base.dims.n, rng)
     previous = -np.inf
     for rho in np.logspace(-2, 3, 12):
-        system = SystemModel(
-            dims=base.dims, corr=base.corr, gains=base.gains, modes=base.modes,
-            rho=float(rho), pilot_power=base.pilot_power, sigma2=base.sigma2,
-        )
-        value = sum_se(config, system).sum_se
+        value = sum_se(config, replace(base, rho=float(rho))).sum_se
         assert value >= previous - 1e-12
         previous = value
 

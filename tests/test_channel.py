@@ -36,7 +36,7 @@ def cn(rng, shape):
 def surface_gram(system, config, q):
     """V^H V for V = R_RIS^{1/2} [phi_u * q_k], as (phi * q)^H R_RIS (phi * q)
     through the dense R_RIS."""
-    x = np.array([config.phi(mode) * q[i] for i, mode in enumerate(system.modes)]).T
+    x = np.array([config.phi("tr"[u]) * q[i] for i, u in enumerate(system.region)]).T
     return x.conj().T @ system.corr.r_ris @ x
 
 
@@ -82,7 +82,7 @@ def g_forming_draw(system, config, rng, n_trials):
     g = np.sqrt(system.gains.beta_g) * (bs_root @ d_fast @ ris_root)
     q = np.sqrt(system.gains.beta_tilde)[:, None] * (c @ ris_root.T)
     d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_root.T)
-    phi = np.array([config.phi(mode) for mode in system.modes])
+    phi = np.array([config.phi("tr"[u]) for u in system.region])
     return d + np.swapaxes(g @ np.swapaxes(phi * q, -1, -2), -1, -2)
 
 
@@ -137,23 +137,15 @@ def grid_surface(system, grid=None):
     return replace(system, corr=CorrelationPair.from_grid(system.corr.r_bs, geom))
 
 
-def with_gains(system, gains):
-    return SystemModel(
-        dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
-        rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
-    )
-
-
 def surface_system(rng, geom, k_t=2, k_r=2):
     """A sinc surface on ``geom`` kept as its offset table, M = 8, O(1) gains."""
     k = k_t + k_r
     corr = CorrelationPair.from_grid(build_bs_correlation(8, "exponential", 0.6), geom)
     return SystemModel(
-        dims=SystemDims(m=8, n=geom.n, k_t=k_t, k_r=k_r, tau_c=200, tau=k),
         corr=corr,
         gains=LinkGains(beta_g=1.0, beta_bar=rng.uniform(0.2, 1.0, k),
                         beta_tilde=rng.uniform(0.2, 1.0, k)),
-        modes=tuple(["t"] * k_t + ["r"] * k_r), rho=2.0, pilot_power=1.0, sigma2=0.3,
+        k_t=k_t, tau_c=200, tau=k, rho=2.0, pilot_power=1.0, sigma2=0.3,
     )
 
 
@@ -238,6 +230,35 @@ class TestStarConfig:
         drawn = StarConfig.random(n, np.random.default_rng(n))
         np.testing.assert_array_equal(drawn.theta, [theta_t, theta_r])
         np.testing.assert_array_equal(drawn.beta, [np.cos(chi), np.sin(chi)])
+
+
+class TestSystemModel:
+    def test_derives_dims_and_regions(self, rng):
+        system = random_system(rng, m=6, n=5, k_t=2, k_r=3)
+        assert system.dims == SystemDims(m=6, n=5, k_t=2, k_r=3, tau_c=200, tau=5)
+        np.testing.assert_array_equal(system.region, [0, 0, 1, 1, 1])
+        np.testing.assert_array_equal(system.region_mask,
+                                      [[1, 0], [1, 0], [0, 1], [0, 1], [0, 1]])
+        # a replaced input re-derives every dimension it fixes
+        grid = grid_surface(system, (3, 4))
+        assert (grid.dims.m, grid.dims.n, grid.dims.k) == (6, 12, 5)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"k_t": 4}, "dimensions must be positive"),
+        ({"k_t": -1}, "dimensions must be positive"),
+        ({"k_t": 0, "gains": LinkGains(beta_g=1.0, beta_bar=[], beta_tilde=[])},
+         "at least one user"),
+        ({"tau": 2}, "orthogonal pilots need tau >= K"),
+        ({"tau": 201}, "pilot length cannot exceed the coherence block"),
+        ({"rho": 0.0}, "powers must be positive"),
+        ({"pilot_power": 0.0}, "powers must be positive"),
+        ({"sigma2": 0.0}, "powers must be positive"),
+    ], ids=["k_t-above-K", "k_t-negative", "no-users", "tau-below-K", "tau-above-tau_c",
+            "zero-rho", "zero-pilot-power", "zero-sigma2"])
+    def test_rejects_inconsistent_inputs(self, changes, message, rng):
+        system = random_system(rng, k_t=2, k_r=1)  # K = 3, tau = 4, tau_c = 200
+        with pytest.raises(ValueError, match=message):
+            replace(system, **changes)
 
 
 def t_region_alphas(r_ris, beta, theta):
@@ -426,19 +447,18 @@ class TestCovarianceScalars:
 class TestSampleRealization:
     def test_zero_gains_give_zero_channel(self, rng):
         system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
-        system = with_gains(system, LinkGains(beta_g=0.0, beta_bar=np.zeros(2),
-                                              beta_tilde=np.zeros(2)))
+        system = replace(system, gains=LinkGains(beta_g=0.0, beta_bar=np.zeros(2),
+                                                 beta_tilde=np.zeros(2)))
         real = first_trial(system, StarConfig.equal_split(4, rng), rng)
         np.testing.assert_array_equal(real.h, np.zeros((2, 4)))
 
     def test_direct_only_when_surface_dark(self, rng):
         corr = CorrelationPair.from_matrices(np.eye(4), np.eye(4))
-        dims = SystemDims(m=4, n=4, k_t=1, k_r=1, tau_c=100, tau=2)
         system = SystemModel(
-            dims=dims, corr=corr,
+            corr=corr,
             gains=LinkGains(beta_g=1.0, beta_bar=np.array([1.0, 1.0]),
                             beta_tilde=np.array([1.0, 1.0])),
-            modes=("t", "r"), rho=1.0, pilot_power=1.0, sigma2=0.1,
+            k_t=1, tau_c=100, tau=2, rho=1.0, pilot_power=1.0, sigma2=0.1,
         )
         config = StarConfig(theta=np.ones((2, 4), dtype=complex), beta=np.zeros((2, 4)))
         real = first_trial(system, config, rng)
@@ -518,10 +538,10 @@ class TestSampleRealization:
         elif case == "no_t_users":
             system = random_system(rng, m=5, n=8, k_t=0, k_r=3)
         else:
-            system = with_gains(
+            system = replace(
                 random_system(rng, m=4, n=6, k_t=1, k_r=1),
-                LinkGains(beta_g=0.0, beta_bar=np.array([0.0, 0.7]),
-                          beta_tilde=np.array([0.5, 0.0])),
+                gains=LinkGains(beta_g=0.0, beta_bar=np.array([0.0, 0.7]),
+                                beta_tilde=np.array([0.5, 0.0])),
             )
         config = StarConfig.random(system.dims.n, rng)
         _, q, d, h = explicit_draw(system, config, seed=8)
@@ -590,9 +610,9 @@ class TestSampleRealization:
         # user 0 has only the cascaded link, user 1 only the direct one and
         # user 3 none; the Gram's zero column lies between nonzero ones,
         # where the eigenvectors alone leave roundoff; n = 3 has K = 4 > N
-        system = with_gains(random_system(rng, m=4, n=n, k_t=2, k_r=2),
-                            LinkGains(beta_g=1.0, beta_bar=np.array([0.0, 0.5, 0.5, 0.0]),
-                                      beta_tilde=np.array([0.7, 0.0, 0.7, 0.0])))
+        system = replace(random_system(rng, m=4, n=n, k_t=2, k_r=2),
+                         gains=LinkGains(beta_g=1.0, beta_bar=np.array([0.0, 0.5, 0.5, 0.0]),
+                                         beta_tilde=np.array([0.7, 0.0, 0.7, 0.0])))
         config = StarConfig.random(n, rng)
         real = sample_realization(system, config, rng.spawn(6))
         np.testing.assert_array_equal(real.q[:, [1, 3]], 0.0)

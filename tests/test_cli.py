@@ -620,9 +620,9 @@ class TestConventionalReferee:
         a = np.abs(system.corr.r_ris) ** 2
         t_t = np.linspace(0.0, config.beta[0] @ a @ config.beta[0], points)
         t_r = np.linspace(0.0, config.beta[1] @ a @ config.beta[1], points)
-        grid = {"t": t_t[:, None, None], "r": t_r[None, :, None]}
-        traces = np.concatenate([np.broadcast_to(grid[mode], (points, points, 1))
-                                 for mode in system.modes], axis=-1)
+        grid = (t_t[:, None, None], t_r[None, :, None])
+        traces = np.concatenate([np.broadcast_to(grid[u], (points, points, 1))
+                                 for u in system.region], axis=-1)
         alphas = system.gains.beta_bar + system.gains.beta_hat * traces
         values = from_alphas(alphas, system)[2].sum_se
         i, j = np.unravel_index(np.argmax(values), values.shape)

@@ -21,9 +21,9 @@ class TestPilotNoise:
         assert system.epsilon == pytest.approx(0.1)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
             SystemDims(m=2, n=1, k_t=1, k_r=0, tau_c=10, tau=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="powers must be positive"):
             one_user_system(np.eye(2), tau=4, pilot_power=0.0)
 
 

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_system, uncorrelated_ris_system
-from starmimo.channel import StarConfig, SystemModel, covariance_scalars
+from starmimo.channel import StarConfig, covariance_scalars
 from starmimo.correlation import LinkGains
 from starmimo.gradients import (
     LN2,
@@ -49,13 +51,13 @@ def fd_user_term(system, config, term, k, region, block="theta", step=FD_STEP):
 
 def signal_coefficient(ws, k, region):
     """Scalar multiplying region ``region``'s direction in dS_k."""
-    return ws.nu[k] if ws.system.modes[k] == region else 0.0
+    return ws.nu[k] if REGIONS[ws.system.region[k]] == region else 0.0
 
 
 def interference_coefficient(ws, k, region):
     """Scalar multiplying region ``region``'s direction in dI_k."""
     coef = float(ws.nu_tilde[k] @ ws.system.region_mask[:, REGIONS.index(region)])
-    if ws.system.modes[k] == region:
+    if REGIONS[ws.system.region[k]] == region:
         coef += float(ws.nu_bar[k])
     return coef
 
@@ -107,7 +109,7 @@ class TestSignalGradient:
         config = StarConfig.random(8, rng)
         ws = workspace(config, system)
         for k in range(4):
-            region = system.modes[k]
+            region = REGIONS[system.region[k]]
             closed = signal_coefficient(ws, k, region) * phase_direction(ws, region)
             numeric = fd_user_term(system, config, "s", k, region)
             assert rel_err(closed, numeric) < 1e-6
@@ -140,10 +142,7 @@ class TestInterferenceGradient:
         system = random_system(rng)
         gains = LinkGains(beta_g=0.0, beta_bar=system.gains.beta_bar,
                           beta_tilde=system.gains.beta_tilde)
-        system = SystemModel(
-            dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
-            rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
-        )
+        system = replace(system, gains=gains)
         ws = workspace(StarConfig.random(system.dims.n, rng), system)
         assert np.all(ws.nu == 0)
         assert np.all(ws.nu_bar == 0)
@@ -265,10 +264,7 @@ class TestObjectiveGradient:
     def test_degenerate_interference_raises(self, rng):
         system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
         gains = LinkGains(beta_g=0.0, beta_bar=np.zeros(2), beta_tilde=np.zeros(2))
-        system = SystemModel(
-            dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
-            rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
-        )
+        system = replace(system, gains=gains)
         with pytest.raises(DegenerateInterferenceError):
             grad_objective(StarConfig.equal_split(4, rng), system)
 
@@ -287,10 +283,7 @@ def kernel_case(name, rng):
     if name == "no-direct":
         gains = LinkGains(beta_g=system.gains.beta_g, beta_bar=np.zeros(3),
                           beta_tilde=system.gains.beta_tilde)
-        system = SystemModel(
-            dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
-            rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
-        )
+        system = replace(system, gains=gains)
     if name == "frozen-binary":
         # the split-surface baseline: binary amplitudes held fixed, so only
         # the phase blocks reach the optimizer

@@ -6,8 +6,7 @@ import pytest
 
 from conftest import random_system
 from starmimo import montecarlo
-from starmimo.channel import (ChannelRealization, StarConfig, SystemDims, SystemModel,
-                              covariance_scalars)
+from starmimo.channel import ChannelRealization, StarConfig, SystemModel, covariance_scalars
 from starmimo.cli import ScenarioConfig, build_system
 from starmimo.correlation import CorrelationPair, LinkGains
 from starmimo.estimation import apply_wiener_filter
@@ -21,12 +20,11 @@ def direct_only_system(m=32, k=3, noise_to_power=500.0):
     """Gaussian channels, no surface path; the closed form is near-exact in
     the noise-dominated regime."""
     corr = CorrelationPair.from_matrices(np.eye(m), np.eye(4))
-    dims = SystemDims(m=m, n=4, k_t=1, k_r=k - 1, tau_c=200, tau=max(k, 4))
     rho = 1.0
     return SystemModel(
-        dims=dims, corr=corr,
+        corr=corr,
         gains=LinkGains(beta_g=0.0, beta_bar=np.ones(k), beta_tilde=np.zeros(k)),
-        modes=tuple(["t"] + ["r"] * (k - 1)),
+        k_t=1, tau_c=200, tau=max(k, 4),
         rho=rho, pilot_power=100.0, sigma2=noise_to_power * rho,
     )
 

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_system, uncorrelated_ris_system
-from starmimo.channel import StarConfig, SystemModel
+from dataclasses import replace
+
+from starmimo.channel import StarConfig
 from starmimo.correlation import LinkGains
 from starmimo.gradients import GradientPair, grad_objective
 from starmimo.optimizer import (
@@ -27,10 +29,7 @@ def zero_cascade(system):
     """The same system without cascaded gain: the objective cannot move."""
     gains = LinkGains(beta_g=0.0, beta_bar=system.gains.beta_bar,
                       beta_tilde=np.zeros(system.dims.k))
-    return SystemModel(
-        dims=system.dims, corr=system.corr, gains=gains, modes=system.modes,
-        rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
-    )
+    return replace(system, gains=gains)
 
 
 def binary_start(n):

@@ -1,10 +1,11 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_system, uncorrelated_ris_system
-from starmimo.channel import StarConfig, SystemDims, SystemModel
+from starmimo.channel import StarConfig, SystemModel
 from starmimo.correlation import FFT_MIN_N, ArrayGeometry, CorrelationPair, LinkGains
 from starmimo.rate import _assemble_report, evaluate, sinr_from_terms, sum_se
 
@@ -15,10 +16,9 @@ def scalar_system(alpha, eps, noise_lift, m):
     noise weight K sigma^2 / rho = ``noise_lift``; so Psi has eigenvalues
     alpha^2 / (alpha + eps)."""
     return SystemModel(
-        dims=SystemDims(m=m, n=1, k_t=1, k_r=0, tau_c=200, tau=1),
         corr=CorrelationPair.from_matrices(np.eye(m), np.eye(1)),
         gains=LinkGains(beta_g=0.0, beta_bar=[alpha], beta_tilde=[1.0]),
-        modes=("t",), rho=1.0 / noise_lift, pilot_power=1.0 / eps, sigma2=1.0,
+        k_t=1, tau_c=200, tau=1, rho=1.0 / noise_lift, pilot_power=1.0 / eps, sigma2=1.0,
     )
 
 
@@ -27,11 +27,10 @@ def grid_system(n_v, n_h, rng):
     wavelength spacing, kept as its offset table."""
     corr = CorrelationPair.from_grid(np.eye(4), ArrayGeometry(n_h, n_v, 0.25, 0.25))
     return SystemModel(
-        dims=SystemDims(m=4, n=n_v * n_h, k_t=1, k_r=1, tau_c=200, tau=2),
         corr=corr,
         gains=LinkGains(beta_g=1.0, beta_bar=rng.uniform(0.2, 1.0, 2),
                         beta_tilde=rng.uniform(0.2, 1.0, 2)),
-        modes=("t", "r"), rho=1.0, pilot_power=1.0, sigma2=0.1,
+        k_t=1, tau_c=200, tau=2, rho=1.0, pilot_power=1.0, sigma2=0.1,
     )
 
 
@@ -77,10 +76,8 @@ class TestInterferenceTerm:
 
     def test_rejects_bad_power(self, rng):
         system = random_system(rng)
-        with pytest.raises(ValueError):
-            SystemModel(dims=system.dims, corr=system.corr, gains=system.gains,
-                        modes=system.modes, rho=0.0, pilot_power=system.pilot_power,
-                        sigma2=system.sigma2)
+        with pytest.raises(ValueError, match="powers must be positive"):
+            replace(system, rho=0.0)
 
 
 class TestSumSe:
@@ -91,11 +88,7 @@ class TestSumSe:
 
     def test_all_training_gives_zero(self, rng):
         system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
-        dims = SystemDims(m=4, n=4, k_t=1, k_r=1, tau_c=4, tau=4)
-        system = SystemModel(
-            dims=dims, corr=system.corr, gains=system.gains, modes=system.modes,
-            rho=system.rho, pilot_power=system.pilot_power, sigma2=system.sigma2,
-        )
+        system = replace(system, tau_c=4, tau=4)
         config = StarConfig.random(4, rng)
         assert sum_se(config, system).sum_se == 0.0
 
@@ -165,11 +158,7 @@ class TestSumSe:
         config = StarConfig.random(base.dims.n, rng)
         previous = -np.inf
         for rho in (0.1, 0.5, 1.0, 5.0, 50.0):
-            system = SystemModel(
-                dims=base.dims, corr=base.corr, gains=base.gains, modes=base.modes,
-                rho=rho, pilot_power=base.pilot_power, sigma2=base.sigma2,
-            )
-            value = sum_se(config, system).sum_se
+            value = sum_se(config, replace(base, rho=rho)).sum_se
             assert value >= previous - 1e-12
             previous = value
 
