@@ -196,7 +196,8 @@ def covariance_scalars(system: SystemModel, config: StarConfig,
     both regions, t first, is written into it; the gradient reads them.
 
     A configuration with a leading start axis gives (P, K) scalars from one
-    stacked (N, N) x (P, N, 4) product, and ``diagonals`` is then (P, 2, N).
+    stacked (N, N) x (P, N, 4) product, and ``diagonals`` is then (P, 2, N);
+    a (P, K) ``beta_bar`` gives every start its own direct gains.
     The kernel is ``CorrelationPair.ris_abs2``: the dense square (one gemm
     per start) or, on a large grid, its FFT form with the same values.
     """

@@ -63,6 +63,7 @@ CSV_COLUMNS = (
     "mc_sum_se", "mc_stderr", "iterations", "elapsed_s", "seed",
 )
 PROTOCOLS = ("es", "ms", "conventional", "random-phase", "es-no-direct")
+OPTIMIZED = ("es", "ms", "es-no-direct")  # the protocols a multi-start serves
 SWEEP_PARAMETERS = ("n", "m", "snr_db", "rho_dbm", "ris_spacing")
 # the optimizer section's fields; the runner derives the seed per sweep point
 OPTIMIZER_FIELDS = tuple(f for f in fields(PgamOptions) if f.name != "seed")
@@ -480,15 +481,16 @@ def run_protocol(protocol: str, cfg: ScenarioConfig, system: SystemModel,
     """One scenario label at one sweep point; the seed is shared across
     protocols so cross-label comparisons see identical starting points.
 
-    ``cache`` is a dict that lives for one sweep point.  With it, "es" and
-    "ms" on the same ``system`` object share one ``multi_start`` (the
-    runner passes one per sweep point); without it every call runs its own.
-    The result of an optimized protocol holds that multi-start's trace.
+    ``cache`` is a dict that lives for one sweep point (:func:`_multi_start`).
+    With it, "es" and "ms" on the same ``system`` object share one
+    multi-start, and the first optimized protocol runs those of every system
+    the cache lists in one batch; without it every call runs its own.  The
+    result of an optimized protocol holds its system's multi-start trace.
     """
     options = replace(cfg.optimizer, seed=opt_seed)
     n = system.dims.n
 
-    if protocol in ("es", "es-no-direct", "ms"):
+    if protocol in OPTIMIZED:
         trace = _multi_start(system, options, cache)
         best = (round_to_ms if protocol == "ms" else canonicalize_signs)(trace.final_config)
         return ProtocolResult(best, sum_se(best, system).sum_se, trace)
@@ -512,13 +514,17 @@ def run_protocol(protocol: str, cfg: ScenarioConfig, system: SystemModel,
 
 
 def _multi_start(system: SystemModel, options: PgamOptions, cache: dict | None):
-    """``multi_start``, run once per (system object, options) while ``cache`` lives."""
+    """The multi-start trace of ``system``, run once per (system object,
+    options) while ``cache`` lives.  A key listed in ``cache`` with no trace
+    yet is pending: the first call for those options runs every pending
+    system's multi-start, its own too, in one batch."""
     if cache is None:
-        return multi_start(system, options)
-    key = (system, options)
-    if key not in cache:
-        cache[key] = multi_start(system, options)
-    return cache[key]
+        return multi_start([system], options)[0]
+    if cache.get((system, options)) is None:
+        cache[system, options] = None
+        pending = [key for key, trace in cache.items() if trace is None and key[1] == options]
+        cache.update(zip(pending, multi_start([key[0] for key in pending], options)))
+    return cache[system, options]
 
 
 def run_experiment(cfg: ScenarioConfig, writer=None) -> list[dict]:
@@ -557,9 +563,13 @@ def _sweep_rows(cfg: ScenarioConfig):
         opt_seed = derive_seed(cfg.seed, sweep_idx)
         # one system model per sweep point, its direct-link-free variant on
         # the same correlation pair, and one multi-start cache, shared by
-        # every protocol there
+        # every protocol there; it lists the systems the point optimizes, so
+        # the first optimized protocol runs all their multi-starts in one batch
         system = build_system(cfg, **overrides)
-        systems, cache = {False: system, True: _without_direct(system)}, {}
+        systems = {False: system, True: _without_direct(system)}
+        options = replace(cfg.optimizer, seed=opt_seed)
+        cache = {(systems[protocol == "es-no-direct"], options): None
+                 for protocol in cfg.protocols if protocol in OPTIMIZED}
         for proto_idx, protocol in enumerate(cfg.protocols):
             system = systems[protocol == "es-no-direct"]
             start = time.perf_counter()

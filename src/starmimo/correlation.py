@@ -488,6 +488,9 @@ class LinkGains:
     ``beta_g`` is the BS-surface gain, ``beta_bar[k]`` the direct BS-user gain
     (penetration loss already applied), ``beta_tilde[k]`` the surface-user
     gain.  The cascaded product ``beta_hat`` is derived, never stored apart.
+    ``beta_bar`` may carry a leading row axis, (P, K), one row per start of
+    an optimizer batch whose systems differ only in it
+    (:func:`starmimo.optimizer.multi_start`).
     """
 
     beta_g: float
@@ -499,14 +502,14 @@ class LinkGains:
         beta_tilde = np.atleast_1d(np.asarray(self.beta_tilde, dtype=float))
         object.__setattr__(self, "beta_bar", beta_bar)
         object.__setattr__(self, "beta_tilde", beta_tilde)
-        if beta_bar.shape != beta_tilde.shape:
+        if beta_tilde.ndim != 1 or beta_bar.ndim > 2 or beta_bar.shape[-1:] != beta_tilde.shape:
             raise ValueError("beta_bar and beta_tilde must have one entry per user")
         if self.beta_g < 0 or np.any(beta_bar < 0) or np.any(beta_tilde < 0):
             raise ValueError("path gains must be non-negative")
 
     @property
     def k(self) -> int:
-        return self.beta_bar.shape[0]
+        return self.beta_tilde.shape[0]
 
     @property
     def beta_hat(self) -> np.ndarray:

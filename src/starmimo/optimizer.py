@@ -11,20 +11,22 @@ the end by canonicalizing signs).
 All starts of a multi-start run in lockstep through one loop,
 :func:`pgam_lockstep`: each line-search round makes one batched kernel call
 over every running start, each scored at its latest candidate, while every
-start keeps its own step size, backtracks and stopping state.  Every
-reduction runs along one start's row, so a start's trace is bit for bit the
-one it has when run alone (:func:`pgam`).
+start keeps its own step size, backtracks and stopping state.  Systems that
+differ only in their direct gains share one batch, one ``beta_bar`` row per
+start.  Every reduction runs along one start's row, so a start's trace is
+bit for bit the one it has when run alone (:func:`pgam`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
 from .channel import MS, StarConfig, SystemModel
-from .gradients import GradientPair, build_workspace, grad_objective_from_workspace
+from .gradients import build_workspace, grad_objective_from_workspace
 from .rate import evaluate
 
 
@@ -110,9 +112,7 @@ def project_theta(v: np.ndarray) -> np.ndarray:
     """Elementwise unit-modulus projection; zero maps to 1 by convention."""
     v = np.asarray(v, dtype=complex)
     mag = np.abs(v)
-    out = v / np.where(mag > 0, mag, 1.0)
-    out[mag == 0] = 1.0
-    return out
+    return np.divide(v, mag, out=np.ones_like(v), where=mag > 0)
 
 
 def project_beta(v: np.ndarray) -> np.ndarray:
@@ -126,7 +126,7 @@ def project_beta(v: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape {v.shape} needs a region axis of length 2 "
                          "(t, r) before the element axis")
     norm = np.hypot(v[..., :1, :], v[..., 1:, :])
-    return np.where(norm > 0, v / np.where(norm > 0, norm, 1.0), np.sqrt(0.5))
+    return np.divide(v, norm, out=np.full_like(v, np.sqrt(0.5)), where=norm > 0)
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
@@ -176,13 +176,15 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
     """Run the ascent from every starting point in ``inits`` in lockstep and
     return one trace per start, in order.
 
-    Arbitrary starting points are projected feasible first.  Each start has
-    its own step size, Armijo test, backtrack count, fixed-point accept and
-    stop; a start leaves the batch when it stops.  Per iteration the
-    gradient is one batched call over the starts still running, and each
-    line-search round one batched kernel evaluation of them all, read by
-    the starts still searching; the last is the next point.  A first round
-    of exact fixed points evaluates nothing; an iteration that stops some
+    Arbitrary starting points are projected feasible first.  A (P, K)
+    ``system.gains.beta_bar`` gives start p the direct gains of its row p.
+    Each start has its own step size, Armijo test, backtrack count,
+    fixed-point accept and stop; a start leaves the batch, with its
+    ``beta_bar`` row, when it stops.  Per iteration the gradient is one
+    batched call over the starts still running, and each line-search round
+    moves and scores them all, each at its latest step, so that no round
+    gathers rows; the last evaluation is the next point.  A first round of
+    exact fixed points evaluates nothing; an iteration that stops some
     starts evaluates the rest once more.  ``callback``, if given, is invoked
     as ``callback(start, iteration, config, objective)`` after every
     accepted iteration.
@@ -198,7 +200,7 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
         raise PgamFailure("non-finite objective at the starting point", 0)
     traces = [PgamTrace(objectives=[f]) for f in f_cur.tolist()]
     mu = np.full(len(inits), float(options.mu_init))
-    active = np.arange(len(inits))  # start index of every row of the state
+    active = list(range(len(inits)))  # start index of every row of the state
 
     def finish(rows, theta_rows, beta_rows, reason):
         for row in rows:
@@ -211,71 +213,70 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
         if not (np.isfinite(grad.d_theta).all() and np.isfinite(grad.d_beta).all()):
             raise PgamFailure("non-finite gradient", iteration)
 
-        rows = len(active)
-        theta_new = np.empty_like(theta)
-        beta_new = np.empty_like(beta)
-        f_new = f_cur.copy()
-        backtracks = np.zeros(rows, dtype=int)
-        accepted = np.zeros(rows, dtype=bool)
+        f_new = f_cur
+        backtracks = np.zeros(len(active), dtype=int)
+        accepted = np.zeros(len(active), dtype=bool)
+        searching = ~accepted
         # every round scores each row at its latest candidate, so the last
         # evaluation is the next point; ``point`` stands in until one is made
         trial = point
-        searching = np.arange(rows)
-        while searching.size:
-            theta_new[searching] = project_theta(
-                theta[searching] + mu[searching, None, None] * grad.d_theta[searching])
-            beta_new[searching] = project_beta(
-                beta[searching] + mu[searching, None, None] * grad.d_beta[searching])
+        while True:
+            # rows that accepted, stalled or are fixed keep their step, so
+            # they recompute their candidate to the same bits
+            theta_new = project_theta(theta + mu[:, None, None] * grad.d_theta)
+            beta_new = project_beta(beta + mu[:, None, None] * grad.d_beta)
             # exact fixed point: no step can move the iterate, so accept the
             # zero-gain iteration and let the tolerance stop the run
-            fixed = ((theta_new[searching] == theta[searching]).all(axis=(1, 2))
-                     & (beta_new[searching] == beta[searching]).all(axis=(1, 2)))
-            accepted[searching[fixed]] = True
-            if trial is point and fixed.all():
+            fixed = searching & (theta_new == theta).all(axis=(1, 2)) \
+                & (beta_new == beta).all(axis=(1, 2))
+            accepted |= fixed
+            searching &= ~fixed
+            if trial is point and not searching.any():
                 break
-            searching = searching[~fixed]
-            # rows that accepted, stalled or are fixed are re-scored to the
-            # same bits and ignored
             trial = evaluate(theta_new, beta_new, system)
-            f_trial = trial.report.sum_se[searching]
+            f_trial = trial.report.sum_se
+            # rows no longer searching are re-scored to bits already found finite
             if not np.isfinite(f_trial).all():
                 raise PgamFailure("non-finite objective during line search", iteration)
-            ok = armijo_condition(f_trial, f_cur[searching],
-                                  GradientPair(grad.d_theta[searching], grad.d_beta[searching]),
-                                  theta_new[searching], beta_new[searching],
-                                  theta[searching], beta[searching], mu[searching])
-            accepted[searching[ok]] = True
-            f_new[searching[ok]] = f_trial[ok]
-            lost = searching[~ok]
-            searching = lost[backtracks[lost] < options.max_backtracks]
+            ok = searching & armijo_condition(f_trial, f_cur, grad, theta_new, beta_new,
+                                              theta, beta, mu)
+            accepted |= ok
+            f_new = np.where(ok, f_trial, f_new)
+            searching &= ~ok & (backtracks < options.max_backtracks)
+            if not searching.any():
+                break
             mu[searching] *= options.kappa
-            backtracks[searching] += 1
+            backtracks += searching
 
         stationarity = np.sqrt(np.sum(np.abs(_rows(theta_new - theta)) ** 2, axis=1)
                                + np.sum(_rows(beta_new - beta) ** 2, axis=1)) / mu
-        done = accepted & (f_new - f_cur < options.tol)
-        finish(np.flatnonzero(~accepted), theta, beta, "line-search stall")
-        finish(np.flatnonzero(done), theta_new, beta_new, "objective tolerance")
+        stop = ~accepted | (f_new - f_cur < options.tol)
+        stopping = stop.any()
+        if stopping:
+            finish(np.flatnonzero(~accepted), theta, beta, "line-search stall")
+            finish(np.flatnonzero(accepted & stop), theta_new, beta_new, "objective tolerance")
         objectives, steps, counts = f_new.tolist(), mu.tolist(), backtracks.tolist()
         stationarity = stationarity.tolist()
-        for row in np.flatnonzero(accepted).tolist():
+        for row in np.flatnonzero(accepted).tolist() if stopping else range(len(active)):
             trace = traces[active[row]]
             trace.objectives.append(objectives[row])
             trace.step_sizes.append(steps[row])
             trace.backtrack_counts.append(counts[row])
             trace.stationarity.append(stationarity[row])
             if callback is not None:
-                callback(int(active[row]), iteration,
+                callback(active[row], iteration,
                          StarConfig(theta_new[row], beta_new[row]), objectives[row])
-        keep = accepted & ~done
-        if not keep.any():
-            return traces
-        point = trial
-        if not keep.all():
-            theta_new, beta_new = theta_new[keep], beta_new[keep]
-            f_new, mu, active = f_new[keep], mu[keep], active[keep]
-            point = evaluate(theta_new, beta_new, system)
-        theta, beta, f_cur = theta_new, beta_new, f_new
+        theta, beta, f_cur, point = theta_new, beta_new, f_new, trial
+        if stopping:
+            keep = ~stop
+            if not keep.any():
+                return traces
+            active = [start for start, kept in zip(active, keep.tolist()) if kept]
+            theta, beta, f_cur, mu = theta[keep], beta[keep], f_cur[keep], mu[keep]
+            if system.gains.beta_bar.ndim > 1:
+                system = replace(system, gains=replace(system.gains,
+                                                       beta_bar=system.gains.beta_bar[keep]))
+            point = evaluate(theta, beta, system)
 
     finish(range(len(active)), theta, beta, "max iterations")
     return traces
@@ -290,12 +291,29 @@ def initial_points(n: int, options: PgamOptions) -> list[StarConfig]:
     return [StarConfig.equal_split(n, rngs[0])] + [StarConfig.random(n, rng) for rng in rngs[1:]]
 
 
-def multi_start(system: SystemModel, options: PgamOptions) -> PgamTrace:
-    """Best trace over the ``n_starts`` runs from :func:`initial_points`, all
-    in one :func:`pgam_lockstep` batch; ties broken by start index.  Fully
-    deterministic given the seed."""
-    traces = pgam_lockstep(system, options, initial_points(system.dims.n, options))
-    return max(traces, key=lambda trace: trace.final_objective)
+def multi_start(systems: list[SystemModel], options: PgamOptions) -> list[PgamTrace]:
+    """The best trace of each system over its ``n_starts`` runs from
+    :func:`initial_points`, ties broken by start index; one per system, in
+    order.  Fully deterministic given the seed.
+
+    The starts of all systems run in one :func:`pgam_lockstep` batch, each
+    reading its own system's direct gains as its row of a (P, K)
+    ``beta_bar``, so a start's trace is bit for bit its own-system run's.
+    The systems must share one ``CorrelationPair`` and agree in every other
+    field, or ``ValueError`` is raised.
+    """
+    first = systems[0]
+    shared = attrgetter("gains.beta_g", "k_t", "tau_c", "tau", "rho", "pilot_power", "sigma2")
+    for system in systems[1:]:
+        if (system.corr is not first.corr or shared(system) != shared(first)
+                or not np.array_equal(system.gains.beta_tilde, first.gains.beta_tilde)):
+            raise ValueError("one multi-start batch needs systems that differ only in beta_bar")
+    n = options.n_starts
+    beta_bar = np.repeat([system.gains.beta_bar for system in systems], n, axis=0)
+    batch = replace(first, gains=replace(first.gains, beta_bar=beta_bar))
+    traces = pgam_lockstep(batch, options, initial_points(first.dims.n, options) * len(systems))
+    return [max(traces[i:i + n], key=lambda trace: trace.final_objective)
+            for i in range(0, len(traces), n)]
 
 
 def split_surface(system: SystemModel, n_t: int) -> StarConfig:

@@ -286,7 +286,7 @@ class TestGeometry:
         tracemalloc.start()
         try:
             system = build_system(cfg)
-            multi_start(system, PgamOptions(n_starts=1, max_iters=1))
+            multi_start([system], PgamOptions(n_starts=1, max_iters=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -427,54 +427,59 @@ class TestRunExperiment:
         import dataclasses
 
         import starmimo.cli as cli_module
-        from starmimo.optimizer import multi_start, round_to_ms
-        from starmimo.rate import sum_se
+        from starmimo.optimizer import canonicalize_signs, round_to_ms
 
         raw = json.loads(json.dumps(DESK))
         raw["sweep"] = {"parameter": "m", "values": [4, 8]}
         raw["protocols"] = ["es", "ms", "es-no-direct"]
         cfg = ScenarioConfig.from_dict(raw)
 
-        counts = {"build_system": 0, "multi_start": 0}
-        ms_calls, systems = [], {}
+        builds, batches, calls = [], [], []
+        original_build = cli_module.build_system
 
-        def counting(name):
-            original = getattr(cli_module, name)
+        def build_system(*args, **kwargs):
+            builds.append(kwargs)
+            return original_build(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return original(*args, **kwargs)
+        def batched(systems, options):
+            batches.append(list(systems))
+            return multi_start(systems, options)
 
-            monkeypatch.setattr(cli_module, name, wrapper)
-
-        counting("build_system")
-        counting("multi_start")
+        monkeypatch.setattr(cli_module, "build_system", build_system)
+        monkeypatch.setattr(cli_module, "multi_start", batched)
         run_protocol = cli_module.run_protocol
 
         def capture(protocol, cfg, system, opt_seed, *rest):
             result = run_protocol(protocol, cfg, system, opt_seed, *rest)
-            systems.setdefault(protocol, []).append(system)
-            if protocol == "ms":
-                ms_calls.append((system, opt_seed, result))
+            calls.append((protocol, system, opt_seed, result))
             return result
 
         monkeypatch.setattr(cli_module, "run_protocol", capture)
         rows = run_experiment(cfg)
 
         # one build per sweep point, whose correlation pair the
-        # direct-link-free variant shares; es and ms share one multi-start,
-        # es-no-direct runs its own
-        assert counts == {"build_system": 2, "multi_start": 4}
-        for es, no_direct in zip(systems["es"], systems["es-no-direct"]):
-            assert no_direct.corr is es.corr
-            np.testing.assert_array_equal(no_direct.gains.beta_bar, 0.0)
-            assert no_direct.gains.beta_g == es.gains.beta_g
-            np.testing.assert_array_equal(no_direct.gains.beta_tilde, es.gains.beta_tilde)
-        assert len(ms_calls) == 2
-        ms_rows = [r for r in rows if r["scenario"] == "ms"]
-        for (system, opt_seed, result), row in zip(ms_calls, ms_rows):
+        # direct-link-free variant shares, and one multi-start batch per
+        # point: es and ms on the built system, es-no-direct on its variant
+        assert len(builds) == 2 and len(batches) == 2 and len(calls) == 6
+        for point, batch in enumerate(batches):
+            es, ms, no_direct = calls[3 * point: 3 * point + 3]
+            assert tuple(call[0] for call in (es, ms, no_direct)) == tuple(cfg.protocols)
+            assert batch[0] is es[1] is ms[1] and batch[1] is no_direct[1]
+            assert len(batch) == 2
+            assert no_direct[1].corr is es[1].corr
+            np.testing.assert_array_equal(no_direct[1].gains.beta_bar, 0.0)
+            assert no_direct[1].gains.beta_g == es[1].gains.beta_g
+            np.testing.assert_array_equal(no_direct[1].gains.beta_tilde,
+                                          es[1].gains.beta_tilde)
+        # every system's trace is, bit for bit, its own-system multi-start's
+        for (protocol, system, opt_seed, result), row in zip(calls, rows):
             options = dataclasses.replace(cfg.optimizer, seed=opt_seed)
-            expected = round_to_ms(multi_start(system, options).final_config)
+            [alone] = multi_start([system], options)
+            assert result.trace.objectives == alone.objectives
+            assert result.trace.step_sizes == alone.step_sizes
+            assert result.trace.stationarity == alone.stationarity
+            expected = (round_to_ms if protocol == "ms" else canonicalize_signs)(
+                alone.final_config)
             for name in ("theta", "beta"):
                 np.testing.assert_array_equal(getattr(result.config, name),
                                               getattr(expected, name))

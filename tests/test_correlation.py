@@ -521,3 +521,11 @@ class TestLinkGains:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             LinkGains(beta_g=0.1, beta_bar=[1.0, 2.0], beta_tilde=[1.0])
+        for beta_bar in (np.ones((3, 2)), np.ones((3, 1, 1))):
+            with pytest.raises(ValueError, match="one entry per user"):
+                LinkGains(beta_g=0.1, beta_bar=beta_bar, beta_tilde=[1.0])
+
+    def test_beta_bar_rows(self):
+        # one (K,) row per start of an optimizer batch; K comes from beta_tilde
+        gains = LinkGains(beta_g=0.1, beta_bar=np.ones((3, 2)), beta_tilde=[1.0, 2.0])
+        assert gains.k == 2 and gains.beta_bar.shape == (3, 2)

@@ -7,7 +7,8 @@ from conftest import random_system, uncorrelated_ris_system
 from dataclasses import replace
 
 from starmimo.channel import StarConfig
-from starmimo.correlation import LinkGains
+from starmimo.cli import _without_direct
+from starmimo.correlation import CorrelationPair, LinkGains
 from starmimo.gradients import GradientPair, grad_objective
 from starmimo.optimizer import (
     OptionError,
@@ -156,8 +157,8 @@ class TestPgam:
     def test_seed_reproducibility(self, rng):
         system = random_system(rng, m=5, n=6, complex_bs=False)
         options = PgamOptions(max_iters=60, seed=123)
-        first = multi_start(system, options)
-        second = multi_start(system, options)
+        first = multi_start([system], options)[0]
+        second = multi_start([system], options)[0]
         assert first.objectives == second.objectives
         assert first.step_sizes == second.step_sizes
         np.testing.assert_array_equal(first.final_config.theta,
@@ -277,6 +278,51 @@ class TestLockstep:
         if case == "stall-and-cap":
             assert reasons == {"line-search stall", "max iterations"}
             assert sum(map(sum, (trace.backtrack_counts for trace in alone))) > 0
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_with_their_own_direct_gains(self, case):
+        # a system and its direct-link-free twin in one batch, one beta_bar
+        # row per start, the two systems' rows interleaved: every stop
+        # drops beta_bar rows from the middle of the batch
+        system = random_system(np.random.default_rng(12345), m=6, n=8, k_t=2, k_r=2,
+                               complex_bs=False)
+        owners = [system, _without_direct(system)]
+        options = PgamOptions(seed=1, **self.CASES[case])
+        inits = [init for init in initial_points(system.dims.n, options) for _ in owners]
+        owners = owners * options.n_starts
+        batch = replace(system, gains=replace(system.gains, beta_bar=np.stack(
+            [owner.gains.beta_bar for owner in owners])))
+        alone = [pgam(owner, options, init) for owner, init in zip(owners, inits)]
+        self.assert_same_traces(pgam_lockstep(batch, options, inits), alone)
+        # the direct gains change every start's objective; in every case
+        # but backtracking, where all starts hit the cap, starts stop apart,
+        # so beta_bar rows leave the batch mid-run
+        assert all(a.objectives[0] != b.objectives[0] for a, b in zip(alone[::2], alone[1::2]))
+        if case != "backtracking":
+            assert len({trace.iterations for trace in alone}) > 1
+
+    def test_multi_start_batches_systems_that_differ_in_beta_bar(self):
+        system = random_system(np.random.default_rng(12345), m=6, n=8, k_t=2, k_r=2,
+                               complex_bs=False)
+        twin = _without_direct(system)
+        options = PgamOptions(mu_init=1e3, tol=1e-3, seed=1)
+        batched = multi_start([system, twin], options)
+        self.assert_same_traces(batched, [multi_start([system], options)[0],
+                                          multi_start([twin], options)[0]])
+        assert batched[0].final_objective != batched[1].final_objective
+
+    @pytest.mark.parametrize("change", ["beta_hat", "corr"])
+    def test_multi_start_rejects_systems_differing_beyond_beta_bar(self, change):
+        system = random_system(np.random.default_rng(12345), m=6, n=8, k_t=2, k_r=2,
+                               complex_bs=False)
+        if change == "beta_hat":
+            other = replace(system, gains=replace(system.gains,
+                                                  beta_tilde=2.0 * system.gains.beta_tilde))
+        else:  # equal matrices, but not the shared pair the batch evaluates on
+            other = replace(system, corr=CorrelationPair.from_matrices(system.corr.r_bs,
+                                                                       system.corr.r_ris))
+        with pytest.raises(ValueError, match="differ only in beta_bar"):
+            multi_start([system, other], PgamOptions(max_iters=1))
 
     def test_fixed_point_rows_beside_moving_rows(self, rng):
         # no cascaded gain: from a binary start the step cannot move the
@@ -415,7 +461,7 @@ class TestMultiStart:
     def test_single_start_matches_canonical_run(self, rng):
         system = random_system(rng, complex_bs=False)
         options = PgamOptions(max_iters=40, n_starts=1, seed=7)
-        best = multi_start(system, options)
+        best = multi_start([system], options)[0]
         stream = np.random.SeedSequence(7).spawn(1)[0]
         init = StarConfig.equal_split(system.dims.n, np.random.default_rng(stream))
         direct = pgam(system, options, init)
@@ -425,7 +471,7 @@ class TestMultiStart:
         # no cascaded gain: every start ends at the same objective
         system = zero_cascade(random_system(rng, m=4, n=4, k_t=1, k_r=1))
         options = PgamOptions(n_starts=4, seed=11)
-        best = multi_start(system, options)
+        best = multi_start([system], options)[0]
         first = pgam(system, options, initial_points(4, options)[0])
         assert best.objectives == first.objectives
         np.testing.assert_array_equal(best.final_config.theta, first.final_config.theta)
@@ -433,7 +479,7 @@ class TestMultiStart:
     def test_best_of_runs(self, rng):
         system = random_system(rng, complex_bs=False)
         options = PgamOptions(max_iters=40, n_starts=4, seed=3)
-        best = multi_start(system, options)
+        best = multi_start([system], options)[0]
         for idx, stream in enumerate(np.random.SeedSequence(3).spawn(4)):
             local = np.random.default_rng(stream)
             init = (StarConfig.equal_split(system.dims.n, local) if idx == 0
@@ -475,7 +521,7 @@ class TestCanonicalizeAndRounding:
     def test_ms_no_better_than_es(self, rng):
         system = random_system(rng, m=6, n=8, complex_bs=False)
         options = PgamOptions(max_iters=400, seed=2)
-        trace = multi_start(system, options)
+        trace = multi_start([system], options)[0]
         es_value = trace.final_objective
         ms_value = sum_se(round_to_ms(trace.final_config), system).sum_se
         assert ms_value <= es_value * (1 + 1e-9) + 1e-12

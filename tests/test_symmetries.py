@@ -93,3 +93,21 @@ def test_user_permutation_within_a_region(surface, seed, split):
     for name in ("s", "i_tilde", "gamma"):
         assert_close(getattr(permuted, name), getattr(report, name)[order])
     assert permuted.sum_se == pytest.approx(report.sum_se, rel=1e-12)
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), split=splits,
+       angles=st.tuples(*[st.floats(0.0, 2.0 * np.pi)] * 2))
+def test_region_phase_rotation_and_conjugation(surface, seed, split, angles):
+    # a region reads its phases only through phi_u^H |R_RIS|^2 phi_u, and the
+    # kernel is real: one common phase per region, or conjugating every
+    # phase, leaves both traces and so the sum SE unchanged
+    system, config, _ = instance(surface, seed, *split)
+    rotated = StarConfig(config.theta * np.exp(1j * np.array(angles))[:, None], config.beta)
+    conjugated = StarConfig(config.theta.conj(), config.beta)
+    for method in ("eig", "dense"):
+        expected = sum_se(config, system, method=method).sum_se
+        for image in (rotated, conjugated):
+            assert sum_se(image, system, method=method).sum_se == pytest.approx(
+                expected, rel=1e-12)
