@@ -2,14 +2,14 @@
 
 Gradient convention: derivative with respect to the conjugated phase vector
 (for real objectives this is the direction of steepest ascent after the
-2*[Re, Im] pairing with real coordinates).  The gradient is built from the
-objective kernel's cached evaluation (:func:`rate.evaluate`), so a point the
-optimizer has already evaluated costs only the trace scalars, each an O(M)
-sum over the shared BS eigenvalues.  A dense-matrix evaluation of the same
-scalars is kept behind ``method='dense'`` for verification: it shares the
-rate referee's route (:func:`rate.dense_lmmse` and the surface products
-from R_RIS itself).  A central finite-difference oracle adjudicates the
-whole assembly.
+2*[Re, Im] pairing with real coordinates).  The objective reads the surface
+only through the covariance scalars alpha_k = beta_bar_k + beta_hat_k T_u,
+so the gradient is dF/dalpha, from the eigen-sums of the kernel's cached
+evaluation (:func:`rate.evaluate`), times one direction dT_u per region.  A
+dense-matrix evaluation of the same sums is kept behind ``method='dense'``
+for verification: it shares the rate referee's route (:func:`rate.dense_lmmse`
+and the surface products from R_RIS itself).  A central finite-difference
+oracle adjudicates the whole assembly.
 """
 
 from __future__ import annotations
@@ -42,90 +42,73 @@ class GradientPair:
 class GradientWorkspace:
     """Everything the gradient assembly reads at one point.
 
-    ``point`` is the objective kernel's cached evaluation; ``nu``,
-    ``nu_bar``, ``nu_tilde`` are the real trace scalars weighting the signal
-    and interference directions (with a leading start axis for a batched
-    point).
+    ``point`` is the objective kernel's cached evaluation and ``d_alpha``
+    the derivative of the sum SE in every user's covariance scalar (with a
+    leading start axis for a batched point).
     """
 
     point: Evaluation
     system: SystemModel
-    nu: np.ndarray           # (K,)
-    nu_bar: np.ndarray       # (K,)
-    nu_tilde: np.ndarray     # (K, K), entry (k, i)
+    d_alpha: np.ndarray      # (K,) dF/dalpha_k
 
 
 def build_workspace(point: Evaluation, system: SystemModel,
                     method: str = "eig") -> GradientWorkspace:
-    """Gradient scalars at a point the objective kernel has evaluated (the
-    optimizer passes its accepted trial's evaluation).
+    """dF/dalpha at a point the objective kernel has evaluated (the
+    optimizer passes its accepted trial's evaluation), from its eigen-sums.
 
     ``method='dense'`` recomputes the covariance scalars, the objective's
-    terms and the nu scalars from explicit matrices, and the surface
+    terms and the eigen-sums from explicit matrices, and the surface
     diagonals from R_RIS itself, using nothing of the kernel's cache but the
     point; results agree to roundoff and the dense route exists only to
     validate the fast algebra.
+
+    Raises :class:`DegenerateInterferenceError` if any user has a zero
+    interference term (the quotient rule is undefined there).
     """
     if method not in ("eig", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "eig":
-        nu, nu_bar, nu_tilde = _nu_scalars_eig(point, system)
-    else:
+    if method == "dense":
         config = StarConfig(point.theta, point.beta)
+        alphas = dense_covariance_scalars(config, system)
         point = replace(
-            point,
+            point, alphas=alphas, sums=_sums_dense(alphas, system),
             a=np.array([pbm_quadratic_diag(system.corr.r_ris, config.phi(u)) for u in "tr"]),
-            alphas=dense_covariance_scalars(config, system),
             report=sum_se(config, system, method="dense"),
         )
-        nu, nu_bar, nu_tilde = _nu_scalars_dense(point.alphas, system)
-    return GradientWorkspace(point=point, system=system, nu=nu, nu_bar=nu_bar,
-                             nu_tilde=nu_tilde)
+    report = point.report
+    if np.any(report.i_tilde <= 0):
+        bad = np.unravel_index(np.argmin(report.i_tilde), report.i_tilde.shape)
+        raise DegenerateInterferenceError(
+            f"user {bad[-1]} has non-positive interference term {report.i_tilde[bad]:.3e}"
+        )
+    # d log(1 + S_k / I_k) = (dS_k - gamma_k dI_k) / (I_k + S_k) with
+    # dS_k/dalpha_j = delta_kj 2 P_k C_k and
+    # dI_k/dalpha_j = alpha_k E_j + lambda C_j + delta_kj (sum_i A_i - 2 G_k),
+    # so the sum over k of dI_k/dalpha_j needs two user sums of its weights
+    p, a, _, c, e, g = point.sums
+    damp = (system.dims.prelog / LN2) / (report.i_tilde + report.s)
+    w = report.gamma * damp
+    total_w = np.sum(w, axis=-1)[..., None]
+    total_wa = np.sum(w * point.alphas, axis=-1)[..., None]
+    d_alpha = (c * (2.0 * damp * p - system.noise_lift * total_w)
+               + w * (2.0 * g - np.sum(a, axis=-1)[..., None]) - e * total_wa)
+    return GradientWorkspace(point=point, system=system, d_alpha=d_alpha)
 
 
-def _nu_scalars_eig(point, system):
-    """All trace scalars as O(M) eigenvalue sums over the kernel's cache,
-    per start for a batched evaluation."""
-    sigma, psi, qr_gain = system.corr.bs_eigvals, point.psi, point.qr_gain
-    beta_hat = system.gains.beta_hat
-    # nu_k = 2 bhat_k tr(Psi_k) tr((QR + RQ - Q R^2 Q) R_BS)
-    t_lin = np.sum(qr_gain * sigma, axis=-1)            # tr(Q_k R_k R_BS)
-    t_quad = np.sum(qr_gain**2 * sigma, axis=-1)        # tr(Q_k R_k^2 Q_k R_BS)
-    nu = 2.0 * beta_hat * psi.sum(axis=-1) * (2.0 * t_lin - t_quad)
-
-    # nu_bar_k = bhat_k tr(Psi_check_k R_BS) with
-    # Psi_check = sum_i Psi_i - 2 (QR Psi + Psi RQ - QR Psi RQ)
-    trace_psi_rbs = np.sum(sigma * psi.sum(axis=-2), axis=-1)[..., None]
-    damped = 2.0 * qr_gain - qr_gain**2                         # (K, M)
-    correction = np.sum(sigma * psi * damped, axis=-1)
-    nu_bar = beta_hat * (trace_psi_rbs - 2.0 * correction)
-
-    # nu_tilde[k, i] = bhat_i tr(R_tilde_ki R_BS); R_bar_k = R_k + noise_lift I
-    r_bar = point.alphas[..., None] * sigma + system.noise_lift  # (K, M)
-    mix = damped * sigma                                        # (K=i, M)
-    nu_tilde = beta_hat * (r_bar @ np.swapaxes(mix, -1, -2))    # (k, i)
-    return nu, nu_bar, nu_tilde
-
-
-def _nu_scalars_dense(alphas, system):
-    """Verification route: the same scalars from materialized matrices, the
-    (K, M, M) stacks of :func:`rate.dense_lmmse`."""
+def _sums_dense(alphas, system):
+    """Verification route: the eigen-sums as traces of the (K, M, M) stacks
+    of :func:`rate.dense_lmmse`, with D_k = dPsi_k/dalpha_k =
+    R_BS Q_k R_k + R_k Q_k R_BS - R_k Q_k R_BS Q_k R_k."""
     def trace(x):
         return np.trace(x, axis1=-2, axis2=-1).real
 
-    r_bs, beta_hat = system.corr.r_bs, system.gains.beta_hat
+    r_bs = system.corr.r_bs
     r, q, psi = dense_lmmse(alphas, system)
     qr, rq = q @ r, r @ q
-    nu = 2.0 * beta_hat * trace(psi) * trace((qr + rq - qr @ rq) @ r_bs)
-
-    psi_check = psi.sum(axis=0) - 2.0 * (qr @ psi + psi @ rq - qr @ psi @ rq)
-    nu_bar = beta_hat * trace(psi_check @ r_bs)
-
-    # entry (k, i): R_tilde_ki = QR_i R_bar_k - QR_i R_bar_k RQ_i + R_bar_k RQ_i
-    r_bar = (r + system.noise_lift * np.eye(system.dims.m))[:, None]
-    r_tilde = qr @ r_bar - qr @ r_bar @ rq + r_bar @ rq
-    nu_tilde = beta_hat * trace(r_tilde @ r_bs)
-    return nu, nu_bar, nu_tilde
+    d = r_bs @ qr + rq @ r_bs - rq @ r_bs @ qr
+    return np.array([trace(psi), trace(psi @ r_bs), trace(psi @ psi),
+                     trace(d), trace(d @ r_bs), trace(psi @ d)])
 
 
 def grad_objective(config: StarConfig, system: SystemModel,
@@ -141,29 +124,16 @@ def grad_objective(config: StarConfig, system: SystemModel,
 
 def grad_objective_from_workspace(ws: GradientWorkspace) -> GradientPair:
     """The gradient at the workspace's point; (P, 2, N) blocks, one row per
-    start, for a batched evaluation."""
-    report = ws.point.report
-    if np.any(report.i_tilde <= 0):
-        bad = np.unravel_index(np.argmin(report.i_tilde), report.i_tilde.shape)
-        raise DegenerateInterferenceError(
-            f"user {bad[-1]} has non-positive interference term {report.i_tilde[bad]:.3e}"
-        )
-    # Every per-user term is a scalar multiple of its region's direction, so
-    # the user sum collapses to one quotient-rule weight per region.  Column
-    # u of ``coef`` is the interference coefficient of region u: nu_tilde
-    # summed over the region's users, plus nu_bar for a user of that region.
-    mask = ws.system.region_mask                            # (K, 2)
-    coef = ws.nu_tilde @ mask + ws.nu_bar[..., None] * mask
-    i_k = report.i_tilde[..., None]
-    weight = np.sum(
-        (i_k * ws.nu[..., None] * mask - report.s[..., None] * coef)
-        / ((1.0 + report.gamma[..., None]) * i_k**2),
-        axis=-2,
-    )
-    scale = (ws.system.dims.prelog / LN2 * weight)[..., None]
+    start, for a batched evaluation.
+
+    dT_u is ``a_u beta_u`` in the conjugated phases and ``2 Re(a_u^* theta_u)``
+    in the amplitudes, so region u's blocks are these directions times one
+    weight, the sum over its users of ``beta_hat_k dF/dalpha_k``.
+    """
+    weight = ((ws.system.gains.beta_hat * ws.d_alpha) @ ws.system.region_mask)[..., None]
     a, theta, beta = ws.point.a, ws.point.theta, ws.point.beta
-    return GradientPair(d_theta=scale * (a * beta),
-                        d_beta=scale * (2.0 * np.real(np.conj(a) * theta)))
+    return GradientPair(d_theta=weight * (a * beta),
+                        d_beta=(2.0 * weight) * np.real(np.conj(a) * theta))
 
 
 def finite_difference_gradient(config: StarConfig, system: SystemModel,

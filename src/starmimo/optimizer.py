@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,25 +137,42 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:-2] + (2 * x.shape[-1],))
 
 
-def armijo_condition(f_new, f_old, grad, theta_new: np.ndarray, beta_new: np.ndarray,
-                     theta_old: np.ndarray, beta_old: np.ndarray, mu):
-    """True iff the trial point beats the proximal quadratic model.
+class Step(NamedTuple):
+    """The move ``x+ - x`` of a line-search round, each block as rows
+    (:func:`_rows`), and its squared norms, one per start: the Armijo model
+    and the stationarity of an accepted step both read them."""
+
+    d_theta: np.ndarray
+    d_beta: np.ndarray
+    sq_theta: np.ndarray
+    sq_beta: np.ndarray
+
+
+def step_between(theta_new: np.ndarray, beta_new: np.ndarray,
+                 theta_old: np.ndarray, beta_old: np.ndarray) -> Step:
+    """The :class:`Step` between two (2, N) or (P, 2, N) points."""
+    d_theta = _rows(theta_new - theta_old)
+    d_beta = _rows(beta_new - beta_old)
+    return Step(d_theta, d_beta, np.vecdot(d_theta, d_theta).real, np.vecdot(d_beta, d_beta))
+
+
+def armijo_condition(f_new, f_old, grad, step: Step, mu):
+    """True iff the trial point, ``step`` away, beats the proximal quadratic
+    model.
 
     The model value is ``f_old + <g, dx> - ||dx||^2 / mu`` per block with the
     pairing 2 Re{x^H y} on the complex phase block and x^T y on the real
-    amplitude block.  With a leading start axis on the points and the
-    gradient (and one ``f_new``, ``f_old``, ``mu`` per start) the result is
-    one verdict per start.
+    amplitude block.  With a leading start axis on the step and the gradient
+    (and one ``f_new``, ``f_old``, ``mu`` per start) the result is one
+    verdict per start.
     """
-    d_theta = _rows(theta_new - theta_old)
-    d_beta = _rows(beta_new - beta_old)
     # np.vecdot (numpy >= 2.0) makes the BLAS dot of np.vdot (complex) and
     # of ``@`` (real) once per row, so a start's verdict does not depend on
     # its batch
-    q = f_old + 2.0 * np.real(np.vecdot(_rows(grad.d_theta), d_theta))
-    q = q - np.sum(np.abs(d_theta) ** 2, axis=-1) / mu
-    q = q + np.vecdot(_rows(grad.d_beta), d_beta)
-    q = q - np.vecdot(d_beta, d_beta) / mu
+    q = f_old + 2.0 * np.real(np.vecdot(_rows(grad.d_theta), step.d_theta))
+    q = q - step.sq_theta / mu
+    q = q + np.vecdot(_rows(grad.d_beta), step.d_beta)
+    q = q - step.sq_beta / mu
     return f_new > q
 
 
@@ -231,6 +249,7 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
                 & (beta_new == beta).all(axis=(1, 2))
             accepted |= fixed
             searching &= ~fixed
+            step = step_between(theta_new, beta_new, theta, beta)
             if trial is point and not searching.any():
                 break
             trial = evaluate(theta_new, beta_new, system)
@@ -238,8 +257,7 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
             # rows no longer searching are re-scored to bits already found finite
             if not np.isfinite(f_trial).all():
                 raise PgamFailure("non-finite objective during line search", iteration)
-            ok = searching & armijo_condition(f_trial, f_cur, grad, theta_new, beta_new,
-                                              theta, beta, mu)
+            ok = searching & armijo_condition(f_trial, f_cur, grad, step, mu)
             accepted |= ok
             f_new = np.where(ok, f_trial, f_new)
             searching &= ~ok & (backtracks < options.max_backtracks)
@@ -248,8 +266,8 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
             mu[searching] *= options.kappa
             backtracks += searching
 
-        stationarity = np.sqrt(np.sum(np.abs(_rows(theta_new - theta)) ** 2, axis=1)
-                               + np.sum(_rows(beta_new - beta) ** 2, axis=1)) / mu
+        # the last round's step is every row's final candidate
+        stationarity = np.sqrt(step.sq_theta + step.sq_beta) / mu
         stop = ~accepted | (f_new - f_cur < options.tol)
         stopping = stop.any()
         if stopping:

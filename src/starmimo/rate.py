@@ -43,26 +43,23 @@ class Evaluation:
     """The objective at one point, with every intermediate the gradient reuses.
 
     ``theta``/``beta`` are the (2, N) phases and amplitudes, t-region first;
-    ``a`` holds the diagonals of R_RIS Phi_u R_RIS for both regions.  An
+    ``a`` holds the diagonals of R_RIS Phi_u R_RIS for both regions and
+    ``sums`` the six per-user eigen-sums of :func:`from_alphas`.  An
     evaluation of a batch of points carries a leading start axis on every
-    array (shapes below are per start).
+    array (shapes below are per start; ``sums`` keeps its six first).
     """
 
     theta: np.ndarray    # (2, N) complex
     beta: np.ndarray     # (2, N) real
     a: np.ndarray        # (2, N) complex
     alphas: np.ndarray   # (K,) covariance scalars
-    psi: np.ndarray      # (K, M) estimate-covariance eigenvalues
-    qr_gain: np.ndarray  # (K, M) eigenvalues of Q_k R_k
+    sums: np.ndarray     # (6, K) rows P, A, B, C, E, G
     report: RateReport
 
 
 def sinr_from_terms(s: np.ndarray, i_tilde: np.ndarray) -> np.ndarray:
     """Elementwise ratio with the 0/0 case (zero-gain user) defined as 0."""
-    gamma = np.zeros_like(s)
-    nonzero = i_tilde > 0
-    gamma[nonzero] = s[nonzero] / i_tilde[nonzero]
-    return gamma
+    return np.divide(s, i_tilde, out=np.zeros_like(s), where=i_tilde > 0)
 
 
 def evaluate(theta: np.ndarray, beta: np.ndarray, system: SystemModel) -> Evaluation:
@@ -77,34 +74,45 @@ def evaluate(theta: np.ndarray, beta: np.ndarray, system: SystemModel) -> Evalua
     """
     a = np.empty(theta.shape, dtype=complex)
     alphas = covariance_scalars(system, StarConfig(theta, beta), a)
-    psi, qr_gain, report = from_alphas(alphas, system)
-    return Evaluation(theta=theta, beta=beta, a=a, alphas=alphas, psi=psi,
-                      qr_gain=qr_gain, report=report)
+    _, sums, report = from_alphas(alphas, system)
+    return Evaluation(theta=theta, beta=beta, a=a, alphas=alphas, sums=sums, report=report)
 
 
 def from_alphas(alphas: np.ndarray,
                 system: SystemModel) -> tuple[np.ndarray, np.ndarray, RateReport]:
-    """The LMMSE spectra and the rate report at the covariance scalars.
+    """The LMMSE spectrum, the per-user eigen-sums and the rate report at the
+    covariance scalars ``alphas``, (..., K) with any leading axes.
 
-    ``alphas`` is (..., K), any leading axes.  Returns ``(psi, qr_gain,
-    report)``: ``psi = (alpha s)^2 / (alpha s + eps)`` are the eigenvalues of
-    each estimate covariance Psi_k on the BS eigenvalues ``s`` and
-    ``qr_gain = alpha s / (alpha s + eps)`` those of Q_k R_k, both
-    (..., K, M); the error covariance has eigenvalues ``alpha s - psi``.
+    On the BS eigenvalues ``s``, with ``x = alpha s`` and ``q = x / (x +
+    eps)`` (the eigenvalues of Q_k R_k), ``psi = x q`` are those of the
+    estimate covariance Psi_k, ``x - psi`` of the error covariance, and ``D
+    = dpsi/dalpha = s q (2 - q)``.  Returns ``(psi, sums, report)``: psi is
+    (..., K, M) and ``sums``, (6, ..., K) from one reduction of a stacked
+    array, holds P = sum psi, A = sum s psi, B = sum psi^2, C = sum D,
+    E = sum s D and G = sum psi D; ``S_k = P_k^2`` and ``I_k = alpha_k
+    sum_i A_i - B_k + lambda sum_i P_i`` (lambda the noise lift).
     ``alpha = 0`` gives an exactly zero estimate (nothing divides by alpha).
     """
     sigma = system.corr.bs_eigvals
-    scaled = alphas[..., None] * sigma                  # (K, M) alpha_k s_m
-    denom = scaled + system.epsilon
-    psi = scaled**2 / denom
-    psi_bar = psi.sum(axis=-2)
-    i_tilde = (
-        alphas * (sigma * psi_bar).sum(axis=-1)[..., None]
-        - (psi**2).sum(axis=-1)
-        + system.noise_lift * psi_bar.sum(axis=-1)[..., None]
-    )
-    report = _assemble_report(psi.sum(axis=-1) ** 2, i_tilde, system.dims.prelog)
-    return psi, scaled / denom, report
+    terms = np.empty((6,) + alphas.shape + sigma.shape)
+    psi, x, q, dpsi = terms[0], terms[1], terms[2], terms[3]
+    # x = alpha s, q and 2 - q in slots filled last
+    np.multiply(alphas[..., None], sigma, out=x)
+    np.add(x, system.epsilon, out=q)
+    np.divide(x, q, out=q)
+    np.multiply(x, q, out=psi)
+    np.subtract(2.0, q, out=x)
+    np.multiply(q, x, out=dpsi)
+    dpsi *= sigma
+    # rows (P, A, B, C, E, G): s and psi times (psi, D) in one call each
+    np.multiply(terms[::3], sigma, out=terms[1::3])
+    np.multiply(terms[::3], psi, out=terms[2::3])
+    sums = terms.sum(axis=-1)
+    p, a, b = sums[:3]
+    total_p, total_a = sums[:2].sum(axis=-1)[..., None]
+    i_tilde = alphas * total_a - b + system.noise_lift * total_p
+    report = _assemble_report(p**2, i_tilde, system.dims.prelog)
+    return psi, sums, report
 
 
 def sum_se(config: StarConfig, system: SystemModel, method: str = "eig") -> RateReport:
@@ -133,13 +141,17 @@ def _assemble_report(s: np.ndarray, i_tilde: np.ndarray, prelog: float) -> RateR
 
 
 def _sum_se_dense(config: StarConfig, system: SystemModel) -> RateReport:
-    """Naive O(M^3) evaluation with materialized covariance matrices."""
-    r, _, psi = dense_lmmse(dense_covariance_scalars(config, system), system)
+    """Naive O(M^3) evaluation with materialized covariance matrices.  User
+    k's own terms tr(R_k Psi_k) - tr(Psi_k^2), at high SNR orders of
+    magnitude above I_k, are tr(C_k Psi_k) with the error covariance C_k =
+    R_k - Psi_k = eps R_k Q_k, so no two nearly equal traces are subtracted."""
+    r, q, psi = dense_lmmse(dense_covariance_scalars(config, system), system)
     psi_sum = psi.sum(axis=0)
     s = np.trace(psi, axis1=1, axis2=2).real ** 2
+    cross = np.einsum("kab,iba->ki", r, psi).real * (1.0 - np.eye(len(psi)))
     i_tilde = (
-        np.trace(r @ psi_sum, axis1=1, axis2=2).real
-        - np.trace(psi @ psi, axis1=1, axis2=2).real
+        cross.sum(axis=1)
+        + system.epsilon * np.trace(r @ q @ psi, axis1=1, axis2=2).real
         + system.noise_lift * np.trace(psi_sum).real
     )
     return _assemble_report(s, i_tilde, system.dims.prelog)

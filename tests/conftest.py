@@ -60,6 +60,22 @@ def one_user_system(r_bs=None, r_ris=None, mode="t", beta_bar=0.0, beta_hat=1.0,
     )
 
 
+def alpha_partials(point, system):
+    """Loop-form references for the per-user pieces of the chain rule, from
+    an unbatched evaluation's eigen-sums (rows P, A, B, C, E, G of
+    ``rate.from_alphas``): dS_k/dalpha_k, shape (K,), and the K x K matrix
+    dI_k/dalpha_j = alpha_k E_j + lambda C_j + delta_kj (sum_i A_i - 2 G_k)."""
+    p, a, _, c, e, g = point.sums
+    k_users = len(p)
+    d_signal = np.array([2.0 * p[k] * c[k] for k in range(k_users)])
+    d_interference = np.zeros((k_users, k_users))
+    for k in range(k_users):
+        for j in range(k_users):
+            d_interference[k, j] = point.alphas[k] * e[j] + system.noise_lift * c[j]
+        d_interference[k, k] += sum(a) - 2.0 * g[k]
+    return d_signal, d_interference
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 
-from conftest import one_user_system, random_system, uncorrelated_ris_system
+from conftest import alpha_partials, one_user_system, random_system, uncorrelated_ris_system
 from starmimo.channel import StarConfig, complex_normal, covariance_scalars, sample_realization
 from starmimo.cli import ScenarioConfig, build_system, run_protocol, derive_seed
 from starmimo.estimation import apply_wiener_filter
@@ -80,7 +80,8 @@ def test_criterion_2_gradient_oracle():
 
 
 def test_criterion_3_fast_path_equivalence():
-    """Eigenbasis evaluation of S_k, I_k and every trace scalar equals the
+    """Eigenbasis evaluation of S_k, I_k, the six eigen-sums per user and the
+    derivatives of S_k and I_k in the covariance scalars equals the
     dense-matrix evaluation within 1e-9 relative error."""
     rng = np.random.default_rng(99)
     worst = 0.0
@@ -96,13 +97,16 @@ def test_criterion_3_fast_path_equivalence():
         point = evaluate(config.theta, config.beta, system)
         ws_fast = build_workspace(point, system, method="eig")
         ws_dense = build_workspace(point, system, method="dense")
+        (d_signal, d_interference), (dense_signal, dense_interference) = (
+            alpha_partials(ws.point, system) for ws in (ws_fast, ws_dense))
         for a, b in ((fast.s, dense.s), (fast.i_tilde, dense.i_tilde),
-                     (ws_fast.nu, ws_dense.nu), (ws_fast.nu_bar, ws_dense.nu_bar),
-                     (ws_fast.nu_tilde.ravel(), ws_dense.nu_tilde.ravel())):
+                     (ws_fast.point.sums.ravel(), ws_dense.point.sums.ravel()),
+                     (d_signal, dense_signal),
+                     (d_interference.ravel(), dense_interference.ravel())):
             err = np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300))
             worst = max(worst, err)
             assert err < 1e-9
-    report(3, f"signal/interference/trace scalars agree, worst {worst:.2e} < 1e-9")
+    report(3, f"signal/interference/eigen-sums/alpha derivatives agree, worst {worst:.2e} < 1e-9")
 
 
 def test_criterion_4_algorithm_invariants():

@@ -86,12 +86,13 @@ class TestLmmseStats:
         # a (P, K) batch of scalars gives each row's own spectra and report
         system = random_system(rng, m=5, n=4, k_t=2, k_r=1)
         alphas = rng.uniform(0.0, 2.0, (3, 3))
-        psi, qr_gain, report = from_alphas(alphas, system)
-        assert psi.shape == qr_gain.shape == (3, 3, 5)
+        psi, sums, report = from_alphas(alphas, system)
+        assert psi.shape == (3, 3, 5)
+        assert sums.shape == (6, 3, 3)
         for p in range(3):
-            row_psi, row_qr, row = from_alphas(alphas[p], system)
+            row_psi, row_sums, row = from_alphas(alphas[p], system)
             np.testing.assert_array_equal(psi[p], row_psi)
-            np.testing.assert_array_equal(qr_gain[p], row_qr)
+            np.testing.assert_array_equal(sums[:, p], row_sums)
             assert report.sum_se[p] == row.sum_se
 
 

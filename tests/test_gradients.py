@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_system, uncorrelated_ris_system
+from conftest import alpha_partials, random_system, uncorrelated_ris_system
 from starmimo.channel import StarConfig, covariance_scalars
 from starmimo.correlation import LinkGains
 from starmimo.gradients import (
@@ -14,7 +14,7 @@ from starmimo.gradients import (
     grad_objective,
     grad_objective_from_workspace,
 )
-from starmimo.rate import evaluate, sum_se
+from starmimo.rate import evaluate, from_alphas, sum_se
 
 FD_STEP = 1e-6
 REGIONS = ("t", "r")
@@ -47,19 +47,21 @@ def fd_user_term(system, config, term, k, region, block="theta", step=FD_STEP):
 
 
 # Loop-form references for the per-user pieces that the production gradient
-# sums in one vectorized weight per region.
+# sums in one vectorized weight per region.  Region u's trace T_u enters
+# alpha_j = beta_bar_j + beta_hat_j T_u of each of its users j.
 
 def signal_coefficient(ws, k, region):
     """Scalar multiplying region ``region``'s direction in dS_k."""
-    return ws.nu[k] if REGIONS[ws.system.region[k]] == region else 0.0
+    if REGIONS[ws.system.region[k]] != region:
+        return 0.0
+    return ws.system.gains.beta_hat[k] * alpha_partials(ws.point, ws.system)[0][k]
 
 
 def interference_coefficient(ws, k, region):
     """Scalar multiplying region ``region``'s direction in dI_k."""
-    coef = float(ws.nu_tilde[k] @ ws.system.region_mask[:, REGIONS.index(region)])
-    if REGIONS[ws.system.region[k]] == region:
-        coef += float(ws.nu_bar[k])
-    return coef
+    d_interference = alpha_partials(ws.point, ws.system)[1]
+    return sum(ws.system.gains.beta_hat[j] * d_interference[k, j]
+               for j in range(ws.system.dims.k) if REGIONS[ws.system.region[j]] == region)
 
 
 def phase_direction(ws, region):
@@ -97,8 +99,9 @@ class TestSignalGradient:
         ws = workspace(config, system)
         np.testing.assert_array_equal(ws.point.a, config.beta * config.theta)
         t_user = int(np.flatnonzero(system.region_mask[:, 0])[0])
-        signal = ws.nu[t_user] * phase_direction(ws, "t")
-        np.testing.assert_allclose(signal, ws.nu[t_user] * config.beta[0]**2 * config.theta[0],
+        coef = signal_coefficient(ws, t_user, "t")
+        signal = coef * phase_direction(ws, "t")
+        np.testing.assert_allclose(signal, coef * config.beta[0]**2 * config.theta[0],
                                    rtol=1e-12)
         grad = grad_objective(config, system)
         ratio = grad.d_theta / config.theta
@@ -144,9 +147,10 @@ class TestInterferenceGradient:
                           beta_tilde=system.gains.beta_tilde)
         system = replace(system, gains=gains)
         ws = workspace(StarConfig.random(system.dims.n, rng), system)
-        assert np.all(ws.nu == 0)
-        assert np.all(ws.nu_bar == 0)
-        assert np.all(ws.nu_tilde == 0)
+        for k in range(system.dims.k):
+            for region in REGIONS:
+                assert signal_coefficient(ws, k, region) == 0
+                assert interference_coefficient(ws, k, region) == 0
         grad = grad_objective(StarConfig.random(system.dims.n, rng), system)
         assert np.all(grad.d_theta == 0)
         assert np.all(grad.d_beta == 0)
@@ -336,7 +340,38 @@ class TestKernelAgreement:
                                        atol=1e-9 * np.max(np.abs(ours)))
 
 
+def fd_d_alpha(point, system, k, rel_step=1e-6):
+    """Central differences of the sum SE in user k's covariance scalar, one
+    value per start of a batched point, through ``rate.from_alphas``."""
+    step = rel_step * np.max(point.alphas[..., k])
+    plus, minus = point.alphas.copy(), point.alphas.copy()
+    plus[..., k] += step
+    minus[..., k] -= step
+    return (from_alphas(plus, system)[2].sum_se
+            - from_alphas(minus, system)[2].sum_se) / (2.0 * step)
+
+
 class TestWorkspaceScalars:
+    def test_d_alpha_matches_finite_differences(self, rng):
+        # a batch of three starts, each with its own direct gains; start 1
+        # has a dark r-region, and user 1 has no cascaded gain
+        system = random_system(rng, m=6, n=5, k_t=2, k_r=2)
+        gains = system.gains
+        system = replace(system, gains=LinkGains(
+            beta_g=gains.beta_g, beta_bar=rng.uniform(0.2, 1.0, (3, 4)),
+            beta_tilde=np.r_[gains.beta_tilde[0], 0.0, gains.beta_tilde[2:]]))
+        configs = [StarConfig.random(5, rng) for _ in range(3)]
+        configs[1].beta[:] = [[1.0] * 5, [0.0] * 5]
+        theta = np.stack([config.theta for config in configs])
+        beta = np.stack([config.beta for config in configs])
+        point = evaluate(theta, beta, system)
+        np.testing.assert_array_equal(point.alphas[1, 2:], system.gains.beta_bar[1, 2:])
+        ws = build_workspace(point, system)
+        assert ws.d_alpha.shape == (3, 4)
+        for k in range(4):
+            numeric = fd_d_alpha(point, system, k)
+            np.testing.assert_allclose(ws.d_alpha[:, k], numeric, rtol=1e-6)
+
     def test_eig_matches_dense(self, rng):
         for _ in range(3):
             system = random_system(rng, m=int(rng.integers(3, 9)),
@@ -345,27 +380,28 @@ class TestWorkspaceScalars:
             config = StarConfig.random(system.dims.n, rng)
             fast = workspace(config, system, method="eig")
             dense = workspace(config, system, method="dense")
-            np.testing.assert_allclose(fast.nu, dense.nu, rtol=1e-9)
-            np.testing.assert_allclose(fast.nu_bar, dense.nu_bar, rtol=1e-9)
-            np.testing.assert_allclose(fast.nu_tilde, dense.nu_tilde, rtol=1e-9)
+            np.testing.assert_allclose(fast.point.sums, dense.point.sums, rtol=1e-9)
+            for ours, theirs in zip(alpha_partials(fast.point, system),
+                                    alpha_partials(dense.point, system)):
+                np.testing.assert_allclose(ours, theirs, rtol=1e-9)
+            np.testing.assert_allclose(fast.d_alpha, dense.d_alpha, rtol=1e-9)
 
     def test_dense_traces_are_real(self, rng):
-        # the trace scalars come from products of commuting Hermitian
-        # matrices; their raw complex traces must have negligible imaginary
-        # residue
+        # the eigen-sums come from products of commuting Hermitian matrices;
+        # their raw complex traces must have negligible imaginary residue
         system = random_system(rng, m=6, n=5, complex_bs=True)
         config = StarConfig.random(5, rng)
         alphas = covariance_scalars(system, config)
         eps = system.epsilon
         eye = np.eye(6)
+        r_bs = system.corr.r_bs
         for alpha in alphas:
-            r_k = alpha * system.corr.r_bs
+            r_k = alpha * r_bs
             q_k = np.linalg.inv(r_k + eps * eye)
             psi_k = r_k @ q_k @ r_k
-            inner = q_k @ r_k + r_k @ q_k - q_k @ r_k @ r_k @ q_k
-            for value in (np.trace(inner @ system.corr.r_bs),
-                          np.trace(psi_k @ system.corr.r_bs),
-                          np.trace(psi_k @ psi_k)):
+            d_k = r_bs @ q_k @ r_k + r_k @ q_k @ r_bs - r_k @ q_k @ r_bs @ q_k @ r_k
+            for value in (np.trace(psi_k @ r_bs), np.trace(psi_k @ psi_k), np.trace(d_k),
+                          np.trace(d_k @ r_bs), np.trace(psi_k @ d_k)):
                 assert abs(value.imag) < 1e-10 * max(1.0, abs(value.real))
 
     def test_rejects_unknown_method(self, rng):

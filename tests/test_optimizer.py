@@ -22,6 +22,7 @@ from starmimo.optimizer import (
     project_beta,
     project_theta,
     round_to_ms,
+    step_between,
 )
 from starmimo.rate import sum_se
 
@@ -77,8 +78,9 @@ class TestArmijoCondition:
         theta = np.ones((2, 2), dtype=complex)
         beta = np.ones((2, 2)) * np.sqrt(0.5)
         grad = self._zero_grad(2)
-        assert not armijo_condition(1.0, 1.0, grad, theta, beta, theta, beta, mu=0.5)
-        assert armijo_condition(1.0 + 1e-9, 1.0, grad, theta, beta, theta, beta, mu=0.5)
+        step = step_between(theta, beta, theta, beta)
+        assert not armijo_condition(1.0, 1.0, grad, step, mu=0.5)
+        assert armijo_condition(1.0 + 1e-9, 1.0, grad, step, mu=0.5)
 
     def test_tiny_step_accepts_any_displacement(self):
         theta_old = np.ones((2, 1), dtype=complex)
@@ -86,7 +88,7 @@ class TestArmijoCondition:
         beta = np.array([[1.0], [0.0]])
         grad = self._zero_grad(1)
         # the -1/mu penalty dominates, so the model value dives to -inf
-        assert armijo_condition(0.0, 1.0, grad, theta_new, beta, theta_old, beta,
+        assert armijo_condition(0.0, 1.0, grad, step_between(theta_new, beta, theta_old, beta),
                                 mu=1e-12)
 
 

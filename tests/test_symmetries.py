@@ -18,7 +18,7 @@ from conftest import random_system
 from starmimo.channel import StarConfig, covariance_scalars
 from starmimo.correlation import FFT_MIN_N, ArrayGeometry, CorrelationPair, GridKernel, LinkGains
 from starmimo.gradients import grad_objective
-from starmimo.rate import sum_se
+from starmimo.rate import evaluate, sum_se
 
 GRID = ArrayGeometry(n_h=25, n_v=24, spacing_h=0.25, spacing_v=0.25)
 SURFACES = ["matrices", "grid"]
@@ -111,3 +111,68 @@ def test_region_phase_rotation_and_conjugation(surface, seed, split, angles):
         for image in (rotated, conjugated):
             assert sum_se(image, system, method=method).sum_se == pytest.approx(
                 expected, rel=1e-12)
+
+
+def transposed(x, n_v, n_h):
+    """The element axis of ``x``, laid out on an n_v x n_h grid (horizontal
+    index fastest), re-laid on the n_h x n_v grid of its transpose."""
+    grid = x.reshape(x.shape[:-1] + (n_v, n_h))
+    return np.swapaxes(grid, -1, -2).reshape(x.shape)
+
+
+# odd, even, 1 x n and n x 1 grids on the dense kernel, and one large enough
+# for the GridKernel path, each with unequal spacings
+TRANSPOSE_GRIDS = [(3, 5), (4, 6), (5, 4), (1, 7), (7, 1), (24, 25)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("grid", TRANSPOSE_GRIDS)
+def test_grid_transpose(grid, seed):
+    # an n_v x n_h grid with spacings (s_v, s_h) is the n_h x n_v grid with
+    # spacings (s_h, s_v) with its elements relabelled: the kernel, the
+    # objective, the dense referee and the folded factor must all agree
+    n_v, n_h = grid
+    rng = np.random.default_rng(seed)
+    s_v, s_h = rng.uniform(0.1, 0.6, 2)
+    system = random_system(rng, m=5, n=7, k_t=2, k_r=1)
+    pairs = [replace(system, corr=CorrelationPair.from_grid(system.corr.r_bs, geom))
+             for geom in (ArrayGeometry(n_h=n_h, n_v=n_v, spacing_h=s_h, spacing_v=s_v),
+                          ArrayGeometry(n_h=n_v, n_v=n_h, spacing_h=s_v, spacing_v=s_h))]
+    assert isinstance(pairs[0].corr.ris_abs2, GridKernel) == (n_v * n_h >= FFT_MIN_N)
+    config = StarConfig.random(n_v * n_h, rng)
+    image = StarConfig(transposed(config.theta, n_v, n_h), transposed(config.beta, n_v, n_h))
+
+    point = evaluate(config.theta, config.beta, pairs[0])
+    image_point = evaluate(image.theta, image.beta, pairs[1])
+    assert_close(image_point.alphas, point.alphas)
+    assert_close(image_point.a, transposed(point.a, n_v, n_h))
+    assert image_point.report.sum_se == pytest.approx(point.report.sum_se, rel=1e-12)
+    assert sum_se(image, pairs[1], method="dense").sum_se == pytest.approx(
+        sum_se(config, pairs[0], method="dense").sum_se, rel=1e-12)
+
+    # L (L^T I) runs both the fold and the unfold of each folded factor
+    gram, image_gram = (factor @ (factor.T @ np.eye(n_v * n_h))
+                        for factor in (pair.corr.ris_factor for pair in pairs))
+    order = transposed(np.arange(n_v * n_h), n_v, n_h)
+    assert np.max(np.abs(image_gram - gram[np.ix_(order, order)])) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_element_relabelling(seed):
+    # permuting the elements of an explicit surface, R_RIS and phi together,
+    # is the same system
+    rng = np.random.default_rng(seed)
+    system = random_system(rng, m=5, n=7, k_t=2, k_r=2)
+    order = rng.permutation(7)
+    r_ris = system.corr.r_ris
+    relabelled = replace(system, corr=CorrelationPair.from_matrices(
+        system.corr.r_bs, r_ris[np.ix_(order, order)]))
+    config = StarConfig.random(7, rng)
+    image = StarConfig(config.theta[:, order], config.beta[:, order])
+    for method in ("eig", "dense"):
+        assert sum_se(image, relabelled, method=method).sum_se == pytest.approx(
+            sum_se(config, system, method=method).sum_se, rel=1e-12)
+    grad = grad_objective(config, system, method="dense")
+    image_grad = grad_objective(image, relabelled, method="dense")
+    assert_close(image_grad.d_theta, grad.d_theta[:, order])
+    assert_close(image_grad.d_beta, grad.d_beta[:, order])
