@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .correlation import CorrelationPair, LinkGains
+from .correlation import CorrelationPair, LinkGains, canonical_columns
 
 ES = "es"
 MS = "ms"
@@ -252,19 +252,25 @@ def _real_left_product(real: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _gram_factor(gram: np.ndarray) -> np.ndarray:
-    """A factor F with ``F^H F = gram`` for a (..., K, K) stack of Hermitian
-    PSD Gram matrices: ``F = sqrt(Lambda_+) U^H`` from a batched ``eigh``,
-    eigenvalues clamped at 0.
+    """The Hermitian root F, with ``F^H F = F F = gram``, of a (..., K, K)
+    stack of Hermitian PSD Gram matrices: ``F = U sqrt(Lambda_+) U^H`` from a
+    batched ``eigh``, eigenvalues clamped at 0.
 
     A Gram is singular when a region is dark, a gain is zero or K exceeds
-    the surface rank, so no Cholesky.  A user whose diagonal entry is 0 has
-    a zero column in every factor of its Gram; that column is set to exact
+    the surface rank, so no Cholesky.  The root is unique, so the phases
+    ``eigh`` gives its eigenvectors cancel in it; they are fixed anyway
+    (:func:`~starmimo.correlation.canonical_columns`), so that a sign or
+    quarter turn does not move even its last bit.  A user whose diagonal
+    entry is 0 has a zero row and column in the root; they are set to exact
     zeros rather than left at the roundoff of the decomposition.
     """
     eigvals, eigvecs = np.linalg.eigh(gram)
-    factor = np.sqrt(np.clip(eigvals, 0.0, None))[..., None] * np.swapaxes(eigvecs.conj(), -1, -2)
-    factor *= (np.diagonal(gram, axis1=-2, axis2=-1).real > 0.0)[..., None, :]
-    return factor
+    eigvecs = canonical_columns(eigvecs)
+    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[..., None, :]) @ \
+        np.swapaxes(eigvecs.conj(), -1, -2)
+    live = np.diagonal(gram, axis1=-2, axis2=-1).real > 0.0
+    root *= live[..., None, :] & live[..., :, None]
+    return root
 
 
 def sample_realization(system: SystemModel, config: StarConfig,
@@ -282,7 +288,8 @@ def sample_realization(system: SystemModel, config: StarConfig,
       V^H V``; the rows are iid zero-mean circular Gaussian.  A row of
       ``Z F``, Z with iid CN(0, 1) entries, has ``E = F^H F``, so ``D V`` and
       ``Z F`` have one law, jointly across users and jointly with q, for any
-      K x K factor with ``F^H F = V^H V`` (:func:`_gram_factor`).
+      K x K factor with ``F^H F = V^H V``; F is the Hermitian root, the one
+      such factor that is unique (:func:`_gram_factor`).
     * Any factor with ``L L^H = R`` serves as ``R^{1/2}`` here, with as many
       draws as L has columns.  With the eigen factors ``L`` of R_RIS (real,
       N x r) and ``L_BS`` of R_BS: ``q_k = sqrt(beta_tilde_k) L c_k``,
@@ -297,7 +304,7 @@ def sample_realization(system: SystemModel, config: StarConfig,
     for all trials, on an (r or N, 2KT) real block.  Only ``L.shape``,
     ``L @`` and ``L.T @`` are read, so L is the dense array of an explicit
     R_RIS (one gemm) or the ``FoldedFactor`` of a grid surface (one gemm per
-    block and the fold's butterflies).  The Gram factors of all trials come
+    block and the fold's butterflies).  The Gram roots of all trials come
     from one batched ``eigh``.  Whether a trial then equals its draw in a
     batch of one bit for bit is a property of the BLAS: under OpenBLAS
     0.3.31 (Haswell kernels) it does with 8 or 16 real columns per trial

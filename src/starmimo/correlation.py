@@ -8,7 +8,9 @@ closed-form expression works on its eigenvalues.  The surface correlation of
 a uniform grid is kept as its table of offsets, from which the dense matrix
 is built only on demand, the |R_RIS|^2 kernel of a large grid is applied by
 FFT, and the eigen factor of every grid is kept and applied as the four
-blocks of its mirror fold.
+blocks of its mirror fold.  Every eigen factor is canonical: with a relative
+rank cut and fixed eigenvector signs, the BLAS kernel changes only its
+roundoff.
 """
 
 from __future__ import annotations
@@ -28,6 +30,14 @@ BS_CORRELATION_MODELS = ("exponential", "uncorrelated")
 # / 0.19, 0.81-0.91 / 0.74-0.76; 576: 0.40 / 0.25, 1.8 / 0.75; 784: 0.63 /
 # 0.21, 3.2 / 1.2; 1024: 1.0 / 0.23, 5.4 / 1.6.  400 is a tie.
 FFT_MIN_N = 576
+
+# matrix_sqrt_psd keeps the eigenvalues above RANK_RTOL times the largest.
+RANK_RTOL = 1e-13
+# canonical_columns: the probes' seed, and the |p . u| / |p| below which the
+# first probe leaves a column's sign to the second
+PROBE_SEED = 2008
+SIGN_MARGIN = 1e-8
+_QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])
 
 
 @dataclass(frozen=True)
@@ -244,10 +254,14 @@ def _folded_factor(table: np.ndarray) -> FoldedFactor:
     :func:`matrix_sqrt_psd`.  Per axis, the fold scales a paired row by
     1/sqrt 2 and the middle row by 1, sqrt(1/2) / weight either way, so the
     rows of F_b are scaled by 1 / (2 weight), the S_b of
-    :class:`FoldedFactor`.
+    :class:`FoldedFactor`.  On a square grid with a symmetric table (equal
+    spacings), transposing the grid maps the -+ block onto the +- block, so
+    the -+ factor is the +- factor with its (v, h) rows read as (h, v):
+    three ``eigh``s instead of four.
     """
     n_v, n_h = table.shape
     window = _toeplitz_window(table)
+    transposable = n_v == n_h and np.array_equal(table, table.T)
     blocks = []
     for sv in (1.0, -1.0):
         wv = _half_weights(n_v, sv)
@@ -256,6 +270,10 @@ def _folded_factor(table: np.ndarray) -> FoldedFactor:
             a, b = wv.size, wh.size
             if a == 0 or b == 0:
                 blocks.append(np.zeros((0, 0)))
+                continue
+            if transposable and sv < 0 < sh:
+                # the -+ block is the +- block with its (v, h) rows read as (h, v)
+                blocks.append(blocks[1].reshape(b, a, -1).transpose(1, 0, 2).reshape(a * b, -1))
                 continue
             # reversing axis 0 (1) turns |v1 - v2| (|h1 - h2|) into the Hankel offset
             block = (window[:a, :b, :a, :b] + sv * window[::-1][:a, :b, :a, :b]
@@ -314,20 +332,82 @@ def eigendecompose_bs(r_bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigvecs[:, order], eigvals[order]
 
 
-def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Eigen factor ``L = U_+ sqrt(Lambda_+)`` of a Hermitian PSD matrix, with
-    ``L @ L.conj().T`` equal to ``a`` up to roundoff.
+def canonical_columns(vecs: np.ndarray) -> np.ndarray:
+    """``eigh`` eigenvectors, the columns of a (..., n, r) stack, each with
+    its sign (real) or unit phase (complex) fixed by one fixed probe.
 
-    Eigenvalues are clamped at 0 and the columns whose clamped eigenvalue is
-    0 are dropped, so L is N x r with r at most N.  A draw ``L c`` with r iid
-    CN(0, 1) entries in c has covariance ``a``, as ``a^{1/2} c`` with N
-    entries does, without the N^3 product that forms the symmetric root.
-    It is the factor of ``r_bs``, of an explicit ``r_ris`` and of each block
-    of a grid surface's mirror fold (:func:`_folded_factor`).
+    ``eigh`` fixes neither, and which one it returns depends on the BLAS
+    kernel.  Column u is scaled by the unit number that makes ``p . u`` real
+    and positive (cf. Bro, Acar & Kolda, *J. Chemometrics* 2008), p the
+    first of two fixed Gaussian probes (``PROBE_SEED``) unless
+    ``|p . u| <= SIGN_MARGIN |p|``, when the second decides.  A generic
+    probe has no mirror or transpose symmetry, so it is not orthogonal to
+    the symmetric and antisymmetric eigenvectors of a grid surface, as a
+    probe with such a symmetry would be, and its margin is far above the
+    roundoff in which kernels' eigenvectors differ.  A complex column is
+    first turned by the quarter turn that puts ``p . u`` in |arg| <= pi/4,
+    exactly, and then by the phase left.  Columns that differ by a sign or
+    a quarter turn so give the same bits, and by any other phase agree to
+    roundoff.
+    """
+    probes = np.random.default_rng(PROBE_SEED).standard_normal((2, vecs.shape[-2]))
+    real = not np.iscomplexobj(vecs)
+    # a complex column's two parts through real products, so that a quarter
+    # turn of the column turns its dot product exactly
+    dots = probes @ vecs if real else probes @ vecs.real + 1j * (probes @ vecs.imag)
+    first = np.abs(dots[..., 0, :]) > SIGN_MARGIN * np.linalg.norm(probes[0])
+    dot = np.where(first, dots[..., 0, :], dots[..., 1, :])
+    if real:
+        return vecs * np.where(dot < 0.0, -1.0, 1.0)[..., None, :]
+    turn = _QUARTER_TURNS[np.argmax([dot.real, dot.imag, -dot.real, -dot.imag], axis=0)]
+    vecs, dot = vecs * turn[..., None, :], dot * turn
+    return vecs * (np.abs(dot) / dot)[..., None, :]
+
+
+def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
+    """Canonical eigen factor ``L = U_+ sqrt(Lambda_+)`` of a Hermitian PSD
+    matrix, with ``L @ L.conj().T`` equal to ``a`` up to roundoff.
+
+    Only the eigenvalues above ``RANK_RTOL`` times the largest are kept, so
+    L is N x r with r at most N.  A cut at 0 would let a null eigenvalue's
+    roundoff land on either side, and so make r depend on the BLAS kernel;
+    the relative one drops what lies within roundoff of 0.  The kept
+    columns' signs (phases) are fixed by :func:`canonical_columns`, so
+    kernels' factors differ by the roundoff of their eigenvectors, not by
+    signs.  A draw ``L c`` with r iid CN(0, 1) entries in c has covariance
+    ``a``, as ``a^{1/2} c`` with N entries does, without the N^3 product
+    that forms the symmetric root.  It is the factor of ``r_bs``, of an
+    explicit ``r_ris`` and of each block of a grid surface's mirror fold
+    (:func:`_folded_factor`).
+
+    Columns kept at spacing 0.25, with the ratio to the cut of the kept
+    eigenvalue nearest it and of the largest dropped one, over a grid's
+    blocks (the checked-in grids are 4 x 4 to 10 x 10, the benchmark's
+    8 x 8 to 32 x 32; a cut at 0 kept 16, 36, 64, 100, 246 and 811):
+
+    =======  ====  =========  =======
+    grid     r     kept       dropped
+    =======  ====  =========  =======
+    4 x 4    16    3.9e8      --
+    6 x 6    36    1.3e5      --
+    8 x 8    64    62         --
+    10 x 10  99    2.5        0.027
+    16 x 16  215   1.18       0.984
+    32 x 32  567   1.03       0.86
+    =======  ====  =========  =======
+
+    The 8 x 8 grid of the spacing sweep keeps 49 columns at spacing 0.1
+    (1.9 and 0.42) and all 64 at 0.5 (9.4e9).  The four OpenBLAS kernels
+    tried move these eigenvalues by at most 1.4e-16 of the largest, 0.14%
+    of the cut, and keep the same columns.  An exponential R_BS (param 0.5)
+    has its smallest eigenvalue about 1.1e12 times the cut.  A cut of 1e-12
+    would keep 543 of 1024, but drops enough at spacings of 0.1 to 0.05
+    that ``L L^T`` misses R by up to 3.3e-12; 1e-13 stays within 4e-13 on
+    every grid up to 12 x 12.
     """
     eigvals, eigvecs = np.linalg.eigh(np.asarray(a))
-    keep = eigvals > 0.0
-    return eigvecs[:, keep] * np.sqrt(eigvals[keep])
+    keep = eigvals > RANK_RTOL * max(eigvals[-1], 0.0)
+    return canonical_columns(eigvecs[:, keep]) * np.sqrt(eigvals[keep])
 
 
 def _check_symmetric(r: np.ndarray, name: str, tol: float) -> None:
@@ -457,13 +537,16 @@ class CorrelationPair:
 
         A grid surface, of any size, gets the :class:`FoldedFactor` of its
         mirror fold (:func:`_folded_factor`), gathered from the offset table,
-        so ``r_ris`` is never formed.  Four ``eigh``s of about N / 4 replace
-        one of N: at N = 1024 33 ms against 270 ms, with the blocks holding
-        1.7 MB where the N x r array held 6.6 MB.  Its columns are
+        so ``r_ris`` is never formed.  Three ``eigh``s of about N / 4 (four
+        on a grid that is not square with equal spacings) replace one of N:
+        at N = 1024 and spacing 0.25 20 ms against 235-245 ms (2-vCPU Xeon
+        VM, one OpenBLAS thread), and r = 567, with the blocks holding 1.2 MB
+        where the N x r array would hold 4.6 MB.  Its columns are
         eigenvectors of ``r_ris`` scaled by the roots of their eigenvalues,
-        in another order than the dense factor's.  A surface from
-        :meth:`from_matrices` gets the eigen factor of ``r_ris``
-        (:func:`matrix_sqrt_psd`) as an N x r array.
+        with the canonical signs and rank cut of each block's
+        :func:`matrix_sqrt_psd`, in another order than the dense factor's.
+        A surface from :meth:`from_matrices` gets the eigen factor of
+        ``r_ris`` (:func:`matrix_sqrt_psd`) as an N x r array.
         """
         if self.ris_table is None:
             return matrix_sqrt_psd(self.r_ris)

@@ -40,27 +40,28 @@ def surface_gram(system, config, q):
     return x.conj().T @ system.corr.r_ris @ x
 
 
-def eigen_factor(gram):
-    """F = sqrt(Lambda_+) U^H of one Gram, with exact zero columns for users
-    whose diagonal entry is 0."""
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    factor = np.sqrt(np.clip(eigvals, 0.0, None))[:, None] * eigvecs.conj().T
-    factor[:, np.diag(gram).real == 0.0] = 0.0
-    return factor
+def gram_root(gram):
+    """The Hermitian root of one Gram, with exact zero rows and columns for
+    users whose diagonal entry is 0."""
+    root = symmetric_sqrt(gram)
+    dead = np.diag(gram).real == 0.0
+    root[:, dead] = 0.0
+    root[dead] = 0.0
+    return root
 
 
 def explicit_draw(system, config, seed):
     """Reference replay of the sampler, one user at a time: c, c_bar and Z
     from the generator in that order, q_k = sqrt(beta_tilde_k) L c_k,
     d_k = sqrt(beta_bar_k) L_BS c_bar_k, the Gram through the dense R_RIS,
-    its eigen factor F and h_k = d_k + sqrt(beta_g) L_BS Z F e_k."""
+    its Hermitian root F and h_k = d_k + sqrt(beta_g) L_BS Z F e_k."""
     rng = np.random.default_rng(seed)
     bs_factor, ris_factor = system.corr.bs_factor, system.corr.ris_factor
     k, r, r_bs = system.dims.k, ris_factor.shape[1], bs_factor.shape[1]
     c, c_bar, z = cn(rng, (k, r)), cn(rng, (k, r_bs)), cn(rng, (r_bs, k))
     q = np.sqrt(system.gains.beta_tilde)[:, None] * (c @ ris_factor.T)
     d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_factor.T)
-    factor = eigen_factor(surface_gram(system, config, q))
+    factor = gram_root(surface_gram(system, config, q))
     h = np.array([d[i] + np.sqrt(system.gains.beta_g) * (bs_factor @ z @ factor[:, i])
                   for i in range(k)])
     return z, q, d, h
@@ -520,13 +521,13 @@ class TestSampleRealization:
 
     def test_assembly_identity(self, rng):
         # h = d + sqrt(beta_g) R_BS^{1/2} Z F, with Z replayed from the
-        # generator after c and c_bar, and F the eigen factor of the Gram
+        # generator after c and c_bar, and F the Hermitian root of the Gram
         # V^H V formed in the test from the returned q and the dense R_RIS
         system = random_system(rng, m=5, n=6, k_t=1, k_r=2)
         config = StarConfig.random(6, rng)
         real = first_trial(system, config, np.random.default_rng(21))
         z, _, _, _ = explicit_draw(system, config, seed=21)
-        factor = eigen_factor(surface_gram(system, config, real.q))
+        factor = gram_root(surface_gram(system, config, real.q))
         expected = real.d + np.sqrt(system.gains.beta_g) * (system.corr.bs_factor @ z @ factor).T
         assert_rows_close(real.h, expected, rtol=1e-12)
 
@@ -624,8 +625,9 @@ class TestSampleRealization:
     @pytest.mark.parametrize("r, k", [(6, 4), (3, 5), (1, 4)])
     def test_gram_factor_reproduces_singular_grams(self, r, k, rng):
         # singular Grams (a zero user column in every trial, one all-zero
-        # trial, and r < K in two cases): F^H F = W to roundoff, and a zero
-        # column of W gives an exact zero column of F
+        # trial, and r < K in two cases): F^H F = W to roundoff, F is the
+        # Hermitian root, and a zero column of W gives an exact zero row and
+        # column of F
         v = cn(rng, (7, r, k))
         v[:, :, 1] = 0.0
         v[3] = 0.0
@@ -634,7 +636,10 @@ class TestSampleRealization:
         assert factor.shape == gram.shape
         rebuilt = np.swapaxes(factor.conj(), -1, -2) @ factor
         assert np.max(np.abs(rebuilt - gram)) <= 1e-12 * np.max(np.abs(gram))
+        assert np.max(np.abs(factor - np.swapaxes(factor.conj(), -1, -2))) <= \
+            1e-12 * np.max(np.abs(factor))
         np.testing.assert_array_equal(factor[:, :, 1], 0.0)
+        np.testing.assert_array_equal(factor[:, 1], 0.0)
         np.testing.assert_array_equal(factor[3], 0.0)
 
     def test_complex_normal_matches_explicit_formula(self):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starmimo import correlation
+from starmimo.channel import _gram_factor
 from starmimo.correlation import (
     FFT_MIN_N,
     ArrayGeometry,
@@ -18,6 +19,7 @@ from starmimo.correlation import (
     _folded_factor,
     build_bs_correlation,
     build_ris_correlation,
+    canonical_columns,
     eigendecompose_bs,
     matrix_sqrt_psd,
     path_gain,
@@ -417,7 +419,10 @@ class TestFromGrid:
     @pytest.mark.parametrize("grid", FOLDED)
     def test_one_square_root_per_block(self, grid, monkeypatch):
         # each non-empty block is factored through the module's
-        # matrix_sqrt_psd, by name, so a wrapper of it sees the whole build
+        # matrix_sqrt_psd, by name, so a wrapper of it sees the whole build;
+        # a square grid with equal spacings has a transpose-symmetric table,
+        # so its -+ block's factor is the +- block's with its (v, h) rows
+        # read as (h, v), and it takes one square root fewer
         calls = []
 
         def counting(a):
@@ -428,10 +433,39 @@ class TestFromGrid:
         geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=0.25, spacing_v=0.25)
         factor = CorrelationPair.from_grid(np.eye(2), geom).ris_factor
         halves = (1 + (geom.n_v > 1)) * (1 + (geom.n_h > 1))
-        assert len(calls) == halves
-        assert sum(shape[0] for shape in calls) == geom.n
+        square = geom.n_v == geom.n_h
+        assert len(calls) == halves - square
+        assert sum(shape[0] for shape in calls) == geom.n - square * (geom.n_v // 2) * (
+            geom.n_h - geom.n_h // 2)
+        if square:
+            (a, b), pm, mp = factor.halves[1], factor.blocks[1], factor.blocks[2]
+            np.testing.assert_array_equal(
+                mp, pm.reshape(a, b, -1).transpose(1, 0, 2).reshape(a * b, -1))
         dense = factor @ np.eye(factor.shape[1])
         np.testing.assert_allclose(dense @ dense.T, build_ris_correlation(geom), atol=1e-12)
+
+    @pytest.mark.parametrize("grid, sp", [((12, 12), (0.25, 0.5)), ((6, 6), (0.1, 0.25))])
+    def test_unequal_spacings_take_four_square_roots(self, grid, sp, monkeypatch):
+        # a square grid whose table is not symmetric folds all four blocks
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return matrix_sqrt_psd(a)
+
+        monkeypatch.setattr(correlation, "matrix_sqrt_psd", counting)
+        geom = ArrayGeometry(grid[1], grid[0], *sp)
+        factor = CorrelationPair.from_grid(np.eye(2), geom).ris_factor
+        assert len(calls) == 4
+        dense = factor @ np.eye(factor.shape[1])
+        np.testing.assert_allclose(dense @ dense.T, build_ris_correlation(geom), atol=1e-12)
+
+    @pytest.mark.parametrize("grid, rank", [((16, 16), 215), ((32, 32), 567)])
+    def test_relative_rank_cut(self, grid, rank):
+        # at spacing 0.25 each block keeps its eigenvalues above RANK_RTOL
+        # times its largest: 215 of 256 and 567 of 1024 columns
+        geom = ArrayGeometry(grid[1], grid[0], 0.25, 0.25)
+        assert CorrelationPair.from_grid(np.eye(2), geom).ris_factor.shape[1] == rank
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -505,6 +539,87 @@ class TestFromGrid:
         r_bs[0, 2] = r_bs[2, 0] = bad
         with pytest.raises(ValueError, match="r_bs"):
             CorrelationPair.from_grid(r_bs, ArrayGeometry(2, 2, 0.25, 0.25))
+
+
+class TestCanonicalFactors:
+    """``eigh`` returns each eigenvector up to a sign (a phase when complex),
+    and which one depends on the BLAS kernel.  Every factor that Monte Carlo
+    draws through must not."""
+
+    @staticmethod
+    def factors():
+        # the BS factor, explicit real and complex matrices, every block of
+        # four grid folds (even, odd, rectangular, a row) and a stack of
+        # Grams with a zero user column, a zero trial and r < K
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        v = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
+        v[:, :, 1] = 0.0
+        v[2] = 0.0
+        out = [matrix_sqrt_psd(build_bs_correlation(64, "exponential", 0.5)),
+               matrix_sqrt_psd(build_ris_correlation(ArrayGeometry(5, 4, 0.25, 0.25))),
+               matrix_sqrt_psd(a @ a.conj().T),
+               _gram_factor(np.swapaxes(v.conj(), -1, -2) @ v)]
+        for grid in [(12, 12), (11, 11), (9, 16), (1, 130)]:
+            geom = ArrayGeometry(grid[1], grid[0], 0.25, 0.25)
+            out += CorrelationPair.from_grid(np.eye(2), geom).ris_factor.blocks
+        return out
+
+    @staticmethod
+    def perturb_eigh(monkeypatch, units):
+        """Make ``np.linalg.eigh``, as every module sees it, multiply each
+        eigenvector by a random entry of ``units`` (real input: by +-1), the
+        first by one that is not 1."""
+        eigh, rng = np.linalg.eigh, np.random.default_rng(5)
+
+        def perturbed(a):
+            eigvals, eigvecs = eigh(a)
+            pick = units if np.iscomplexobj(eigvecs) else np.array([1.0, -1.0])
+            unit = pick[rng.integers(0, pick.size, eigvals.shape)]
+            unit[..., 0] = pick[1]
+            return eigvals, eigvecs * unit[..., None, :]
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+
+    def test_signs_and_quarter_turns_leave_every_bit(self, monkeypatch):
+        reference = self.factors()
+        self.perturb_eigh(monkeypatch, np.array([1.0, 1j, -1.0, -1j]))
+        for ref, got in zip(reference, self.factors(), strict=True):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_other_phases_move_only_roundoff(self, monkeypatch):
+        reference = self.factors()
+        self.perturb_eigh(monkeypatch, np.exp(1j * np.linspace(0.1, 6.0, 7)))
+        for ref, got in zip(reference, self.factors(), strict=True):
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=1.0)
+
+    def test_second_probe_decides_a_column_orthogonal_to_the_first(self, rng):
+        probes = np.random.default_rng(correlation.PROBE_SEED).standard_normal((2, 7))
+        u = rng.standard_normal(7)
+        u -= (u @ probes[0]) / (probes[0] @ probes[0]) * probes[0]
+        u /= np.linalg.norm(u)
+        col = canonical_columns(u[:, None])
+        np.testing.assert_array_equal(canonical_columns(-u[:, None]), col)
+        assert probes[1] @ col[:, 0] > 0.0
+
+    def test_first_probe_decides_every_drawn_factor(self, monkeypatch):
+        # every column of the factors that the checked-in Monte Carlo config
+        # (N = 16 to 100) and the benchmark (N = 64 to 1024) draw through is
+        # decided by the first probe, far above its margin
+        ratios = []
+
+        def recording(vecs):
+            probe = np.random.default_rng(correlation.PROBE_SEED).standard_normal(vecs.shape[0])
+            ratios.append(np.min(np.abs(probe @ vecs)) / np.linalg.norm(probe))
+            return canonical_columns(vecs)
+
+        monkeypatch.setattr(correlation, "canonical_columns", recording)
+        matrix_sqrt_psd(build_bs_correlation(64, "exponential", 0.5))
+        for side in (4, 6, 8, 10, 16, 32):
+            CorrelationPair.from_grid(np.eye(2), ArrayGeometry(side, side, 0.25, 0.25)).ris_factor
+        # 19 factors; the smallest ratio is 2.5e-5
+        assert len(ratios) == 1 + 6 * 3
+        assert min(ratios) > 1e3 * correlation.SIGN_MARGIN
 
 
 class TestLinkGains:

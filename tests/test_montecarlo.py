@@ -6,7 +6,8 @@ import pytest
 
 from conftest import random_system
 from starmimo import montecarlo
-from starmimo.channel import ChannelRealization, StarConfig, SystemModel, covariance_scalars
+from starmimo.channel import (ChannelRealization, StarConfig, SystemModel, _gram_factor,
+                              covariance_scalars)
 from starmimo.cli import ScenarioConfig, build_system
 from starmimo.correlation import CorrelationPair, LinkGains
 from starmimo.estimation import apply_wiener_filter
@@ -40,8 +41,8 @@ def per_trial_cn(rng, shape):
 
 def per_trial_realization(system, config, rng):
     """One trial at a time: c, c_bar, Z from ``rng``, both surface-factor
-    products on the (r or N, 2K) real view of this trial alone, and the eigen
-    factor of this trial's K x K Gram."""
+    products on the (r or N, 2K) real view of this trial alone, and the Gram
+    factor of this trial's K x K Gram on its own."""
     k = system.dims.k
     bs_factor, ris_factor = system.corr.bs_factor, system.corr.ris_factor
     r, r_bs = ris_factor.shape[1], bs_factor.shape[1]
@@ -54,9 +55,7 @@ def per_trial_realization(system, config, rng):
                         config.phi("t")[:, None], config.phi("r")[:, None])
     v = (ris_factor.T @ (phi_cols * q_cols).view(float)).view(complex)
     gram = v.conj().T @ v
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    factor = np.sqrt(np.clip(eigvals, 0.0, None))[:, None] * eigvecs.conj().T
-    factor *= np.diag(gram).real > 0.0
+    factor = _gram_factor(gram)
     d = np.sqrt(system.gains.beta_bar)[:, None] * (c_bar @ bs_factor.T)
     h = d + np.sqrt(system.gains.beta_g) * (bs_factor @ (z @ factor)).T
     return ChannelRealization(q=q_cols.T, d=d, h=h)
