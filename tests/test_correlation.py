@@ -416,13 +416,11 @@ class TestFromGrid:
         gap = np.abs(dense @ dense.T - build_ris_correlation(geom))
         assert gap.max() <= 1e-12
 
-    @pytest.mark.parametrize("grid", FOLDED)
-    def test_one_square_root_per_block(self, grid, monkeypatch):
-        # each non-empty block is factored through the module's
-        # matrix_sqrt_psd, by name, so a wrapper of it sees the whole build;
-        # a square grid with equal spacings has a transpose-symmetric table,
-        # so its -+ block's factor is the +- block's with its (v, h) rows
-        # read as (h, v), and it takes one square root fewer
+    @staticmethod
+    def counted_factor(geom, monkeypatch):
+        """The grid's folded factor and the shapes of the blocks factored:
+        each non-empty block goes through the module's matrix_sqrt_psd, by
+        name, so a wrapper of it sees the whole build."""
         calls = []
 
         def counting(a):
@@ -430,8 +428,15 @@ class TestFromGrid:
             return matrix_sqrt_psd(a)
 
         monkeypatch.setattr(correlation, "matrix_sqrt_psd", counting)
+        return CorrelationPair.from_grid(np.eye(2), geom).ris_factor, calls
+
+    @pytest.mark.parametrize("grid", FOLDED)
+    def test_one_square_root_per_block(self, grid, monkeypatch):
+        # a square grid with equal spacings has a transpose-symmetric table,
+        # so its -+ block's factor is the +- block's with its (v, h) rows
+        # read as (h, v), and it takes one square root fewer
         geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=0.25, spacing_v=0.25)
-        factor = CorrelationPair.from_grid(np.eye(2), geom).ris_factor
+        factor, calls = self.counted_factor(geom, monkeypatch)
         halves = (1 + (geom.n_v > 1)) * (1 + (geom.n_h > 1))
         square = geom.n_v == geom.n_h
         assert len(calls) == halves - square
@@ -447,15 +452,8 @@ class TestFromGrid:
     @pytest.mark.parametrize("grid, sp", [((12, 12), (0.25, 0.5)), ((6, 6), (0.1, 0.25))])
     def test_unequal_spacings_take_four_square_roots(self, grid, sp, monkeypatch):
         # a square grid whose table is not symmetric folds all four blocks
-        calls = []
-
-        def counting(a):
-            calls.append(a.shape)
-            return matrix_sqrt_psd(a)
-
-        monkeypatch.setattr(correlation, "matrix_sqrt_psd", counting)
         geom = ArrayGeometry(grid[1], grid[0], *sp)
-        factor = CorrelationPair.from_grid(np.eye(2), geom).ris_factor
+        factor, calls = self.counted_factor(geom, monkeypatch)
         assert len(calls) == 4
         dense = factor @ np.eye(factor.shape[1])
         np.testing.assert_allclose(dense @ dense.T, build_ris_correlation(geom), atol=1e-12)
