@@ -171,12 +171,15 @@ def pbm_quadratic_diag(r_ris: np.ndarray, phi: np.ndarray) -> np.ndarray:
     referees' route to the surface diagonals.
 
     For Hermitian R the (n, n) entry is sum_m R[n, m] conj(R[n, m]) phi[m].
-    One buffered ``einsum`` sums those products row by row, so no N x N
-    temporary (the |R|^2 kernel or a complex upcast of R) is made.
+    One buffered ``einsum`` sums those products row by row, so no temporary
+    of the size of ``r_ris`` (the |R|^2 kernel or a complex upcast of R) is
+    made.  ``r_ris`` may be any (rows, N) block of rows of R_RIS, which
+    gives those rows' entries of the diagonal; the referees pass blocks
+    (:func:`starmimo.rate.dense_covariance_scalars`).
     """
     r_ris = np.asarray(r_ris)
     phi = np.asarray(phi)
-    if r_ris.shape[0] != r_ris.shape[1] or r_ris.shape[0] != phi.shape[0]:
+    if r_ris.ndim != 2 or phi.ndim != 1 or r_ris.shape[1] != phi.shape[0]:
         raise ValueError(
             f"dimension mismatch: R_RIS {r_ris.shape} vs phi {phi.shape}"
         )

@@ -5,12 +5,12 @@ correlation matrix for the planar surface, a configurable correlation model
 for the base-station array, and the power-law path gains.  The base-station
 correlation matrix is eigendecomposed once and cached; every downstream
 closed-form expression works on its eigenvalues.  The surface correlation of
-a uniform grid is kept as its table of offsets, from which the dense matrix
-is built only on demand, the |R_RIS|^2 kernel of a large grid is applied by
-FFT, and the eigen factor of every grid is kept and applied as the four
-blocks of its mirror fold.  Every eigen factor is canonical: with a relative
-rank cut and fixed eigenvector signs, the BLAS kernel changes only its
-roundoff.
+a uniform grid is kept as its table of offsets, from which the dense
+referees gather rows a block at a time, the |R_RIS|^2 kernel of a large
+grid is applied by FFT, and the eigen factor of every grid is kept and
+applied as the four blocks of its mirror fold.  Every eigen factor is
+canonical: with a relative rank cut and fixed eigenvector signs, the BLAS
+kernel changes only its roundoff.
 """
 
 from __future__ import annotations
@@ -464,11 +464,12 @@ class CorrelationPair:
     BS eigendecomposition that all fast-path expressions run on.
 
     A surface on a uniform grid (:meth:`from_grid`) is kept as its (n_v, n_h)
-    offset table ``ris_table``.  Its dense N x N ``r_ris`` is built on first
-    use, which only the dense referees make; its kernel comes from the
-    squared table and its factor is always the mirror fold's.  Any other
-    surface correlation (:meth:`from_matrices`) is kept dense, with
-    ``ris_table`` None, and gets the dense kernel and eigen factor.
+    offset table ``ris_table``.  Its kernel comes from the squared table,
+    its factor is always the mirror fold's, and the dense referees read it
+    in row blocks (:meth:`ris_rows`), so nothing in the package forms its
+    N x N ``r_ris``; that is built only when asked for.  Any other surface
+    correlation (:meth:`from_matrices`) is kept dense, with ``ris_table``
+    None, and gets the dense kernel and eigen factor.
     """
 
     r_bs: np.ndarray
@@ -523,6 +524,15 @@ class CorrelationPair:
     def r_ris(self) -> np.ndarray:
         """The dense N x N surface correlation, gathered from the offset table."""
         return _block_toeplitz(self.ris_table)
+
+    def ris_rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows [start, stop) of R_RIS, a (stop - start, N) array: a view of
+        an explicit ``r_ris``, or for a grid surface, of any shape, one
+        gather of those rows out of the offset table's Toeplitz window."""
+        if self.ris_table is None:
+            return self.r_ris[start:stop]
+        v, h = np.divmod(np.arange(start, stop), self.ris_table.shape[1])
+        return _toeplitz_window(self.ris_table)[v, h].reshape(stop - start, self.n)
 
     @cached_property
     def bs_factor(self) -> np.ndarray:

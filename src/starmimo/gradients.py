@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import StarConfig, SystemModel, pbm_quadratic_diag
+from .channel import StarConfig, SystemModel
 from .rate import Evaluation, dense_covariance_scalars, dense_lmmse, evaluate, sum_se
 
 LN2 = np.log(2.0)
@@ -59,9 +59,10 @@ def build_workspace(point: Evaluation, system: SystemModel,
 
     ``method='dense'`` recomputes the covariance scalars, the objective's
     terms and the eigen-sums from explicit matrices, and the surface
-    diagonals from R_RIS itself, using nothing of the kernel's cache but the
-    point; results agree to roundoff and the dense route exists only to
-    validate the fast algebra.
+    diagonals from R_RIS itself, read in row blocks with the scalars
+    (:func:`rate.dense_covariance_scalars`), using nothing of the kernel's
+    cache but the point; results agree to roundoff and the dense route
+    exists only to validate the fast algebra.
 
     Raises :class:`DegenerateInterferenceError` if any user has a zero
     interference term (the quotient rule is undefined there).
@@ -70,12 +71,10 @@ def build_workspace(point: Evaluation, system: SystemModel,
         raise ValueError(f"unknown method {method!r}")
     if method == "dense":
         config = StarConfig(point.theta, point.beta)
-        alphas = dense_covariance_scalars(config, system)
-        point = replace(
-            point, alphas=alphas, sums=_sums_dense(alphas, system),
-            a=np.array([pbm_quadratic_diag(system.corr.r_ris, config.phi(u)) for u in "tr"]),
-            report=sum_se(config, system, method="dense"),
-        )
+        a = np.empty((2, system.dims.n), dtype=complex)
+        alphas = dense_covariance_scalars(config, system, a)
+        point = replace(point, alphas=alphas, sums=_sums_dense(alphas, system), a=a,
+                        report=sum_se(config, system, method="dense"))
     report = point.report
     if np.any(report.i_tilde <= 0):
         bad = np.unravel_index(np.argmin(report.i_tilde), report.i_tilde.shape)

@@ -12,7 +12,9 @@ the surface, :func:`from_alphas` is the one LMMSE/rate formula.  A naive
 dense-matrix path verifies the eigenbasis algebra: it reads only R_RIS,
 R_BS and the configuration, takes the covariance scalars from R_RIS itself
 (:func:`dense_covariance_scalars`) and the explicit R_k, Q_k, Psi_k from
-:func:`dense_lmmse`, which the gradient's dense route shares.
+:func:`dense_lmmse`, which the gradient's dense route shares.  It reads
+R_RIS in blocks of rows that fit ``ROW_BLOCK_BYTES``, so on a grid surface
+no N x N matrix is made.
 """
 
 from __future__ import annotations
@@ -22,6 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import StarConfig, SystemModel, covariance_scalars, pbm_quadratic_diag
+
+# Bytes of R_RIS rows the dense referees hold at once; a block also holds
+# at most an eighth of the rows.  The surface-large benchmark (N up to 4096,
+# a referee call on every row) peaked at 45 MB RSS with blocks of 0.25 to
+# 2 MiB, 51 MB with 8 MiB, 77 MB with 32 MiB and 173 MB with the whole
+# 128 MiB matrix (2-vCPU VM, one OpenBLAS thread).  Freeing a block also
+# raises glibc's mmap threshold to its size, which later passes feel: after
+# the checker's referee calls, a timed surface-large pass took about 1000
+# page faults with 1 MiB blocks and none with 2 MiB ones.
+ROW_BLOCK_BYTES = 2**21
 
 
 @dataclass(frozen=True)
@@ -167,11 +179,28 @@ def dense_lmmse(alphas: np.ndarray,
     return r, q, r @ q @ r
 
 
-def dense_covariance_scalars(config: StarConfig, system: SystemModel) -> np.ndarray:
+def dense_covariance_scalars(config: StarConfig, system: SystemModel,
+                             diagonals: np.ndarray | None = None) -> np.ndarray:
     """Per-user covariance scalars from R_RIS itself: one complex trace
     ``phi_u^H diag(R_RIS Phi_u R_RIS) = tr(R_RIS Phi_u R_RIS Phi_u^H)`` per
     region u, given to the users of that region; the referee's route,
-    independent of :func:`covariance_scalars`."""
-    traces = np.array([np.vdot(phi, pbm_quadratic_diag(system.corr.r_ris, phi)).real
-                       for phi in (config.phi("t"), config.phi("r"))])
+    independent of :func:`covariance_scalars`.
+
+    The diagonals come from :func:`pbm_quadratic_diag` on blocks of rows of
+    R_RIS (``CorrelationPair.ris_rows``) of at most ``ROW_BLOCK_BYTES``
+    and an eighth of the rows, both regions per block; if ``diagonals``, a (2, N) complex array, is
+    given, they are written into it, t first.
+    """
+    corr = system.corr
+    phis = (config.phi("t"), config.phi("r"))
+    if diagonals is None:
+        diagonals = np.empty((2, corr.n), dtype=complex)
+    step = max(1, min(corr.n // 8, ROW_BLOCK_BYTES // (corr.n * np.dtype(float).itemsize)))
+    for start in range(0, corr.n, step):
+        stop = min(start + step, corr.n)
+        rows = corr.ris_rows(start, stop)
+        for diagonal, phi in zip(diagonals, phis):
+            diagonal[start:stop] = pbm_quadratic_diag(rows, phi)
+        del rows  # the next block is gathered with this one freed
+    traces = np.array([np.vdot(phi, diagonal).real for phi, diagonal in zip(phis, diagonals)])
     return system.gains.beta_bar + system.gains.beta_hat * traces[system.region]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import one_user_system, random_system, uncorrelated_ris_system
-from starmimo import channel
+from starmimo import channel, rate
 from starmimo.channel import (
     ChannelRealization,
     StarConfig,
@@ -361,6 +361,68 @@ class TestRegionTrace:
         theta = np.exp(1j * local.uniform(0, 2 * np.pi, n))
         for value in t_region_alphas(r, beta, theta):
             assert value >= -1e-10
+
+
+# (n_v, n_h) grids for the dense referees' row blocks: square, wider than
+# tall and taller than wide, a line and a single element
+BLOCK_GRIDS = [(8, 8), (3, 7), (9, 16), (1, 130), (1, 1)]
+
+
+def block_grid_system(rng, grid):
+    return surface_system(rng, ArrayGeometry(n_h=grid[1], n_v=grid[0],
+                                             spacing_h=0.25, spacing_v=0.25))
+
+
+class TestRowBlocks:
+    """The dense referees read R_RIS in blocks of rows; blocks of at most 5
+    rows split a grid row on every grid but the single element."""
+
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS)
+    def test_grid_rows_are_the_dense_rows(self, grid):
+        # unequal spacings, so that a transposed gather would show
+        geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=0.25, spacing_v=0.35)
+        pair = CorrelationPair.from_grid(np.eye(2), geom)
+        n = pair.n
+        for start in range(0, n, 5):
+            rows = pair.ris_rows(start, min(start + 5, n))
+            np.testing.assert_array_equal(rows, pair.r_ris[start:start + 5])
+        np.testing.assert_array_equal(pair.ris_rows(0, n), pair.r_ris)
+
+    def test_explicit_rows_are_views(self, rng):
+        r_ris = random_system(rng, n=7).corr.r_ris
+        pair = CorrelationPair.from_matrices(np.eye(2), r_ris)
+        rows = pair.ris_rows(2, 6)
+        assert np.shares_memory(rows, pair.r_ris)
+        np.testing.assert_array_equal(rows, r_ris[2:6])
+
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS)
+    def test_block_route_matches_the_whole_surface(self, grid, rng, monkeypatch):
+        system = block_grid_system(rng, grid)
+        n = system.dims.n
+        config = StarConfig.random(n, rng)
+        monkeypatch.setattr(rate, "ROW_BLOCK_BYTES", 5 * n * 8)
+        diagonals = np.empty((2, n), dtype=complex)
+        alphas = dense_covariance_scalars(config, system, diagonals)
+        assert "r_ris" not in system.corr.__dict__
+        traces = []
+        for diagonal, region in zip(diagonals, "tr"):
+            phi = config.phi(region)
+            expected = pbm_quadratic_diag(system.corr.r_ris, phi)
+            np.testing.assert_allclose(diagonal, expected, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(expected)))
+            traces.append(np.vdot(phi, expected).real)
+        whole = system.gains.beta_bar + system.gains.beta_hat * np.array(traces)[system.region]
+        np.testing.assert_allclose(alphas, whole, rtol=1e-12)
+        np.testing.assert_array_equal(dense_covariance_scalars(config, system), alphas)
+
+    def test_a_block_of_rows_gives_their_diagonal_entries(self, rng):
+        r = random_system(rng, n=9).corr.r_ris
+        phi = rng.uniform(-1, 1, 9) * np.exp(1j * rng.uniform(0, 2 * np.pi, 9))
+        np.testing.assert_allclose(pbm_quadratic_diag(r[3:7], phi),
+                                   pbm_quadratic_diag(r, phi)[3:7], rtol=1e-14)
+        for bad in (r[:, :8], r[None]):
+            with pytest.raises(ValueError, match="mismatch"):
+                pbm_quadratic_diag(bad, phi)
 
 
 class TestCovarianceScalars:

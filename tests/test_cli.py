@@ -619,9 +619,10 @@ class TestConventionalReferee:
         return evaluate(theta, np.tile(beta, (len(theta), 1, 1)), system).report.sum_se.max()
 
     @staticmethod
-    def rectangle_bound(system, config, points=201):
+    def rectangle_bound(system, config, points=201, chunk=8):
         """F's maximum on a grid over [0, S_t] x [0, S_r], and whether it
-        sits at (S_t, S_r)."""
+        sits at (S_t, S_r).  ``from_alphas`` takes ``chunk`` rows of T_t at
+        a time, so its (6, rows, points, K, M) work array stays small."""
         a = np.abs(system.corr.r_ris) ** 2
         t_t = np.linspace(0.0, config.beta[0] @ a @ config.beta[0], points)
         t_r = np.linspace(0.0, config.beta[1] @ a @ config.beta[1], points)
@@ -629,7 +630,8 @@ class TestConventionalReferee:
         traces = np.concatenate([np.broadcast_to(grid[u], (points, points, 1))
                                  for u in system.region], axis=-1)
         alphas = system.gains.beta_bar + system.gains.beta_hat * traces
-        values = from_alphas(alphas, system)[2].sum_se
+        values = np.concatenate([from_alphas(alphas[i:i + chunk], system)[2].sum_se
+                                 for i in range(0, points, chunk)])
         i, j = np.unravel_index(np.argmax(values), values.shape)
         return values[i, j], (t_t[i], t_r[j]) == (t_t[-1], t_r[-1])
 

@@ -6,7 +6,15 @@ import pytest
 
 from conftest import random_system, uncorrelated_ris_system
 from starmimo.channel import StarConfig, SystemModel
-from starmimo.correlation import FFT_MIN_N, ArrayGeometry, CorrelationPair, LinkGains
+from starmimo import rate
+from starmimo.correlation import (
+    FFT_MIN_N,
+    ArrayGeometry,
+    CorrelationPair,
+    LinkGains,
+    build_ris_correlation,
+)
+from starmimo.gradients import grad_objective
 from starmimo.rate import _assemble_report, evaluate, sinr_from_terms, sum_se
 
 
@@ -188,3 +196,45 @@ class TestGridSurface:
         # an N x N float64 array is N^2 * 8 bytes
         assert peak < 0.25 * n * n * 8
         assert dense.sum_se == pytest.approx(sum_se(config, system).sum_se, rel=1e-9)
+
+    @pytest.mark.parametrize("grid", [(8, 8), (3, 7), (9, 16), (1, 130), (1, 1)])
+    def test_dense_referees_match_an_explicit_copy(self, grid, rng, monkeypatch):
+        # the explicit copy's blocks are views of its matrix; the grid's are
+        # gathered from its offset table, at most 5 rows each, so that they
+        # split its grid rows
+        system = grid_system(*grid, rng)
+        n = system.dims.n
+        geom = ArrayGeometry(grid[1], grid[0], 0.25, 0.25)
+        explicit = replace(system, corr=CorrelationPair.from_matrices(
+            system.corr.r_bs, build_ris_correlation(geom)))
+        config = StarConfig.random(n, rng)
+        report = sum_se(config, explicit, method="dense")
+        grad = grad_objective(config, explicit, method="dense")
+        monkeypatch.setattr(rate, "ROW_BLOCK_BYTES", 5 * n * 8)
+        blocked = sum_se(config, system, method="dense")
+        assert blocked.sum_se == pytest.approx(report.sum_se, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(blocked.i_tilde, report.i_tilde, rtol=1e-12)
+        blocked_grad = grad_objective(config, system, method="dense")
+        for ours, theirs in ((blocked_grad.d_theta, grad.d_theta),
+                             (blocked_grad.d_beta, grad.d_beta)):
+            np.testing.assert_allclose(ours, theirs, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(theirs)))
+        assert "r_ris" not in system.corr.__dict__
+
+    @pytest.mark.parametrize("grid", [(64, 64), (1, 4096)])
+    def test_dense_referees_hold_no_surface_matrix(self, grid, rng):
+        system = grid_system(*grid, rng)
+        n = system.dims.n
+        config = StarConfig.random(n, rng)
+        tracemalloc.start()
+        try:
+            dense = sum_se(config, system, method="dense")
+            grad = grad_objective(config, system, method="dense")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 1/8 of one N x N float64 matrix
+        assert peak < n * n
+        assert "r_ris" not in system.corr.__dict__
+        assert dense.sum_se == pytest.approx(sum_se(config, system).sum_se, rel=1e-9)
+        assert np.all(np.isfinite(grad.d_theta)) and np.all(np.isfinite(grad.d_beta))
