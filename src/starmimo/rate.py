@@ -187,9 +187,9 @@ def dense_covariance_scalars(config: StarConfig, system: SystemModel,
     independent of :func:`covariance_scalars`.
 
     The diagonals come from :func:`pbm_quadratic_diag` on blocks of rows of
-    R_RIS (``CorrelationPair.ris_rows``) of at most ``ROW_BLOCK_BYTES``
-    and an eighth of the rows, both regions per block; if ``diagonals``, a (2, N) complex array, is
-    given, they are written into it, t first.
+    R_RIS (``CorrelationPair.ris_rows``) of at most ``ROW_BLOCK_BYTES`` and
+    an eighth of the rows, both regions per block; if ``diagonals``, a
+    (2, N) complex array, is given, they are written into it, t first.
     """
     corr = system.corr
     phis = (config.phi("t"), config.phi("r"))
