@@ -142,7 +142,7 @@ class SystemModel:
     def __post_init__(self):
         object.__setattr__(self, "dims", SystemDims(self.corr.m, self.corr.n, self.k_t,
                                                     self.gains.k - self.k_t, self.tau_c, self.tau))
-        if self.rho <= 0 or self.pilot_power <= 0 or self.sigma2 <= 0:
+        if not all(0 < power < math.inf for power in (self.rho, self.pilot_power, self.sigma2)):
             raise ValueError("powers must be positive")
 
     @property

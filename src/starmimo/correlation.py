@@ -597,7 +597,8 @@ class LinkGains:
         object.__setattr__(self, "beta_tilde", beta_tilde)
         if beta_tilde.ndim != 1 or beta_bar.ndim > 2 or beta_bar.shape[-1:] != beta_tilde.shape:
             raise ValueError("beta_bar and beta_tilde must have one entry per user")
-        if self.beta_g < 0 or np.any(beta_bar < 0) or np.any(beta_tilde < 0):
+        if not all(np.all(np.isfinite(gains) & (gains >= 0))
+                   for gains in (self.beta_g, beta_bar, beta_tilde)):
             raise ValueError("path gains must be non-negative")
 
     @property

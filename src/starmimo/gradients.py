@@ -7,19 +7,19 @@ only through the covariance scalars alpha_k = beta_bar_k + beta_hat_k T_u,
 so the gradient is dF/dalpha, from the eigen-sums of the kernel's cached
 evaluation (:func:`rate.evaluate`), times one direction dT_u per region.  A
 dense-matrix evaluation of the same sums is kept behind ``method='dense'``
-for verification: it shares the rate referee's route (:func:`rate.dense_lmmse`
-and the surface products from R_RIS itself).  A central finite-difference
-oracle adjudicates the whole assembly.
+for verification: the rate referee's :func:`rate.dense_evaluate`, whose
+evaluation the same assembly reads.  A central finite-difference oracle
+adjudicates the whole assembly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import StarConfig, SystemModel
-from .rate import Evaluation, dense_covariance_scalars, dense_lmmse, evaluate, sum_se
+from .rate import Evaluation, dense_evaluate, evaluate, sum_se
 
 LN2 = np.log(2.0)
 
@@ -52,29 +52,14 @@ class GradientWorkspace:
     d_alpha: np.ndarray      # (K,) dF/dalpha_k
 
 
-def build_workspace(point: Evaluation, system: SystemModel,
-                    method: str = "eig") -> GradientWorkspace:
-    """dF/dalpha at a point the objective kernel has evaluated (the
-    optimizer passes its accepted trial's evaluation), from its eigen-sums.
-
-    ``method='dense'`` recomputes the covariance scalars, the objective's
-    terms and the eigen-sums from explicit matrices, and the surface
-    diagonals from R_RIS itself, read in row blocks with the scalars
-    (:func:`rate.dense_covariance_scalars`), using nothing of the kernel's
-    cache but the point; results agree to roundoff and the dense route
-    exists only to validate the fast algebra.
+def build_workspace(point: Evaluation, system: SystemModel) -> GradientWorkspace:
+    """dF/dalpha at an evaluated point, from its eigen-sums: the optimizer
+    passes its accepted trial's evaluation (:func:`rate.evaluate`), the
+    dense route that of :func:`rate.dense_evaluate`.
 
     Raises :class:`DegenerateInterferenceError` if any user has a zero
     interference term (the quotient rule is undefined there).
     """
-    if method not in ("eig", "dense"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "dense":
-        config = StarConfig(point.theta, point.beta)
-        a = np.empty((2, system.dims.n), dtype=complex)
-        alphas = dense_covariance_scalars(config, system, a)
-        point = replace(point, alphas=alphas, sums=_sums_dense(alphas, system), a=a,
-                        report=sum_se(config, system, method="dense"))
     report = point.report
     if np.any(report.i_tilde <= 0):
         bad = np.unravel_index(np.argmin(report.i_tilde), report.i_tilde.shape)
@@ -95,30 +80,19 @@ def build_workspace(point: Evaluation, system: SystemModel,
     return GradientWorkspace(point=point, system=system, d_alpha=d_alpha)
 
 
-def _sums_dense(alphas, system):
-    """Verification route: the eigen-sums as traces of the (K, M, M) stacks
-    of :func:`rate.dense_lmmse`, with D_k = dPsi_k/dalpha_k =
-    R_BS Q_k R_k + R_k Q_k R_BS - R_k Q_k R_BS Q_k R_k."""
-    def trace(x):
-        return np.trace(x, axis1=-2, axis2=-1).real
-
-    r_bs = system.corr.r_bs
-    r, q, psi = dense_lmmse(alphas, system)
-    qr, rq = q @ r, r @ q
-    d = r_bs @ qr + rq @ r_bs - rq @ r_bs @ qr
-    return np.array([trace(psi), trace(psi @ r_bs), trace(psi @ psi),
-                     trace(d), trace(d @ r_bs), trace(psi @ d)])
-
-
 def grad_objective(config: StarConfig, system: SystemModel,
                    method: str = "eig") -> GradientPair:
-    """Full gradient of the sum-SE objective.
+    """Full gradient of the sum-SE objective; ``method='dense'`` takes the
+    point from the dense referee (:func:`rate.dense_evaluate`).
 
     Raises :class:`DegenerateInterferenceError` if any user has a zero
     interference term (the quotient rule is undefined there).
     """
-    point = evaluate(config.theta, config.beta, system)
-    return grad_objective_from_workspace(build_workspace(point, system, method=method))
+    producers = {"eig": evaluate, "dense": dense_evaluate}
+    if method not in producers:
+        raise ValueError(f"unknown method {method!r}")
+    point = producers[method](config.theta, config.beta, system)
+    return grad_objective_from_workspace(build_workspace(point, system))
 
 
 def grad_objective_from_workspace(ws: GradientWorkspace) -> GradientPair:

@@ -91,7 +91,8 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
     """
     if n_trials < 2:
         raise ValueError("need at least two trials")
-    if not isinstance(n_batches, (int, np.integer)) or n_batches < 1:
+    if (isinstance(n_batches, bool) or not isinstance(n_batches, (int, np.integer))
+            or n_batches < 1):
         raise ValueError(f"n_batches must be an integer >= 1, got {n_batches!r}")
     k_users = system.dims.k
     eps = system.epsilon

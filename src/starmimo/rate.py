@@ -9,12 +9,13 @@ vectorized kernel, :func:`evaluate`, that evaluates every trace as an O(M)
 sum over the shared BS eigenvalues and keeps the intermediates the gradient
 reuses.  It splits at the covariance scalars: ``covariance_scalars`` reads
 the surface, :func:`from_alphas` is the one LMMSE/rate formula.  A naive
-dense-matrix path verifies the eigenbasis algebra: it reads only R_RIS,
-R_BS and the configuration, takes the covariance scalars from R_RIS itself
-(:func:`dense_covariance_scalars`) and the explicit R_k, Q_k, Psi_k from
-:func:`dense_lmmse`, which the gradient's dense route shares.  It reads
-R_RIS in blocks of rows that fit ``ROW_BLOCK_BYTES``, so on a grid surface
-no N x N matrix is made.
+dense-matrix referee, :func:`dense_evaluate`, verifies the eigenbasis
+algebra and returns the same :class:`Evaluation`, which the gradient's
+dense route reads: it reads only R_RIS, R_BS and the configuration, takes
+the covariance scalars from R_RIS itself (:func:`dense_covariance_scalars`)
+and every sum from explicit R_k, Q_k, Psi_k.  It reads R_RIS once, in
+blocks of rows that fit ``ROW_BLOCK_BYTES``, so on a grid surface no N x N
+matrix is made.
 """
 
 from __future__ import annotations
@@ -132,11 +133,11 @@ def sum_se(config: StarConfig, system: SystemModel, method: str = "eig") -> Rate
 
     ``method='eig'`` is the O(N^2 + KM) production kernel (O(N log N + KM)
     on a grid from ``correlation.FFT_MIN_N`` up); ``method='dense'``
-    re-derives every term from explicit matrices and exists to validate the
-    eigenbasis algebra.
+    re-derives every term from explicit matrices (:func:`dense_evaluate`)
+    and exists to validate the eigenbasis algebra.
     """
     if method == "dense":
-        return _sum_se_dense(config, system)
+        return dense_evaluate(config.theta, config.beta, system).report
     if method != "eig":
         raise ValueError(f"unknown method {method!r}")
     return evaluate(config.theta, config.beta, system).report
@@ -152,31 +153,35 @@ def _assemble_report(s: np.ndarray, i_tilde: np.ndarray, prelog: float) -> RateR
     )
 
 
-def _sum_se_dense(config: StarConfig, system: SystemModel) -> RateReport:
-    """Naive O(M^3) evaluation with materialized covariance matrices.  User
-    k's own terms tr(R_k Psi_k) - tr(Psi_k^2), at high SNR orders of
-    magnitude above I_k, are tr(C_k Psi_k) with the error covariance C_k =
-    R_k - Psi_k = eps R_k Q_k, so no two nearly equal traces are subtracted."""
-    r, q, psi = dense_lmmse(dense_covariance_scalars(config, system), system)
-    psi_sum = psi.sum(axis=0)
-    s = np.trace(psi, axis1=1, axis2=2).real ** 2
-    cross = np.einsum("kab,iba->ki", r, psi).real * (1.0 - np.eye(len(psi)))
-    i_tilde = (
-        cross.sum(axis=1)
-        + system.epsilon * np.trace(r @ q @ psi, axis1=1, axis2=2).real
-        + system.noise_lift * np.trace(psi_sum).real
-    )
-    return _assemble_report(s, i_tilde, system.dims.prelog)
+def dense_evaluate(theta: np.ndarray, beta: np.ndarray, system: SystemModel) -> Evaluation:
+    """The dense referee's :class:`Evaluation` at one (2, N) point, from
+    explicit matrices: the covariance scalars and surface diagonals from
+    R_RIS itself (:func:`dense_covariance_scalars`), the (K, M, M) stacks
+    R_k = alpha_k R_BS, Q_k = (R_k + eps I)^-1, Psi_k = R_k Q_k R_k and
+    D_k = dPsi_k/dalpha_k = R_BS Q_k R_k + R_k Q_k R_BS - R_k Q_k R_BS Q_k R_k,
+    and the six eigen-sums as their traces.  User k's own terms
+    tr(R_k Psi_k) - tr(Psi_k^2), at high SNR orders of magnitude above I_k,
+    are tr(C_k Psi_k) with the error covariance C_k = R_k - Psi_k =
+    eps R_k Q_k, so no two nearly equal traces are subtracted.
+    """
+    def trace(x):
+        return np.trace(x, axis1=-2, axis2=-1).real
 
-
-def dense_lmmse(alphas: np.ndarray,
-                system: SystemModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The explicit (K, M, M) stacks R_k = alpha_k R_BS, Q_k = (R_k + eps I)^-1
-    and Psi_k = R_k Q_k R_k; the dense referees' LMMSE, independent of the
-    eigenvalue spectra of :func:`from_alphas`."""
-    r = alphas[:, None, None] * system.corr.r_bs
+    a = np.empty((2, system.dims.n), dtype=complex)
+    alphas = dense_covariance_scalars(StarConfig(theta, beta), system, a)
+    r_bs = system.corr.r_bs
+    r = alphas[:, None, None] * r_bs
     q = np.linalg.inv(r + system.epsilon * np.eye(system.dims.m))
-    return r, q, r @ q @ r
+    qr, rq = q @ r, r @ q
+    psi = rq @ r
+    d = r_bs @ qr + rq @ r_bs - rq @ r_bs @ qr
+    sums = np.array([trace(psi), trace(psi @ r_bs), trace(psi @ psi),
+                     trace(d), trace(d @ r_bs), trace(psi @ d)])
+    cross = np.einsum("kab,iba->ki", r, psi).real * (1.0 - np.eye(len(psi)))
+    i_tilde = (cross.sum(axis=1) + system.epsilon * trace(rq @ psi)
+               + system.noise_lift * sums[0].sum())
+    report = _assemble_report(sums[0] ** 2, i_tilde, system.dims.prelog)
+    return Evaluation(theta=theta, beta=beta, a=a, alphas=alphas, sums=sums, report=report)
 
 
 def dense_covariance_scalars(config: StarConfig, system: SystemModel,

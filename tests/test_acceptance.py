@@ -18,7 +18,7 @@ from starmimo.estimation import apply_wiener_filter
 from starmimo.gradients import build_workspace, finite_difference_gradient, grad_objective
 from starmimo.montecarlo import mc_sinr
 from starmimo.optimizer import PgamOptions, pgam
-from starmimo.rate import evaluate, from_alphas, sum_se
+from starmimo.rate import dense_evaluate, evaluate, from_alphas, sum_se
 
 VI_SETUP = {
     "name": "acceptance",
@@ -95,8 +95,8 @@ def test_criterion_3_fast_path_equivalence():
         fast = sum_se(config, system, method="eig")
         dense = sum_se(config, system, method="dense")
         point = evaluate(config.theta, config.beta, system)
-        ws_fast = build_workspace(point, system, method="eig")
-        ws_dense = build_workspace(point, system, method="dense")
+        ws_fast = build_workspace(point, system)
+        ws_dense = build_workspace(dense_evaluate(config.theta, config.beta, system), system)
         (d_signal, d_interference), (dense_signal, dense_interference) = (
             alpha_partials(ws.point, system) for ws in (ws_fast, ws_dense))
         for a, b in ((fast.s, dense.s), (fast.i_tilde, dense.i_tilde),

@@ -254,8 +254,12 @@ class TestSystemModel:
         ({"rho": 0.0}, "powers must be positive"),
         ({"pilot_power": 0.0}, "powers must be positive"),
         ({"sigma2": 0.0}, "powers must be positive"),
+        ({"rho": np.nan}, "powers must be positive"),
+        ({"pilot_power": np.inf}, "powers must be positive"),
+        ({"sigma2": np.nan}, "powers must be positive"),
     ], ids=["k_t-above-K", "k_t-negative", "no-users", "tau-below-K", "tau-above-tau_c",
-            "zero-rho", "zero-pilot-power", "zero-sigma2"])
+            "zero-rho", "zero-pilot-power", "zero-sigma2", "nan-rho", "inf-pilot-power",
+            "nan-sigma2"])
     def test_rejects_inconsistent_inputs(self, changes, message, rng):
         system = random_system(rng, k_t=2, k_r=1)  # K = 3, tau = 4, tau_c = 200
         with pytest.raises(ValueError, match=message):

@@ -631,6 +631,16 @@ class TestLinkGains:
         with pytest.raises(ValueError):
             LinkGains(beta_g=0.1, beta_bar=[-1.0], beta_tilde=[1.0])
 
+    @pytest.mark.parametrize("gains", [
+        {"beta_g": np.nan},
+        {"beta_bar": [1.0, np.nan]},
+        {"beta_tilde": [np.inf, 1.0]},
+    ], ids=["nan-beta_g", "nan-beta_bar", "inf-beta_tilde"])
+    def test_rejects_non_finite(self, gains):
+        with pytest.raises(ValueError, match="path gains must be non-negative"):
+            LinkGains(**{"beta_g": 0.1, "beta_bar": [1.0, 1.0], "beta_tilde": [1.0, 1.0],
+                         **gains})
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             LinkGains(beta_g=0.1, beta_bar=[1.0, 2.0], beta_tilde=[1.0])

@@ -14,7 +14,7 @@ from starmimo.gradients import (
     grad_objective,
     grad_objective_from_workspace,
 )
-from starmimo.rate import evaluate, from_alphas, sum_se
+from starmimo.rate import dense_evaluate, evaluate, from_alphas, sum_se
 
 FD_STEP = 1e-6
 REGIONS = ("t", "r")
@@ -74,8 +74,8 @@ def amplitude_direction(ws, region):
     return 2.0 * np.real(np.conj(ws.point.a[u]) * ws.point.theta[u])
 
 
-def workspace(config, system, method="eig"):
-    return build_workspace(evaluate(config.theta, config.beta, system), system, method)
+def workspace(config, system, producer=evaluate):
+    return build_workspace(producer(config.theta, config.beta, system), system)
 
 
 def rel_err(closed, numeric):
@@ -378,9 +378,11 @@ class TestWorkspaceScalars:
                                    n=int(rng.integers(3, 9)),
                                    complex_bs=bool(rng.integers(0, 2)))
             config = StarConfig.random(system.dims.n, rng)
-            fast = workspace(config, system, method="eig")
-            dense = workspace(config, system, method="dense")
-            np.testing.assert_allclose(fast.point.sums, dense.point.sums, rtol=1e-9)
+            fast = workspace(config, system)
+            dense = workspace(config, system, dense_evaluate)
+            for field in ("a", "alphas", "sums"):
+                np.testing.assert_allclose(getattr(fast.point, field),
+                                           getattr(dense.point, field), rtol=1e-9)
             for ours, theirs in zip(alpha_partials(fast.point, system),
                                     alpha_partials(dense.point, system)):
                 np.testing.assert_allclose(ours, theirs, rtol=1e-9)
@@ -406,5 +408,8 @@ class TestWorkspaceScalars:
 
     def test_rejects_unknown_method(self, rng):
         system = random_system(rng)
-        with pytest.raises(ValueError):
-            workspace(StarConfig.random(system.dims.n, rng), system, "auto")
+        config = StarConfig.random(system.dims.n, rng)
+        with pytest.raises(ValueError, match="unknown method"):
+            grad_objective(config, system, method="auto")
+        with pytest.raises(ValueError, match="unknown method"):
+            sum_se(config, system, method="auto")

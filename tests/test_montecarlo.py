@@ -237,7 +237,7 @@ class TestMcSinr:
         with pytest.raises(ValueError):
             mc_sinr(system, StarConfig.equal_split(4, rng), 1, seed=0)
 
-    @pytest.mark.parametrize("n_batches", [0, -3, 2.5, "4"])
+    @pytest.mark.parametrize("n_batches", [0, -3, 2.5, "4", True])
     def test_rejects_n_batches_not_a_positive_integer(self, n_batches):
         system = build_system(ScenarioConfig.from_file(MC_CONFIG), n=16)
         config = StarConfig.random(16, np.random.default_rng(0))

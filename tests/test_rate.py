@@ -214,7 +214,15 @@ class TestGridSurface:
         blocked = sum_se(config, system, method="dense")
         assert blocked.sum_se == pytest.approx(report.sum_se, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(blocked.i_tilde, report.i_tilde, rtol=1e-12)
+        gathered = []
+        ris_rows = CorrelationPair.ris_rows
+        monkeypatch.setattr(CorrelationPair, "ris_rows", lambda corr, start, stop: (
+            gathered.append(stop - start) or ris_rows(corr, start, stop)))
         blocked_grad = grad_objective(config, system, method="dense")
+        # the gradient referee reads R_RIS once: blocks of 5 rows, or of an
+        # eighth of the rows where that is fewer
+        assert sum(gathered) == n
+        assert len(gathered) == -(-n // max(1, min(n // 8, 5)))
         for ours, theirs in ((blocked_grad.d_theta, grad.d_theta),
                              (blocked_grad.d_beta, grad.d_beta)):
             np.testing.assert_allclose(ours, theirs, rtol=1e-12,
