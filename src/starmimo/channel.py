@@ -205,14 +205,16 @@ def covariance_scalars(system: SystemModel, config: StarConfig,
     per start) or, on a large grid, its FFT form with the same values.
     """
     phi = config.beta * config.theta
-    block = np.swapaxes(np.concatenate([phi.real, phi.imag], axis=-2), -1, -2)
+    block = np.concatenate([phi.real, phi.imag], axis=-2).swapaxes(-1, -2)
     prod = system.corr.ris_abs2 @ block
     traces = (block * prod).sum(axis=-2)
     if diagonals is not None:
-        diagonals.real = np.swapaxes(prod[..., :2], -1, -2)
-        diagonals.imag = np.swapaxes(prod[..., 2:], -1, -2)
-    return system.gains.beta_bar + system.gains.beta_hat * (
-        traces[..., :2] + traces[..., 2:])[..., system.region]
+        diagonals.real = prod[..., :2].swapaxes(-1, -2)
+        diagonals.imag = prod[..., 2:].swapaxes(-1, -2)
+    alphas = (traces[..., :2] + traces[..., 2:])[..., system.region]
+    alphas *= system.gains.beta_hat
+    alphas += system.gains.beta_bar
+    return alphas
 
 
 @dataclass

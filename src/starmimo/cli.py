@@ -393,13 +393,15 @@ def user_positions(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def build_system(cfg: ScenarioConfig, *, no_direct: bool = False,
-                 **overrides) -> SystemModel:
+                 corr: CorrelationPair | None = None, **overrides) -> SystemModel:
     """Assemble the immutable system model for one sweep point.
 
     ``overrides`` replace config fields, a sweep point's ``n=36`` say, and
     are checked by their fields' entries; overriding ``snr_db`` or
     ``rho_dbm`` drops the other power field.  ``no_direct`` blocks the
-    direct links (:func:`_without_direct`).
+    direct links (:func:`_without_direct`).  ``corr``, the previous point's
+    pair, lends the statistics the point leaves unchanged
+    (``CorrelationPair.from_grid``).
     """
     if overrides.keys() & {"snr_db", "rho_dbm"}:
         overrides = {"snr_db": None, "rho_dbm": None, **overrides}
@@ -424,7 +426,7 @@ def build_system(cfg: ScenarioConfig, *, no_direct: bool = False,
     geom = ArrayGeometry(n_h=side, n_v=side, spacing_h=cfg.ris_spacing,
                          spacing_v=cfg.ris_spacing)
     corr = CorrelationPair.from_grid(build_bs_correlation(cfg.m, cfg.bs_model, cfg.bs_param),
-                                     geom)
+                                     geom, corr)
 
     bs = np.asarray(cfg.bs_xy, dtype=float)
     ris = np.asarray(cfg.ris_xy, dtype=float)
@@ -485,15 +487,22 @@ def run_protocol(protocol: str, cfg: ScenarioConfig, system: SystemModel,
     With it, "es" and "ms" on the same ``system`` object share one
     multi-start, and the first optimized protocol runs those of every system
     the cache lists in one batch; without it every call runs its own.  The
-    result of an optimized protocol holds its system's multi-start trace.
+    result of an optimized protocol holds its system's multi-start trace;
+    "es" and "es-no-direct" report its final objective, "ms" scores its
+    rounded point.
     """
     options = replace(cfg.optimizer, seed=opt_seed)
     n = system.dims.n
 
     if protocol in OPTIMIZED:
         trace = _multi_start(system, options, cache)
-        best = (round_to_ms if protocol == "ms" else canonicalize_signs)(trace.final_config)
-        return ProtocolResult(best, sum_se(best, system).sum_se, trace)
+        if protocol == "ms":
+            best = round_to_ms(trace.final_config)
+            return ProtocolResult(best, sum_se(best, system).sum_se, trace)
+        # the sign flip leaves phi = beta theta exact, so the trace's value is
+        # the closed form at the canonical point to the bit
+        return ProtocolResult(canonicalize_signs(trace.final_config), trace.final_objective,
+                              trace)
 
     if protocol == "conventional":
         split = split_surface(system, int(round(cfg.conventional_t_fraction * n)))
@@ -555,7 +564,9 @@ def _format_row(cfg: ScenarioConfig, parameter: str, value, scenario: str, se: f
 
 
 def _sweep_rows(cfg: ScenarioConfig):
-    """One row's values per sweep point per protocol, in sweep order."""
+    """One row's values per sweep point per protocol, in sweep order; each
+    point's system is built on the previous point's correlation pair."""
+    corr = None
     for sweep_idx, value in enumerate(cfg.sweep_values or ("",)):
         overrides = {cfg.sweep_parameter: value} if cfg.sweep_parameter else {}
         # one optimizer seed per sweep point, shared across protocols so
@@ -565,7 +576,8 @@ def _sweep_rows(cfg: ScenarioConfig):
         # the same correlation pair, and one multi-start cache, shared by
         # every protocol there; it lists the systems the point optimizes, so
         # the first optimized protocol runs all their multi-starts in one batch
-        system = build_system(cfg, **overrides)
+        system = build_system(cfg, corr=corr, **overrides)
+        corr = system.corr
         systems = {False: system, True: _without_direct(system)}
         options = replace(cfg.optimizer, seed=opt_seed)
         cache = {(systems[protocol == "es-no-direct"], options): None

@@ -15,7 +15,7 @@ kernel changes only its roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -433,8 +433,10 @@ class GridKernel:
     Solvers*, SIAM 2007).  So ``kernel @ x`` convolves each column of x, laid
     out on the (n_v, n_h) grid, with the mirrored table.  Both are padded to
     (2 n_v, 2 n_h), where the circular convolution equals the linear one; the
-    ``rfft2`` spectrum of the mirrored table is kept.  ``size`` and ``dtype``
-    are the spectrum's, the one array a product reads.
+    ``rfft2`` spectrum of the mirrored table is kept.  A product transforms
+    only the n_v rows of data and inverts only the n_v rows it returns, with
+    the bits of ``irfft2(rfft2(x, pad) * spectrum, pad)`` cropped.  ``size``
+    and ``dtype`` are the spectrum's, the one array a product reads.
     """
 
     def __init__(self, table2: np.ndarray):
@@ -451,11 +453,14 @@ class GridKernel:
     def __matmul__(self, block: np.ndarray) -> np.ndarray:
         """``|R_RIS|^2 @ block`` for a real (N, c) or (P, N, c) block."""
         n_v, n_h = self.grid
-        pad = (2 * n_v, 2 * n_h)
         cols = np.swapaxes(block, -1, -2)
         grids = cols.reshape(cols.shape[:-1] + self.grid)
-        out = np.fft.irfft2(np.fft.rfft2(grids, s=pad) * self.spectrum, s=pad)
-        return np.swapaxes(out[..., :n_v, :n_h].reshape(cols.shape), -1, -2)
+        # rfft2's two passes, the padding rows left out of the first
+        spectrum = np.fft.fft(np.fft.rfft(grids, 2 * n_h), 2 * n_v, axis=-2)
+        spectrum *= self.spectrum
+        # irfft2's two passes, the rows past n_v cropped between them
+        out = np.fft.irfft(np.fft.ifft(spectrum, axis=-2)[..., :n_v, :], 2 * n_h)
+        return np.swapaxes(out[..., :n_h].reshape(cols.shape), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -494,13 +499,27 @@ class CorrelationPair:
         return pair
 
     @classmethod
-    def from_grid(cls, r_bs: np.ndarray, geom: ArrayGeometry) -> "CorrelationPair":
+    def from_grid(cls, r_bs: np.ndarray, geom: ArrayGeometry,
+                  previous: "CorrelationPair | None" = None) -> "CorrelationPair":
         """The sinc-kernel surface of :func:`build_ris_correlation`, kept as
-        its offset table; symmetric by construction."""
+        its offset table; symmetric by construction.
+
+        A ``previous`` pair lends what the new inputs leave unchanged: with
+        an equal R_BS and offset table it is returned itself, cached kernel
+        and factor included; with an equal R_BS only, the new pair takes its
+        BS eigendecomposition and ``bs_factor`` and nothing of its surface.
+        """
         table = _offset_table(geom)
         if not (np.all(np.isfinite(table)) and table[0, 0] == 1.0):
             raise ValueError("the surface offset table must be finite with a unit diagonal")
-        return cls._with_bs(r_bs, ris_table=table)
+        if previous is None or not np.array_equal(previous.r_bs, r_bs):
+            return cls._with_bs(r_bs, ris_table=table)
+        if np.array_equal(previous.ris_table, table):
+            return previous
+        pair = replace(previous, ris_table=table)  # cached properties are not copied
+        if "bs_factor" in previous.__dict__:
+            pair.__dict__["bs_factor"] = previous.bs_factor
+        return pair
 
     @classmethod
     def _with_bs(cls, r_bs: np.ndarray, ris_table: np.ndarray | None = None):
@@ -605,7 +624,7 @@ class LinkGains:
     def k(self) -> int:
         return self.beta_tilde.shape[0]
 
-    @property
+    @cached_property
     def beta_hat(self) -> np.ndarray:
         """Cascaded BS-surface-user gain, the exact product of the two hops."""
         return self.beta_g * self.beta_tilde

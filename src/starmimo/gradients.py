@@ -73,10 +73,10 @@ def build_workspace(point: Evaluation, system: SystemModel) -> GradientWorkspace
     p, a, _, c, e, g = point.sums
     damp = (system.dims.prelog / LN2) / (report.i_tilde + report.s)
     w = report.gamma * damp
-    total_w = np.sum(w, axis=-1)[..., None]
-    total_wa = np.sum(w * point.alphas, axis=-1)[..., None]
+    total_w = w.sum(axis=-1)[..., None]
+    total_wa = (w * point.alphas).sum(axis=-1)[..., None]
     d_alpha = (c * (2.0 * damp * p - system.noise_lift * total_w)
-               + w * (2.0 * g - np.sum(a, axis=-1)[..., None]) - e * total_wa)
+               + w * (2.0 * g - a.sum(axis=-1)[..., None]) - e * total_wa)
     return GradientWorkspace(point=point, system=system, d_alpha=d_alpha)
 
 

@@ -123,7 +123,10 @@ def from_alphas(alphas: np.ndarray,
     sums = terms.sum(axis=-1)
     p, a, b = sums[:3]
     total_p, total_a = sums[:2].sum(axis=-1)[..., None]
-    i_tilde = alphas * total_a - b + system.noise_lift * total_p
+    i_tilde = alphas * total_a
+    i_tilde -= b
+    total_p *= system.noise_lift
+    i_tilde += total_p
     report = _assemble_report(p**2, i_tilde, system.dims.prelog)
     return psi, sums, report
 
@@ -145,12 +148,9 @@ def sum_se(config: StarConfig, system: SystemModel, method: str = "eig") -> Rate
 
 def _assemble_report(s: np.ndarray, i_tilde: np.ndarray, prelog: float) -> RateReport:
     gamma = sinr_from_terms(s, i_tilde)
-    return RateReport(
-        s=s,
-        i_tilde=i_tilde,
-        gamma=gamma,
-        sum_se=prelog * np.sum(np.log2(1.0 + gamma), axis=-1),
-    )
+    rates = gamma + 1.0
+    np.log2(rates, out=rates)
+    return RateReport(s=s, i_tilde=i_tilde, gamma=gamma, sum_se=prelog * rates.sum(axis=-1))
 
 
 def dense_evaluate(theta: np.ndarray, beta: np.ndarray, system: SystemModel) -> Evaluation:

@@ -486,6 +486,53 @@ class TestRunExperiment:
             assert result.sum_se == sum_se(expected, system).sum_se
             assert row["sum_se"] == f"{result.sum_se:.10g}"
 
+    @pytest.mark.parametrize("n", [36, 1024])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_optimized_rows_are_the_closed_form_at_their_configuration(self, n, batched):
+        # es and es-no-direct report their trace's final objective, which is
+        # the closed form at the sign-canonical configuration to the bit
+        import dataclasses
+
+        import starmimo.cli as cli_module
+
+        raw = json.loads(json.dumps(DESK))
+        raw["dims"]["n"] = n
+        raw["optimizer"]["max_iters"] = 8
+        cfg = ScenarioConfig.from_dict(raw)
+        system = build_system(cfg)
+        assert isinstance(system.corr.ris_abs2, GridKernel) == (n >= FFT_MIN_N)
+        systems = {"es": system, "es-no-direct": cli_module._without_direct(system)}
+        options = dataclasses.replace(cfg.optimizer, seed=11)
+        cache = {(model, options): None for model in systems.values()} if batched else None
+        for protocol, model in systems.items():
+            result = run_protocol(protocol, cfg, model, 11, cache)
+            assert np.all(result.config.beta >= 0.0)
+            assert result.sum_se == result.trace.final_objective
+            assert result.sum_se == sum_se(result.config, model).sum_se
+
+    def test_es_point_evaluates_only_its_multi_start(self, monkeypatch):
+        import dataclasses
+
+        import starmimo.cli as cli_module
+        import starmimo.rate as rate_module
+
+        cfg = ScenarioConfig.from_dict(DESK)
+        calls = []
+        covariance_scalars = rate_module.covariance_scalars
+
+        def counted(*args):
+            calls.append(args[0])
+            return covariance_scalars(*args)
+
+        monkeypatch.setattr(rate_module, "covariance_scalars", counted)
+        options = dataclasses.replace(cfg.optimizer, seed=cli_module.derive_seed(cfg.seed, 0))
+        multi_start([build_system(cfg)], options)
+        alone = len(calls)
+        calls.clear()
+        [row] = run_experiment(cfg)
+        # the row is the multi-start's value; no kernel call re-scores it
+        assert len(calls) == alone and row["scenario"] == "es"
+
     def test_conventional_row_is_the_best_sign_pattern(self):
         # the first round(t_fraction * N) elements transmit, the rest
         # reflect; each region's phases are all 1 or alternate +1/-1 by
@@ -590,6 +637,94 @@ class TestRunExperiment:
         assert [r["sweep_value"] for r in first] == list(range(len(first)))
         values = [float(r["sum_se"]) for r in first]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+class TestCorrelationReuse:
+    """A sweep's points share the run's correlation statistics, and only
+    within one ``run_experiment`` call."""
+
+    @staticmethod
+    def built_pairs(monkeypatch) -> list:
+        import starmimo.cli as cli_module
+
+        pairs, original = [], cli_module.build_system
+
+        def build_system(*args, **kwargs):
+            system = original(*args, **kwargs)
+            pairs.append(system.corr)
+            return system
+
+        monkeypatch.setattr(cli_module, "build_system", build_system)
+        return pairs
+
+    @staticmethod
+    def sweep(parameter, values, protocols=("es",)):
+        raw = json.loads(json.dumps(DESK))
+        raw["sweep"] = {"parameter": parameter, "values": list(values)}
+        raw["protocols"] = list(protocols)
+        raw["optimizer"]["max_iters"] = 3
+        return ScenarioConfig.from_dict(raw)
+
+    def test_element_sweep_decomposes_r_bs_once_per_run(self, monkeypatch):
+        import starmimo.correlation as correlation_module
+
+        calls, original = [], correlation_module.eigendecompose_bs
+        monkeypatch.setattr(correlation_module, "eigendecompose_bs",
+                            lambda r_bs: calls.append(r_bs) or original(r_bs))
+        pairs = self.built_pairs(monkeypatch)
+        cfg = self.sweep("n", [4, 9, 16], ("es", "random-phase", "es-no-direct"))
+        run_experiment(cfg)
+        assert len(calls) == 1 and len(pairs) == 3
+        for pair, n in zip(pairs, cfg.sweep_values):
+            assert pair.n == n and pair.bs_eigvecs is pairs[0].bs_eigvecs
+        run_experiment(cfg)
+        assert len(calls) == 2 and pairs[3].bs_eigvecs is not pairs[0].bs_eigvecs
+
+    @pytest.mark.parametrize("parameter, values", [("snr_db", [100.0, 110.0, 120.0]),
+                                                   ("rho_dbm", [10.0, 20.0])])
+    def test_power_sweep_shares_one_pair(self, monkeypatch, parameter, values):
+        pairs = self.built_pairs(monkeypatch)
+        cfg = self.sweep(parameter, values)
+        first = run_experiment(cfg)
+        assert len(pairs) == len(values) and all(pair is pairs[0] for pair in pairs)
+        second = run_experiment(cfg)
+        assert pairs[len(values)] is not pairs[0]
+        assert all(pair is pairs[len(values)] for pair in pairs[len(values):])
+        assert first == second
+
+    def test_shared_statistics_leave_the_rows(self, monkeypatch):
+        import starmimo.cli as cli_module
+
+        original = cli_module.build_system
+        for parameter, values in (("n", [4, 9]), ("ris_spacing", [0.25, 0.5]),
+                                  ("m", [4, 8]), ("snr_db", [100.0, 110.0])):
+            cfg = self.sweep(parameter, values, ("es", "ms", "random-phase"))
+            shared = run_experiment(cfg)
+            with monkeypatch.context() as patch:
+                # every point on statistics of its own
+                patch.setattr(cli_module, "build_system",
+                              lambda cfg, corr=None, **overrides: original(cfg, **overrides))
+                assert run_experiment(cfg) == shared
+
+    def test_a_new_surface_frees_the_previous_kernel(self, monkeypatch):
+        import gc
+        import weakref
+
+        import starmimo.cli as cli_module
+
+        kernels, alive = [], []
+        run_protocol = cli_module.run_protocol
+
+        def capture(protocol, cfg, system, *rest):
+            gc.collect()
+            alive.append([kernel() is not None for kernel in kernels])
+            result = run_protocol(protocol, cfg, system, *rest)
+            kernels.append(weakref.ref(system.corr.ris_abs2))
+            return result
+
+        monkeypatch.setattr(cli_module, "run_protocol", capture)
+        run_experiment(self.sweep("n", [4, 9, 16]))
+        assert alive == [[], [False], [False, False]]
 
 
 class TestConventionalReferee:

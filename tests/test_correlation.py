@@ -351,6 +351,24 @@ class TestGridKernel:
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
+    # odd, rectangular (both ways) and square grids
+    @pytest.mark.parametrize("grid", [(3, 5), (7, 3), (9, 16), (13, 10), (24, 24), (33, 33)])
+    def test_batch_rows_equal_their_own_products(self, grid, rng):
+        # the lockstep invariant on the FFT path: a start's product does not
+        # depend on the batch it is taken in
+        geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=0.25, spacing_v=0.25)
+        kernel = GridKernel(np.square(CorrelationPair.from_grid(np.eye(2), geom).ris_table))
+        block = rng.standard_normal((5, geom.n, 4))
+        batch = kernel @ block
+        for p in range(len(block)):
+            np.testing.assert_array_equal(batch[p], kernel @ block[p])
+        # the padded rfft2 product, cropped, to the bit
+        pad = (2 * grid[0], 2 * grid[1])
+        grids = np.swapaxes(block, -1, -2).reshape(5, 4, *grid)
+        padded = np.fft.irfft2(np.fft.rfft2(grids, s=pad) * kernel.spectrum, s=pad)
+        np.testing.assert_array_equal(
+            batch, np.swapaxes(padded[..., :grid[0], :grid[1]].reshape(5, 4, geom.n), -1, -2))
+
     def test_zero_block_gives_exact_zero(self):
         geom = ArrayGeometry(24, 24, 0.25, 0.25)
         kernel = GridKernel(np.square(CorrelationPair.from_grid(np.eye(2), geom).ris_table))
@@ -375,6 +393,28 @@ class TestFromGrid:
         dense = CorrelationPair.from_matrices(np.eye(3), build_ris_correlation(geom))
         np.testing.assert_array_equal(pair.r_ris, dense.r_ris)
         np.testing.assert_array_equal(pair.r_ris, pair.r_ris.T)
+
+    def test_previous_pair_lends_what_is_unchanged(self):
+        r_bs = build_bs_correlation(6, "exponential", 0.5)
+        small, large = ArrayGeometry(5, 5, 0.25, 0.25), ArrayGeometry(24, 24, 0.25, 0.25)
+        previous = CorrelationPair.from_grid(r_bs, small)
+        for name in ("ris_abs2", "ris_factor", "bs_factor"):  # build every cache
+            getattr(previous, name)
+        # equal inputs: the pair itself, with everything it has cached
+        assert CorrelationPair.from_grid(r_bs.copy(), small, previous) is previous
+        # a new surface: the BS half is lent, nothing of the old surface
+        pair = CorrelationPair.from_grid(r_bs, large, previous)
+        assert pair.bs_eigvecs is previous.bs_eigvecs and pair.bs_eigvals is previous.bs_eigvals
+        assert pair.bs_factor is previous.bs_factor
+        assert not pair.__dict__.keys() & {"ris_abs2", "ris_factor", "r_ris"}
+        fresh = CorrelationPair.from_grid(r_bs, large)
+        np.testing.assert_array_equal(pair.ris_table, fresh.ris_table)
+        assert isinstance(pair.ris_abs2, GridKernel)
+        np.testing.assert_array_equal(pair.ris_abs2.spectrum, fresh.ris_abs2.spectrum)
+        # a new R_BS: a pair of its own
+        other = CorrelationPair.from_grid(np.eye(6), small, previous)
+        assert other.bs_eigvecs is not previous.bs_eigvecs and "bs_factor" not in other.__dict__
+        np.testing.assert_array_equal(other.bs_eigvals, np.ones(6))
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_kernel_is_dense_below_the_crossover_only(self, grid):
