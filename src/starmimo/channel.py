@@ -191,26 +191,31 @@ def covariance_scalars(system: SystemModel, config: StarConfig,
     """All per-user covariance scalars, from one product for both regions.
 
     ``alpha_k = beta_bar_k + beta_hat_k * phi_u^H |R_RIS|^2 phi_u`` with u =
-    ``system.region[k]``.  One real product of ``|R_RIS|^2`` with the (N, 4)
-    block [Re phi_t, Re phi_r, Im phi_t, Im phi_r] gives both traces without
-    upcasting the kernel to complex (it is real symmetric); each user takes
-    its region's by index.  If ``diagonals``, a (2, N) complex array, is
-    given, the product's ``diag(R_RIS Phi_u R_RIS) = |R_RIS|^2 phi_u`` of
-    both regions, t first, is written into it; the gradient reads them.
+    ``system.region[k]``.  The contiguous (4, N) rows [Re phi_t, Re phi_r,
+    Im phi_t, Im phi_r] times ``|R_RIS|^2`` give both traces from one real
+    product, without upcasting the kernel to complex.  The kernel is real
+    symmetric, so a row times it is the kernel times that row: exactly on a
+    grid, whose kernel is gathered symmetric, and to the symmetry tolerance
+    of ``CorrelationPair.from_matrices`` otherwise.  Each trace is the dot of
+    a row with its own product (``np.vecdot``), and each user takes its
+    region's by index.  If ``diagonals``, a (2, N) complex array, is given,
+    the product's ``diag(R_RIS Phi_u R_RIS) = |R_RIS|^2 phi_u`` of both
+    regions, t first, is copied into it from the product's rows; the
+    gradient reads them.
 
     A configuration with a leading start axis gives (P, K) scalars from one
-    stacked (N, N) x (P, N, 4) product, and ``diagonals`` is then (P, 2, N);
-    a (P, K) ``beta_bar`` gives every start its own direct gains.
-    The kernel is ``CorrelationPair.ris_abs2``: the dense square (one gemm
-    per start) or, on a large grid, its FFT form with the same values.
+    stacked (P, 4, N) x (N, N) product, one gemm per start, and
+    ``diagonals`` is then (P, 2, N); a (P, K) ``beta_bar`` gives every start
+    its own direct gains.  The kernel is ``CorrelationPair.ris_abs2``: the
+    dense square or, on a large grid, its FFT form with the same values.
     """
     phi = config.beta * config.theta
-    block = np.concatenate([phi.real, phi.imag], axis=-2).swapaxes(-1, -2)
-    prod = system.corr.ris_abs2 @ block
-    traces = (block * prod).sum(axis=-2)
+    rows = np.concatenate([phi.real, phi.imag], axis=-2)
+    prod = rows @ system.corr.ris_abs2
+    traces = np.vecdot(rows, prod)
     if diagonals is not None:
-        diagonals.real = prod[..., :2].swapaxes(-1, -2)
-        diagonals.imag = prod[..., 2:].swapaxes(-1, -2)
+        diagonals.real = prod[..., :2, :]
+        diagonals.imag = prod[..., 2:, :]
     alphas = (traces[..., :2] + traces[..., 2:])[..., system.region]
     alphas *= system.gains.beta_hat
     alphas += system.gains.beta_bar

@@ -24,11 +24,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 BS_CORRELATION_MODELS = ("exponential", "uncorrelated")
 
 # Smallest grid whose |R_RIS|^2 kernel is applied by FFT (``GridKernel``)
-# rather than as the dense N x N matrix.  Median ms of one kernel product with
-# the (N, 4) block of P starts, dense / FFT, one BLAS thread (2-vCPU Xeon,
-# numpy 2.4): N = 256: 0.02 / 0.15 (P = 1), 0.10 / 0.51 (P = 5); 400: 0.13-0.20
-# / 0.19, 0.81-0.91 / 0.74-0.76; 576: 0.40 / 0.25, 1.8 / 0.75; 784: 0.63 /
-# 0.21, 3.2 / 1.2; 1024: 1.0 / 0.23, 5.4 / 1.6.  400 is a tie.
+# rather than as the dense N x N matrix.  Median ms of one kernel product
+# ``rows @ kernel`` with the (P, 4, N) rows of P starts, dense / FFT, one BLAS
+# thread (2-vCPU Xeon, 4 MiB L2, numpy 2.4), two runs: N = 256: 0.01 / 0.06-0.10
+# (P = 1), 0.05-0.07 / 0.19-0.21 (P = 5); 400: 0.03 / 0.08, 0.14-0.15 / 0.29-0.30;
+# 576: 0.21 / 0.10-0.11, 1.0-1.2 / 0.42; 1024: 0.74-0.75 / 0.15, 3.7-3.8 / 0.71.
 FFT_MIN_N = 576
 
 # matrix_sqrt_psd keeps the eigenvalues above RANK_RTOL times the largest.
@@ -430,7 +430,7 @@ class GridKernel:
     Entry (n, m) of the kernel is ``table2[|dv|, |dh|]``, the squared offset
     table at the offsets between elements n and m: block Toeplitz with
     Toeplitz blocks (Chan & Jin, *An Introduction to Iterative Toeplitz
-    Solvers*, SIAM 2007).  So ``kernel @ x`` convolves each column of x, laid
+    Solvers*, SIAM 2007).  So ``x @ kernel`` convolves each row of x, laid
     out on the (n_v, n_h) grid, with the mirrored table.  Both are padded to
     (2 n_v, 2 n_h), where the circular convolution equals the linear one; the
     ``rfft2`` spectrum of the mirrored table is kept.  A product transforms
@@ -450,17 +450,19 @@ class GridKernel:
         self.spectrum = np.fft.rfft2(circ)
         self.size, self.dtype = self.spectrum.size, self.spectrum.dtype
 
-    def __matmul__(self, block: np.ndarray) -> np.ndarray:
-        """``|R_RIS|^2 @ block`` for a real (N, c) or (P, N, c) block."""
+    # ``rows @ kernel`` on an ndarray defers to :meth:`__rmatmul__`
+    __array_ufunc__ = None
+
+    def __rmatmul__(self, rows: np.ndarray) -> np.ndarray:
+        """``rows @ |R_RIS|^2`` for real (c, N) or (P, c, N) rows."""
         n_v, n_h = self.grid
-        cols = np.swapaxes(block, -1, -2)
-        grids = cols.reshape(cols.shape[:-1] + self.grid)
+        grids = rows.reshape(rows.shape[:-1] + self.grid)
         # rfft2's two passes, the padding rows left out of the first
         spectrum = np.fft.fft(np.fft.rfft(grids, 2 * n_h), 2 * n_v, axis=-2)
         spectrum *= self.spectrum
         # irfft2's two passes, the rows past n_v cropped between them
         out = np.fft.irfft(np.fft.ifft(spectrum, axis=-2)[..., :n_v, :], 2 * n_h)
-        return np.swapaxes(out[..., :n_h].reshape(cols.shape), -1, -2)
+        return out[..., :n_h].reshape(rows.shape)
 
 
 @dataclass(frozen=True)
@@ -586,7 +588,7 @@ class CorrelationPair:
         """Elementwise |R_RIS|^2; the quadratic kernel of the phase-dependent
         trace, of a grid surface gathered from its squared offset table:
         dense below ``FFT_MIN_N`` elements, else a :class:`GridKernel`,
-        whose ``@`` gives the dense product's values."""
+        whose ``rows @ kernel`` gives the dense product's values."""
         if self.ris_table is None:
             return np.square(self.r_ris)
         table2 = np.square(self.ris_table)

@@ -61,7 +61,7 @@ def build_workspace(point: Evaluation, system: SystemModel) -> GradientWorkspace
     interference term (the quotient rule is undefined there).
     """
     report = point.report
-    if np.any(report.i_tilde <= 0):
+    if (report.i_tilde <= 0).any():
         bad = np.unravel_index(np.argmin(report.i_tilde), report.i_tilde.shape)
         raise DegenerateInterferenceError(
             f"user {bad[-1]} has non-positive interference term {report.i_tilde[bad]:.3e}"

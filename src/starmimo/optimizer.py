@@ -110,9 +110,15 @@ class PgamTrace:
 
 
 def project_theta(v: np.ndarray) -> np.ndarray:
-    """Elementwise unit-modulus projection; zero maps to 1 by convention."""
+    """Elementwise unit-modulus projection; zero maps to 1 by convention.
+
+    With no zero (or NaN) entry, a plain divide with the same bits.
+    """
     v = np.asarray(v, dtype=complex)
     mag = np.abs(v)
+    # min is NaN if any entry is; ``initial`` gives an empty array one
+    if mag.min(initial=1.0) > 0:
+        return v / mag
     return np.divide(v, mag, out=np.ones_like(v), where=mag > 0)
 
 
@@ -120,13 +126,16 @@ def project_beta(v: np.ndarray) -> np.ndarray:
     """Projection of every (t, r) amplitude pair, along axis -2 of (2, N) or
     (P, 2, N) input, onto the unit circle, signs kept.
 
-    The zero pair maps to the equal split (sqrt(1/2), sqrt(1/2)).
+    The zero pair maps to the equal split (sqrt(1/2), sqrt(1/2)); with no
+    zero (or NaN) pair, a plain divide with the same bits.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim < 2 or v.shape[-2] != 2:
         raise ValueError(f"shape {v.shape} needs a region axis of length 2 "
                          "(t, r) before the element axis")
     norm = np.hypot(v[..., :1, :], v[..., 1:, :])
+    if norm.min(initial=1.0) > 0:
+        return v / norm
     return np.divide(v, norm, out=np.full_like(v, np.sqrt(0.5)), where=norm > 0)
 
 
@@ -243,13 +252,15 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
             # they recompute their candidate to the same bits
             theta_new = project_theta(theta + mu[:, None, None] * grad.d_theta)
             beta_new = project_beta(beta + mu[:, None, None] * grad.d_beta)
-            # exact fixed point: no step can move the iterate, so accept the
-            # zero-gain iteration and let the tolerance stop the run
-            fixed = searching & (theta_new == theta).all(axis=(1, 2)) \
-                & (beta_new == beta).all(axis=(1, 2))
-            accepted |= fixed
-            searching &= ~fixed
             step = step_between(theta_new, beta_new, theta, beta)
+            sq_step = step.sq_theta + step.sq_beta
+            # exact fixed point: no step can move the iterate, so accept the
+            # zero-gain iteration and let the tolerance stop the run; only a
+            # zero step norm (an underflowed one too) can be one
+            zero = searching & (sq_step == 0)
+            for row in np.flatnonzero(zero) if zero.any() else ():
+                if (theta_new[row] == theta[row]).all() and (beta_new[row] == beta[row]).all():
+                    accepted[row], searching[row] = True, False
             if trial is point and not searching.any():
                 break
             trial = evaluate(theta_new, beta_new, system)
@@ -267,7 +278,7 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
             backtracks += searching
 
         # the last round's step is every row's final candidate
-        stationarity = np.sqrt(step.sq_theta + step.sq_beta) / mu
+        stationarity = np.sqrt(sq_step) / mu
         stop = ~accepted | (f_new - f_cur < options.tol)
         stopping = stop.any()
         if stopping:

@@ -71,7 +71,12 @@ class Evaluation:
 
 
 def sinr_from_terms(s: np.ndarray, i_tilde: np.ndarray) -> np.ndarray:
-    """Elementwise ratio with the 0/0 case (zero-gain user) defined as 0."""
+    """Elementwise ratio with the 0/0 case (zero-gain user) defined as 0.
+
+    A plain divide when every ``i_tilde`` is positive, with the same bits.
+    """
+    if i_tilde.min(initial=1.0) > 0:
+        return s / i_tilde
     return np.divide(s, i_tilde, out=np.zeros_like(s), where=i_tilde > 0)
 
 
@@ -80,10 +85,10 @@ def evaluate(theta: np.ndarray, beta: np.ndarray, system: SystemModel) -> Evalua
 
     ``theta`` and ``beta`` are the (2, N) arrays of a :class:`StarConfig`
     (row 0 the t-region), or (P, 2, N) batches of them, one row per start.
-    Costs one real |R_RIS|^2 x (N, 4) product per start (dense, or by FFT on
-    a large grid) plus O(KM) vectorized work; every reduction runs along one
-    start's own row, so a start's values do not depend on the batch it is
-    evaluated in.
+    Costs one product of a start's real (4, N) rows with |R_RIS|^2 (dense,
+    or by FFT on a large grid) plus O(KM) vectorized work; the product, the
+    traces and every reduction run along one start's own rows, so a start's
+    values do not depend on the batch it is evaluated in.
     """
     a = np.empty(theta.shape, dtype=complex)
     alphas = covariance_scalars(system, StarConfig(theta, beta), a)
@@ -108,18 +113,23 @@ def from_alphas(alphas: np.ndarray,
     """
     sigma = system.corr.bs_eigvals
     terms = np.empty((6,) + alphas.shape + sigma.shape)
-    psi, x, q, dpsi = terms[0], terms[1], terms[2], terms[3]
-    # x = alpha s, q and 2 - q in slots filled last
-    np.multiply(alphas[..., None], sigma, out=x)
+    psi, x, q, dpsi, s = terms[0], terms[1], terms[2], terms[3], terms[4]
+    # x = alpha s, q and 2 - q in slots filled last; s is the eigenvalues
+    # copied per user, so that no multiply below broadcasts them
+    s[...] = sigma
+    np.multiply(alphas[..., None], s, out=x)
     np.add(x, system.epsilon, out=q)
     np.divide(x, q, out=q)
     np.multiply(x, q, out=psi)
     np.subtract(2.0, q, out=x)
     np.multiply(q, x, out=dpsi)
-    dpsi *= sigma
-    # rows (P, A, B, C, E, G): s and psi times (psi, D) in one call each
-    np.multiply(terms[::3], sigma, out=terms[1::3])
-    np.multiply(terms[::3], psi, out=terms[2::3])
+    dpsi *= s
+    # rows (P, A, B, C, E, G): A, B, G and E, one contiguous multiply each;
+    # A and B overwrite the spent x (then 2 - q) and q, E overwrites s
+    np.multiply(psi, s, out=terms[1])
+    np.multiply(psi, psi, out=terms[2])
+    np.multiply(dpsi, psi, out=terms[5])
+    np.multiply(dpsi, s, out=terms[4])
     sums = terms.sum(axis=-1)
     p, a, b = sums[:3]
     total_p, total_a = sums[:2].sum(axis=-1)[..., None]

@@ -9,6 +9,11 @@ from starmimo.channel import SystemModel
 from starmimo.correlation import CorrelationPair, LinkGains, build_bs_correlation
 
 
+def bits(x):
+    """The array's 64-bit words as integers: equal only if every bit is."""
+    return np.ascontiguousarray(x).view(np.int64)
+
+
 def random_system(rng, m=6, n=5, k_t=2, k_r=1, complex_bs=True, rho=None,
                   sigma2=None):
     """Synthetic instance with O(1) gains; exercises general Hermitian inputs."""

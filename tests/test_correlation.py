@@ -344,10 +344,10 @@ class TestGridKernel:
         geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=sp, spacing_v=sp)
         kernel = GridKernel(np.square(CorrelationPair.from_grid(np.eye(2), geom).ris_table))
         dense = np.square(build_ris_correlation(geom))
-        for shape in ((geom.n, 4), (3, geom.n, 4)):
-            block = rng.standard_normal(shape)
-            expected = dense @ block
-            got = kernel @ block
+        for shape in ((4, geom.n), (3, 4, geom.n)):
+            rows = rng.standard_normal(shape)
+            expected = rows @ dense
+            got = rows @ kernel
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
@@ -358,21 +358,21 @@ class TestGridKernel:
         # depend on the batch it is taken in
         geom = ArrayGeometry(n_h=grid[1], n_v=grid[0], spacing_h=0.25, spacing_v=0.25)
         kernel = GridKernel(np.square(CorrelationPair.from_grid(np.eye(2), geom).ris_table))
-        block = rng.standard_normal((5, geom.n, 4))
-        batch = kernel @ block
-        for p in range(len(block)):
-            np.testing.assert_array_equal(batch[p], kernel @ block[p])
+        rows = rng.standard_normal((5, 4, geom.n))
+        batch = rows @ kernel
+        for p in range(len(rows)):
+            np.testing.assert_array_equal(batch[p], rows[p] @ kernel)
         # the padded rfft2 product, cropped, to the bit
         pad = (2 * grid[0], 2 * grid[1])
-        grids = np.swapaxes(block, -1, -2).reshape(5, 4, *grid)
+        grids = rows.reshape(5, 4, *grid)
         padded = np.fft.irfft2(np.fft.rfft2(grids, s=pad) * kernel.spectrum, s=pad)
         np.testing.assert_array_equal(
-            batch, np.swapaxes(padded[..., :grid[0], :grid[1]].reshape(5, 4, geom.n), -1, -2))
+            batch, padded[..., :grid[0], :grid[1]].reshape(5, 4, geom.n))
 
     def test_zero_block_gives_exact_zero(self):
         geom = ArrayGeometry(24, 24, 0.25, 0.25)
         kernel = GridKernel(np.square(CorrelationPair.from_grid(np.eye(2), geom).ris_table))
-        np.testing.assert_array_equal(kernel @ np.zeros((2, geom.n, 4)), 0.0)
+        np.testing.assert_array_equal(np.zeros((2, 4, geom.n)) @ kernel, 0.0)
 
     def test_reports_the_spectrum_it_reads(self):
         kernel = GridKernel(np.ones((64, 64)))

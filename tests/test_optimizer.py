@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_system, uncorrelated_ris_system
+from conftest import bits, random_system, uncorrelated_ris_system
 from dataclasses import replace
 
 from starmimo.channel import StarConfig
@@ -67,6 +67,59 @@ class TestProjections:
         np.testing.assert_allclose(np.abs(theta), np.ones(2 * n), atol=1e-12)
         b = project_beta(local.standard_normal((2, n)) * 10)
         np.testing.assert_allclose(b[0] ** 2 + b[1] ** 2, np.ones(n), atol=1e-12)
+
+
+def masked_theta(v):
+    """The masked divide: zero (and NaN) entries map to 1."""
+    mag = np.abs(v)
+    return np.divide(v, mag, out=np.ones_like(v), where=mag > 0)
+
+
+def masked_beta(v):
+    """The masked divide: zero (and NaN) pairs map to (sqrt(1/2), sqrt(1/2))."""
+    norm = np.hypot(v[..., :1, :], v[..., 1:, :])
+    return np.divide(v, norm, out=np.full_like(v, np.sqrt(0.5)), where=norm > 0)
+
+
+class TestProjectionFastPath:
+    """With every divisor positive the projections divide without a mask;
+    the bits are the masked divide's, and the caller's array is left as it
+    was on either path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), p=st.integers(1, 4), n=st.integers(1, 16),
+           scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]))
+    def test_no_zeros_gives_the_masked_bits(self, seed, p, n, scale):
+        local = np.random.default_rng(seed)
+        v = scale * (local.standard_normal((p, 2, n)) + 1j * local.standard_normal((p, 2, n)))
+        b = scale * local.standard_normal((p, 2, n))
+        v_before, b_before = v.copy(), b.copy()
+        np.testing.assert_array_equal(bits(project_theta(v)), bits(masked_theta(v_before)))
+        np.testing.assert_array_equal(bits(project_beta(b)), bits(masked_beta(b_before)))
+        np.testing.assert_array_equal(bits(v), bits(v_before))
+        np.testing.assert_array_equal(bits(b), bits(b_before))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), p=st.integers(1, 4), n=st.integers(1, 16),
+           special=st.sampled_from([0.0, np.nan]))
+    def test_zero_or_nan_entries_map_as_before(self, seed, p, n, special):
+        local = np.random.default_rng(seed)
+        v = local.standard_normal((p, 2, n)) + 1j * local.standard_normal((p, 2, n))
+        b = local.standard_normal((p, 2, n))
+        hit = local.random((p, 2, n)) < 0.3
+        hit.flat[local.integers(hit.size)] = True  # at least one
+        v[hit] = special
+        pair_hit = hit[:, :1, :] & hit[:, 1:, :]
+        b[hit] = special
+        v_before, b_before = v.copy(), b.copy()
+        theta = project_theta(v)
+        beta = project_beta(b)
+        np.testing.assert_array_equal(bits(theta), bits(masked_theta(v_before)))
+        np.testing.assert_array_equal(bits(beta), bits(masked_beta(b_before)))
+        np.testing.assert_array_equal(theta[hit], 1.0)
+        np.testing.assert_array_equal(beta[np.broadcast_to(pair_hit, b.shape)], np.sqrt(0.5))
+        np.testing.assert_array_equal(bits(v), bits(v_before))
+        np.testing.assert_array_equal(bits(b), bits(b_before))
 
 
 class TestArmijoCondition:

@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_system, uncorrelated_ris_system
+from conftest import bits, random_system, uncorrelated_ris_system
 from starmimo.channel import StarConfig, SystemModel
 from starmimo import rate
 from starmimo.correlation import (
     FFT_MIN_N,
     ArrayGeometry,
     CorrelationPair,
+    GridKernel,
     LinkGains,
     build_ris_correlation,
 )
@@ -246,3 +247,34 @@ class TestGridSurface:
         assert "r_ris" not in system.corr.__dict__
         assert dense.sum_se == pytest.approx(sum_se(config, system).sum_se, rel=1e-9)
         assert np.all(np.isfinite(grad.d_theta)) and np.all(np.isfinite(grad.d_beta))
+
+
+class TestBatchInvariance:
+    """A start's evaluation has the same bits in any batch: the kernel product
+    is one gemm (or one FFT stack) per start and every trace and sum runs
+    along the start's own row."""
+
+    SYSTEMS = {
+        "dense-grid": lambda rng: grid_system(8, 8, rng),
+        "dense-matrices": lambda rng: random_system(rng, m=6, n=20, k_t=2, k_r=2),
+        "fft-grid": lambda rng: grid_system(24, 24, rng),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SYSTEMS))
+    def test_each_start_alone_in_three_and_in_ten(self, kind, rng):
+        system = self.SYSTEMS[kind](rng)
+        n = system.dims.n
+        assert isinstance(system.corr.ris_abs2, GridKernel) == (kind == "fft-grid")
+        assert (n >= FFT_MIN_N) == (kind == "fft-grid")
+        configs = [StarConfig.random(n, rng) for _ in range(10)]
+        theta = np.stack([c.theta for c in configs])
+        beta = np.stack([c.beta for c in configs])
+        ten = evaluate(theta, beta, system)
+        for p in range(10):
+            first = min(p, 7)  # the start at every position of a batch of three
+            three = evaluate(theta[first:first + 3], beta[first:first + 3], system)
+            one = evaluate(theta[p], beta[p], system)
+            for batch, row in ((ten, p), (three, p - first)):
+                np.testing.assert_array_equal(bits(batch.alphas[row]), bits(one.alphas))
+                np.testing.assert_array_equal(bits(batch.a[row]), bits(one.a))
+                np.testing.assert_array_equal(bits(batch.sums[:, row]), bits(one.sums))
