@@ -479,23 +479,22 @@ def derive_seed(*entropy) -> int:
 
 
 def run_protocol(protocol: str, cfg: ScenarioConfig, system: SystemModel,
-                 opt_seed: int, cache: dict | None = None) -> ProtocolResult:
+                 opt_seed: int, trace: PgamTrace | None = None) -> ProtocolResult:
     """One scenario label at one sweep point; the seed is shared across
     protocols so cross-label comparisons see identical starting points.
 
-    ``cache`` is a dict that lives for one sweep point (:func:`_multi_start`).
-    With it, "es" and "ms" on the same ``system`` object share one
-    multi-start, and the first optimized protocol runs those of every system
-    the cache lists in one batch; without it every call runs its own.  The
-    result of an optimized protocol holds its system's multi-start trace;
-    "es" and "es-no-direct" report its final objective, "ms" scores its
-    rounded point.
+    An optimized protocol reads ``trace``, the multi-start trace of
+    ``system`` (:func:`_sweep_rows` runs a point's in one batch), and runs
+    that multi-start itself when called without one.  Its result holds the
+    trace; "es" and "es-no-direct" report its final objective, "ms" scores
+    its rounded point.
     """
     options = replace(cfg.optimizer, seed=opt_seed)
     n = system.dims.n
 
     if protocol in OPTIMIZED:
-        trace = _multi_start(system, options, cache)
+        if trace is None:
+            [trace] = multi_start([system], options)
         if protocol == "ms":
             best = round_to_ms(trace.final_config)
             return ProtocolResult(best, sum_se(best, system).sum_se, trace)
@@ -505,8 +504,7 @@ def run_protocol(protocol: str, cfg: ScenarioConfig, system: SystemModel,
                               trace)
 
     if protocol == "conventional":
-        split = split_surface(system, int(round(cfg.conventional_t_fraction * n)))
-        return ProtocolResult(split, sum_se(split, system).sum_se)
+        return ProtocolResult(*split_surface(system, int(round(cfg.conventional_t_fraction * n))))
 
     if protocol == "random-phase":
         # the median of n_starts unoptimized draws: a typical configuration,
@@ -520,20 +518,6 @@ def run_protocol(protocol: str, cfg: ScenarioConfig, system: SystemModel,
         return ProtocolResult(draws[pick], float(values[pick]))
 
     raise ConfigError("protocols", f"unknown protocol {protocol!r}")
-
-
-def _multi_start(system: SystemModel, options: PgamOptions, cache: dict | None):
-    """The multi-start trace of ``system``, run once per (system object,
-    options) while ``cache`` lives.  A key listed in ``cache`` with no trace
-    yet is pending: the first call for those options runs every pending
-    system's multi-start, its own too, in one batch."""
-    if cache is None:
-        return multi_start([system], options)[0]
-    if cache.get((system, options)) is None:
-        cache[system, options] = None
-        pending = [key for key, trace in cache.items() if trace is None and key[1] == options]
-        cache.update(zip(pending, multi_start([key[0] for key in pending], options)))
-    return cache[system, options]
 
 
 def run_experiment(cfg: ScenarioConfig, writer=None) -> list[dict]:
@@ -565,27 +549,34 @@ def _format_row(cfg: ScenarioConfig, parameter: str, value, scenario: str, se: f
 
 def _sweep_rows(cfg: ScenarioConfig):
     """One row's values per sweep point per protocol, in sweep order; each
-    point's system is built on the previous point's correlation pair."""
+    point's system is built on the previous point's correlation pair.
+
+    A point's first optimized protocol runs one multi-start batch over the
+    models the point optimizes, in protocol order: the built model for "es"
+    and "ms", its direct-link-free variant for "es-no-direct".  Its row's
+    timing carries the batch, and each protocol is handed its model's trace.
+    """
     corr = None
     for sweep_idx, value in enumerate(cfg.sweep_values or ("",)):
         overrides = {cfg.sweep_parameter: value} if cfg.sweep_parameter else {}
         # one optimizer seed per sweep point, shared across protocols so
         # comparisons between scenario labels see identical starting points
         opt_seed = derive_seed(cfg.seed, sweep_idx)
-        # one system model per sweep point, its direct-link-free variant on
-        # the same correlation pair, and one multi-start cache, shared by
-        # every protocol there; it lists the systems the point optimizes, so
-        # the first optimized protocol runs all their multi-starts in one batch
-        system = build_system(cfg, corr=corr, **overrides)
-        corr = system.corr
-        systems = {False: system, True: _without_direct(system)}
-        options = replace(cfg.optimizer, seed=opt_seed)
-        cache = {(systems[protocol == "es-no-direct"], options): None
-                 for protocol in cfg.protocols if protocol in OPTIMIZED}
-        for proto_idx, protocol in enumerate(cfg.protocols):
-            system = systems[protocol == "es-no-direct"]
+        # one system model per sweep point, and its direct-link-free variant
+        # on the same correlation pair
+        built = build_system(cfg, corr=corr, **overrides)
+        corr = built.corr
+        blocked = _without_direct(built)
+        models = [blocked if protocol == "es-no-direct" else built for protocol in cfg.protocols]
+        optimized = list(dict.fromkeys(model for model, protocol in zip(models, cfg.protocols)
+                                       if protocol in OPTIMIZED))
+        traces = {}
+        for proto_idx, (protocol, system) in enumerate(zip(cfg.protocols, models)):
             start = time.perf_counter()
-            result = run_protocol(protocol, cfg, system, opt_seed, cache)
+            if protocol in OPTIMIZED and not traces:
+                options = replace(cfg.optimizer, seed=opt_seed)
+                traces = dict(zip(optimized, multi_start(optimized, options)))
+            result = run_protocol(protocol, cfg, system, opt_seed, traces.get(system))
             mc = (mc_sinr(system, result.config, cfg.mc_trials,
                           derive_seed(cfg.seed, sweep_idx, proto_idx, 1))
                   if cfg.mc_enabled else None)

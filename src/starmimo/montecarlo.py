@@ -43,6 +43,9 @@ from .rate import sinr_from_terms
 # 86.5-86.6 MB with 4 MB and 91.5-95.7 MB with 8 MB; a larger chunk holds
 # more of its arrays at once.
 CHUNK_BYTES = 2**20
+# Contiguous trial groups of the batch-means standard errors; fewer when
+# there are fewer trials, and at least two, since mc_sinr needs two trials.
+N_BATCHES = 20
 
 
 def _chunk_trials(system: SystemModel, n_trials: int) -> Iterator[slice]:
@@ -56,8 +59,9 @@ def _chunk_trials(system: SystemModel, n_trials: int) -> Iterator[slice]:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sampled per-user SINRs with batch-means standard errors, and the sum
-    SE with its delta-method standard error (NaN with one batch)."""
+    """Sampled per-user SINRs with batch-means standard errors over
+    ``min(N_BATCHES, n_trials)`` groups, and the sum SE with its
+    delta-method standard error."""
 
     gamma_hat: np.ndarray
     sum_se_hat: float
@@ -80,24 +84,22 @@ def _sinr_terms(z, m2, power, count, system: SystemModel):
 
 
 def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
-            seed: int, n_batches: int = 20) -> McEstimate:
+            seed: int) -> McEstimate:
     """Estimate the per-user SINRs over independent channel realizations.
 
     Standard errors come from batch means: the trials are split into
-    ``n_batches`` contiguous groups, the SINR is assembled per group, and the
-    spread of the group estimates is scaled down by sqrt(n_batches).  The
-    sum SE's error carries them through its derivative by the delta method:
+    ``min(N_BATCHES, n_trials)`` contiguous groups, the SINR is assembled
+    per group, and the spread of the group estimates is scaled down by the
+    square root of the group count.  The sum SE's error carries them
+    through its derivative by the delta method:
     sqrt(sum_k (prelog / ((1 + gamma_k) ln 2) * std_err_k)^2).
     """
     if n_trials < 2:
         raise ValueError("need at least two trials")
-    if (isinstance(n_batches, bool) or not isinstance(n_batches, (int, np.integer))
-            or n_batches < 1):
-        raise ValueError(f"n_batches must be an integer >= 1, got {n_batches!r}")
     k_users = system.dims.k
     eps = system.epsilon
     alphas = covariance_scalars(system, config)
-    n_batches = min(n_batches, n_trials)
+    n_batches = min(N_BATCHES, n_trials)
 
     streams = np.random.SeedSequence(seed).spawn(n_trials)
     counts = np.diff(np.linspace(0, n_trials, n_batches + 1).astype(int))
@@ -127,8 +129,7 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
     totals = [functools.reduce(np.add, rows) for rows in (z, m2, power)]
     gamma = sinr_from_terms(*_sinr_terms(*totals, n_trials, system))
     per_batch = sinr_from_terms(*_sinr_terms(z, m2, power, counts, system))
-    std_err = per_batch.std(axis=0, ddof=1) / np.sqrt(n_batches) if n_batches > 1 \
-        else np.full(k_users, np.nan)
+    std_err = per_batch.std(axis=0, ddof=1) / np.sqrt(n_batches)
 
     prelog = system.dims.prelog
     dse = prelog / ((1.0 + gamma) * np.log(2.0))

@@ -345,12 +345,12 @@ def multi_start(systems: list[SystemModel], options: PgamOptions) -> list[PgamTr
             for i in range(0, len(traces), n)]
 
 
-def split_surface(system: SystemModel, n_t: int) -> StarConfig:
-    """The split-surface baseline: the first ``n_t`` elements transmit, the
-    rest reflect, and each region's phases are all ``1`` or ``+1/-1``
-    alternating by element index.  The (t, r) patterns (equal, equal),
-    (equal, alt), (alt, equal) and (alt, alt) are scored in that order in
-    one kernel call, and the first maximum is kept.
+def split_surface(system: SystemModel, n_t: int) -> tuple[StarConfig, float]:
+    """The split-surface baseline and its sum SE: the first ``n_t`` elements
+    transmit, the rest reflect, and each region's phases are all ``1`` or
+    ``+1/-1`` alternating by element index.  The (t, r) patterns (equal,
+    equal), (equal, alt), (alt, equal) and (alt, alt) are scored in that
+    order in one kernel call, and the first maximum is kept with its value.
 
     The closed form reads a region's phases only through its trace
     ``phi_u^H |R_RIS|^2 phi_u``.  Equal phases give the largest trace (the
@@ -363,8 +363,9 @@ def split_surface(system: SystemModel, n_t: int) -> StarConfig:
     signs = (np.ones(n), np.where(np.arange(n) % 2, -1.0, 1.0))
     theta = np.array([[t, r] for t in signs for r in signs], dtype=complex)
     beta = np.tile([transmits, 1.0 - transmits], (len(theta), 1, 1))
-    best = int(np.argmax(evaluate(theta, beta, system).report.sum_se))
-    return StarConfig(theta[best], beta[best])
+    values = evaluate(theta, beta, system).report.sum_se
+    best = int(np.argmax(values))
+    return StarConfig(theta[best], beta[best]), float(values[best])
 
 
 def canonicalize_signs(config: StarConfig) -> StarConfig:

@@ -294,22 +294,6 @@ class TestGeometry:
         # one N x N float64 matrix is 128 MiB
         assert peak < 4096 ** 2 * 8
 
-    def test_multi_start_cache_keys_on_the_system_object(self):
-        # a system compares and hashes by identity, so the runner's cache
-        # tells a system from its direct-link-free variant on the same
-        # correlation pair and runs each multi-start once
-        import starmimo.cli as cli_module
-
-        system = build_system(ScenarioConfig.from_dict(DESK))
-        no_direct = cli_module._without_direct(system)
-        assert system == system and system != no_direct
-        assert len({system, no_direct}) == 2
-        options, cache = PgamOptions(n_starts=1, max_iters=1), {}
-        first = cli_module._multi_start(system, options, cache)
-        assert cli_module._multi_start(system, options, cache) is first
-        assert cli_module._multi_start(no_direct, options, cache) is not first
-        assert set(cache) == {(system, options), (no_direct, options)}
-
     def test_no_direct_variant(self):
         cfg = ScenarioConfig.from_dict(DESK)
         system = build_system(cfg, no_direct=True)
@@ -486,6 +470,76 @@ class TestRunExperiment:
             assert result.sum_se == sum_se(expected, system).sum_se
             assert row["sum_se"] == f"{result.sum_se:.10g}"
 
+    @staticmethod
+    def count_batches(monkeypatch, cfg):
+        """The systems of each ``multi_start`` call ``run_experiment(cfg)``
+        makes, and the rows."""
+        import starmimo.cli as cli_module
+
+        batches = []
+
+        def batched(systems, options):
+            batches.append(list(systems))
+            return multi_start(systems, options)
+
+        monkeypatch.setattr(cli_module, "multi_start", batched)
+        return batches, run_experiment(cfg)
+
+    @pytest.mark.parametrize("protocols, built_first", [
+        (["es", "ms", "conventional", "random-phase", "es-no-direct"], True),
+        (["conventional", "random-phase", "es-no-direct", "ms", "es"], False),
+    ])
+    def test_one_multi_start_per_point_whatever_the_protocol_order(self, monkeypatch,
+                                                                     protocols, built_first):
+        # the point's first optimized protocol runs the one batch, over the
+        # built model and its direct-link-free variant in protocol order,
+        # whichever protocols come before it
+        import starmimo.cli as cli_module
+
+        raw = json.loads(json.dumps(DESK))
+        raw["protocols"] = protocols
+        systems = []
+        original = cli_module.build_system
+
+        def build_system(*args, **kwargs):
+            systems.append(original(*args, **kwargs))
+            return systems[-1]
+
+        monkeypatch.setattr(cli_module, "build_system", build_system)
+        [batch], rows = self.count_batches(monkeypatch, ScenarioConfig.from_dict(raw))
+        [built] = systems
+        assert len(batch) == 2
+        blocked = batch[built_first]
+        assert batch[not built_first] is built and blocked is not built
+        assert blocked.corr is built.corr
+        np.testing.assert_array_equal(blocked.gains.beta_bar, 0.0)
+        assert [row["scenario"] for row in rows] == protocols
+
+    def test_unoptimized_protocols_make_no_multi_start(self, monkeypatch):
+        raw = json.loads(json.dumps(DESK))
+        raw["protocols"] = ["conventional", "random-phase"]
+        batches, rows = self.count_batches(monkeypatch, ScenarioConfig.from_dict(raw))
+        assert batches == [] and len(rows) == 2
+
+    def test_conventional_is_scored_once_per_point(self, monkeypatch):
+        # the split surface's four-pattern batch gives the row its value; no
+        # second kernel call re-scores the winner
+        import starmimo.rate as rate_module
+
+        raw = json.loads(json.dumps(DESK))
+        raw["sweep"] = {"parameter": "snr_db", "values": [100.0, 110.0, 120.0]}
+        raw["protocols"] = ["conventional"]
+        calls = []
+        covariance_scalars = rate_module.covariance_scalars
+
+        def counted(*args):
+            calls.append(args[0])
+            return covariance_scalars(*args)
+
+        monkeypatch.setattr(rate_module, "covariance_scalars", counted)
+        rows = run_experiment(ScenarioConfig.from_dict(raw))
+        assert len(calls) == len(rows) == 3
+
     @pytest.mark.parametrize("n", [36, 1024])
     @pytest.mark.parametrize("batched", [False, True])
     def test_optimized_rows_are_the_closed_form_at_their_configuration(self, n, batched):
@@ -503,9 +557,10 @@ class TestRunExperiment:
         assert isinstance(system.corr.ris_abs2, GridKernel) == (n >= FFT_MIN_N)
         systems = {"es": system, "es-no-direct": cli_module._without_direct(system)}
         options = dataclasses.replace(cfg.optimizer, seed=11)
-        cache = {(model, options): None for model in systems.values()} if batched else None
-        for protocol, model in systems.items():
-            result = run_protocol(protocol, cfg, model, 11, cache)
+        traces = (multi_start(list(systems.values()), options) if batched
+                  else [None] * len(systems))
+        for (protocol, model), trace in zip(systems.items(), traces):
+            result = run_protocol(protocol, cfg, model, 11, trace)
             assert np.all(result.config.beta >= 0.0)
             assert result.sum_se == result.trace.final_objective
             assert result.sum_se == sum_se(result.config, model).sum_se
@@ -555,6 +610,8 @@ class TestRunExperiment:
         result = run_protocol("conventional", cfg, system, 0)
         for name in ("theta", "beta"):
             np.testing.assert_array_equal(getattr(result.config, name), getattr(best, name))
+        # the value of the four-pattern batch is the winner's own score
+        assert result.sum_se == max(values)
         assert row["sum_se"] == f"{max(values):.10g}"
         assert row["iterations"] == 0
 

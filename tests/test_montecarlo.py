@@ -89,14 +89,14 @@ class Moments:
         return s, self.m2_self / n - s + (self.m2_cross / n).sum(axis=1) + noise
 
 
-def reference_mc_sinr(system, config, n_trials, seed, n_batches=20):
+def reference_mc_sinr(system, config, n_trials, seed):
     """mc_sinr with one moments object per trial, added into the batch that
     searchsorted finds for it; the batches are added into a zero total and
     the SINR is assembled batch by batch."""
     k = system.dims.k
     eps = system.epsilon
     alphas = covariance_scalars(system, config)
-    n_batches = min(n_batches, n_trials)
+    n_batches = min(20, n_trials)
     edges = np.linspace(0, n_trials, n_batches + 1).astype(int)
     batches = [Moments.zeros(k) for _ in range(n_batches)]
     for trial, stream in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
@@ -114,33 +114,30 @@ def reference_mc_sinr(system, config, n_trials, seed, n_batches=20):
         total.add(mom)
     gamma = sinr_from_terms(*total.terms(system))
     per_batch = np.array([sinr_from_terms(*mom.terms(system)) for mom in batches])
-    std_err = per_batch.std(axis=0, ddof=1) / np.sqrt(n_batches) if n_batches > 1 \
-        else np.full(k, np.nan)
+    std_err = per_batch.std(axis=0, ddof=1) / np.sqrt(n_batches)
     return gamma, std_err, float(system.dims.prelog * np.sum(np.log2(1.0 + gamma)))
 
 
 class TestMcSinr:
-    @pytest.mark.parametrize("k_t, k_r, complex_bs, n_trials, n_batches", [
-        (1, 0, False, 50, 20),   # K = 1
-        (2, 1, True, 80, 20),    # K = 3, complex R_BS
-        (1, 1, True, 57, 20),    # uneven batches
-        (1, 1, False, 45, 45),   # one trial per batch
-        (2, 2, True, 3, 20),     # fewer trials than batches
-        (1, 2, True, 40, 1),     # one batch: no standard error
+    @pytest.mark.parametrize("k_t, k_r, complex_bs, n_trials", [
+        (1, 0, False, 50),   # K = 1
+        (2, 1, True, 80),    # K = 3, complex R_BS
+        (1, 1, True, 57),    # uneven batches
+        (1, 1, False, 20),   # one trial per batch
+        (2, 2, True, 3),     # fewer trials than batches
+        (1, 2, True, 2),     # the fewest trials: two batches of one
     ])
-    def test_bit_identical_to_per_trial_reference(self, k_t, k_r, complex_bs, n_trials,
-                                                  n_batches):
+    def test_bit_identical_to_per_trial_reference(self, k_t, k_r, complex_bs, n_trials):
         rng = np.random.default_rng(n_trials)
         system = random_system(rng, m=5, n=4, k_t=k_t, k_r=k_r, complex_bs=complex_bs)
         config = StarConfig.random(4, rng)
-        estimate = mc_sinr(system, config, n_trials, seed=7, n_batches=n_batches)
-        gamma, std_err, sum_se_hat = reference_mc_sinr(system, config, n_trials, 7,
-                                                       n_batches)
+        estimate = mc_sinr(system, config, n_trials, seed=7)
+        gamma, std_err, sum_se_hat = reference_mc_sinr(system, config, n_trials, 7)
         np.testing.assert_array_equal(estimate.gamma_hat, gamma)
         np.testing.assert_array_equal(estimate.std_err, std_err)
         assert estimate.sum_se_hat == sum_se_hat
-        assert np.all(np.isnan(std_err)) == (n_batches == 1)
-        # the delta method on the estimate's own SINRs (NaN with one batch)
+        assert np.all(np.isfinite(std_err))
+        # the delta method on the estimate's own SINRs
         dse = system.dims.prelog / ((1.0 + estimate.gamma_hat) * np.log(2.0))
         np.testing.assert_array_equal(estimate.sum_se_stderr,
                                       np.sqrt(np.sum((dse * estimate.std_err) ** 2)))
@@ -150,14 +147,14 @@ class TestMcSinr:
         # the checked-in shape (M = 64, K = 4, exponential R_BS): 8 real
         # columns per trial, where a chunk's surface-factor products equal
         # the per-trial products bit for bit; one and a half chunks of trials
-        # leave a partial last chunk, and 7 batches start inside chunks
+        # leave a partial last chunk, and batches start inside chunks
         system = build_system(ScenarioConfig.from_file(MC_CONFIG), n=n)
         assert system.dims.k == 4 and np.isrealobj(system.corr.r_bs)
         config = StarConfig.random(n, np.random.default_rng(n))
         chunk = montecarlo.CHUNK_BYTES // ((system.dims.m + n) * 4 * 16)
         n_trials = chunk + chunk // 2 + 1
-        estimate = mc_sinr(system, config, n_trials, 3, 7)
-        gamma, std_err, sum_se_hat = reference_mc_sinr(system, config, n_trials, 3, 7)
+        estimate = mc_sinr(system, config, n_trials, 3)
+        gamma, std_err, sum_se_hat = reference_mc_sinr(system, config, n_trials, 3)
         np.testing.assert_array_equal(estimate.gamma_hat, gamma)
         np.testing.assert_array_equal(estimate.std_err, std_err)
         assert estimate.sum_se_hat == sum_se_hat
@@ -170,8 +167,8 @@ class TestMcSinr:
         system = random_system(rng, m=8, n=36, k_t=k_t, k_r=k_r, complex_bs=True)
         config = StarConfig.random(36, rng)
         monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 5 * (8 + 36) * (k_t + k_r) * 16)
-        estimate = mc_sinr(system, config, 23, seed=4, n_batches=4)
-        gamma, std_err, sum_se_hat = reference_mc_sinr(system, config, 23, 4, 4)
+        estimate = mc_sinr(system, config, 23, seed=4)
+        gamma, std_err, sum_se_hat = reference_mc_sinr(system, config, 23, 4)
         np.testing.assert_allclose(estimate.gamma_hat, gamma, rtol=1e-12, atol=0)
         np.testing.assert_allclose(estimate.std_err, std_err, rtol=1e-12, atol=0)
         assert estimate.sum_se_hat == pytest.approx(sum_se_hat, rel=1e-12, abs=0)
@@ -216,12 +213,13 @@ class TestMcSinr:
         np.testing.assert_array_equal(first.std_err, second.std_err)
         assert first.sum_se_hat == second.sum_se_hat
 
-    def test_independent_of_batching(self, rng):
+    def test_independent_of_batching(self, rng, monkeypatch):
         # per-trial streams: the batch split changes only the standard errors
         system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
         config = StarConfig.random(4, rng)
-        twenty = mc_sinr(system, config, 140, seed=9, n_batches=20)
-        seven = mc_sinr(system, config, 140, seed=9, n_batches=7)
+        twenty = mc_sinr(system, config, 140, seed=9)
+        monkeypatch.setattr(montecarlo, "N_BATCHES", 7)
+        seven = mc_sinr(system, config, 140, seed=9)
         np.testing.assert_allclose(twenty.gamma_hat, seven.gamma_hat, rtol=1e-12)
 
     def test_moments_positive(self, rng):
@@ -236,10 +234,3 @@ class TestMcSinr:
         system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
         with pytest.raises(ValueError):
             mc_sinr(system, StarConfig.equal_split(4, rng), 1, seed=0)
-
-    @pytest.mark.parametrize("n_batches", [0, -3, 2.5, "4", True])
-    def test_rejects_n_batches_not_a_positive_integer(self, n_batches):
-        system = build_system(ScenarioConfig.from_file(MC_CONFIG), n=16)
-        config = StarConfig.random(16, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="n_batches"):
-            mc_sinr(system, config, 40, seed=0, n_batches=n_batches)

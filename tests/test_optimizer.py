@@ -12,6 +12,7 @@ from starmimo.correlation import CorrelationPair, LinkGains
 from starmimo.gradients import GradientPair, grad_objective
 from starmimo.optimizer import (
     OptionError,
+    PgamFailure,
     PgamOptions,
     armijo_condition,
     canonicalize_signs,
@@ -479,6 +480,68 @@ class TestLockstep:
             assert traces[0].backtrack_counts[0] == 0
             assert (traces[1].backtrack_counts[0], traces[1].stationarity[0]) == (1, 0.0)
             assert batch_sizes[:3] == [2, 2, 2]
+
+
+class TestFailures:
+    """A NaN objective or gradient raises PgamFailure with its iteration.
+    The projections map a NaN candidate to a feasible point, so without
+    these checks a NaN step would pass silently."""
+
+    @staticmethod
+    def run_poisoned(monkeypatch, name, poison, call):
+        """pgam_lockstep over three starts with ``poison`` applied to the
+        result of call ``call`` (1-based) of the optimizer's ``name``; the
+        unpoisoned run's traces must show no backtrack, so call i of
+        ``evaluate`` is iteration i - 1 and call i of the gradient is
+        iteration i."""
+        import starmimo.optimizer as optimizer_module
+
+        system = random_system(np.random.default_rng(3), m=6, n=8, k_t=2, k_r=2)
+        options = PgamOptions(mu_init=1e-3, tol=0.0, max_iters=6, n_starts=3, seed=2)
+        inits = initial_points(system.dims.n, options)
+        clean = pgam_lockstep(system, options, inits)
+        assert all(trace.iterations == 6 and not any(trace.backtrack_counts)
+                   for trace in clean)
+        calls = []
+        original = getattr(optimizer_module, name)
+
+        def poisoned(*args):
+            calls.append(1)
+            result = original(*args)
+            return poison(result) if len(calls) == call else result
+
+        monkeypatch.setattr(optimizer_module, name, poisoned)
+        with pytest.raises(PgamFailure) as failure:
+            pgam_lockstep(system, options, inits)
+        return failure.value
+
+    @staticmethod
+    def nan_objective(point):
+        # one start's objective only: the check covers every row
+        value = point.report.sum_se.copy()
+        value[1] = np.nan
+        return replace(point, report=replace(point.report, sum_se=value))
+
+    def test_non_finite_starting_objective(self, monkeypatch):
+        failure = self.run_poisoned(monkeypatch, "evaluate", self.nan_objective, 1)
+        assert failure.iteration == 0 and "starting point" in str(failure)
+
+    @pytest.mark.parametrize("iteration", [1, 4])
+    def test_non_finite_line_search_objective(self, monkeypatch, iteration):
+        failure = self.run_poisoned(monkeypatch, "evaluate", self.nan_objective, iteration + 1)
+        assert failure.iteration == iteration and "line search" in str(failure)
+
+    @pytest.mark.parametrize("block", ["d_theta", "d_beta"])
+    @pytest.mark.parametrize("iteration", [1, 4])
+    def test_non_finite_gradient(self, monkeypatch, block, iteration):
+        def nan_gradient(grad):
+            values = getattr(grad, block).copy()
+            values[2, 1, 5] = np.nan
+            return replace(grad, **{block: values})
+
+        failure = self.run_poisoned(monkeypatch, "grad_objective_from_workspace",
+                                    nan_gradient, iteration)
+        assert failure.iteration == iteration and "gradient" in str(failure)
 
 
 class TestStationarity:
