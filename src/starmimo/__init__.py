@@ -22,13 +22,11 @@ from .correlation import (
     LinkGains,
     build_bs_correlation,
     build_ris_correlation,
-    eigendecompose_bs,
     path_gain,
 )
 from .gradients import (
     DegenerateInterferenceError,
     GradientPair,
-    GradientWorkspace,
     build_workspace,
     finite_difference_gradient,
     grad_objective,
@@ -59,7 +57,6 @@ __all__ = [
     "DegenerateInterferenceError",
     "Evaluation",
     "GradientPair",
-    "GradientWorkspace",
     "LinkGains",
     "McEstimate",
     "OptionError",
@@ -74,7 +71,6 @@ __all__ = [
     "build_ris_correlation",
     "build_workspace",
     "canonicalize_signs",
-    "eigendecompose_bs",
     "evaluate",
     "finite_difference_gradient",
     "from_alphas",

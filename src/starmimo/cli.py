@@ -442,6 +442,8 @@ def build_system(cfg: ScenarioConfig, *, no_direct: bool = False,
                   area, cfg.penetration_db)
         for u in users
     ])
+    if not np.isfinite([beta_g, *beta_bar, *beta_tilde]).all():
+        raise ConfigError("pathloss", "every field is in range, but the path gains overflow")
 
     system = SystemModel(
         corr=corr,
@@ -641,6 +643,9 @@ def main(argv=None) -> int:
         rows = write_csv(cfg, cfg.out)
     except OSError as exc:
         print(f"error: out: {exc}", file=sys.stderr)
+        return 2
+    except ConfigError as exc:  # a point's model could not be built
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{cfg.name}: wrote {len(rows)} rows to {cfg.out}")
     return 0

@@ -317,21 +317,6 @@ def path_gain(distance: float, exponent: float, element_area: float = 1.0,
     return element_area * distance ** (-exponent) * 10.0 ** (-penetration_db / 10.0)
 
 
-def eigendecompose_bs(r_bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
-
-    Returns ``(U, eigvals)`` with ``U @ diag(eigvals) @ U.conj().T`` equal to
-    the input up to roundoff.  Raises ``numpy.linalg.LinAlgError`` if the
-    decomposition does not converge.
-    """
-    r_bs = np.asarray(r_bs)
-    if np.max(np.abs(r_bs - r_bs.conj().T)) > 1e-8 * max(1.0, np.max(np.abs(r_bs))):
-        raise ValueError("matrix is not Hermitian")
-    eigvals, eigvecs = np.linalg.eigh(r_bs)
-    order = np.argsort(eigvals)[::-1]
-    return eigvecs[:, order], eigvals[order]
-
-
 def canonical_columns(vecs: np.ndarray) -> np.ndarray:
     """``eigh`` eigenvectors, the columns of a (..., n, r) stack, each with
     its sign (real) or unit phase (complex) fixed by one fixed probe.
@@ -405,23 +390,30 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     that ``L L^T`` misses R by up to 3.3e-12; 1e-13 stays within 4e-13 on
     every grid up to 12 x 12.
     """
-    eigvals, eigvecs = np.linalg.eigh(np.asarray(a))
+    return _eigen_factor(*np.linalg.eigh(np.asarray(a)))
+
+
+def _eigen_factor(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """``U_+ sqrt(Lambda_+)`` of ascending ``eigh`` eigenpairs: the columns
+    whose eigenvalues lie above ``RANK_RTOL`` times the largest, canonical."""
     keep = eigvals > RANK_RTOL * max(eigvals[-1], 0.0)
     return canonical_columns(eigvecs[:, keep]) * np.sqrt(eigvals[keep])
 
 
 def _check_symmetric(r: np.ndarray, name: str, tol: float) -> None:
-    """Raise unless every entry is finite and ``max |R - R^T| <= tol``.
+    """Raise unless every entry is finite and ``max |R - R^H| <= tol``.
 
-    Row i from the diagonal on is compared with column i, so each entry is
-    read against its mirror and no N x N temporary is made.  A non-finite
-    entry, on the diagonal too, makes its gap NaN or inf, which fails the
-    comparison.
+    Blocks of rows, 2^15 entries each (a small matrix is one block), are
+    compared with the conjugated columns, so each entry is read against its
+    mirror and no N x N temporary is made.  A non-finite entry, on the
+    diagonal too, makes its gap NaN or inf, which fails the comparison.
     """
+    step = max(1, 2**15 // r.shape[0])
     with np.errstate(invalid="ignore"):
-        worst = np.max([np.max(np.abs(r[i, i:] - r[i:, i])) for i in range(r.shape[0])])
+        worst = np.max([np.max(np.abs(r[i:i + step] - np.conj(r[:, i:i + step].T)))
+                        for i in range(0, r.shape[0], step)])
     if not worst <= tol:
-        raise ValueError(f"{name} must be finite and Hermitian (|R - R^T| reaches {worst:.3g})")
+        raise ValueError(f"{name} must be finite and Hermitian (|R - R^H| reaches {worst:.3g})")
 
 
 class GridKernel:
@@ -467,8 +459,9 @@ class GridKernel:
 
 @dataclass(frozen=True)
 class CorrelationPair:
-    """Correlation matrices of the BS array and the surface, with the cached
-    BS eigendecomposition that all fast-path expressions run on.
+    """Correlation matrices of the BS array and the surface, with the one
+    cached BS eigendecomposition, eigenpairs descending, that all fast-path
+    expressions and ``bs_factor`` run on.
 
     A surface on a uniform grid (:meth:`from_grid`) is kept as its (n_v, n_h)
     offset table ``ris_table``.  Its kernel comes from the squared table,
@@ -508,8 +501,8 @@ class CorrelationPair:
 
         A ``previous`` pair lends what the new inputs leave unchanged: with
         an equal R_BS and offset table it is returned itself, cached kernel
-        and factor included; with an equal R_BS only, the new pair takes its
-        BS eigendecomposition and ``bs_factor`` and nothing of its surface.
+        and factors included; with an equal R_BS only, the new pair shares
+        its BS eigendecomposition and nothing of its surface.
         """
         table = _offset_table(geom)
         if not (np.all(np.isfinite(table)) and table[0, 0] == 1.0):
@@ -518,20 +511,19 @@ class CorrelationPair:
             return cls._with_bs(r_bs, ris_table=table)
         if np.array_equal(previous.ris_table, table):
             return previous
-        pair = replace(previous, ris_table=table)  # cached properties are not copied
-        if "bs_factor" in previous.__dict__:
-            pair.__dict__["bs_factor"] = previous.bs_factor
-        return pair
+        return replace(previous, ris_table=table)  # cached properties are not copied
 
     @classmethod
     def _with_bs(cls, r_bs: np.ndarray, ris_table: np.ndarray | None = None):
         r_bs = np.asarray(r_bs)
         if r_bs.ndim != 2 or r_bs.shape[0] != r_bs.shape[1] or r_bs.size == 0:
             raise ValueError(f"r_bs must be square and non-empty, got shape {r_bs.shape}")
-        if not np.all(np.isfinite(r_bs)):
-            raise ValueError("r_bs has non-finite entries")
-        eigvecs, eigvals = eigendecompose_bs(r_bs)
-        return cls(r_bs=r_bs, bs_eigvecs=eigvecs, bs_eigvals=eigvals, ris_table=ris_table)
+        _check_symmetric(r_bs, "r_bs", 1e-8 * max(1.0, np.max(np.abs(r_bs))))
+        eigvals, eigvecs = np.linalg.eigh(r_bs)
+        # descending, as every eigen-sum runs; eigh's signs, which the Wiener filter
+        # cancels (bs_factor fixes its own: its probes would import numpy.random here)
+        return cls(r_bs=r_bs, bs_eigvecs=np.ascontiguousarray(eigvecs[:, ::-1]),
+                   bs_eigvals=eigvals[::-1].copy(), ris_table=ris_table)
 
     @property
     def m(self) -> int:
@@ -557,8 +549,9 @@ class CorrelationPair:
 
     @cached_property
     def bs_factor(self) -> np.ndarray:
-        """M x r eigen factor of ``r_bs`` (:func:`matrix_sqrt_psd`)."""
-        return matrix_sqrt_psd(self.r_bs)
+        """M x r eigen factor of ``r_bs``, the cached decomposition's columns
+        above the rank cut, ascending and canonical: :func:`matrix_sqrt_psd`'s."""
+        return _eigen_factor(self.bs_eigvals[::-1], self.bs_eigvecs[:, ::-1])
 
     @cached_property
     def ris_factor(self) -> np.ndarray | FoldedFactor:
@@ -620,7 +613,7 @@ class LinkGains:
             raise ValueError("beta_bar and beta_tilde must have one entry per user")
         if not all(np.all(np.isfinite(gains) & (gains >= 0))
                    for gains in (self.beta_g, beta_bar, beta_tilde)):
-            raise ValueError("path gains must be non-negative")
+            raise ValueError("path gains must be finite and non-negative")
 
     @property
     def k(self) -> int:

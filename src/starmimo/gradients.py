@@ -38,24 +38,10 @@ class GradientPair:
     d_beta: np.ndarray   # (2, N) real; (P, 2, N) batched
 
 
-@dataclass
-class GradientWorkspace:
-    """Everything the gradient assembly reads at one point.
-
-    ``point`` is the objective kernel's cached evaluation and ``d_alpha``
-    the derivative of the sum SE in every user's covariance scalar (with a
-    leading start axis for a batched point).
-    """
-
-    point: Evaluation
-    system: SystemModel
-    d_alpha: np.ndarray      # (K,) dF/dalpha_k
-
-
-def build_workspace(point: Evaluation, system: SystemModel) -> GradientWorkspace:
-    """dF/dalpha at an evaluated point, from its eigen-sums: the optimizer
-    passes its accepted trial's evaluation (:func:`rate.evaluate`), the
-    dense route that of :func:`rate.dense_evaluate`.
+def build_workspace(point: Evaluation, system: SystemModel) -> np.ndarray:
+    """dF/dalpha, (..., K), at an evaluated point, from its eigen-sums: the
+    optimizer passes its accepted trial's evaluation (:func:`rate.evaluate`),
+    the dense route that of :func:`rate.dense_evaluate`.
 
     Raises :class:`DegenerateInterferenceError` if any user has a zero
     interference term (the quotient rule is undefined there).
@@ -75,9 +61,8 @@ def build_workspace(point: Evaluation, system: SystemModel) -> GradientWorkspace
     w = report.gamma * damp
     total_w = w.sum(axis=-1)[..., None]
     total_wa = (w * point.alphas).sum(axis=-1)[..., None]
-    d_alpha = (c * (2.0 * damp * p - system.noise_lift * total_w)
-               + w * (2.0 * g - a.sum(axis=-1)[..., None]) - e * total_wa)
-    return GradientWorkspace(point=point, system=system, d_alpha=d_alpha)
+    return (c * (2.0 * damp * p - system.noise_lift * total_w)
+            + w * (2.0 * g - a.sum(axis=-1)[..., None]) - e * total_wa)
 
 
 def grad_objective(config: StarConfig, system: SystemModel,
@@ -92,19 +77,21 @@ def grad_objective(config: StarConfig, system: SystemModel,
     if method not in producers:
         raise ValueError(f"unknown method {method!r}")
     point = producers[method](config.theta, config.beta, system)
-    return grad_objective_from_workspace(build_workspace(point, system))
+    return grad_objective_from_workspace(point, system, build_workspace(point, system))
 
 
-def grad_objective_from_workspace(ws: GradientWorkspace) -> GradientPair:
-    """The gradient at the workspace's point; (P, 2, N) blocks, one row per
-    start, for a batched evaluation.
+def grad_objective_from_workspace(point: Evaluation, system: SystemModel,
+                                  d_alpha: np.ndarray) -> GradientPair:
+    """The gradient at an evaluated point, given its dF/dalpha
+    (:func:`build_workspace`); (P, 2, N) blocks, one row per start, for a
+    batched evaluation.
 
     dT_u is ``a_u beta_u`` in the conjugated phases and ``2 Re(a_u^* theta_u)``
     in the amplitudes, so region u's blocks are these directions times one
     weight, the sum over its users of ``beta_hat_k dF/dalpha_k``.
     """
-    weight = ((ws.system.gains.beta_hat * ws.d_alpha) @ ws.system.region_mask)[..., None]
-    a, theta, beta = ws.point.a, ws.point.theta, ws.point.beta
+    weight = ((system.gains.beta_hat * d_alpha) @ system.region_mask)[..., None]
+    a, theta, beta = point.a, point.theta, point.beta
     return GradientPair(d_theta=weight * (a * beta),
                         d_beta=(2.0 * weight) * np.real(np.conj(a) * theta))
 

@@ -1,19 +1,21 @@
 """Stochastic oracle for the closed-form SINR.
 
 Simulates channels, pilot noise, LMMSE estimation, and maximum-ratio
-precoding, then assembles the use-and-forget SINR from the sampled moments:
+precoding, then forms the use-and-forget SINR terms from the sampled moments:
 
     S_k = |E{h_k^H hhat_k}|^2
     I_k = E{|h_k^H hhat_k|^2} - |E{h_k^H hhat_k}|^2
           + sum_{i != k} E{|h_k^H hhat_i|^2} + K sigma^2 / (rho lambda)
 
 with the precoder normalization ``lambda = 1 / sum_i E{hhat_i^H hhat_i}``
-estimated from the same trials.  Data symbols and downlink noise are never
-sampled: the bound depends on channel/precoder moments only.  Per-trial RNG
-streams are spawned from the master seed, so results are independent of any
-batching or execution order.  Trials are drawn in chunks whose per-trial
-columns fit in ``CHUNK_BYTES`` (one generator per trial, one sampler call
-per chunk) and added into the moment sums one by one, in trial order.
+estimated from the same trials; the SINRs and the sum SE come from these
+terms as the closed form's do (:func:`rate.assemble_report`).  Data symbols
+and downlink noise are never sampled: the bound depends on channel/precoder
+moments only.  Per-trial RNG streams are spawned from the master seed, so
+results are independent of any batching or execution order.  Trials are
+drawn in chunks whose per-trial columns fit in ``CHUNK_BYTES`` (one
+generator per trial, one sampler call per chunk) and added into the moment
+sums one by one, in trial order.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .channel import (StarConfig, SystemModel, complex_normal, covariance_scalars,
                       sample_realization)
 from .estimation import apply_wiener_filter
-from .rate import sinr_from_terms
+from .rate import assemble_report
 
 # Bytes of one chunk's (N + M) x K complex columns, the unit of a trial's
 # per-trial arrays: the surface draw and its products (c, q, phi * q, V')
@@ -126,16 +128,16 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
         np.add.at(power, rows, np.sum(np.abs(h_hat) ** 2, axis=-1))
 
     # add the batch rows in order: a numpy sum may pair them and move the last bit
+    prelog = system.dims.prelog
     totals = [functools.reduce(np.add, rows) for rows in (z, m2, power)]
-    gamma = sinr_from_terms(*_sinr_terms(*totals, n_trials, system))
-    per_batch = sinr_from_terms(*_sinr_terms(z, m2, power, counts, system))
+    report = assemble_report(*_sinr_terms(*totals, n_trials, system), prelog)
+    per_batch = assemble_report(*_sinr_terms(z, m2, power, counts, system), prelog).gamma
     std_err = per_batch.std(axis=0, ddof=1) / np.sqrt(n_batches)
 
-    prelog = system.dims.prelog
-    dse = prelog / ((1.0 + gamma) * np.log(2.0))
+    dse = prelog / ((1.0 + report.gamma) * np.log(2.0))
     return McEstimate(
-        gamma_hat=gamma,
-        sum_se_hat=float(prelog * np.sum(np.log2(1.0 + gamma))),
+        gamma_hat=report.gamma,
+        sum_se_hat=float(report.sum_se),
         n_trials=n_trials,
         std_err=std_err,
         sum_se_stderr=float(np.sqrt(np.sum((dse * std_err) ** 2))),

@@ -80,8 +80,8 @@ class PgamOptions:
 
 @dataclass
 class PgamTrace:
-    """Objective history and bookkeeping of one run; objectives include the
-    starting point and are non-decreasing across accepted iterations.
+    """Objective history and bookkeeping of one run, all it reports: the
+    objectives, the start's first, never decrease; ``reason`` says why it stopped.
 
     ``stationarity`` holds ||x+ - x|| / mu of every accepted step, over the
     phases (complex) and amplitudes of both regions: the norm of the
@@ -95,10 +95,6 @@ class PgamTrace:
     stationarity: list = field(default_factory=list)
     final_config: StarConfig | None = None
     reason: str = ""
-
-    @property
-    def converged(self) -> bool:
-        return self.reason == "objective tolerance"
 
     @property
     def final_objective(self) -> float:
@@ -185,21 +181,14 @@ def armijo_condition(f_new, f_old, grad, step: Step, mu):
     return f_new > q
 
 
-def pgam(system: SystemModel, options: PgamOptions, init: StarConfig,
-         callback=None) -> PgamTrace:
+def pgam(system: SystemModel, options: PgamOptions, init: StarConfig) -> PgamTrace:
     """Run the ascent from one starting point until tolerance, the iteration
     cap, or a stalled line search: the one-start call of
-    :func:`pgam_lockstep`.
-
-    ``callback``, if given, is invoked as ``callback(iteration, config,
-    objective)`` after every accepted iteration.
-    """
-    per_start = None if callback is None else (lambda start, *step: callback(*step))
-    return pgam_lockstep(system, options, [init], per_start)[0]
+    :func:`pgam_lockstep`."""
+    return pgam_lockstep(system, options, [init])[0]
 
 
-def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
-                  callback=None) -> list[PgamTrace]:
+def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list) -> list[PgamTrace]:
     """Run the ascent from every starting point in ``inits`` in lockstep and
     return one trace per start, in order.
 
@@ -212,9 +201,7 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
     moves and scores them all, each at its latest step, so that no round
     gathers rows; the last evaluation is the next point.  A first round of
     exact fixed points evaluates nothing; an iteration that stops some
-    starts evaluates the rest once more.  ``callback``, if given, is invoked
-    as ``callback(start, iteration, config, objective)`` after every
-    accepted iteration.
+    starts evaluates the rest once more.
     """
     theta = project_theta(np.stack([init.theta for init in inits]))
     beta = project_beta(np.stack([init.beta for init in inits]))
@@ -236,7 +223,7 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
             trace.reason = reason
 
     for iteration in range(1, options.max_iters + 1):
-        grad = grad_objective_from_workspace(build_workspace(point, system))
+        grad = grad_objective_from_workspace(point, system, build_workspace(point, system))
         if not (np.isfinite(grad.d_theta).all() and np.isfinite(grad.d_beta).all()):
             raise PgamFailure("non-finite gradient", iteration)
 
@@ -292,9 +279,6 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list,
             trace.step_sizes.append(steps[row])
             trace.backtrack_counts.append(counts[row])
             trace.stationarity.append(stationarity[row])
-            if callback is not None:
-                callback(active[row], iteration,
-                         StarConfig(theta_new[row], beta_new[row]), objectives[row])
         theta, beta, f_cur, point = theta_new, beta_new, f_new, trial
         if stopping:
             keep = ~stop

@@ -137,7 +137,7 @@ def from_alphas(alphas: np.ndarray,
     i_tilde -= b
     total_p *= system.noise_lift
     i_tilde += total_p
-    report = _assemble_report(p**2, i_tilde, system.dims.prelog)
+    report = assemble_report(p**2, i_tilde, system.dims.prelog)
     return psi, sums, report
 
 
@@ -156,7 +156,9 @@ def sum_se(config: StarConfig, system: SystemModel, method: str = "eig") -> Rate
     return evaluate(config.theta, config.beta, system).report
 
 
-def _assemble_report(s: np.ndarray, i_tilde: np.ndarray, prelog: float) -> RateReport:
+def assemble_report(s: np.ndarray, i_tilde: np.ndarray, prelog: float) -> RateReport:
+    """SINRs (:func:`sinr_from_terms`) and sum SE ``prelog sum_k log2(1 + gamma_k)``
+    of signal and interference terms, the closed form's or Monte Carlo's."""
     gamma = sinr_from_terms(s, i_tilde)
     rates = gamma + 1.0
     np.log2(rates, out=rates)
@@ -190,7 +192,7 @@ def dense_evaluate(theta: np.ndarray, beta: np.ndarray, system: SystemModel) -> 
     cross = np.einsum("kab,iba->ki", r, psi).real * (1.0 - np.eye(len(psi)))
     i_tilde = (cross.sum(axis=1) + system.epsilon * trace(rq @ psi)
                + system.noise_lift * sums[0].sum())
-    report = _assemble_report(sums[0] ** 2, i_tilde, system.dims.prelog)
+    report = assemble_report(sums[0] ** 2, i_tilde, system.dims.prelog)
     return Evaluation(theta=theta, beta=beta, a=a, alphas=alphas, sums=sums, report=report)
 
 

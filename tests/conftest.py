@@ -14,6 +14,35 @@ def bits(x):
     return np.ascontiguousarray(x).view(np.int64)
 
 
+def record_evaluations(monkeypatch) -> list:
+    """Every :class:`rate.Evaluation` the optimizer makes, in call order:
+    each starting point, each line-search candidate, accepted or not, and
+    each re-scored batch; (P, 2, N) points, one row per running start."""
+    import starmimo.optimizer as optimizer_module
+
+    points, original = [], optimizer_module.evaluate
+
+    def recording(*args, **kwargs):
+        points.append(original(*args, **kwargs))
+        return points[-1]
+
+    monkeypatch.setattr(optimizer_module, "evaluate", recording)
+    return points
+
+
+def feasibility_errors(point) -> tuple[float, float]:
+    """Largest |(|theta| - 1)| and |beta_t^2 + beta_r^2 - 1| over every row
+    and element of an evaluated point."""
+    theta_err = np.max(np.abs(np.abs(point.theta) - 1.0))
+    energy_err = np.max(np.abs(point.beta[..., 0, :] ** 2 + point.beta[..., 1, :] ** 2 - 1.0))
+    return theta_err, energy_err
+
+
+def scored_objectives(points) -> set:
+    """Every objective value the recorded evaluations produced."""
+    return {value for point in points for value in np.ravel(point.report.sum_se).tolist()}
+
+
 def random_system(rng, m=6, n=5, k_t=2, k_r=1, complex_bs=True, rho=None,
                   sigma2=None):
     """Synthetic instance with O(1) gains; exercises general Hermitian inputs."""

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -723,19 +723,25 @@ class TestCorrelationReuse:
         return ScenarioConfig.from_dict(raw)
 
     def test_element_sweep_decomposes_r_bs_once_per_run(self, monkeypatch):
-        import starmimo.correlation as correlation_module
-
-        calls, original = [], correlation_module.eigendecompose_bs
-        monkeypatch.setattr(correlation_module, "eigendecompose_bs",
-                            lambda r_bs: calls.append(r_bs) or original(r_bs))
+        # every eigh of the run, the surface factors' too; Monte Carlo is on,
+        # so every point also draws through bs_factor
+        eighs, original = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: eighs.append(np.array(a)) or original(a))
         pairs = self.built_pairs(monkeypatch)
-        cfg = self.sweep("n", [4, 9, 16], ("es", "random-phase", "es-no-direct"))
+        cfg = replace(self.sweep("n", [4, 9, 16], ("es", "random-phase", "es-no-direct")),
+                      mc_enabled=True, mc_trials=4)
+
+        def r_bs_eighs():
+            return sum(np.array_equal(a, pairs[0].r_bs) for a in eighs)
+
         run_experiment(cfg)
-        assert len(calls) == 1 and len(pairs) == 3
+        assert r_bs_eighs() == 1 and len(pairs) == 3
         for pair, n in zip(pairs, cfg.sweep_values):
             assert pair.n == n and pair.bs_eigvecs is pairs[0].bs_eigvecs
+            assert "bs_factor" in pair.__dict__
         run_experiment(cfg)
-        assert len(calls) == 2 and pairs[3].bs_eigvecs is not pairs[0].bs_eigvecs
+        assert r_bs_eighs() == 2 and pairs[3].bs_eigvecs is not pairs[0].bs_eigvecs
 
     @pytest.mark.parametrize("parameter, values", [("snr_db", [100.0, 110.0, 120.0]),
                                                    ("rho_dbm", [10.0, 20.0])])
@@ -880,6 +886,25 @@ class TestMain:
         assert f"{section}.{key}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out.csv").exists()
+
+    def test_overflowing_path_gains_exit_with_pathloss_and_no_traceback(self, tmp_path):
+        # each field is in range, but 1e300 m^2 elements behind a 300 dB
+        # penetration gain overflow the direct gains; the config parses, and
+        # the model build rejects it
+        raw = json.loads(json.dumps(DESK))
+        raw["pathloss"] = {"element_area": 1e300, "penetration_db": -300}
+        ScenarioConfig.from_dict(raw)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(raw))
+        proc = subprocess.run(
+            [sys.executable, "-m", "starmimo.cli", "--config", str(path),
+             "--out", str(tmp_path / "out.csv")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: pathloss:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     def test_undecodable_config_returns_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

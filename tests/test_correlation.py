@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bits
 from starmimo import correlation
 from starmimo.channel import _gram_factor
 from starmimo.correlation import (
@@ -20,7 +21,6 @@ from starmimo.correlation import (
     build_bs_correlation,
     build_ris_correlation,
     canonical_columns,
-    eigendecompose_bs,
     matrix_sqrt_psd,
     path_gain,
 )
@@ -213,32 +213,70 @@ class TestPathGain:
             path_gain(1.0, 2.0, element_area=0.0)
 
 
-class TestEigendecomposition:
+class TestBsDecomposition:
+    """R_BS is decomposed once per pair: eigenvalues descending, canonical
+    columns, and ``bs_factor`` a slice of the same decomposition."""
+
+    @staticmethod
+    def pair(r_bs):
+        return CorrelationPair.from_matrices(r_bs, np.eye(2))
+
     def test_identity(self):
-        u, vals = eigendecompose_bs(np.eye(4))
-        np.testing.assert_allclose(vals, np.ones(4))
+        pair = self.pair(np.eye(4))
+        np.testing.assert_allclose(pair.bs_eigvals, np.ones(4))
+        np.testing.assert_allclose(np.abs(pair.bs_eigvecs), np.eye(4)[:, ::-1], atol=1e-14)
 
     def test_diagonal_sorted_descending(self):
-        u, vals = eigendecompose_bs(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(vals, [3.0, 1.0])
-        np.testing.assert_allclose(np.abs(u), np.eye(2), atol=1e-14)
+        pair = self.pair(np.diag([1.0, 3.0]))
+        np.testing.assert_allclose(pair.bs_eigvals, [3.0, 1.0])
+        np.testing.assert_allclose(np.abs(pair.bs_eigvecs), [[0.0, 1.0], [1.0, 0.0]],
+                                   atol=1e-14)
 
-    def test_reconstruction(self):
-        r = build_bs_correlation(4, "exponential", 0.7)
-        u, vals = eigendecompose_bs(r)
-        np.testing.assert_allclose(u @ np.diag(vals) @ u.conj().T, r, atol=1e-10)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-8)
+    @pytest.mark.parametrize("complex_bs", [False, True])
+    def test_reconstruction(self, complex_bs, rng):
+        if complex_bs:
+            a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            r = a @ a.conj().T
+        else:
+            r = build_bs_correlation(6, "exponential", 0.7)
+        pair = self.pair(r)
+        u, vals = pair.bs_eigvecs, pair.bs_eigvals
         assert np.all(np.diff(vals) <= 0)
+        np.testing.assert_allclose(u @ np.diag(vals) @ u.conj().T, r, atol=1e-10)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(6), atol=1e-12)
+        # bs_factor: the same columns, up to their canonical signs (phases),
+        # times the roots, in ascending order
+        factor = u[:, ::-1] * np.sqrt(vals[::-1])
+        np.testing.assert_allclose(np.abs(pair.bs_factor), np.abs(factor), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(pair.bs_factor, canonical_columns(factor), rtol=0, atol=1e-14)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eigendecompose_bs(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    @pytest.mark.parametrize("r_bs", [
+        np.array([[1.0, 2.0], [0.0, 1.0]]),
+        # complex symmetric, not Hermitian
+        np.array([[1.0, 0.3j], [0.3j, 1.0]]),
+        # a Hermitian off-diagonal pair with a complex diagonal entry
+        np.array([[1.0 + 0.1j, 0.3j], [-0.3j, 1.0]]),
+    ])
+    def test_rejects_non_hermitian(self, r_bs):
+        with pytest.raises(ValueError, match="r_bs must be finite and Hermitian"):
+            self.pair(r_bs)
 
-    def test_complex_hermitian(self, rng):
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        r = a @ a.conj().T
-        u, vals = eigendecompose_bs(r)
-        np.testing.assert_allclose(u @ np.diag(vals) @ u.conj().T, r, atol=1e-8)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+    def test_rejects_non_finite(self, bad, where):
+        r_bs = np.eye(3, dtype=complex)
+        r_bs[where] = r_bs[where[::-1]] = bad
+        with pytest.raises(ValueError, match="r_bs must be finite and Hermitian"):
+            self.pair(r_bs)
+
+    @pytest.mark.parametrize("m", [16, 32, 64, 96, 128])
+    def test_factor_is_matrix_sqrt_bit_for_bit(self, m):
+        # Monte Carlo draws through bs_factor: it must keep the bits of the
+        # factor a separate decomposition of R_BS gives, signs included
+        r_bs = build_bs_correlation(m, "exponential", 0.5)
+        pair = CorrelationPair.from_grid(r_bs, ArrayGeometry(2, 2, 0.25, 0.25))
+        assert pair.bs_factor.shape == (m, m)
+        np.testing.assert_array_equal(bits(pair.bs_factor), bits(matrix_sqrt_psd(r_bs)))
 
 
 class TestCorrelationPair:
@@ -402,11 +440,11 @@ class TestFromGrid:
             getattr(previous, name)
         # equal inputs: the pair itself, with everything it has cached
         assert CorrelationPair.from_grid(r_bs.copy(), small, previous) is previous
-        # a new surface: the BS half is lent, nothing of the old surface
+        # a new surface: the BS decomposition is shared, nothing of the old surface
         pair = CorrelationPair.from_grid(r_bs, large, previous)
         assert pair.bs_eigvecs is previous.bs_eigvecs and pair.bs_eigvals is previous.bs_eigvals
-        assert pair.bs_factor is previous.bs_factor
-        assert not pair.__dict__.keys() & {"ris_abs2", "ris_factor", "r_ris"}
+        assert not pair.__dict__.keys() & {"ris_abs2", "ris_factor", "r_ris", "bs_factor"}
+        np.testing.assert_array_equal(pair.bs_factor, previous.bs_factor)
         fresh = CorrelationPair.from_grid(r_bs, large)
         np.testing.assert_array_equal(pair.ris_table, fresh.ris_table)
         assert isinstance(pair.ris_abs2, GridKernel)
@@ -677,7 +715,7 @@ class TestLinkGains:
         {"beta_tilde": [np.inf, 1.0]},
     ], ids=["nan-beta_g", "nan-beta_bar", "inf-beta_tilde"])
     def test_rejects_non_finite(self, gains):
-        with pytest.raises(ValueError, match="path gains must be non-negative"):
+        with pytest.raises(ValueError, match="path gains must be finite and non-negative"):
             LinkGains(**{"beta_g": 0.1, "beta_bar": [1.0, 1.0], "beta_tilde": [1.0, 1.0],
                          **gains})
 

@@ -50,32 +50,32 @@ def fd_user_term(system, config, term, k, region, block="theta", step=FD_STEP):
 # sums in one vectorized weight per region.  Region u's trace T_u enters
 # alpha_j = beta_bar_j + beta_hat_j T_u of each of its users j.
 
-def signal_coefficient(ws, k, region):
+def signal_coefficient(point, system, k, region):
     """Scalar multiplying region ``region``'s direction in dS_k."""
-    if REGIONS[ws.system.region[k]] != region:
+    if REGIONS[system.region[k]] != region:
         return 0.0
-    return ws.system.gains.beta_hat[k] * alpha_partials(ws.point, ws.system)[0][k]
+    return system.gains.beta_hat[k] * alpha_partials(point, system)[0][k]
 
 
-def interference_coefficient(ws, k, region):
+def interference_coefficient(point, system, k, region):
     """Scalar multiplying region ``region``'s direction in dI_k."""
-    d_interference = alpha_partials(ws.point, ws.system)[1]
-    return sum(ws.system.gains.beta_hat[j] * d_interference[k, j]
-               for j in range(ws.system.dims.k) if REGIONS[ws.system.region[j]] == region)
+    d_interference = alpha_partials(point, system)[1]
+    return sum(system.gains.beta_hat[j] * d_interference[k, j]
+               for j in range(system.dims.k) if REGIONS[system.region[j]] == region)
 
 
-def phase_direction(ws, region):
+def phase_direction(point, region):
     u = REGIONS.index(region)
-    return ws.point.a[u] * ws.point.beta[u]
+    return point.a[u] * point.beta[u]
 
 
-def amplitude_direction(ws, region):
+def amplitude_direction(point, region):
     u = REGIONS.index(region)
-    return 2.0 * np.real(np.conj(ws.point.a[u]) * ws.point.theta[u])
+    return 2.0 * np.real(np.conj(point.a[u]) * point.theta[u])
 
 
-def workspace(config, system, producer=evaluate):
-    return build_workspace(producer(config.theta, config.beta, system), system)
+def point_at(config, system, producer=evaluate):
+    return producer(config.theta, config.beta, system)
 
 
 def rel_err(closed, numeric):
@@ -96,11 +96,11 @@ class TestSignalGradient:
         # gradient is a real multiple of theta elementwise
         system = uncorrelated_ris_system(rng)
         config = StarConfig.random(system.dims.n, rng)
-        ws = workspace(config, system)
-        np.testing.assert_array_equal(ws.point.a, config.beta * config.theta)
+        point = point_at(config, system)
+        np.testing.assert_array_equal(point.a, config.beta * config.theta)
         t_user = int(np.flatnonzero(system.region_mask[:, 0])[0])
-        coef = signal_coefficient(ws, t_user, "t")
-        signal = coef * phase_direction(ws, "t")
+        coef = signal_coefficient(point, system, t_user, "t")
+        signal = coef * phase_direction(point, "t")
         np.testing.assert_allclose(signal, coef * config.beta[0]**2 * config.theta[0],
                                    rtol=1e-12)
         grad = grad_objective(config, system)
@@ -110,10 +110,10 @@ class TestSignalGradient:
     def test_matches_finite_differences(self, rng):
         system = random_system(rng, m=6, n=8, k_t=2, k_r=2)
         config = StarConfig.random(8, rng)
-        ws = workspace(config, system)
+        point = point_at(config, system)
         for k in range(4):
             region = REGIONS[system.region[k]]
-            closed = signal_coefficient(ws, k, region) * phase_direction(ws, region)
+            closed = signal_coefficient(point, system, k, region) * phase_direction(point, region)
             numeric = fd_user_term(system, config, "s", k, region)
             assert rel_err(closed, numeric) < 1e-6
 
@@ -134,10 +134,11 @@ class TestInterferenceGradient:
     def test_matches_finite_differences(self, rng):
         system = random_system(rng, m=8, n=8, k_t=2, k_r=1)
         config = StarConfig.random(8, rng)
-        ws = workspace(config, system)
+        point = point_at(config, system)
         for k in range(3):
             for region in REGIONS:
-                closed = interference_coefficient(ws, k, region) * phase_direction(ws, region)
+                closed = (interference_coefficient(point, system, k, region)
+                          * phase_direction(point, region))
                 numeric = fd_user_term(system, config, "i", k, region)
                 assert rel_err(closed, numeric) < 1e-6
 
@@ -146,11 +147,11 @@ class TestInterferenceGradient:
         gains = LinkGains(beta_g=0.0, beta_bar=system.gains.beta_bar,
                           beta_tilde=system.gains.beta_tilde)
         system = replace(system, gains=gains)
-        ws = workspace(StarConfig.random(system.dims.n, rng), system)
+        point = point_at(StarConfig.random(system.dims.n, rng), system)
         for k in range(system.dims.k):
             for region in REGIONS:
-                assert signal_coefficient(ws, k, region) == 0
-                assert interference_coefficient(ws, k, region) == 0
+                assert signal_coefficient(point, system, k, region) == 0
+                assert interference_coefficient(point, system, k, region) == 0
         grad = grad_objective(StarConfig.random(system.dims.n, rng), system)
         assert np.all(grad.d_theta == 0)
         assert np.all(grad.d_beta == 0)
@@ -189,8 +190,8 @@ class TestAmplitudeGradient:
         # over users and scaled by the prefactor, is the vectorized gradient
         system = random_system(rng, m=5, n=6, k_t=2, k_r=1)
         config = StarConfig.random(6, rng)
-        ws = workspace(config, system)
-        report = ws.point.report
+        point = point_at(config, system)
+        report = point.report
         prefactor = system.dims.prelog / LN2
         full = grad_objective(config, system)
         for u, region in enumerate(REGIONS):
@@ -198,22 +199,22 @@ class TestAmplitudeGradient:
             d_theta = np.zeros(6, dtype=complex)
             for k in range(3):
                 i_k = report.i_tilde[k]
-                weight = (i_k * signal_coefficient(ws, k, region)
-                          - report.s[k] * interference_coefficient(ws, k, region)) / (
+                weight = (i_k * signal_coefficient(point, system, k, region)
+                          - report.s[k] * interference_coefficient(point, system, k, region)) / (
                     (1.0 + report.gamma[k]) * i_k**2)
-                d_beta += weight * amplitude_direction(ws, region)
-                d_theta += weight * phase_direction(ws, region)
+                d_beta += weight * amplitude_direction(point, region)
+                d_theta += weight * phase_direction(point, region)
             np.testing.assert_allclose(prefactor * d_beta, full.d_beta[u], rtol=1e-12)
             np.testing.assert_allclose(prefactor * d_theta, full.d_theta[u], rtol=1e-12)
 
     def test_per_user_amplitude_pieces_match_finite_differences(self, rng):
         system = random_system(rng, m=6, n=5, k_t=1, k_r=2)
         config = StarConfig.random(5, rng)
-        ws = workspace(config, system)
+        point = point_at(config, system)
         for k in range(3):
             for region in REGIONS:
                 for term, coef in (("s", signal_coefficient), ("i", interference_coefficient)):
-                    closed = coef(ws, k, region) * amplitude_direction(ws, region)
+                    closed = coef(point, system, k, region) * amplitude_direction(point, region)
                     numeric = fd_user_term(system, config, term, k, region, block="beta")
                     assert rel_err(closed, numeric) < 1e-6
 
@@ -321,7 +322,7 @@ class TestKernelAgreement:
     def test_gradient_blocks_match_oracles(self, case, rng):
         system, config = kernel_case(case, rng)
         point = evaluate(config.theta, config.beta, system)
-        closed = grad_objective_from_workspace(build_workspace(point, system))
+        closed = grad_objective_from_workspace(point, system, build_workspace(point, system))
         numeric = finite_difference_gradient(config, system)
         dense = grad_objective(config, system, method="dense")
         total = np.sqrt(np.linalg.norm(closed.d_theta - numeric.d_theta) ** 2
@@ -366,11 +367,11 @@ class TestWorkspaceScalars:
         beta = np.stack([config.beta for config in configs])
         point = evaluate(theta, beta, system)
         np.testing.assert_array_equal(point.alphas[1, 2:], system.gains.beta_bar[1, 2:])
-        ws = build_workspace(point, system)
-        assert ws.d_alpha.shape == (3, 4)
+        d_alpha = build_workspace(point, system)
+        assert d_alpha.shape == (3, 4)
         for k in range(4):
             numeric = fd_d_alpha(point, system, k)
-            np.testing.assert_allclose(ws.d_alpha[:, k], numeric, rtol=1e-6)
+            np.testing.assert_allclose(d_alpha[:, k], numeric, rtol=1e-6)
 
     def test_eig_matches_dense(self, rng):
         for _ in range(3):
@@ -378,15 +379,14 @@ class TestWorkspaceScalars:
                                    n=int(rng.integers(3, 9)),
                                    complex_bs=bool(rng.integers(0, 2)))
             config = StarConfig.random(system.dims.n, rng)
-            fast = workspace(config, system)
-            dense = workspace(config, system, dense_evaluate)
+            fast = point_at(config, system)
+            dense = point_at(config, system, dense_evaluate)
             for field in ("a", "alphas", "sums"):
-                np.testing.assert_allclose(getattr(fast.point, field),
-                                           getattr(dense.point, field), rtol=1e-9)
-            for ours, theirs in zip(alpha_partials(fast.point, system),
-                                    alpha_partials(dense.point, system)):
+                np.testing.assert_allclose(getattr(fast, field), getattr(dense, field), rtol=1e-9)
+            for ours, theirs in zip(alpha_partials(fast, system), alpha_partials(dense, system)):
                 np.testing.assert_allclose(ours, theirs, rtol=1e-9)
-            np.testing.assert_allclose(fast.d_alpha, dense.d_alpha, rtol=1e-9)
+            np.testing.assert_allclose(build_workspace(fast, system),
+                                       build_workspace(dense, system), rtol=1e-9)
 
     def test_dense_traces_are_real(self, rng):
         # the eigen-sums come from products of commuting Hermitian matrices;

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, random_system, uncorrelated_ris_system
+from conftest import (bits, feasibility_errors, random_system, record_evaluations,
+                      scored_objectives, uncorrelated_ris_system)
 from dataclasses import replace
 
 from starmimo.channel import StarConfig
@@ -146,24 +147,18 @@ class TestArmijoCondition:
                                 mu=1e-12)
 
 
-def record_feasibility(trace_log):
-    def callback(iteration, config, objective):
-        theta_err = np.max(np.abs(np.abs(config.theta) - 1.0))
-        energy_err = np.max(np.abs(config.beta[0]**2 + config.beta[1]**2 - 1.0))
-        trace_log.append((theta_err, energy_err, objective))
-    return callback
-
-
 class TestPgam:
-    def test_invariants_on_random_instance(self, rng):
+    def test_invariants_on_random_instance(self, rng, monkeypatch):
         system = random_system(rng, m=6, n=8, k_t=2, k_r=2, complex_bs=False)
         init = StarConfig.random(8, rng)
-        log = []
+        points = record_evaluations(monkeypatch)
         options = PgamOptions(max_iters=150, seed=0)
-        trace = pgam(system, options, init, callback=record_feasibility(log))
+        trace = pgam(system, options, init)
         assert trace.iterations <= options.max_iters
-        assert len(log) == trace.iterations
-        for theta_err, energy_err, _ in log:
+        # every candidate is feasible, and every accepted iterate is one
+        assert set(trace.objectives) <= scored_objectives(points)
+        for point in points:
+            theta_err, energy_err = feasibility_errors(point)
             assert theta_err <= 1e-10
             assert energy_err <= 1e-10
         objs = np.asarray(trace.objectives)
@@ -182,32 +177,27 @@ class TestPgam:
         # reports zero gain and the tolerance stops the run
         system = zero_cascade(random_system(rng, m=4, n=4, k_t=1, k_r=1))
         trace = pgam(system, PgamOptions(), StarConfig.equal_split(4, rng))
-        assert trace.converged
         assert trace.reason == "objective tolerance"
         assert trace.iterations == 1
         assert trace.objectives[0] == trace.objectives[-1]
 
-    def test_phases_frozen_without_ris_correlation(self, rng):
-        # only the amplitude block can move the objective; each accepted
-        # iterate's phase block equals the previous one up to a real
-        # elementwise factor (sign flips allowed by the projection)
+    def test_phases_frozen_without_ris_correlation(self, rng, monkeypatch):
+        # only the amplitude block can move the objective; each candidate's
+        # phase block equals the previous iterate's up to a real elementwise
+        # factor (sign flips allowed by the projection)
         system = uncorrelated_ris_system(rng, n=6)
-        thetas = []
-
-        def callback(iteration, config, objective):
-            thetas.append(config.theta.copy())
-
+        points = record_evaluations(monkeypatch)
         init = StarConfig.random(6, rng)
-        trace = pgam(system, PgamOptions(max_iters=40), init, callback=callback)
-        for theta in thetas:
-            ratio = theta / init.theta
+        trace = pgam(system, PgamOptions(max_iters=40), init)
+        assert trace.iterations > 1 and len(points) > trace.iterations
+        for point in points:
+            ratio = point.theta[0] / init.theta
             assert np.max(np.abs(ratio.imag)) < 1e-9
 
     def test_line_search_stall_reported(self, rng):
         system = random_system(rng, m=4, n=4, k_t=1, k_r=1, complex_bs=False)
         options = PgamOptions(mu_init=1e12, max_backtracks=0, max_iters=10)
         trace = pgam(system, options, StarConfig.random(4, rng))
-        assert not trace.converged
         assert trace.reason == "line-search stall"
 
     def test_seed_reproducibility(self, rng):
@@ -257,24 +247,10 @@ class TestKernelEvaluations:
     """pgam evaluates the objective kernel once per trial point and feeds the
     accepted trial's cache to the next gradient."""
 
-    @staticmethod
-    def count_evaluations(monkeypatch):
-        import starmimo.optimizer as optimizer_module
-
-        calls = []
-        original = optimizer_module.evaluate
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(optimizer_module, "evaluate", counted)
-        return calls
-
     def test_one_evaluation_per_trial(self, rng, monkeypatch):
         system = random_system(rng, m=6, n=8, k_t=2, k_r=2, complex_bs=False)
         init = StarConfig.random(8, rng)
-        calls = self.count_evaluations(monkeypatch)
+        calls = record_evaluations(monkeypatch)
         trace = pgam(system, PgamOptions(mu_init=1e3, max_iters=40), init)
         assert trace.reason != "line-search stall"
         assert sum(trace.backtrack_counts) > 0
@@ -284,9 +260,9 @@ class TestKernelEvaluations:
         # no cascaded gain: the gradient is exactly zero, so from a binary
         # start with unit phases the step cannot move the iterate
         system = zero_cascade(random_system(rng, m=4, n=4, k_t=1, k_r=1))
-        calls = self.count_evaluations(monkeypatch)
+        calls = record_evaluations(monkeypatch)
         trace = pgam(system, PgamOptions(), binary_start(4))
-        assert trace.converged
+        assert trace.reason == "objective tolerance"
         assert trace.iterations == 1
         assert len(calls) == 1  # the starting point only
 
@@ -309,7 +285,7 @@ class TestLockstep:
             assert got.step_sizes == want.step_sizes
             assert got.backtrack_counts == want.backtrack_counts
             assert got.stationarity == want.stationarity
-            assert (got.reason, got.converged) == (want.reason, want.converged)
+            assert got.reason == want.reason
             for name in ("theta", "beta"):
                 np.testing.assert_array_equal(getattr(got.final_config, name),
                                               getattr(want.final_config, name))
@@ -475,7 +451,7 @@ class TestLockstep:
             assert len({trace.iterations for trace in traces}) > 2
         elif case == "all-fixed":
             assert batch_sizes == [3]
-            assert all(trace.converged for trace in traces)
+            assert all(trace.reason == "objective tolerance" for trace in traces)
         else:
             assert traces[0].backtrack_counts[0] == 0
             assert (traces[1].backtrack_counts[0], traces[1].stationarity[0]) == (1, 0.0)

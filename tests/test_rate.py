@@ -16,7 +16,7 @@ from starmimo.correlation import (
     build_ris_correlation,
 )
 from starmimo.gradients import grad_objective
-from starmimo.rate import _assemble_report, evaluate, sinr_from_terms, sum_se
+from starmimo.rate import assemble_report, evaluate, sinr_from_terms, sum_se
 
 
 def scalar_system(alpha, eps, noise_lift, m):
@@ -92,7 +92,7 @@ class TestInterferenceTerm:
 class TestSumSe:
     def test_prelog_arithmetic(self):
         # single user at SINR 3 with a 200-use block and 4 pilot symbols
-        report = _assemble_report(np.array([3.0]), np.array([1.0]), prelog=196 / 200)
+        report = assemble_report(np.array([3.0]), np.array([1.0]), prelog=196 / 200)
         assert report.sum_se == pytest.approx(1.96)
 
     def test_all_training_gives_zero(self, rng):
