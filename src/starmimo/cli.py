@@ -23,6 +23,7 @@ import math
 import numbers
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -598,16 +599,20 @@ def _convergence_rows(cfg: ScenarioConfig):
 
 
 def write_csv(cfg: ScenarioConfig, path: str | Path) -> list[dict]:
-    """Run the scenario, streaming rows to ``path`` with the versioned header."""
+    """Run the scenario, streaming rows to ``path`` with the versioned header;
+    ``path`` is opened at the first row, so an earlier failure leaves it as it was."""
     path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# starmimo csv schema {CSV_SCHEMA}\n")
-        out = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        out.writeheader()
+    with ExitStack() as stack:
+        fh = out = None
 
         def writer(row):
+            nonlocal fh, out
+            if out is None:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fh = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
+                fh.write(f"# starmimo csv schema {CSV_SCHEMA}\n")
+                out = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+                out.writeheader()
             out.writerow(row)
             fh.flush()
 

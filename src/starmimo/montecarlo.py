@@ -21,6 +21,7 @@ sums one by one, in trial order.
 from __future__ import annotations
 
 import functools
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -96,8 +97,8 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
     through its derivative by the delta method:
     sqrt(sum_k (prelog / ((1 + gamma_k) ln 2) * std_err_k)^2).
     """
-    if n_trials < 2:
-        raise ValueError("need at least two trials")
+    if isinstance(n_trials, bool) or not isinstance(n_trials, numbers.Integral) or n_trials < 2:
+        raise ValueError(f"n_trials: need an integer of at least 2, got {n_trials!r}")
     k_users = system.dims.k
     eps = system.epsilon
     alphas = covariance_scalars(system, config)

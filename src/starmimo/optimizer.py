@@ -20,6 +20,7 @@ bit for bit the one it has when run alone (:func:`pgam`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import NamedTuple
@@ -69,13 +70,13 @@ class PgamOptions:
              "initial step size must be finite and positive"),
             ("kappa", 0.0 < self.kappa < 1.0, "backtracking factor must lie in (0, 1)"),
             ("tol", 0.0 <= self.tol < math.inf, "tolerance must be finite and non-negative"),
-            ("max_iters", self.max_iters >= 1, "need at least one iteration"),
-            ("max_backtracks", self.max_backtracks >= 0,
-             "backtrack limit must be non-negative"),
-            ("n_starts", self.n_starts >= 1, "need at least one start"),
         ):
             if not ok:
                 raise OptionError(name, message)
+        for name, low in (("max_iters", 1), ("max_backtracks", 0), ("n_starts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise OptionError(name, f"must be an integer of at least {low}, got {value!r}")
 
 
 @dataclass
@@ -85,8 +86,8 @@ class PgamTrace:
 
     ``stationarity`` holds ||x+ - x|| / mu of every accepted step, over the
     phases (complex) and amplitudes of both regions: the norm of the
-    projected-gradient map at the step size used (0 for a fixed-point
-    accept).
+    projected-gradient map at the step size used (0 for an accepted step
+    that cannot move the iterate).
     """
 
     objectives: list = field(default_factory=list)
@@ -162,8 +163,8 @@ def step_between(theta_new: np.ndarray, beta_new: np.ndarray,
 
 
 def armijo_condition(f_new, f_old, grad, step: Step, mu):
-    """True iff the trial point, ``step`` away, beats the proximal quadratic
-    model.
+    """True iff the trial point, ``step`` away, meets or beats the proximal
+    quadratic model: a zero step passes iff ``f_new >= f_old``.
 
     The model value is ``f_old + <g, dx> - ||dx||^2 / mu`` per block with the
     pairing 2 Re{x^H y} on the complex phase block and x^T y on the real
@@ -174,11 +175,9 @@ def armijo_condition(f_new, f_old, grad, step: Step, mu):
     # np.vecdot (numpy >= 2.0) makes the BLAS dot of np.vdot (complex) and
     # of ``@`` (real) once per row, so a start's verdict does not depend on
     # its batch
-    q = f_old + 2.0 * np.real(np.vecdot(_rows(grad.d_theta), step.d_theta))
-    q = q - step.sq_theta / mu
-    q = q + np.vecdot(_rows(grad.d_beta), step.d_beta)
-    q = q - step.sq_beta / mu
-    return f_new > q
+    q = f_old + 2.0 * np.real(np.vecdot(_rows(grad.d_theta), step.d_theta)) - step.sq_theta / mu
+    q = q + np.vecdot(_rows(grad.d_beta), step.d_beta) - step.sq_beta / mu
+    return f_new >= q
 
 
 def pgam(system: SystemModel, options: PgamOptions, init: StarConfig) -> PgamTrace:
@@ -193,14 +192,12 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list) -> lis
     return one trace per start, in order.
 
     Arbitrary starting points are projected feasible first.  A (P, K)
-    ``system.gains.beta_bar`` gives start p the direct gains of its row p.
-    Each start has its own step size, Armijo test, backtrack count,
-    fixed-point accept and stop; a start leaves the batch, with its
-    ``beta_bar`` row, when it stops.  Per iteration the gradient is one
-    batched call over the starts still running, and each line-search round
-    moves and scores them all, each at its latest step, so that no round
-    gathers rows; the last evaluation is the next point.  A first round of
-    exact fixed points evaluates nothing; an iteration that stops some
+    ``system.gains.beta_bar`` gives start p the direct gains of its row p; a
+    start leaves the batch, with its row, when it stops.  Per iteration the
+    gradient is one batched call, and each line-search round moves and
+    scores every running start at its own latest step.  Armijo's test alone
+    ends a start's search, an exact fixed point's too, and the last round's
+    evaluation and verdict are every start's.  An iteration that stops some
     starts evaluates the rest once more.
     """
     theta = project_theta(np.stack([init.theta for init in inits]))
@@ -216,71 +213,46 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list) -> lis
     mu = np.full(len(inits), float(options.mu_init))
     active = list(range(len(inits)))  # start index of every row of the state
 
-    def finish(rows, theta_rows, beta_rows, reason):
-        for row in rows:
-            trace = traces[active[row]]
-            trace.final_config = StarConfig(theta_rows[row].copy(), beta_rows[row].copy())
-            trace.reason = reason
-
     for iteration in range(1, options.max_iters + 1):
         grad = grad_objective_from_workspace(point, system, build_workspace(point, system))
         if not (np.isfinite(grad.d_theta).all() and np.isfinite(grad.d_beta).all()):
             raise PgamFailure("non-finite gradient", iteration)
 
-        f_new = f_cur
         backtracks = np.zeros(len(active), dtype=int)
-        accepted = np.zeros(len(active), dtype=bool)
-        searching = ~accepted
-        # every round scores each row at its latest candidate, so the last
-        # evaluation is the next point; ``point`` stands in until one is made
-        trial = point
         while True:
-            # rows that accepted, stalled or are fixed keep their step, so
-            # they recompute their candidate to the same bits
+            # rows that accepted or stalled keep their step, so they
+            # recompute their candidate, score and verdict to the same bits
             theta_new = project_theta(theta + mu[:, None, None] * grad.d_theta)
             beta_new = project_beta(beta + mu[:, None, None] * grad.d_beta)
             step = step_between(theta_new, beta_new, theta, beta)
-            sq_step = step.sq_theta + step.sq_beta
-            # exact fixed point: no step can move the iterate, so accept the
-            # zero-gain iteration and let the tolerance stop the run; only a
-            # zero step norm (an underflowed one too) can be one
-            zero = searching & (sq_step == 0)
-            for row in np.flatnonzero(zero) if zero.any() else ():
-                if (theta_new[row] == theta[row]).all() and (beta_new[row] == beta[row]).all():
-                    accepted[row], searching[row] = True, False
-            if trial is point and not searching.any():
-                break
             trial = evaluate(theta_new, beta_new, system)
             f_trial = trial.report.sum_se
-            # rows no longer searching are re-scored to bits already found finite
             if not np.isfinite(f_trial).all():
                 raise PgamFailure("non-finite objective during line search", iteration)
-            ok = searching & armijo_condition(f_trial, f_cur, grad, step, mu)
-            accepted |= ok
-            f_new = np.where(ok, f_trial, f_new)
-            searching &= ~ok & (backtracks < options.max_backtracks)
-            if not searching.any():
+            ok = armijo_condition(f_trial, f_cur, grad, step, mu)
+            retry = ~ok & (backtracks < options.max_backtracks)
+            if not retry.any():
                 break
-            mu[searching] *= options.kappa
-            backtracks += searching
+            mu[retry] *= options.kappa
+            backtracks += retry
 
-        # the last round's step is every row's final candidate
-        stationarity = np.sqrt(sq_step) / mu
-        stop = ~accepted | (f_new - f_cur < options.tol)
-        stopping = stop.any()
-        if stopping:
-            finish(np.flatnonzero(~accepted), theta, beta, "line-search stall")
-            finish(np.flatnonzero(accepted & stop), theta_new, beta_new, "objective tolerance")
-        objectives, steps, counts = f_new.tolist(), mu.tolist(), backtracks.tolist()
-        stationarity = stationarity.tolist()
-        for row in np.flatnonzero(accepted).tolist() if stopping else range(len(active)):
+        # the last round holds every row's verdict and, if it accepted, its
+        # next point and objective
+        stop = ~ok | (f_trial - f_cur < options.tol)
+        objectives, steps, counts = f_trial.tolist(), mu.tolist(), backtracks.tolist()
+        stationarity = (np.sqrt(step.sq_theta + step.sq_beta) / mu).tolist()
+        for row in np.flatnonzero(ok).tolist():
             trace = traces[active[row]]
             trace.objectives.append(objectives[row])
             trace.step_sizes.append(steps[row])
             trace.backtrack_counts.append(counts[row])
             trace.stationarity.append(stationarity[row])
-        theta, beta, f_cur, point = theta_new, beta_new, f_new, trial
-        if stopping:
+        for row in np.flatnonzero(stop).tolist():
+            trace, end = traces[active[row]], ((theta_new, beta_new) if ok[row] else (theta, beta))
+            trace.final_config = StarConfig(end[0][row].copy(), end[1][row].copy())
+            trace.reason = "objective tolerance" if ok[row] else "line-search stall"
+        theta, beta, f_cur, point = theta_new, beta_new, f_trial, trial
+        if stop.any():
             keep = ~stop
             if not keep.any():
                 return traces
@@ -291,7 +263,9 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list) -> lis
                                                        beta_bar=system.gains.beta_bar[keep]))
             point = evaluate(theta, beta, system)
 
-    finish(range(len(active)), theta, beta, "max iterations")
+    for row, start in enumerate(active):
+        traces[start].final_config = StarConfig(theta[row].copy(), beta[row].copy())
+        traces[start].reason = "max iterations"
     return traces
 
 

@@ -896,15 +896,20 @@ class TestMain:
         ScenarioConfig.from_dict(raw)
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(raw))
+        # the first point fails before any row is complete: an existing out
+        # keeps its bytes
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier,run\r\n1,2\r\n")
         proc = subprocess.run(
             [sys.executable, "-m", "starmimo.cli", "--config", str(path),
-             "--out", str(tmp_path / "out.csv")],
+             "--out", str(out)],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: pathloss:") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+        assert out.read_bytes() == b"earlier,run\r\n1,2\r\n"
 
     def test_undecodable_config_returns_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

@@ -234,3 +234,9 @@ class TestMcSinr:
         system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
         with pytest.raises(ValueError):
             mc_sinr(system, StarConfig.equal_split(4, rng), 1, seed=0)
+
+    @pytest.mark.parametrize("n_trials", [2.5, 4.0, True, "4", np.float64(3.0)])
+    def test_rejects_non_integer_trial_counts(self, rng, n_trials):
+        system = random_system(rng, m=4, n=4, k_t=1, k_r=1)
+        with pytest.raises(ValueError, match="n_trials"):
+            mc_sinr(system, StarConfig.equal_split(4, rng), n_trials, seed=0)

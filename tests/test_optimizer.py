@@ -129,13 +129,15 @@ class TestArmijoCondition:
         return GradientPair(d_theta=np.zeros((2, n), dtype=complex),
                             d_beta=np.zeros((2, n)))
 
-    def test_fixed_point_rejected(self):
+    def test_zero_step_accepted_unless_the_score_falls(self):
+        # a zero step's model value is f_old itself: an equal score passes
         theta = np.ones((2, 2), dtype=complex)
         beta = np.ones((2, 2)) * np.sqrt(0.5)
         grad = self._zero_grad(2)
         step = step_between(theta, beta, theta, beta)
-        assert not armijo_condition(1.0, 1.0, grad, step, mu=0.5)
+        assert armijo_condition(1.0, 1.0, grad, step, mu=0.5)
         assert armijo_condition(1.0 + 1e-9, 1.0, grad, step, mu=0.5)
+        assert not armijo_condition(1.0 - 1e-9, 1.0, grad, step, mu=0.5)
 
     def test_tiny_step_accepts_any_displacement(self):
         theta_old = np.ones((2, 1), dtype=complex)
@@ -230,6 +232,16 @@ class TestPgam:
             PgamOptions(**{name: value})
         assert err.value.field == name
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_iters", 2.5), ("max_iters", 10.0), ("max_iters", True),
+        ("max_backtracks", 1.5), ("max_backtracks", False), ("n_starts", 2.0),
+        ("n_starts", True), ("n_starts", "5"), ("seed", -1), ("seed", 1.5), ("seed", True),
+    ])
+    def test_non_integer_count_or_seed_names_field(self, name, value):
+        with pytest.raises(OptionError) as err:
+            PgamOptions(**{name: value})
+        assert err.value.field == name
+
     def test_boundary_options_accepted(self):
         options = PgamOptions(max_iters=1, tol=0.0, max_backtracks=0)
         assert (options.max_iters, options.tol, options.max_backtracks) == (1, 0.0, 0)
@@ -256,15 +268,17 @@ class TestKernelEvaluations:
         assert sum(trace.backtrack_counts) > 0
         assert len(calls) == 1 + sum(1 + b for b in trace.backtrack_counts)
 
-    def test_fixed_point_accept_evaluates_nothing(self, rng, monkeypatch):
+    def test_fixed_point_accepted_in_one_evaluation(self, rng, monkeypatch):
         # no cascaded gain: the gradient is exactly zero, so from a binary
-        # start with unit phases the step cannot move the iterate
+        # start with unit phases the step cannot move the iterate; Armijo's
+        # test accepts the re-scored point and the tolerance stops the run
         system = zero_cascade(random_system(rng, m=4, n=4, k_t=1, k_r=1))
         calls = record_evaluations(monkeypatch)
         trace = pgam(system, PgamOptions(), binary_start(4))
         assert trace.reason == "objective tolerance"
         assert trace.iterations == 1
-        assert len(calls) == 1  # the starting point only
+        assert trace.stationarity == [0.0]
+        assert len(calls) == 2  # the starting point and its one trial
 
 
 class TestLockstep:
@@ -387,15 +401,13 @@ class TestLockstep:
     def expected_batch_sizes(traces):
         """The batch size of every kernel call of a lockstep run without
         stalls: the start, then per iteration one call per line-search round
-        over every running start (none if all are exact fixed points in the
-        first round), and one over the continuing starts if some stop."""
+        over every running start, and one over the continuing starts if some
+        stop."""
         assert all(trace.reason != "line-search stall" for trace in traces)
         sizes = [len(traces)]
         for i in range(max(trace.iterations for trace in traces)):
             running = [trace for trace in traces if trace.iterations > i]
-            if any(trace.backtrack_counts[i] or trace.stationarity[i] for trace in running):
-                sizes += [len(running)] * max(1 + trace.backtrack_counts[i]
-                                              for trace in running)
+            sizes += [len(running)] * max(1 + trace.backtrack_counts[i] for trace in running)
             going = sum(trace.iterations > i + 1 or trace.reason == "max iterations"
                         for trace in running)
             if 0 < going < len(running):
@@ -450,7 +462,7 @@ class TestLockstep:
             # two or more stops with starts left running: the batch shrinks
             assert len({trace.iterations for trace in traces}) > 2
         elif case == "all-fixed":
-            assert batch_sizes == [3]
+            assert batch_sizes == [3, 3]
             assert all(trace.reason == "objective tolerance" for trace in traces)
         else:
             assert traces[0].backtrack_counts[0] == 0
