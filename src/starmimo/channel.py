@@ -188,38 +188,11 @@ def pbm_quadratic_diag(r_ris: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def covariance_scalars(system: SystemModel, config: StarConfig,
                        diagonals: np.ndarray | None = None) -> np.ndarray:
-    """All per-user covariance scalars, from one product for both regions.
+    """All per-user covariance scalars, and the surface diagonals if
+    ``diagonals`` is given: :meth:`starmimo.rate.ClosedForm.scalars`."""
+    from .rate import ClosedForm  # the rate module builds on this one
 
-    ``alpha_k = beta_bar_k + beta_hat_k * phi_u^H |R_RIS|^2 phi_u`` with u =
-    ``system.region[k]``.  The contiguous (4, N) rows [Re phi_t, Re phi_r,
-    Im phi_t, Im phi_r] times ``|R_RIS|^2`` give both traces from one real
-    product, without upcasting the kernel to complex.  The kernel is real
-    symmetric, so a row times it is the kernel times that row: exactly on a
-    grid, whose kernel is gathered symmetric, and to the symmetry tolerance
-    of ``CorrelationPair.from_matrices`` otherwise.  Each trace is the dot of
-    a row with its own product (``np.vecdot``), and each user takes its
-    region's by index.  If ``diagonals``, a (2, N) complex array, is given,
-    the product's ``diag(R_RIS Phi_u R_RIS) = |R_RIS|^2 phi_u`` of both
-    regions, t first, is copied into it from the product's rows; the
-    gradient reads them.
-
-    A configuration with a leading start axis gives (P, K) scalars from one
-    stacked (P, 4, N) x (N, N) product, one gemm per start, and
-    ``diagonals`` is then (P, 2, N); a (P, K) ``beta_bar`` gives every start
-    its own direct gains.  The kernel is ``CorrelationPair.ris_abs2``: the
-    dense square or, on a large grid, its FFT form with the same values.
-    """
-    phi = config.beta * config.theta
-    rows = np.concatenate([phi.real, phi.imag], axis=-2)
-    prod = rows @ system.corr.ris_abs2
-    traces = np.vecdot(rows, prod)
-    if diagonals is not None:
-        diagonals.real = prod[..., :2, :]
-        diagonals.imag = prod[..., 2:, :]
-    alphas = (traces[..., :2] + traces[..., 2:])[..., system.region]
-    alphas *= system.gains.beta_hat
-    alphas += system.gains.beta_bar
-    return alphas
+    return ClosedForm(system).scalars(config.theta, config.beta, diagonals)
 
 
 @dataclass
@@ -320,8 +293,10 @@ def sample_realization(system: SystemModel, config: StarConfig,
     0.3.31 (Haswell kernels) it does with 8 or 16 real columns per trial
     (K = 4 or 8) at every N tried from 2 to 1024, with dense factors and
     with folded ones (1 x 2 to 32 x 32, 3 x 7, 9 x 16, 1 x 100, 100 x 1 and
-    1 x 130 grids), while other K agree to roundoff.  The BS-side products
-    stay one gemm per trial.
+    1 x 130 grids) on one BLAS thread, while other K agree to roundoff;
+    with two threads under the Haswell kernels chunks at N = 256 and 1024
+    differ, so bit-identical draws need one thread (``OPENBLAS_NUM_THREADS=1``
+    before numpy is imported).  The BS-side products stay one gemm per trial.
     """
     t, k = len(rngs), system.dims.k
     bs_factor = system.corr.bs_factor

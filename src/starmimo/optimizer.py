@@ -9,8 +9,8 @@ phase is objective-neutral, so the quarter-circle constraint is recovered at
 the end by canonicalizing signs).
 
 All starts of a multi-start run in lockstep through one loop,
-:func:`pgam_lockstep`: each line-search round makes one batched kernel call
-over every running start, each scored at its latest candidate, while every
+:func:`pgam_lockstep`: each line-search round scores every running start at
+its latest candidate in one ``rate.ClosedForm.score`` call, while every
 start keeps its own step size, backtracks and stopping state.  Systems that
 differ only in their direct gains share one batch, one ``beta_bar`` row per
 start.  Every reduction runs along one start's row, so a start's trace is
@@ -27,9 +27,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import MS, StarConfig, SystemModel
-from .gradients import build_workspace, grad_objective_from_workspace
-from .rate import evaluate
+from .channel import MS, StarConfig, SystemModel, covariance_scalars
+
+# unused here, but perfbench's tracer wraps (and reports) only functions imported by name
+from .gradients import build_workspace, grad_objective_from_workspace  # noqa: F401
+from .rate import ClosedForm, evaluate
 
 
 class PgamFailure(RuntimeError):
@@ -194,19 +196,20 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list) -> lis
     Arbitrary starting points are projected feasible first.  A (P, K)
     ``system.gains.beta_bar`` gives start p the direct gains of its row p; a
     start leaves the batch, with its row, when it stops.  Per iteration the
-    gradient is one batched call, and each line-search round moves and
-    scores every running start at its own latest step.  Armijo's test alone
-    ends a start's search, an exact fixed point's too, and the last round's
-    evaluation and verdict are every start's.  An iteration that stops some
-    starts evaluates the rest once more.
+    system's kernel (``rate.ClosedForm``) makes one batched gradient, and
+    each line-search round moves and scores every running start at its own
+    latest step.  Armijo's test alone ends a start's search, an exact fixed
+    point's too, and the last round's score and verdict are every start's.
+    An iteration that stops some starts scores the rest once more.
     """
     theta = project_theta(np.stack([init.theta for init in inits]))
     beta = project_beta(np.stack([init.beta for init in inits]))
 
-    # the cached intermediates of the evaluation at the current point feed
-    # the next gradient
-    point = evaluate(theta, beta, system)
-    f_cur = point.report.sum_se
+    # the score at the current point feeds the next gradient; the start's scalars come
+    # through covariance_scalars, where perfbench counts channel.ris_kernel.bytes
+    closed, a = ClosedForm(system), np.empty(theta.shape, dtype=complex)
+    point = closed.score(theta, beta, covariance_scalars(system, StarConfig(theta, beta), a), a)
+    f_cur = point.sum_se
     if not np.all(np.isfinite(f_cur)):
         raise PgamFailure("non-finite objective at the starting point", 0)
     traces = [PgamTrace(objectives=[f]) for f in f_cur.tolist()]
@@ -214,7 +217,7 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list) -> lis
     active = list(range(len(inits)))  # start index of every row of the state
 
     for iteration in range(1, options.max_iters + 1):
-        grad = grad_objective_from_workspace(point, system, build_workspace(point, system))
+        grad = closed.gradient(theta, beta, point)
         if not (np.isfinite(grad.d_theta).all() and np.isfinite(grad.d_beta).all()):
             raise PgamFailure("non-finite gradient", iteration)
 
@@ -225,8 +228,8 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list) -> lis
             theta_new = project_theta(theta + mu[:, None, None] * grad.d_theta)
             beta_new = project_beta(beta + mu[:, None, None] * grad.d_beta)
             step = step_between(theta_new, beta_new, theta, beta)
-            trial = evaluate(theta_new, beta_new, system)
-            f_trial = trial.report.sum_se
+            trial = closed.score(theta_new, beta_new)
+            f_trial = trial.sum_se
             if not np.isfinite(f_trial).all():
                 raise PgamFailure("non-finite objective during line search", iteration)
             ok = armijo_condition(f_trial, f_cur, grad, step, mu)
@@ -241,13 +244,13 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list) -> lis
         stop = ~ok | (f_trial - f_cur < options.tol)
         objectives, steps, counts = f_trial.tolist(), mu.tolist(), backtracks.tolist()
         stationarity = (np.sqrt(step.sq_theta + step.sq_beta) / mu).tolist()
-        for row in np.flatnonzero(ok).tolist():
+        for row in ok.nonzero()[0].tolist():
             trace = traces[active[row]]
             trace.objectives.append(objectives[row])
             trace.step_sizes.append(steps[row])
             trace.backtrack_counts.append(counts[row])
             trace.stationarity.append(stationarity[row])
-        for row in np.flatnonzero(stop).tolist():
+        for row in stop.nonzero()[0].tolist():
             trace, end = traces[active[row]], ((theta_new, beta_new) if ok[row] else (theta, beta))
             trace.final_config = StarConfig(end[0][row].copy(), end[1][row].copy())
             trace.reason = "objective tolerance" if ok[row] else "line-search stall"
@@ -258,10 +261,9 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list) -> lis
                 return traces
             active = [start for start, kept in zip(active, keep.tolist()) if kept]
             theta, beta, f_cur, mu = theta[keep], beta[keep], f_cur[keep], mu[keep]
-            if system.gains.beta_bar.ndim > 1:
-                system = replace(system, gains=replace(system.gains,
-                                                       beta_bar=system.gains.beta_bar[keep]))
-            point = evaluate(theta, beta, system)
+            if closed.beta_bar.ndim > 1:
+                closed.beta_bar = closed.beta_bar[keep]
+            point = closed.score(theta, beta)
 
     for row, start in enumerate(active):
         traces[start].final_config = StarConfig(theta[row].copy(), beta[row].copy())

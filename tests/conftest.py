@@ -17,16 +17,18 @@ def bits(x):
 def record_evaluations(monkeypatch) -> list:
     """Every :class:`rate.Evaluation` the optimizer makes, in call order:
     each starting point, each line-search candidate, accepted or not, and
-    each re-scored batch; (P, 2, N) points, one row per running start."""
-    import starmimo.optimizer as optimizer_module
+    each re-scored batch; (P, 2, N) points, one row per running start.
+    Recorded at ``rate.ClosedForm.score``, which PGAM's round scores through."""
+    from starmimo import rate
 
-    points, original = [], optimizer_module.evaluate
+    points, original = [], rate.ClosedForm.score
 
-    def recording(*args, **kwargs):
-        points.append(original(*args, **kwargs))
-        return points[-1]
+    def recording(closed, theta, beta, *scalars):
+        score = original(closed, theta, beta, *scalars)
+        points.append(rate.Evaluation.scored(theta, beta, score))
+        return score
 
-    monkeypatch.setattr(optimizer_module, "evaluate", recording)
+    monkeypatch.setattr(rate.ClosedForm, "score", recording)
     return points
 
 

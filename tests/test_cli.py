@@ -530,13 +530,13 @@ class TestRunExperiment:
         raw["sweep"] = {"parameter": "snr_db", "values": [100.0, 110.0, 120.0]}
         raw["protocols"] = ["conventional"]
         calls = []
-        covariance_scalars = rate_module.covariance_scalars
+        score = rate_module.ClosedForm.score
 
         def counted(*args):
             calls.append(args[0])
-            return covariance_scalars(*args)
+            return score(*args)
 
-        monkeypatch.setattr(rate_module, "covariance_scalars", counted)
+        monkeypatch.setattr(rate_module.ClosedForm, "score", counted)
         rows = run_experiment(ScenarioConfig.from_dict(raw))
         assert len(calls) == len(rows) == 3
 
@@ -573,13 +573,13 @@ class TestRunExperiment:
 
         cfg = ScenarioConfig.from_dict(DESK)
         calls = []
-        covariance_scalars = rate_module.covariance_scalars
+        score = rate_module.ClosedForm.score
 
         def counted(*args):
             calls.append(args[0])
-            return covariance_scalars(*args)
+            return score(*args)
 
-        monkeypatch.setattr(rate_module, "covariance_scalars", counted)
+        monkeypatch.setattr(rate_module.ClosedForm, "score", counted)
         options = dataclasses.replace(cfg.optimizer, seed=cli_module.derive_seed(cfg.seed, 0))
         multi_start([build_system(cfg)], options)
         alone = len(calls)

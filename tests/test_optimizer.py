@@ -385,16 +385,16 @@ class TestLockstep:
 
     @staticmethod
     def count_batch_sizes(monkeypatch):
-        import starmimo.optimizer as optimizer_module
+        from starmimo.rate import ClosedForm
 
         batch_sizes = []
-        original = optimizer_module.evaluate
+        original = ClosedForm.score
 
-        def counted(theta, beta, system):
+        def counted(closed, theta, beta, *scalars):
             batch_sizes.append(theta.shape[0])
-            return original(theta, beta, system)
+            return original(closed, theta, beta, *scalars)
 
-        monkeypatch.setattr(optimizer_module, "evaluate", counted)
+        monkeypatch.setattr(ClosedForm, "score", counted)
         return batch_sizes
 
     @staticmethod
@@ -478,11 +478,11 @@ class TestFailures:
     @staticmethod
     def run_poisoned(monkeypatch, name, poison, call):
         """pgam_lockstep over three starts with ``poison`` applied to the
-        result of call ``call`` (1-based) of the optimizer's ``name``; the
-        unpoisoned run's traces must show no backtrack, so call i of
-        ``evaluate`` is iteration i - 1 and call i of the gradient is
+        result of call ``call`` (1-based) of the kernel's method ``name``;
+        the unpoisoned run's traces must show no backtrack, so call i of
+        ``score`` is iteration i - 1 and call i of ``gradient`` is
         iteration i."""
-        import starmimo.optimizer as optimizer_module
+        from starmimo.rate import ClosedForm
 
         system = random_system(np.random.default_rng(3), m=6, n=8, k_t=2, k_r=2)
         options = PgamOptions(mu_init=1e-3, tol=0.0, max_iters=6, n_starts=3, seed=2)
@@ -491,32 +491,32 @@ class TestFailures:
         assert all(trace.iterations == 6 and not any(trace.backtrack_counts)
                    for trace in clean)
         calls = []
-        original = getattr(optimizer_module, name)
+        original = getattr(ClosedForm, name)
 
         def poisoned(*args):
             calls.append(1)
             result = original(*args)
             return poison(result) if len(calls) == call else result
 
-        monkeypatch.setattr(optimizer_module, name, poisoned)
+        monkeypatch.setattr(ClosedForm, name, poisoned)
         with pytest.raises(PgamFailure) as failure:
             pgam_lockstep(system, options, inits)
         return failure.value
 
     @staticmethod
-    def nan_objective(point):
+    def nan_objective(score):
         # one start's objective only: the check covers every row
-        value = point.report.sum_se.copy()
+        value = score.sum_se.copy()
         value[1] = np.nan
-        return replace(point, report=replace(point.report, sum_se=value))
+        return score._replace(sum_se=value)
 
     def test_non_finite_starting_objective(self, monkeypatch):
-        failure = self.run_poisoned(monkeypatch, "evaluate", self.nan_objective, 1)
+        failure = self.run_poisoned(monkeypatch, "score", self.nan_objective, 1)
         assert failure.iteration == 0 and "starting point" in str(failure)
 
     @pytest.mark.parametrize("iteration", [1, 4])
     def test_non_finite_line_search_objective(self, monkeypatch, iteration):
-        failure = self.run_poisoned(monkeypatch, "evaluate", self.nan_objective, iteration + 1)
+        failure = self.run_poisoned(monkeypatch, "score", self.nan_objective, iteration + 1)
         assert failure.iteration == iteration and "line search" in str(failure)
 
     @pytest.mark.parametrize("block", ["d_theta", "d_beta"])
@@ -525,10 +525,9 @@ class TestFailures:
         def nan_gradient(grad):
             values = getattr(grad, block).copy()
             values[2, 1, 5] = np.nan
-            return replace(grad, **{block: values})
+            return grad._replace(**{block: values})
 
-        failure = self.run_poisoned(monkeypatch, "grad_objective_from_workspace",
-                                    nan_gradient, iteration)
+        failure = self.run_poisoned(monkeypatch, "gradient", nan_gradient, iteration)
         assert failure.iteration == iteration and "gradient" in str(failure)
 
 

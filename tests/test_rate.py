@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import bits, random_system, uncorrelated_ris_system
-from starmimo.channel import StarConfig, SystemModel
+from starmimo.channel import StarConfig, SystemModel, covariance_scalars
 from starmimo import rate
 from starmimo.correlation import (
     FFT_MIN_N,
@@ -15,8 +15,8 @@ from starmimo.correlation import (
     LinkGains,
     build_ris_correlation,
 )
-from starmimo.gradients import grad_objective
-from starmimo.rate import assemble_report, evaluate, sinr_from_terms, sum_se
+from starmimo.gradients import build_workspace, grad_objective, grad_objective_from_workspace
+from starmimo.rate import assemble_report, evaluate, from_alphas, sinr_from_terms, sum_se
 
 
 def scalar_system(alpha, eps, noise_lift, m):
@@ -278,3 +278,58 @@ class TestBatchInvariance:
                 np.testing.assert_array_equal(bits(batch.alphas[row]), bits(one.alphas))
                 np.testing.assert_array_equal(bits(batch.a[row]), bits(one.a))
                 np.testing.assert_array_equal(bits(batch.sums[:, row]), bits(one.sums))
+
+
+class TestEntryPoints:
+    """The entry points that take a system return what PGAM's round gets from
+    the system's kernel, bit for bit, on a batch with one row of direct gains
+    per start; and that agrees with the dense referees."""
+
+    SYSTEMS = {
+        "dense-matrices": lambda rng: random_system(rng, m=6, n=20, k_t=2, k_r=2),
+        "fft-grid": lambda rng: grid_system(24, 24, rng),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SYSTEMS))
+    def test_entry_points_return_the_kernel_values(self, kind, rng):
+        system = self.SYSTEMS[kind](rng)
+        n, k, starts = system.dims.n, system.dims.k, 3
+        assert isinstance(system.corr.ris_abs2, GridKernel) == (kind == "fft-grid")
+        system = replace(system, gains=replace(system.gains,
+                                               beta_bar=rng.uniform(0.2, 1.0, (starts, k))))
+        configs = [StarConfig.random(n, rng) for _ in range(starts)]
+        theta = np.stack([c.theta for c in configs])
+        beta = np.stack([c.beta for c in configs])
+        closed = rate.ClosedForm(system)
+        score = closed.score(theta, beta)
+        grad = closed.gradient(theta, beta, score)
+
+        point = evaluate(theta, beta, system)
+        report = point.report
+        for ours, hot in ((point.a, score.a), (point.alphas, score.alphas),
+                          (point.sums, score.sums), (report.s, score.s),
+                          (report.i_tilde, score.i_tilde), (report.gamma, score.gamma),
+                          (report.sum_se, score.sum_se)):
+            np.testing.assert_array_equal(bits(ours), bits(hot))
+        diagonals = np.empty(theta.shape, dtype=complex)
+        alphas = covariance_scalars(system, StarConfig(theta, beta), diagonals)
+        np.testing.assert_array_equal(bits(alphas), bits(score.alphas))
+        np.testing.assert_array_equal(bits(diagonals), bits(score.a))
+        _, sums, spectral = from_alphas(score.alphas, system)
+        np.testing.assert_array_equal(bits(sums), bits(score.sums))
+        np.testing.assert_array_equal(bits(spectral.sum_se), bits(score.sum_se))
+        entry = grad_objective_from_workspace(point, system, build_workspace(point, system))
+        np.testing.assert_array_equal(bits(entry.d_theta), bits(grad.d_theta))
+        np.testing.assert_array_equal(bits(entry.d_beta), bits(grad.d_beta))
+
+        for row, config in enumerate(configs):
+            alone = replace(system, gains=replace(system.gains,
+                                                  beta_bar=system.gains.beta_bar[row]))
+            dense = rate.dense_evaluate(config.theta, config.beta, alone).report
+            assert report.sum_se[row] == pytest.approx(dense.sum_se, rel=1e-9)
+            np.testing.assert_allclose(report.i_tilde[row], dense.i_tilde, rtol=1e-9)
+            dense_grad = grad_objective(config, alone, method="dense")
+            for ours, theirs in ((grad.d_theta[row], dense_grad.d_theta),
+                                 (grad.d_beta[row], dense_grad.d_beta)):
+                np.testing.assert_allclose(ours, theirs, rtol=1e-9,
+                                           atol=1e-9 * np.max(np.abs(ours)))

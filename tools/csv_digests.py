@@ -15,15 +15,23 @@ either side, and exits 1 if any does.  ``tools/csv_digests.txt`` holds the
 checked-in rows' digests.
 
 The package is imported from the ``src`` directory next to this script.
+Run as a script, it sets the BLAS thread counts to 1 before numpy is
+imported: a Monte Carlo trial drawn in a chunk has the bits of its one-trial
+draw only on one thread (README, Monte Carlo oracle).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
