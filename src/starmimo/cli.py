@@ -164,7 +164,7 @@ def _optimizer_options(section: dict, fld: str, parsed: dict) -> PgamOptions:
             for f in OPTIMIZER_FIELDS
         })
     except OptionError as exc:
-        raise ConfigError(f"{fld}.{exc.field}", str(exc)) from None
+        raise ConfigError(f"{fld}.{exc.field}", exc.reason) from None
 
 
 def _swept_values(values, fld: str, parsed: dict) -> tuple:

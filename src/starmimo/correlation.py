@@ -31,6 +31,15 @@ BS_CORRELATION_MODELS = ("exponential", "uncorrelated")
 # 576: 0.21 / 0.10-0.11, 1.0-1.2 / 0.42; 1024: 0.74-0.75 / 0.15, 3.7-3.8 / 0.71.
 FFT_MIN_N = 576
 
+# Smallest square grid, with equal spacings, whose fold splits its ++ and --
+# blocks by the transpose symmetry (_swap_split_eigh) instead of factoring
+# each by one eigh.  Median ms of one _folded_factor at spacing 0.25, unsplit /
+# split, one BLAS thread (2-vCPU Xeon, numpy 2.4), alternating, two runs:
+# N = 256: 1.26 / 1.42-1.45; 400: 3.60-4.07 / 3.62-4.00; 484: 3.43-3.53 /
+# 3.40-3.53; 529: 4.07 / 3.85; 576: 4.43-4.56 / 4.22-4.40; 1024: 15.1 / 11.4-11.6;
+# 4096: 594 / 333.
+SPLIT_MIN_N = 529
+
 # matrix_sqrt_psd keeps the eigenvalues above RANK_RTOL times the largest.
 RANK_RTOL = 1e-13
 # canonical_columns: the probes' seed, and the |p . u| / |p| below which the
@@ -257,11 +266,19 @@ def _folded_factor(table: np.ndarray) -> FoldedFactor:
     :class:`FoldedFactor`.  On a square grid with a symmetric table (equal
     spacings), transposing the grid maps the -+ block onto the +- block, so
     the -+ factor is the +- factor with its (v, h) rows read as (h, v):
-    three ``eigh``s instead of four.
+    three ``eigh``s instead of four.  It maps the ++ and -- blocks onto
+    themselves, so from ``SPLIT_MIN_N`` elements up each of those splits
+    into a symmetric and an antisymmetric part of about half its size
+    (:func:`_swap_split_eigh`), whose merged eigenpairs go through the same
+    rank cut, relative to the whole block's largest eigenvalue, and
+    canonical signs: five ``eigh``s, one of about N / 4 and four of about
+    N / 8.  The kept columns and their order are the unsplit block's, to
+    roundoff.
     """
     n_v, n_h = table.shape
     window = _toeplitz_window(table)
     transposable = n_v == n_h and np.array_equal(table, table.T)
+    split = transposable and table.size >= SPLIT_MIN_N
     blocks = []
     for sv in (1.0, -1.0):
         wv = _half_weights(n_v, sv)
@@ -282,10 +299,50 @@ def _folded_factor(table: np.ndarray) -> FoldedFactor:
             weight = np.outer(wv, wh).ravel()
             block *= weight[:, None]
             block *= weight
-            factor = matrix_sqrt_psd(block)
+            if split and sv == sh:
+                factor = _eigen_factor(*_swap_split_eigh(block.reshape((a,) * 4)))
+            else:
+                factor = matrix_sqrt_psd(block)
             factor *= (0.5 / weight)[:, None]
             blocks.append(factor)
     return FoldedFactor((n_v, n_h), blocks)
+
+
+def _swap_split_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of a symmetric (a, a, a, a) block B that the
+    swap of its two grid indices maps onto itself, B[i, j, k, l] =
+    B[j, i, l, k], as ``eigh`` of the (a a) x (a a) matrix gives them.
+
+    In the swap-adapted basis e_ii, (e_ij + e_ji) / sqrt 2 and
+    (e_ij - e_ji) / sqrt 2 (i < j), B splits into a symmetric part of size
+    a (a + 1) / 2, with entries B[ii, kk], sqrt 2 B[ij, kk] and
+    B[ij, kl] + B[ij, lk], and an antisymmetric part of size a (a - 1) / 2,
+    with entries B[ij, kl] - B[ij, lk].  Each part gets its own ``eigh``;
+    its eigenvectors are scattered back onto the grid indices and the two
+    sets of eigenpairs merged in ascending order.
+    """
+    a = block.shape[0]
+    i, j = np.triu_indices(a)
+    off = i != j
+    rows = block[i, j]  # rows (i, j), i <= j, as (s, a, a) of columns (k, l)
+    flipped = rows.transpose(0, 2, 1)
+    # the diagonal pairs' rows and columns carry 1 / sqrt 2 against the
+    # doubled B[., kk] + B[., kk]
+    scale = np.where(off, 1.0, np.sqrt(0.5))
+    sym = (rows + flipped)[:, i, j]
+    sym *= scale[:, None]
+    sym *= scale
+    anti = (rows[off] - flipped[off])[:, i[off], j[off]]
+    sym_vals, sym_vecs = np.linalg.eigh(sym)
+    anti_vals, anti_vecs = np.linalg.eigh(anti)
+    s = sym_vals.size
+    vecs = np.zeros((a, a, a * a))
+    vecs[i, j, :s] = vecs[j, i, :s] = sym_vecs * np.where(off, np.sqrt(0.5), 1.0)[:, None]
+    vecs[i[off], j[off], s:] = anti_vecs * np.sqrt(0.5)
+    vecs[j[off], i[off], s:] = -vecs[i[off], j[off], s:]
+    eigvals = np.concatenate([sym_vals, anti_vals])
+    order = np.argsort(eigvals, kind="stable")
+    return eigvals[order], vecs.reshape(a * a, a * a)[:, order]
 
 
 def build_bs_correlation(m: int, model: str = "exponential", param: float = 0.5) -> np.ndarray:
@@ -363,7 +420,7 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     ``a``, as ``a^{1/2} c`` with N entries does, without the N^3 product
     that forms the symmetric root.  It is the factor of ``r_bs``, of an
     explicit ``r_ris`` and of each block of a grid surface's mirror fold
-    (:func:`_folded_factor`).
+    (:func:`_folded_factor`) that is not split by the transpose symmetry.
 
     Columns kept at spacing 0.25, with the ratio to the cut of the kept
     eigenvalue nearest it and of the largest dropped one, over a grid's
@@ -562,10 +619,13 @@ class CorrelationPair:
         A grid surface, of any size, gets the :class:`FoldedFactor` of its
         mirror fold (:func:`_folded_factor`), gathered from the offset table,
         so ``r_ris`` is never formed.  Three ``eigh``s of about N / 4 (four
-        on a grid that is not square with equal spacings) replace one of N:
-        at N = 1024 and spacing 0.25 20 ms against 235-245 ms (2-vCPU Xeon
-        VM, one OpenBLAS thread), and r = 567, with the blocks holding 1.2 MB
-        where the N x r array would hold 4.6 MB.  Its columns are
+        on a grid that is not square with equal spacings) replace one of N;
+        from ``SPLIT_MIN_N`` up, a square grid with equal spacings splits
+        two of them in halves by the transpose symmetry.  At N = 1024 and
+        spacing 0.25 the build takes 11.4 ms (15.1 ms unsplit) against
+        180-200 ms for the dense factor (2-vCPU Xeon VM, one OpenBLAS
+        thread), and r = 567, with the blocks holding 1.2 MB where the N x r
+        array would hold 4.6 MB.  Its columns are
         eigenvectors of ``r_ris`` scaled by the roots of their eigenvalues,
         with the canonical signs and rank cut of each block's
         :func:`matrix_sqrt_psd`, in another order than the dense factor's.

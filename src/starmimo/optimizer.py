@@ -43,11 +43,12 @@ class PgamFailure(RuntimeError):
 
 
 class OptionError(ValueError):
-    """An out-of-range :class:`PgamOptions` field; ``field`` names it."""
+    """An out-of-range :class:`PgamOptions` field; ``field`` names it and
+    ``reason`` says what is wrong with it."""
 
-    def __init__(self, fld: str, message: str):
-        super().__init__(f"{fld}: {message}")
-        self.field = fld
+    def __init__(self, fld: str, reason: str):
+        super().__init__(f"{fld}: {reason}")
+        self.field, self.reason = fld, reason
 
 
 @dataclass(frozen=True)

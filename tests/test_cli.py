@@ -166,6 +166,22 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict(raw)
         assert err.value.field == f"optimizer.{key}"
 
+    @pytest.mark.parametrize("key, bad, reason", [
+        ("mu_init", 0.0, "initial step size must be finite and positive"),
+        ("kappa", 1.0, "backtracking factor must lie in (0, 1)"),
+        ("tol", -1e-6, "tolerance must be finite and non-negative"),
+        ("max_iters", 0, "must be an integer of at least 1, got 0"),
+        ("max_backtracks", -1, "must be an integer of at least 0, got -1"),
+        ("n_starts", 0, "must be an integer of at least 1, got 0"),
+    ])
+    def test_out_of_range_optimizer_field_is_named_once(self, key, bad, reason):
+        raw = json.loads(json.dumps(DESK))
+        raw["optimizer"] = {key: bad}
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(raw)
+        assert str(err.value) == f"optimizer.{key}: {reason}"
+        assert err.value.field == f"optimizer.{key}"
+
     def test_optimizer_defaults_are_pgam_options(self):
         raw = json.loads(json.dumps(DESK))
         del raw["optimizer"]

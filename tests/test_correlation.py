@@ -12,6 +12,7 @@ from starmimo import correlation
 from starmimo.channel import _gram_factor
 from starmimo.correlation import (
     FFT_MIN_N,
+    SPLIT_MIN_N,
     ArrayGeometry,
     CorrelationPair,
     FoldedFactor,
@@ -473,7 +474,7 @@ class TestFromGrid:
             sizes = [raw["dims"]["n"]]
             if raw.get("sweep", {}).get("parameter") == "n":
                 sizes += raw["sweep"]["values"]
-            assert max(sizes) < FFT_MIN_N, path.name
+            assert max(sizes) < min(FFT_MIN_N, SPLIT_MIN_N), path.name
 
     # (n_v, n_h) grids: even, odd, rectangular, rows and columns, and the
     # grids of every checked-in sweep
@@ -527,14 +528,65 @@ class TestFromGrid:
         dense = factor @ np.eye(factor.shape[1])
         np.testing.assert_allclose(dense @ dense.T, build_ris_correlation(geom), atol=1e-12)
 
-    @pytest.mark.parametrize("grid, sp", [((12, 12), (0.25, 0.5)), ((6, 6), (0.1, 0.25))])
+    @pytest.mark.parametrize("grid, sp", [((12, 12), (0.25, 0.5)), ((6, 6), (0.1, 0.25)),
+                                          ((32, 32), (0.25, 0.5)), ((24, 32), (0.25, 0.25))])
     def test_unequal_spacings_take_four_square_roots(self, grid, sp, monkeypatch):
-        # a square grid whose table is not symmetric folds all four blocks
+        # a square grid whose table is not symmetric, or a rectangular grid,
+        # folds all four blocks, and splits none above SPLIT_MIN_N
         geom = ArrayGeometry(grid[1], grid[0], *sp)
         factor, calls = self.counted_factor(geom, monkeypatch)
         assert len(calls) == 4
         dense = factor @ np.eye(factor.shape[1])
         np.testing.assert_allclose(dense @ dense.T, build_ris_correlation(geom), atol=1e-12)
+
+    @staticmethod
+    def factor_split(grid, sp, split, monkeypatch):
+        """The square grid's folded factor with its ++ and -- blocks split
+        by the transpose symmetry, or not, whatever the grid's size."""
+        monkeypatch.setattr(correlation, "SPLIT_MIN_N", 0 if split else grid[0] * grid[1] + 1)
+        geom = ArrayGeometry(grid[1], grid[0], sp, sp)
+        return _folded_factor(CorrelationPair.from_grid(np.eye(2), geom).ris_table)
+
+    # the max |L_split - L| over the blocks reached 2.2e-9 under four OpenBLAS
+    # kernels: the eigenvectors of eigenvalues near the rank cut, which no
+    # kernel pins to better than about eps lambda_max / gap
+    SPLIT_GAP = 1e-8
+
+    @pytest.mark.parametrize("side", [20, 24, 32, 33])
+    @pytest.mark.parametrize("sp", [0.1, 0.25, 0.5])
+    def test_split_blocks_equal_the_unsplit_ones(self, side, sp, monkeypatch):
+        # the same columns in the same order, each block's to roundoff, and
+        # L L^T is R_RIS
+        whole = self.factor_split((side, side), sp, False, monkeypatch)
+        split = self.factor_split((side, side), sp, True, monkeypatch)
+        for got, ref in zip(split.blocks, whole.blocks, strict=True):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref), initial=0.0) <= self.SPLIT_GAP
+        self.assert_reproduces_surface(split, ArrayGeometry(side, side, sp, sp))
+
+    def test_split_eigh_sizes(self, monkeypatch):
+        # at 32 x 32 the +- block (16 x 16 halves) takes one eigh of 256, the
+        # ++ and -- blocks one of 136 (i <= j) and one of 120 (i < j) each
+        pair = CorrelationPair.from_grid(np.eye(2), ArrayGeometry(32, 32, 0.25, 0.25))
+        sizes, eigh = [], np.linalg.eigh
+
+        def counting(a):
+            sizes.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        pair.ris_factor
+        assert pair.n >= SPLIT_MIN_N
+        assert sorted(sizes) == sorted([256, 136, 120, 136, 120])
+
+    @settings(max_examples=40, deadline=None)
+    @given(side=st.integers(1, 12), sp=st.floats(0.05, 1.5, allow_nan=False))
+    def test_split_factor_always_reproduces_surface(self, side, sp):
+        # the square cases of test_folded_factor_always_reproduces_surface,
+        # through the split
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            factor = self.factor_split((side, side), sp, True, monkeypatch)
+        self.assert_reproduces_surface(factor, ArrayGeometry(side, side, sp, sp))
 
     @pytest.mark.parametrize("grid, rank", [((16, 16), 215), ((32, 32), 567)])
     def test_relative_rank_cut(self, grid, rank):
@@ -552,7 +604,10 @@ class TestFromGrid:
     def test_folded_factor_always_reproduces_surface(self, n_v, n_h, sp):
         geom = ArrayGeometry(n_h=n_h, n_v=n_v, spacing_h=sp, spacing_v=sp)
         pair = CorrelationPair.from_grid(np.eye(2), geom)
-        factor = _folded_factor(pair.ris_table)
+        self.assert_reproduces_surface(_folded_factor(pair.ris_table), geom)
+
+    @staticmethod
+    def assert_reproduces_surface(factor, geom):
         assert factor.shape[0] == geom.n and factor.shape[1] <= geom.n
         dense = factor @ np.eye(factor.shape[1])
         gap = np.abs(dense @ dense.T - build_ris_correlation(geom))
@@ -668,6 +723,17 @@ class TestCanonicalFactors:
         self.perturb_eigh(monkeypatch, np.exp(1j * np.linspace(0.1, 6.0, 7)))
         for ref, got in zip(reference, self.factors(), strict=True):
             assert np.max(np.abs(got - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=1.0)
+
+    # the two tests above with the ++ and -- blocks of the square grids split
+    # by the transpose symmetry, their eigenvectors scattered before the signs
+    # are fixed
+    def test_split_signs_and_quarter_turns_leave_every_bit(self, monkeypatch):
+        monkeypatch.setattr(correlation, "SPLIT_MIN_N", 0)
+        self.test_signs_and_quarter_turns_leave_every_bit(monkeypatch)
+
+    def test_split_other_phases_move_only_roundoff(self, monkeypatch):
+        monkeypatch.setattr(correlation, "SPLIT_MIN_N", 0)
+        self.test_other_phases_move_only_roundoff(monkeypatch)
 
     def test_second_probe_decides_a_column_orthogonal_to_the_first(self, rng):
         probes = np.random.default_rng(correlation.PROBE_SEED).standard_normal((2, 7))
