@@ -11,7 +11,7 @@ import numpy as np
 from starmimo import CorrelationPair, LinkGains, StarConfig, SystemModel
 from starmimo.channel import covariance_scalars, sample_realization
 from starmimo.cli import ScenarioConfig, build_system
-from starmimo.rate import dense_covariance_scalars
+from starmimo.referee import dense_covariance_scalars
 
 rng = np.random.default_rng(1)
 

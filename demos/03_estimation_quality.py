@@ -2,7 +2,7 @@
 
 The estimator never materializes a matrix inverse: in the base-station
 eigenbasis every estimate eigenvalue is (alpha s)^2 / (alpha s + eps) with
-eps the effective pilot noise, the spectrum ``rate.from_alphas`` returns.
+eps the effective pilot noise, the spectrum ``ClosedForm.spectrum`` returns.
 More pilot power means eigenvalues closer to the channel covariance and a
 smaller residual error.
 """
@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from starmimo import CorrelationPair, LinkGains, SystemModel, from_alphas
+from starmimo import ClosedForm, CorrelationPair, LinkGains, SystemModel
 from starmimo.correlation import build_bs_correlation
 
 # one user with only the direct link at unit gain, so its covariance scalar is 1
@@ -26,7 +26,7 @@ alpha = np.array([1.0])
 
 def estimate_spectrum(eps):
     """Estimate-covariance eigenvalues at effective pilot noise ``eps``."""
-    psi, _, _ = from_alphas(alpha, replace(base, pilot_power=1.0 / eps))
+    psi, _, _ = ClosedForm(replace(base, pilot_power=1.0 / eps)).spectrum(alpha)
     return psi[0]
 
 

@@ -5,8 +5,10 @@ imperfect CSI.
 The closed-form spectral efficiency depends on the surface configuration only
 through one covariance scalar per user, which makes statistical-CSI
 optimization cheap: the projected gradient ascent updates amplitudes and
-phase shifts of both regions simultaneously.  Monte Carlo and
-finite-difference oracles validate every analytic expression.
+phase shifts of both regions simultaneously.  Dense-matrix,
+finite-difference and Monte Carlo referees validate every analytic
+expression; the first two live in :mod:`starmimo.referee`, which the package
+does not import.
 """
 
 from .channel import (
@@ -24,13 +26,7 @@ from .correlation import (
     build_ris_correlation,
     path_gain,
 )
-from .gradients import (
-    DegenerateInterferenceError,
-    GradientPair,
-    build_workspace,
-    finite_difference_gradient,
-    grad_objective,
-)
+from .gradients import build_workspace, grad_objective
 from .montecarlo import McEstimate, mc_sinr
 from .optimizer import (
     OptionError,
@@ -46,13 +42,20 @@ from .optimizer import (
     project_theta,
     round_to_ms,
 )
-from .rate import Evaluation, RateReport, evaluate, from_alphas, sum_se
+from .rate import (
+    ClosedForm,
+    DegenerateInterferenceError,
+    Evaluation,
+    GradientPair,
+    sum_se,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArrayGeometry",
     "ChannelRealization",
+    "ClosedForm",
     "CorrelationPair",
     "DegenerateInterferenceError",
     "Evaluation",
@@ -63,7 +66,6 @@ __all__ = [
     "PgamFailure",
     "PgamOptions",
     "PgamTrace",
-    "RateReport",
     "StarConfig",
     "SystemDims",
     "SystemModel",
@@ -71,9 +73,6 @@ __all__ = [
     "build_ris_correlation",
     "build_workspace",
     "canonicalize_signs",
-    "evaluate",
-    "finite_difference_gradient",
-    "from_alphas",
     "grad_objective",
     "initial_points",
     "mc_sinr",

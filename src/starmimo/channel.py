@@ -56,12 +56,14 @@ class StarConfig:
             raise ValueError(f"protocol must be {ES!r} or {MS!r}, got {self.protocol!r}")
 
     def validate(self):
-        """Check unit modulus, energy conservation, and MS binarity."""
+        """Check unit modulus, energy conservation, and MS binarity; a
+        non-finite phase or amplitude fails (its deviation is NaN or inf,
+        which no ``<=`` admits)."""
         err = np.max(np.abs(np.abs(self.theta) - 1.0))
-        if err > UNIT_MODULUS_TOL:
+        if not err <= UNIT_MODULUS_TOL:
             raise ValueError(f"theta is not unit modulus (max deviation {err:.2e})")
         energy_err = np.max(np.abs(np.sum(self.beta**2, axis=-2) - 1.0))
-        if energy_err > ENERGY_TOL:
+        if not energy_err <= ENERGY_TOL:
             raise ValueError(f"energy conservation violated (max deviation {energy_err:.2e})")
         if self.protocol == MS and not np.all((self.beta == 0.0) | (self.beta == 1.0)):
             raise ValueError("MS protocol requires binary amplitudes")
@@ -175,7 +177,7 @@ def pbm_quadratic_diag(r_ris: np.ndarray, phi: np.ndarray) -> np.ndarray:
     of the size of ``r_ris`` (the |R|^2 kernel or a complex upcast of R) is
     made.  ``r_ris`` may be any (rows, N) block of rows of R_RIS, which
     gives those rows' entries of the diagonal; the referees pass blocks
-    (:func:`starmimo.rate.dense_covariance_scalars`).
+    (:func:`starmimo.referee.dense_covariance_scalars`).
     """
     r_ris = np.asarray(r_ris)
     phi = np.asarray(phi)

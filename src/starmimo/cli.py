@@ -56,7 +56,7 @@ from .optimizer import (
     round_to_ms,
     split_surface,
 )
-from .rate import evaluate, sum_se
+from .rate import ClosedForm, sum_se
 
 CSV_SCHEMA = 1
 CSV_COLUMNS = (
@@ -516,7 +516,7 @@ def run_protocol(protocol: str, cfg: ScenarioConfig, system: SystemModel,
                  for stream in np.random.SeedSequence(opt_seed).spawn(options.n_starts)]
         theta = np.stack([draw.theta for draw in draws])
         beta = np.stack([draw.beta for draw in draws])
-        values = evaluate(theta, beta, system).report.sum_se
+        values = ClosedForm(system).score(theta, beta).sum_se
         pick = np.argsort(values, kind="stable")[(len(draws) - 1) // 2]
         return ProtocolResult(draws[pick], float(values[pick]))
 

@@ -269,7 +269,8 @@ def _folded_factor(table: np.ndarray) -> FoldedFactor:
     three ``eigh``s instead of four.  It maps the ++ and -- blocks onto
     themselves, so from ``SPLIT_MIN_N`` elements up each of those splits
     into a symmetric and an antisymmetric part of about half its size
-    (:func:`_swap_split_eigh`), whose merged eigenpairs go through the same
+    (:func:`_swap_split_eigh`, given only the rows (i, j), i <= j, of the
+    block, the ones it reads), whose merged eigenpairs go through the same
     rank cut, relative to the whole block's largest eigenvalue, and
     canonical signs: five ``eigh``s, one of about N / 4 and four of about
     N / 8.  The kept columns and their order are the unsplit block's, to
@@ -292,26 +293,30 @@ def _folded_factor(table: np.ndarray) -> FoldedFactor:
                 # the -+ block is the +- block with its (v, h) rows read as (h, v)
                 blocks.append(blocks[1].reshape(b, a, -1).transpose(1, 0, 2).reshape(a * b, -1))
                 continue
+            weight = np.outer(wv, wh)
+            swap_split = split and sv == sh
+            # the split reads only the rows (i, j), i <= j, so only those are gathered
+            rows = np.triu_indices(a) if swap_split else (slice(a), slice(b))
             # reversing axis 0 (1) turns |v1 - v2| (|h1 - h2|) into the Hankel offset
-            block = (window[:a, :b, :a, :b] + sv * window[::-1][:a, :b, :a, :b]
-                     + sh * window[:, ::-1][:a, :b, :a, :b]
-                     + sv * sh * window[::-1, ::-1][:a, :b, :a, :b]).reshape(a * b, a * b)
-            weight = np.outer(wv, wh).ravel()
-            block *= weight[:, None]
+            block = (window[:, :, :a, :b][rows] + sv * window[::-1, :, :a, :b][rows]
+                     + sh * window[:, ::-1, :a, :b][rows]
+                     + sv * sh * window[::-1, ::-1, :a, :b][rows])
+            block *= weight[rows][..., None, None]
             block *= weight
-            if split and sv == sh:
-                factor = _eigen_factor(*_swap_split_eigh(block.reshape((a,) * 4)))
+            if swap_split:
+                factor = _eigen_factor(*_swap_split_eigh(block))
             else:
-                factor = matrix_sqrt_psd(block)
-            factor *= (0.5 / weight)[:, None]
+                factor = matrix_sqrt_psd(block.reshape(a * b, a * b))
+            factor *= (0.5 / weight.ravel())[:, None]
             blocks.append(factor)
     return FoldedFactor((n_v, n_h), blocks)
 
 
-def _swap_split_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _swap_split_eigh(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenpairs of a symmetric (a, a, a, a) block B that the
     swap of its two grid indices maps onto itself, B[i, j, k, l] =
-    B[j, i, l, k], as ``eigh`` of the (a a) x (a a) matrix gives them.
+    B[j, i, l, k], as ``eigh`` of the (a a) x (a a) matrix gives them, from
+    its rows (i, j), i <= j, in ``np.triu_indices`` order: (s, a, a).
 
     In the swap-adapted basis e_ii, (e_ij + e_ji) / sqrt 2 and
     (e_ij - e_ji) / sqrt 2 (i < j), B splits into a symmetric part of size
@@ -321,10 +326,9 @@ def _swap_split_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its eigenvectors are scattered back onto the grid indices and the two
     sets of eigenpairs merged in ascending order.
     """
-    a = block.shape[0]
+    a = rows.shape[1]
     i, j = np.triu_indices(a)
     off = i != j
-    rows = block[i, j]  # rows (i, j), i <= j, as (s, a, a) of columns (k, l)
     flipped = rows.transpose(0, 2, 1)
     # the diagonal pairs' rows and columns carry 1 / sqrt 2 against the
     # doubled B[., kk] + B[., kk]

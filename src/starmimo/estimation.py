@@ -6,7 +6,7 @@ noise variance ``epsilon = sigma^2 / (tau * P)`` per antenna
 Because the channel covariance is a scalar multiple of R_BS, the Wiener
 filter diagonalizes in the cached BS eigenbasis.  The estimate's
 second-order statistics are the closed form's LMMSE spectra,
-:func:`rate.from_alphas`.
+:meth:`rate.ClosedForm.spectrum`.
 """
 
 from __future__ import annotations

@@ -131,14 +131,14 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
     # add the batch rows in order: a numpy sum may pair them and move the last bit
     prelog = system.dims.prelog
     totals = [functools.reduce(np.add, rows) for rows in (z, m2, power)]
-    report = assemble_report(*_sinr_terms(*totals, n_trials, system), prelog)
-    per_batch = assemble_report(*_sinr_terms(z, m2, power, counts, system), prelog).gamma
+    gamma, total = assemble_report(*_sinr_terms(*totals, n_trials, system), prelog)
+    per_batch, _ = assemble_report(*_sinr_terms(z, m2, power, counts, system), prelog)
     std_err = per_batch.std(axis=0, ddof=1) / np.sqrt(n_batches)
 
-    dse = prelog / ((1.0 + report.gamma) * np.log(2.0))
+    dse = prelog / ((1.0 + gamma) * np.log(2.0))
     return McEstimate(
-        gamma_hat=report.gamma,
-        sum_se_hat=float(report.sum_se),
+        gamma_hat=gamma,
+        sum_se_hat=float(total),
         n_trials=n_trials,
         std_err=std_err,
         sum_se_stderr=float(np.sqrt(np.sum((dse * std_err) ** 2))),

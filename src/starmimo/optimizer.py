@@ -31,7 +31,7 @@ from .channel import MS, StarConfig, SystemModel, covariance_scalars
 
 # unused here, but perfbench's tracer wraps (and reports) only functions imported by name
 from .gradients import build_workspace, grad_objective_from_workspace  # noqa: F401
-from .rate import ClosedForm, evaluate
+from .rate import ClosedForm
 
 
 class PgamFailure(RuntimeError):
@@ -218,7 +218,7 @@ def pgam_lockstep(system: SystemModel, options: PgamOptions, inits: list) -> lis
     active = list(range(len(inits)))  # start index of every row of the state
 
     for iteration in range(1, options.max_iters + 1):
-        grad = closed.gradient(theta, beta, point)
+        grad = closed.gradient(point)
         if not (np.isfinite(grad.d_theta).all() and np.isfinite(grad.d_beta).all()):
             raise PgamFailure("non-finite gradient", iteration)
 
@@ -324,7 +324,7 @@ def split_surface(system: SystemModel, n_t: int) -> tuple[StarConfig, float]:
     signs = (np.ones(n), np.where(np.arange(n) % 2, -1.0, 1.0))
     theta = np.array([[t, r] for t in signs for r in signs], dtype=complex)
     beta = np.tile([transmits, 1.0 - transmits], (len(theta), 1, 1))
-    values = evaluate(theta, beta, system).report.sum_se
+    values = ClosedForm(system).score(theta, beta).sum_se
     best = int(np.argmax(values))
     return StarConfig(theta[best], beta[best]), float(values[best])
 

@@ -24,9 +24,8 @@ def record_evaluations(monkeypatch) -> list:
     points, original = [], rate.ClosedForm.score
 
     def recording(closed, theta, beta, *scalars):
-        score = original(closed, theta, beta, *scalars)
-        points.append(rate.Evaluation.scored(theta, beta, score))
-        return score
+        points.append(original(closed, theta, beta, *scalars))
+        return points[-1]
 
     monkeypatch.setattr(rate.ClosedForm, "score", recording)
     return points
@@ -42,7 +41,7 @@ def feasibility_errors(point) -> tuple[float, float]:
 
 def scored_objectives(points) -> set:
     """Every objective value the recorded evaluations produced."""
-    return {value for point in points for value in np.ravel(point.report.sum_se).tolist()}
+    return {value for point in points for value in np.ravel(point.sum_se).tolist()}
 
 
 def random_system(rng, m=6, n=5, k_t=2, k_r=1, complex_bs=True, rho=None,
@@ -83,7 +82,7 @@ def one_user_system(r_bs=None, r_ris=None, mode="t", beta_bar=0.0, beta_hat=1.0,
                     tau=1, pilot_power=1.0, sigma2=1.0):
     """A lone user in region ``mode``; R_BS = I_2 and a one-element surface
     unless given.  Its covariance scalar is beta_bar + beta_hat *
-    tr(R_RIS Phi_u R_RIS Phi_u^H), and ``rate.from_alphas`` at this system
+    tr(R_RIS Phi_u R_RIS Phi_u^H), and ``rate.ClosedForm.spectrum`` of this system
     gives the LMMSE spectra on the eigenvalues of R_BS with pilot noise
     sigma2 / (tau pilot_power)."""
     r_bs = np.eye(2) if r_bs is None else r_bs
@@ -99,7 +98,7 @@ def one_user_system(r_bs=None, r_ris=None, mode="t", beta_bar=0.0, beta_hat=1.0,
 def alpha_partials(point, system):
     """Loop-form references for the per-user pieces of the chain rule, from
     an unbatched evaluation's eigen-sums (rows P, A, B, C, E, G of
-    ``rate.from_alphas``): dS_k/dalpha_k, shape (K,), and the K x K matrix
+    ``rate.ClosedForm.spectrum``): dS_k/dalpha_k, shape (K,), and the K x K matrix
     dI_k/dalpha_j = alpha_k E_j + lambda C_j + delta_kj (sum_i A_i - 2 G_k)."""
     p, a, _, c, e, g = point.sums
     k_users = len(p)

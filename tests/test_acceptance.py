@@ -16,10 +16,11 @@ from conftest import (alpha_partials, feasibility_errors, one_user_system, rando
 from starmimo.channel import StarConfig, complex_normal, covariance_scalars, sample_realization
 from starmimo.cli import ScenarioConfig, build_system, run_protocol, derive_seed
 from starmimo.estimation import apply_wiener_filter
-from starmimo.gradients import finite_difference_gradient, grad_objective
+from starmimo.gradients import grad_objective
 from starmimo.montecarlo import mc_sinr
 from starmimo.optimizer import PgamOptions, pgam
-from starmimo.rate import dense_evaluate, evaluate, from_alphas, sum_se
+from starmimo.rate import ClosedForm, sum_se
+from starmimo.referee import dense_evaluate, finite_difference_gradient
 
 VI_SETUP = {
     "name": "acceptance",
@@ -95,7 +96,7 @@ def test_criterion_3_fast_path_equivalence():
         config = StarConfig.random(n, rng)
         fast = sum_se(config, system, method="eig")
         dense = sum_se(config, system, method="dense")
-        point = evaluate(config.theta, config.beta, system)
+        point = ClosedForm(system).score(config.theta, config.beta)
         dense_point = dense_evaluate(config.theta, config.beta, system)
         (d_signal, d_interference), (dense_signal, dense_interference) = (
             alpha_partials(p, system) for p in (point, dense_point))
@@ -245,7 +246,8 @@ def test_criterion_8_monotonicity_suites():
     r_bs = np.diag(rng.uniform(0.1, 3.0, 10))
     last = None
     for eps in np.logspace(1, -6, 15):
-        psi, _, _ = from_alphas(np.array([0.8]), one_user_system(r_bs, pilot_power=1.0 / eps))
+        system = one_user_system(r_bs, pilot_power=1.0 / eps)
+        psi, _, _ = ClosedForm(system).spectrum(np.array([0.8]))
         if last is not None:
             assert np.all(psi >= last - 1e-15)
         last = psi

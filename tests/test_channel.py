@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import one_user_system, random_system, uncorrelated_ris_system
-from starmimo import channel, rate
+from starmimo import channel, referee
 from starmimo.channel import (
     ChannelRealization,
     StarConfig,
@@ -26,7 +26,8 @@ from starmimo.correlation import (
     LinkGains,
     build_bs_correlation,
 )
-from starmimo.rate import dense_covariance_scalars, evaluate
+from starmimo.rate import ClosedForm
+from starmimo.referee import dense_covariance_scalars
 
 
 def cn(rng, shape):
@@ -179,6 +180,18 @@ class TestStarConfig:
         cfg = StarConfig.equal_split(4)
         cfg.beta[0, 0] = 1.0
         with pytest.raises(ValueError, match="energy"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("field, entry, value, message", [
+        ("theta", (0, 1), np.nan, "unit modulus"),
+        ("beta", (1, 2), np.nan, "energy"),
+        ("theta", (1, 3), np.inf, "unit modulus"),
+    ])
+    def test_rejects_non_finite_entries(self, field, entry, value, message):
+        # a NaN deviation compares False with every tolerance
+        cfg = StarConfig.equal_split(4)
+        getattr(cfg, field)[entry] = value
+        with pytest.raises(ValueError, match=message):
             cfg.validate()
 
     def test_ms_requires_binary(self):
@@ -404,7 +417,7 @@ class TestRowBlocks:
         system = block_grid_system(rng, grid)
         n = system.dims.n
         config = StarConfig.random(n, rng)
-        monkeypatch.setattr(rate, "ROW_BLOCK_BYTES", 5 * n * 8)
+        monkeypatch.setattr(referee, "ROW_BLOCK_BYTES", 5 * n * 8)
         diagonals = np.empty((2, n), dtype=complex)
         alphas = dense_covariance_scalars(config, system, diagonals)
         assert "r_ris" not in system.corr.__dict__
@@ -478,11 +491,12 @@ class TestCovarianceScalars:
         n = system.dims.n
         assert isinstance(system.corr.ris_abs2, GridKernel)
         configs = [StarConfig.random(n, rng) for _ in range(2)]
-        batch = evaluate(np.stack([c.theta for c in configs]),
-                         np.stack([c.beta for c in configs]), system)
+        closed = ClosedForm(system)
+        batch = closed.score(np.stack([c.theta for c in configs]),
+                             np.stack([c.beta for c in configs]))
         assert "r_ris" not in system.corr.__dict__
         for p, config in enumerate(configs):
-            single = evaluate(config.theta, config.beta, system)
+            single = closed.score(config.theta, config.beta)
             np.testing.assert_array_equal(batch.a[p], single.a)
             np.testing.assert_allclose(single.alphas, dense_covariance_scalars(config, system),
                                        rtol=1e-12)

@@ -25,7 +25,7 @@ from starmimo.cli import (
 )
 from starmimo.correlation import FFT_MIN_N, GridKernel
 from starmimo.optimizer import PgamOptions, multi_start
-from starmimo.rate import evaluate, from_alphas, sum_se
+from starmimo.rate import ClosedForm, assemble_report, sum_se
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -830,13 +830,13 @@ class TestConventionalReferee:
         phases = np.ones((33, n), dtype=complex)
         phases[:, 1::2] = np.exp(1j * np.linspace(0.0, np.pi, 33))[:, None]
         theta = np.stack([np.repeat(phases, 33, axis=0), np.tile(phases, (33, 1))], axis=1)
-        return evaluate(theta, np.tile(beta, (len(theta), 1, 1)), system).report.sum_se.max()
+        return ClosedForm(system).score(theta, np.tile(beta, (len(theta), 1, 1))).sum_se.max()
 
     @staticmethod
     def rectangle_bound(system, config, points=201, chunk=8):
         """F's maximum on a grid over [0, S_t] x [0, S_r], and whether it
-        sits at (S_t, S_r).  ``from_alphas`` takes ``chunk`` rows of T_t at
-        a time, so its (6, rows, points, K, M) work array stays small."""
+        sits at (S_t, S_r).  ``ClosedForm.spectrum`` takes ``chunk`` rows of
+        T_t at a time, so its (6, rows, points, K, M) work array stays small."""
         a = np.abs(system.corr.r_ris) ** 2
         t_t = np.linspace(0.0, config.beta[0] @ a @ config.beta[0], points)
         t_r = np.linspace(0.0, config.beta[1] @ a @ config.beta[1], points)
@@ -844,8 +844,12 @@ class TestConventionalReferee:
         traces = np.concatenate([np.broadcast_to(grid[u], (points, points, 1))
                                  for u in system.region], axis=-1)
         alphas = system.gains.beta_bar + system.gains.beta_hat * traces
-        values = np.concatenate([from_alphas(alphas[i:i + chunk], system)[2].sum_se
-                                 for i in range(0, points, chunk)])
+        closed = ClosedForm(system)
+        values = []
+        for i in range(0, points, chunk):
+            _, sums, i_tilde = closed.spectrum(alphas[i:i + chunk])
+            values.append(assemble_report(sums[0] ** 2, i_tilde, closed.prelog)[1])
+        values = np.concatenate(values)
         i, j = np.unravel_index(np.argmax(values), values.shape)
         return values[i, j], (t_t[i], t_r[j]) == (t_t[-1], t_r[-1])
 

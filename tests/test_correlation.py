@@ -564,6 +564,37 @@ class TestFromGrid:
             assert np.max(np.abs(got - ref), initial=0.0) <= self.SPLIT_GAP
         self.assert_reproduces_surface(split, ArrayGeometry(side, side, sp, sp))
 
+    @staticmethod
+    def whole_block_rows(window, sign, weights):
+        """The split's rows (i, j), i <= j, of the whole ++ or -- block,
+        gathered as the block was before only those rows were."""
+        a = weights.size
+        block = (window[:a, :a, :a, :a] + sign * window[::-1][:a, :a, :a, :a]
+                 + sign * window[:, ::-1][:a, :a, :a, :a]
+                 + sign * sign * window[::-1, ::-1][:a, :a, :a, :a]).reshape(a * a, a * a)
+        weight = np.outer(weights, weights).ravel()
+        block *= weight[:, None]
+        block *= weight
+        return block.reshape((a,) * 4)[np.triu_indices(a)]
+
+    @pytest.mark.parametrize("side", [23, 24, 33])
+    def test_split_rows_have_the_whole_blocks_bits(self, side, monkeypatch):
+        # the ++ and -- rows the split is given, halves of 12 and 11 (side
+        # 23), 12 (24) and 17 and 16 (33)
+        given, split_eigh = [], correlation._swap_split_eigh
+        monkeypatch.setattr(correlation, "_swap_split_eigh",
+                            lambda rows: given.append(rows) or split_eigh(rows))
+        monkeypatch.setattr(correlation, "SPLIT_MIN_N", 0)
+        pair = CorrelationPair.from_grid(np.eye(2), ArrayGeometry(side, side, 0.25, 0.25))
+        _folded_factor(pair.ris_table)
+        window = correlation._toeplitz_window(pair.ris_table)
+        signs = (1.0, -1.0)
+        assert len(given) == len(signs)
+        for rows, sign in zip(given, signs):
+            weights = correlation._half_weights(side, sign)
+            np.testing.assert_array_equal(bits(rows),
+                                          bits(self.whole_block_rows(window, sign, weights)))
+
     def test_split_eigh_sizes(self, monkeypatch):
         # at 32 x 32 the +- block (16 x 16 halves) takes one eigh of 256, the
         # ++ and -- blocks one of 136 (i <= j) and one of 120 (i < j) each

@@ -6,12 +6,12 @@ from starmimo.channel import (SystemDims, StarConfig, complex_normal, covariance
                               sample_realization)
 from starmimo.correlation import LinkGains, build_bs_correlation
 from starmimo.estimation import apply_wiener_filter
-from starmimo.rate import from_alphas
+from starmimo.rate import ClosedForm, assemble_report
 
 
 def spectrum(alpha, system):
     """The one user's estimate-covariance eigenvalues at covariance scalar ``alpha``."""
-    psi, _, _ = from_alphas(np.array([alpha]), system)
+    psi, _, _ = ClosedForm(system).spectrum(np.array([alpha]))
     return psi[0]
 
 
@@ -86,14 +86,20 @@ class TestLmmseStats:
         # a (P, K) batch of scalars gives each row's own spectra and report
         system = random_system(rng, m=5, n=4, k_t=2, k_r=1)
         alphas = rng.uniform(0.0, 2.0, (3, 3))
-        psi, sums, report = from_alphas(alphas, system)
+        closed = ClosedForm(system)
+
+        def spectra(alphas):
+            psi, sums, i_tilde = closed.spectrum(alphas)
+            return psi, sums, assemble_report(sums[0] ** 2, i_tilde, closed.prelog)[1]
+
+        psi, sums, sum_se = spectra(alphas)
         assert psi.shape == (3, 3, 5)
         assert sums.shape == (6, 3, 3)
         for p in range(3):
-            row_psi, row_sums, row = from_alphas(alphas[p], system)
+            row_psi, row_sums, row_sum_se = spectra(alphas[p])
             np.testing.assert_array_equal(psi[p], row_psi)
             np.testing.assert_array_equal(sums[:, p], row_sums)
-            assert report.sum_se[p] == row.sum_se
+            assert sum_se[p] == row_sum_se
 
 
 class TestErrorCovariance:

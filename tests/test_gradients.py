@@ -6,15 +6,9 @@ import pytest
 from conftest import alpha_partials, random_system, uncorrelated_ris_system
 from starmimo.channel import StarConfig, covariance_scalars
 from starmimo.correlation import LinkGains
-from starmimo.gradients import (
-    LN2,
-    DegenerateInterferenceError,
-    build_workspace,
-    finite_difference_gradient,
-    grad_objective,
-    grad_objective_from_workspace,
-)
-from starmimo.rate import dense_evaluate, evaluate, from_alphas, sum_se
+from starmimo.gradients import build_workspace, grad_objective, grad_objective_from_workspace
+from starmimo.rate import LN2, ClosedForm, DegenerateInterferenceError, assemble_report, sum_se
+from starmimo.referee import finite_difference_gradient
 
 FD_STEP = 1e-6
 REGIONS = ("t", "r")
@@ -74,8 +68,8 @@ def amplitude_direction(point, region):
     return 2.0 * np.real(np.conj(point.a[u]) * point.theta[u])
 
 
-def point_at(config, system, producer=evaluate):
-    return producer(config.theta, config.beta, system)
+def point_at(config, system, method="eig"):
+    return sum_se(config, system, method)
 
 
 def rel_err(closed, numeric):
@@ -190,8 +184,7 @@ class TestAmplitudeGradient:
         # over users and scaled by the prefactor, is the vectorized gradient
         system = random_system(rng, m=5, n=6, k_t=2, k_r=1)
         config = StarConfig.random(6, rng)
-        point = point_at(config, system)
-        report = point.report
+        point = report = point_at(config, system)
         prefactor = system.dims.prelog / LN2
         full = grad_objective(config, system)
         for u, region in enumerate(REGIONS):
@@ -314,14 +307,14 @@ class TestKernelAgreement:
 
     def test_objective_matches_dense(self, case, rng):
         system, config = kernel_case(case, rng)
-        point = evaluate(config.theta, config.beta, system)
+        point = ClosedForm(system).score(config.theta, config.beta)
         dense = sum_se(config, system, method="dense")
-        assert point.report.sum_se == pytest.approx(dense.sum_se, rel=1e-9)
-        np.testing.assert_allclose(point.report.i_tilde, dense.i_tilde, rtol=1e-9)
+        assert point.sum_se == pytest.approx(dense.sum_se, rel=1e-9)
+        np.testing.assert_allclose(point.i_tilde, dense.i_tilde, rtol=1e-9)
 
     def test_gradient_blocks_match_oracles(self, case, rng):
         system, config = kernel_case(case, rng)
-        point = evaluate(config.theta, config.beta, system)
+        point = ClosedForm(system).score(config.theta, config.beta)
         closed = grad_objective_from_workspace(point, system, build_workspace(point, system))
         numeric = finite_difference_gradient(config, system)
         dense = grad_objective(config, system, method="dense")
@@ -343,13 +336,18 @@ class TestKernelAgreement:
 
 def fd_d_alpha(point, system, k, rel_step=1e-6):
     """Central differences of the sum SE in user k's covariance scalar, one
-    value per start of a batched point, through ``rate.from_alphas``."""
+    value per start of a batched point, through ``rate.ClosedForm.spectrum``."""
+    closed = ClosedForm(system)
+
+    def objective(alphas):
+        _, sums, i_tilde = closed.spectrum(alphas)
+        return assemble_report(sums[0] ** 2, i_tilde, closed.prelog)[1]
+
     step = rel_step * np.max(point.alphas[..., k])
     plus, minus = point.alphas.copy(), point.alphas.copy()
     plus[..., k] += step
     minus[..., k] -= step
-    return (from_alphas(plus, system)[2].sum_se
-            - from_alphas(minus, system)[2].sum_se) / (2.0 * step)
+    return (objective(plus) - objective(minus)) / (2.0 * step)
 
 
 class TestWorkspaceScalars:
@@ -365,7 +363,7 @@ class TestWorkspaceScalars:
         configs[1].beta[:] = [[1.0] * 5, [0.0] * 5]
         theta = np.stack([config.theta for config in configs])
         beta = np.stack([config.beta for config in configs])
-        point = evaluate(theta, beta, system)
+        point = ClosedForm(system).score(theta, beta)
         np.testing.assert_array_equal(point.alphas[1, 2:], system.gains.beta_bar[1, 2:])
         d_alpha = build_workspace(point, system)
         assert d_alpha.shape == (3, 4)
@@ -380,7 +378,7 @@ class TestWorkspaceScalars:
                                    complex_bs=bool(rng.integers(0, 2)))
             config = StarConfig.random(system.dims.n, rng)
             fast = point_at(config, system)
-            dense = point_at(config, system, dense_evaluate)
+            dense = point_at(config, system, "dense")
             for field in ("a", "alphas", "sums"):
                 np.testing.assert_allclose(getattr(fast, field), getattr(dense, field), rtol=1e-9)
             for ours, theirs in zip(alpha_partials(fast, system), alpha_partials(dense, system)):

@@ -18,7 +18,7 @@ from conftest import random_system
 from starmimo.channel import StarConfig, covariance_scalars
 from starmimo.correlation import FFT_MIN_N, ArrayGeometry, CorrelationPair, GridKernel, LinkGains
 from starmimo.gradients import grad_objective
-from starmimo.rate import evaluate, sum_se
+from starmimo.rate import sum_se
 
 GRID = ArrayGeometry(n_h=25, n_v=24, spacing_h=0.25, spacing_v=0.25)
 SURFACES = ["matrices", "grid"]
@@ -142,11 +142,11 @@ def test_grid_transpose(grid, seed):
     config = StarConfig.random(n_v * n_h, rng)
     image = StarConfig(transposed(config.theta, n_v, n_h), transposed(config.beta, n_v, n_h))
 
-    point = evaluate(config.theta, config.beta, pairs[0])
-    image_point = evaluate(image.theta, image.beta, pairs[1])
+    point = sum_se(config, pairs[0])
+    image_point = sum_se(image, pairs[1])
     assert_close(image_point.alphas, point.alphas)
     assert_close(image_point.a, transposed(point.a, n_v, n_h))
-    assert image_point.report.sum_se == pytest.approx(point.report.sum_se, rel=1e-12)
+    assert image_point.sum_se == pytest.approx(point.sum_se, rel=1e-12)
     assert sum_se(image, pairs[1], method="dense").sum_se == pytest.approx(
         sum_se(config, pairs[0], method="dense").sum_se, rel=1e-12)
 
