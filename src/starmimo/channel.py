@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -73,9 +73,6 @@ class StarConfig:
         """Diagonal of the passive beamforming matrix for region "t" or "r"."""
         row = ("t", "r").index(mode)
         return self.beta[..., row, :] * self.theta[..., row, :]
-
-    def copy(self) -> "StarConfig":
-        return replace(self, theta=self.theta.copy(), beta=self.beta.copy())
 
     @classmethod
     def equal_split(cls, n: int, rng: np.random.Generator | None = None) -> "StarConfig":
@@ -295,10 +292,13 @@ def sample_realization(system: SystemModel, config: StarConfig,
     0.3.31 (Haswell kernels) it does with 8 or 16 real columns per trial
     (K = 4 or 8) at every N tried from 2 to 1024, with dense factors and
     with folded ones (1 x 2 to 32 x 32, 3 x 7, 9 x 16, 1 x 100, 100 x 1 and
-    1 x 130 grids) on one BLAS thread, while other K agree to roundoff;
-    with two threads under the Haswell kernels chunks at N = 256 and 1024
-    differ, so bit-identical draws need one thread (``OPENBLAS_NUM_THREADS=1``
-    before numpy is imported).  The BS-side products stay one gemm per trial.
+    1 x 130 grids) on one BLAS thread, while other K agree to roundoff.
+    At K = 4, chunks of 2 to 12 trials also agree bit for bit with each
+    other at the 33 x 33 to 64 x 64 grids tried, but a lone trial differs
+    from them by about 4e-15 at 40 x 40 and 45 x 45.  With two threads
+    under the Haswell kernels chunks at N = 256 and 1024 differ, so
+    bit-identical draws need one thread (``OPENBLAS_NUM_THREADS=1`` before
+    numpy is imported).  The BS-side products stay one gemm per trial.
     """
     t, k = len(rngs), system.dims.k
     bs_factor = system.corr.bs_factor
@@ -310,6 +310,7 @@ def sample_realization(system: SystemModel, config: StarConfig,
 
     # (N, T, K) columns q_k, then the (r, T, K) columns of V', each one real product
     q_cols = _real_left_product(ris_factor, c.reshape(r, t * k)).reshape(n, t, k)
+    del c  # read by no later step: one block fewer alive through the L^T product
     q_cols *= np.sqrt(system.gains.beta_tilde)
     # column k is the phi row of user k's region
     phi_cols = (config.beta * config.theta)[system.region].T

@@ -13,9 +13,9 @@ terms as the closed form's do (:func:`rate.assemble_report`).  Data symbols
 and downlink noise are never sampled: the bound depends on channel/precoder
 moments only.  Per-trial RNG streams are spawned from the master seed, so
 results are independent of any batching or execution order.  Trials are
-drawn in chunks whose per-trial columns fit in ``CHUNK_BYTES`` (one
-generator per trial, one sampler call per chunk) and added into the moment
-sums one by one, in trial order.
+drawn in chunks whose per-trial columns fit in ``CHUNK_BYTES``, of at least
+``MIN_CHUNK_TRIALS`` trials (one generator per trial, one sampler call per
+chunk), and added into the moment sums one by one, in trial order.
 """
 
 from __future__ import annotations
@@ -33,29 +33,47 @@ from .estimation import apply_wiener_filter
 from .rate import assemble_report
 
 # Bytes of one chunk's (N + M) x K complex columns, the unit of a trial's
-# per-trial arrays: the surface draw and its products (c, q, phi * q, V')
-# take a few N x K blocks, the BS side (c_bar, Z, d, h, pilot noise, the
-# estimate) a few M x K.  1 MB is 15 trials at M = 64, N = 1024, K = 4.  On
-# a 2-core Xeon VM (numpy 2.4.6, OpenBLAS 0.3.31 on one thread), 100 trials
-# of that system through the folded surface factor took 76-105, 62-87,
-# 56-78, 59-78, 63-84 and 65-78 ms with budgets of 0.25, 0.5, 1, 2, 4 and
-# 8 MB (medians of 7, three runs): flat from 0.5 MB on.  With the dense
-# N x r factor they took 373 ms one at a time and 219, 133, 109 and 101 ms
-# with 0.25, 1, 4 and 8 MB, and the mc-validate benchmark's peak RSS over
-# seeds 0-2 was 84.4-84.5 MB with 0.25 MB, 83.9-84.2 MB with 1 MB,
-# 86.5-86.6 MB with 4 MB and 91.5-95.7 MB with 8 MB; a larger chunk holds
-# more of its arrays at once.
-CHUNK_BYTES = 2**20
+# per-trial arrays.  Where N >= M a chunk holds under four times its columns
+# at once (3.6-3.8 times, traced, at M = 64 and N = 64-1024): the sampler's
+# q, phi * q and the fold's N-row buffer, N x K per trial each, with L^T's
+# r-row output (r <= N) and the BS side's c_bar and Z.  Where M >> N, the BS
+# side's few M x K blocks per trial set the peak (about 7 times at M = 256,
+# N <= 16).  On a 2-vCPU Xeon VM (numpy 2.4.6, OpenBLAS 0.3.31 on one
+# thread), one mc_sinr call of 100 trials of the mc-validate system
+# (M = 64, K = 4) took (ms, median of 15 alternating passes, quartiles about
+# +-10%) and peaked (tracemalloc, MB) at, every budget at N = 4096 giving
+# MIN_CHUNK_TRIALS:
+#
+#   budget    N = 64      N = 256     N = 1024    N = 4096
+#   0.25 MiB  12.8  1.1   19.7  0.9   46.0  2.0   222  7.5
+#   0.5 MiB   11.6  2.0   16.8  1.9   47.4  2.0   246  7.5
+#   1 MiB     11.2  3.1   18.0  3.7   47.8  3.7   243  7.5
+#   2 MiB     13.8  3.1   20.0  7.2   42.5  7.4   262  7.5
+#
+# Time is flat from 0.25 MiB on, but below 0.5 MiB the mc-validate
+# benchmark's peak RSS falls no further (46.6-46.8 MB with 0.25 MiB and
+# 46.4-46.9 MB with 0.5 MiB, seeds 0-2).
+CHUNK_BYTES = 2**19
+# The fewest trials in a chunk, whatever the budget.  Time follows the
+# trials per chunk, not its bytes: each chunk streams the whole surface
+# factor through both products, and at large N too few trials leave that
+# pass unamortized.  Chunks of 1, 2, 3, 4, 8 and 12 trials took 631, 397,
+# 381, 335, 297 and 274 ms per 100 trials at N = 4096 and 189, 156, 113,
+# 102, 84 and 87 ms at N = 2025 (45 x 45); 0.5 MiB holds 1 and 3 trials
+# there.  At K = 4, chunks of 2 to 12 trials give the same bits at N = 1024
+# to 4096 (``sample_realization``).
+MIN_CHUNK_TRIALS = 8
 # Contiguous trial groups of the batch-means standard errors; fewer when
 # there are fewer trials, and at least two, since mc_sinr needs two trials.
 N_BATCHES = 20
 
 
 def _chunk_trials(system: SystemModel, n_trials: int) -> Iterator[slice]:
-    """Consecutive trial ranges whose (N + M) x K columns fit in ``CHUNK_BYTES``."""
+    """Consecutive trial ranges whose (N + M) x K columns fit in
+    ``CHUNK_BYTES``, of at least ``MIN_CHUNK_TRIALS`` trials but the last."""
     dims = system.dims
     trial_bytes = (dims.n + dims.m) * dims.k * np.dtype(complex).itemsize
-    size = max(1, CHUNK_BYTES // trial_bytes)
+    size = max(MIN_CHUNK_TRIALS, CHUNK_BYTES // trial_bytes)
     return (slice(start, min(start + size, n_trials))
             for start in range(0, n_trials, size))
 
@@ -86,6 +104,19 @@ def _sinr_terms(z, m2, power, count, system: SystemModel):
     return s, var_self + cross.sum(axis=-1) + noise[..., None]
 
 
+def _chunk_moments(system: SystemModel, config: StarConfig, alphas: np.ndarray,
+                   streams: list[np.random.SeedSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """h_k^H hhat_i (T, K, K) and hhat_i^H hhat_i (T, K) of one chunk's
+    trials, one per stream.  The chunk's channels, pilot noise and estimates
+    are locals, freed on return."""
+    eps = system.epsilon
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    h = sample_realization(system, config, rngs).h
+    (noise,) = complex_normal(rngs, h.shape[1:])
+    h_hat = apply_wiener_filter(h + np.sqrt(eps) * noise, alphas, system.corr, eps)
+    return h.conj() @ np.swapaxes(h_hat, -1, -2), np.sum(np.abs(h_hat) ** 2, axis=-1)
+
+
 def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
             seed: int) -> McEstimate:
     """Estimate the per-user SINRs over independent channel realizations.
@@ -96,11 +127,15 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
     square root of the group count.  The sum SE's error carries them
     through its derivative by the delta method:
     sqrt(sum_k (prelog / ((1 + gamma_k) ln 2) * std_err_k)^2).
+
+    Trials run in chunks (``_chunk_trials``), and a chunk's arrays are
+    freed before the next chunk is drawn.  With N >= M one chunk holds
+    under four times its trials' (N + M) x K complex columns at once: about
+    2 MB at M = 64, K = 4 and N = 64 to 1024.
     """
     if isinstance(n_trials, bool) or not isinstance(n_trials, numbers.Integral) or n_trials < 2:
         raise ValueError(f"n_trials: need an integer of at least 2, got {n_trials!r}")
     k_users = system.dims.k
-    eps = system.epsilon
     alphas = covariance_scalars(system, config)
     n_batches = min(N_BATCHES, n_trials)
 
@@ -112,12 +147,7 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
     power = np.zeros((n_batches, k_users))
 
     for chunk in _chunk_trials(system, n_trials):
-        rngs = [np.random.default_rng(stream) for stream in streams[chunk]]
-        real = sample_realization(system, config, rngs)
-        (noise,) = complex_normal(rngs, real.h.shape[1:])
-        h_hat = apply_wiener_filter(real.h + np.sqrt(eps) * noise, alphas, system.corr, eps)
-
-        inner = real.h.conj() @ np.swapaxes(h_hat, -1, -2)  # (t, k, i) = h_k^H hhat_i
+        inner, hat_power = _chunk_moments(system, config, alphas, streams[chunk])
         finite = np.isfinite(inner).all(axis=(1, 2))
         if not finite.all():
             raise FloatingPointError(
@@ -126,7 +156,7 @@ def mc_sinr(system: SystemModel, config: StarConfig, n_trials: int,
         rows = batch_of[chunk]
         np.add.at(z, rows, np.diagonal(inner, axis1=1, axis2=2))
         np.add.at(m2, rows, np.abs(inner) ** 2)
-        np.add.at(power, rows, np.sum(np.abs(h_hat) ** 2, axis=-1))
+        np.add.at(power, rows, hat_power)
 
     # add the batch rows in order: a numpy sum may pair them and move the last bit
     prelog = system.dims.prelog

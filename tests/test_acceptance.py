@@ -129,7 +129,7 @@ def test_criterion_4_algorithm_invariants(monkeypatch):
         assert all(t <= 1e-10 and e <= 1e-10 for t, e in map(feasibility_errors, points))
         assert np.all(np.diff(trace.objectives) >= 0)
 
-        again = pgam(system, options, init.copy())
+        again = pgam(system, options, StarConfig(init.theta.copy(), init.beta.copy()))
         assert trace.objectives == again.objectives
         np.testing.assert_array_equal(trace.final_config.theta,
                                       again.final_config.theta)

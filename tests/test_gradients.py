@@ -22,9 +22,9 @@ def fd_user_term(system, config, term, k, region, block="theta", step=FD_STEP):
     row = REGIONS.index(region)
 
     def term_value(values):
-        trial = config.copy()
-        getattr(trial, block)[row] = values
-        report = sum_se(trial, system)
+        moved = getattr(config, block).copy()
+        moved[row] = values
+        report = sum_se(replace(config, **{block: moved}), system)
         return report.s[k] if term == "s" else report.i_tilde[k]
 
     base = getattr(config, block)[row].copy()
@@ -164,8 +164,7 @@ class TestAmplitudeGradient:
         system = random_system(rng, complex_bs=False)
         config = StarConfig.random(system.dims.n, rng)
         base = grad_objective(config, system)
-        rotated = config.copy()
-        rotated.theta = rotated.theta * np.exp(1j * 0.9)
+        rotated = replace(config, theta=config.theta * np.exp(1j * 0.9))
         after = grad_objective(rotated, system)
         assert np.linalg.norm(after.d_beta) == pytest.approx(
             np.linalg.norm(base.d_beta), rel=1e-9
@@ -219,9 +218,8 @@ class TestObjectiveGradient:
             config = StarConfig.random(6, rng)
             grad = grad_objective(config, system)
             step = 1e-7
-            moved = config.copy()
-            moved.theta = moved.theta + step * grad.d_theta
-            moved.beta = moved.beta + step * grad.d_beta
+            moved = replace(config, theta=config.theta + step * grad.d_theta,
+                            beta=config.beta + step * grad.d_beta)
             assert sum_se(moved, system).sum_se > sum_se(config, system).sum_se
 
     def test_full_finite_difference_match(self, rng):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,13 +152,33 @@ class TestMcSinr:
         system = build_system(ScenarioConfig.from_file(MC_CONFIG), n=n)
         assert system.dims.k == 4 and np.isrealobj(system.corr.r_bs)
         config = StarConfig.random(n, np.random.default_rng(n))
-        chunk = montecarlo.CHUNK_BYTES // ((system.dims.m + n) * 4 * 16)
+        chunk = next(montecarlo._chunk_trials(system, 10**6)).stop
         n_trials = chunk + chunk // 2 + 1
         estimate = mc_sinr(system, config, n_trials, 3)
         gamma, std_err, sum_se_hat = reference_mc_sinr(system, config, n_trials, 3)
         np.testing.assert_array_equal(estimate.gamma_hat, gamma)
         np.testing.assert_array_equal(estimate.std_err, std_err)
         assert estimate.sum_se_hat == sum_se_hat
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_traced_peak_within_four_chunk_columns(self, n):
+        # with N >= M a chunk holds under four times its (N + M) x K complex
+        # columns at once (montecarlo.CHUNK_BYTES); a sampler that kept the
+        # draw block alive, next to the previous chunk's arrays, reached 5.7
+        # (N = 256) and 5.3 (N = 1024) times them
+        system = build_system(ScenarioConfig.from_file(MC_CONFIG), n=n)
+        config = StarConfig.random(n, np.random.default_rng(n))
+        mc_sinr(system, config, 100, 0)  # the system's cached statistics, untraced
+        dims = system.dims
+        trials = max(s.stop - s.start for s in montecarlo._chunk_trials(system, 100))
+        columns = trials * (dims.n + dims.m) * dims.k * 16
+        tracemalloc.start()
+        try:
+            mc_sinr(system, config, 100, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * columns
 
     @pytest.mark.parametrize("k_t, k_r", [(1, 1), (2, 1), (3, 3), (4, 5)])
     def test_chunks_agree_to_roundoff_for_other_user_counts(self, k_t, k_r, monkeypatch):

@@ -652,9 +652,8 @@ class TestCanonicalizeAndRounding:
         system = random_system(local, m=4, n=5, k_t=1, k_r=1)
         config = StarConfig.random(5, local)
         base = sum_se(config, system).sum_se
-        flipped = config.copy()
+        sign = np.ones((2, 5))
         for row in range(2):
-            mask = local.integers(0, 2, 5).astype(bool)
-            flipped.beta[row, mask] *= -1.0
-            flipped.theta[row, mask] *= -1.0
+            sign[row, local.integers(0, 2, 5).astype(bool)] = -1.0
+        flipped = replace(config, theta=config.theta * sign, beta=config.beta * sign)
         assert sum_se(flipped, system).sum_se == pytest.approx(base, rel=1e-10)

@@ -137,10 +137,8 @@ class TestSumSe:
         system = random_system(rng, complex_bs=False)
         config = StarConfig.random(system.dims.n, rng)
         base = sum_se(config, system).sum_se
-        rot_t = config.copy()
-        rot_t.theta[0] = rot_t.theta[0] * np.exp(1j * 1.234)
-        rot_r = config.copy()
-        rot_r.theta[1] = rot_r.theta[1] * np.exp(1j * -0.521)
+        rot_t = replace(config, theta=config.theta * np.exp(1j * np.array([[1.234], [0.0]])))
+        rot_r = replace(config, theta=config.theta * np.exp(1j * np.array([[0.0], [-0.521]])))
         assert sum_se(rot_t, system).sum_se == pytest.approx(base, rel=1e-10)
         assert sum_se(rot_r, system).sum_se == pytest.approx(base, rel=1e-10)
 
@@ -148,10 +146,9 @@ class TestSumSe:
         system = random_system(rng)
         config = StarConfig.random(system.dims.n, rng)
         base = sum_se(config, system).sum_se
-        flipped = config.copy()
-        for idx in rng.choice(system.dims.n, size=2, replace=False):
-            flipped.beta[0, idx] *= -1.0
-            flipped.theta[0, idx] *= -1.0
+        sign = np.ones((2, system.dims.n))
+        sign[0, rng.choice(system.dims.n, size=2, replace=False)] = -1.0
+        flipped = replace(config, theta=config.theta * sign, beta=config.beta * sign)
         assert sum_se(flipped, system).sum_se == pytest.approx(base, rel=1e-10)
 
     def test_non_negative_outputs(self, rng):
